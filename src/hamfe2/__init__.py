@@ -9,8 +9,7 @@ from .config import (BoundaryRule, BoundarySchedule, ConfigError,
 from .constitutive import (ConstitutiveError, KunzelMaterial, LinearMaterial,
                            MaterialParams, default_materials)
 from .fe2 import (ComparisonReport, FE2Driver, FE2Error, FE2Result,
-                  build_grid_cell_map, compare_fields, fe2_solve,
-                  fine_scale_reference_solve)
+                  build_grid_cell_map, compare_fields, fe2_solve)
 from .fem import FieldState
 from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
                              MesoState, TangentBlocks, effective_tangent,
@@ -36,7 +35,6 @@ __all__ = [
     "default_materials",
     "ComparisonReport", "FE2Driver", "FE2Error", "FE2Result",
     "build_grid_cell_map", "compare_fields", "fe2_solve",
-    "fine_scale_reference_solve",
     "FieldState",
     "CellProblem", "EffectiveResponse", "MacroLoading", "MesoState",
     "TangentBlocks", "effective_tangent", "solve_rve_increment",

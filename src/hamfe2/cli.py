@@ -30,8 +30,7 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, SectionReader,
                      boundary_schedule_from, initial_from, load_materials,
                      load_scenario, scenario_settings, solver_config_from)
-from .fe2 import (FE2Error, build_grid_cell_map, compare_fields, fe2_solve,
-                  fine_scale_reference_solve)
+from .fe2 import FE2Error, build_grid_cell_map, compare_fields, fe2_solve
 from .fem import FieldState
 from .homogenization import CellProblem, MacroLoading, solve_rve_increment
 from .mesh import (MeshError, generate_masonry_cell, generate_masonry_wall,
@@ -40,7 +39,7 @@ from .results import (read_history_csv, write_comparison_report,
                       write_response_table, write_results, write_round_log,
                       write_step_log)
 from .scheduler import SchedulerError
-from .solver import SolverError
+from .solver import SolverError, transient_solve
 
 log = logging.getLogger("hamfe2.cli")
 
@@ -148,9 +147,9 @@ def _cmd_solve_fine(config: ScenarioConfig):
     _finish(problems)
 
     initial = FieldState.uniform(mesh.n_nodes, theta0, phi0)
-    history = fine_scale_reference_solve(mesh, materials, schedule, initial,
-                                         settings.dt_hours,
-                                         settings.t_end_hours, solver_cfg)
+    history = transient_solve(mesh, materials, schedule, initial,
+                              settings.dt_hours, settings.t_end_hours,
+                              solver_cfg)
     outdir = _outdir(settings)
     write_results(history, settings.format, outdir, mesh=mesh)
     write_step_log(history, os.path.join(outdir, "steps.csv"))

@@ -68,9 +68,6 @@ class ScenarioConfig:
     def section(self, name):
         return dict(self.sections.get(name, {}))
 
-    def has_section(self, name):
-        return name in self.sections
-
     def resolve(self, path):
         """Interpret a configured path relative to the config file."""
         if os.path.isabs(path):

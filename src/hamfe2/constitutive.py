@@ -13,7 +13,6 @@ element batches at once.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ THETA_MAX = 80.0
 # loose admissibility band for relative humidity; transient schemes may
 # overshoot [0, 1] by solver-level amounts without invalidating a state
 PHI_SLACK = 1e-2
-
-MATERIAL_FIELDS = ("w_f", "w_80", "lambda_0", "b_tcs", "rho_s", "mu", "A", "c_s")
-
 
 class ConstitutiveError(ValueError):
     """Raised for states or parameters outside the model's domain."""
@@ -235,17 +231,6 @@ def thermal_conductivity(params: MaterialParams, w):
     return lam if lam.ndim else float(lam)
 
 
-def heat_storage(params: MaterialParams, phi, b: float | None = None):
-    """Heat storage capacity dH/dtheta [J m^-3 K^-1].
-
-    Dry skeleton plus retained liquid water:
-    dH/dtheta = rho_s c_s + c_w w(phi).
-    """
-    w = water_content(params, phi, b)
-    out = params.rho_s * params.c_s + C_WATER * np.asarray(w)
-    return out if np.ndim(out) else float(out)
-
-
 def transport_coefficients(params: MaterialParams, theta, phi,
                            b: float | None = None) -> CoefficientSet:
     """Full coupled CoefficientSet at state (theta [deg C], phi [-]).
@@ -340,47 +325,3 @@ MORTAR = MaterialParams("mortar", w_f=160.00, w_80=22.72, lambda_0=0.45,
 def default_materials() -> dict[str, KunzelMaterial]:
     """Brick and mortar phases with the bundled reference parameters."""
     return {"brick": KunzelMaterial(BRICK), "mortar": KunzelMaterial(MORTAR)}
-
-
-def save_materials(path, materials: dict[str, MaterialParams]):
-    """Write an INI material file, one section per phase."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    for name, params in materials.items():
-        cp[name] = {f: repr(getattr(params, f)) for f in MATERIAL_FIELDS}
-    with open(path, "w") as fh:
-        cp.write(fh)
-
-
-def load_materials(path) -> dict[str, KunzelMaterial]:
-    """Read an INI material file into ready-to-use material phases.
-
-    Every section must define exactly the eight parameter fields; all
-    problems with the file are reported together.
-    """
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    with open(path) as fh:
-        cp.read_file(fh)
-    errors = []
-    out = {}
-    for name in cp.sections():
-        sec = cp[name]
-        missing = [f for f in MATERIAL_FIELDS if f not in sec]
-        extra = [k for k in sec if k not in MATERIAL_FIELDS]
-        if missing:
-            errors.append(f"[{name}] missing fields {missing}")
-        if extra:
-            errors.append(f"[{name}] unknown fields {extra}")
-        if missing or extra:
-            continue
-        try:
-            values = {f: float(sec[f]) for f in MATERIAL_FIELDS}
-            out[name] = KunzelMaterial(MaterialParams(name, **values))
-        except (ValueError, ConstitutiveError) as exc:
-            errors.append(f"[{name}] {exc}")
-    if errors:
-        raise ConstitutiveError("material file " + str(path) + ": " + "; ".join(errors))
-    if not out:
-        raise ConstitutiveError(f"material file {path}: no phases defined")
-    return out

@@ -21,8 +21,6 @@ accepted, so a rejected or retried step never pollutes the meso memory.
 
 from __future__ import annotations
 
-import logging
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,15 +29,11 @@ import scipy.sparse as sp
 from . import fem
 from .constitutive import ConstitutiveError
 from .fem import FieldState
-from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
-                             initial_response)
+from .homogenization import EffectiveResponse, MacroLoading, initial_response
 from .mesh import Mesh
 from .scheduler import (SchedulerError, make_pool, partition_points,
                         slice_registry)
-from .solver import (History, SolverConfig, SolverError, newton_solve,
-                     transient_solve, _dirichlet_for)
-
-log = logging.getLogger(__name__)
+from .solver import History, SolverConfig, newton_solve, step_with_retry
 
 
 class FE2Error(RuntimeError):
@@ -119,13 +113,6 @@ def _value_coupling(ws, vecs):
     return ws.csr_scatter(data)
 
 
-def _lumped(ws, vals):
-    d = np.zeros(ws.mesh.n_nodes)
-    np.add.at(d, ws.mesh.triangles.ravel(),
-              np.repeat(vals * ws.areas / 3.0, 3))
-    return d
-
-
 @dataclass
 class FE2Result:
     history: History
@@ -167,35 +154,41 @@ class FE2Driver:
         """One macro CN step from u_n; commits meso states on success.
 
         Returns (u_new, newton_iterations). Raises SolverError on macro
-        breakdown and ConstitutiveError-wrapped SchedulerError when the
-        meso increments refuse an iterate (both retryable by halving).
+        breakdown and when the meso increments refuse an iterate (their
+        SchedulerError arrives wrapped); both are retryable by halving.
+        A SchedulerError from a failed pool, such as a dead worker,
+        propagates as it is and is not retried.
         """
         mesh, ws, entries = self.mesh, self.ws, self.registry.entries
         n = mesh.n_nodes
         pids = list(self.registry.point_ids)
-        q_old_t = np.stack([entries[e].response.q_heat for e in pids])
-        q_old_f = np.stack([entries[e].response.q_moist for e in pids])
         cache = {}
         last = {}
 
+        def stacked(per_point, name):
+            """Attribute `name` of every point's object, stacked by point."""
+            return np.stack([getattr(per_point[e], name) for e in pids])
+
+        accepted = {e: entries[e].response for e in pids}
+        q_old_t = stacked(accepted, "q_heat")
+        q_old_f = stacked(accepted, "q_moist")
+
         def refresh_tangents(responses):
+            tan = {}
             for e in pids:
-                entries[e].tangent = responses[e].tangent
-            tan = [entries[e].tangent for e in pids]
-            kb = {name: np.stack([getattr(t, name) for t in tan])
-                  for name in ("k_tt", "k_tf", "k_ft", "k_ff")}
-            c_t = np.array([t.c_t for t in tan])
-            c_f = np.array([t.c_f for t in tan])
-            C = np.concatenate([_lumped(ws, c_t), _lumped(ws, c_f)])
-            blocks = [[_tensor_stiffness(ws, kb["k_tt"]),
-                       _tensor_stiffness(ws, kb["k_tf"])],
-                      [_tensor_stiffness(ws, kb["k_ft"]),
-                       _tensor_stiffness(ws, kb["k_ff"])]]
+                entries[e].tangent = tan[e] = responses[e].tangent
+
+            def conduction(name):
+                return _tensor_stiffness(ws, stacked(tan, name))
+
+            C = np.concatenate([ws.lumped(stacked(tan, "c_t")),
+                                ws.lumped(stacked(tan, "c_f"))])
+            blocks = [[conduction("k_tt"), conduction("k_tf")],
+                      [conduction("k_ft"), conduction("k_ff")]]
             # mean-flux sensitivity to the macro values; without it the
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate
-            bt = np.stack([t.b_t for t in tan])
-            bf = np.stack([t.b_f for t in tan])
+            bt, bf = stacked(tan, "b_t"), stacked(tan, "b_f")
             vblocks = [[_value_coupling(ws, bt[:, :, 0]),
                         _value_coupling(ws, bt[:, :, 1])],
                        [_value_coupling(ws, bf[:, :, 0]),
@@ -206,19 +199,12 @@ class FE2Driver:
                 # storage moments respond mostly to gradient rates, at
                 # capacity <x~ x~> / dt scale; these blocks dominate the
                 # conductive ones for hour-long steps
-                mgb = {name: np.stack([getattr(t, name) for t in tan])
-                       for name in ("mg_tt", "mg_tf", "mg_ft", "mg_ff")}
-                mvt = np.stack([t.mv_t for t in tan])
-                mvf = np.stack([t.mv_f for t in tan])
+                mvt, mvf = stacked(tan, "mv_t"), stacked(tan, "mv_f")
                 mblocks = [
-                    [_tensor_stiffness(ws, mgb["mg_tt"])
-                     + _value_coupling(ws, mvt[:, :, 0]),
-                     _tensor_stiffness(ws, mgb["mg_tf"])
-                     + _value_coupling(ws, mvt[:, :, 1])],
-                    [_tensor_stiffness(ws, mgb["mg_ft"])
-                     + _value_coupling(ws, mvf[:, :, 0]),
-                     _tensor_stiffness(ws, mgb["mg_ff"])
-                     + _value_coupling(ws, mvf[:, :, 1])]]
+                    [conduction("mg_tt") + _value_coupling(ws, mvt[:, :, 0]),
+                     conduction("mg_tf") + _value_coupling(ws, mvt[:, :, 1])],
+                    [conduction("mg_ft") + _value_coupling(ws, mvf[:, :, 0]),
+                     conduction("mg_ff") + _value_coupling(ws, mvf[:, :, 1])]]
                 J = J + sp.bmat(mblocks, format="csr")
             cache["C"], cache["J"] = C, J
 
@@ -239,16 +225,14 @@ class FE2Driver:
             last.clear()
             last.update(responses)
             C = cache["C"]
-            q_t = np.stack([responses[e].q_heat for e in pids])
-            q_f = np.stack([responses[e].q_moist for e in pids])
             R = C * (u - u_n) / dt
-            R[:n] += ws.scatter_gradient_pairing(-0.5 * (q_t + q_old_t))
-            R[n:] += ws.scatter_gradient_pairing(-0.5 * (q_f + q_old_f))
+            R[:n] += ws.scatter_gradient_pairing(
+                -0.5 * (stacked(responses, "q_heat") + q_old_t))
+            R[n:] += ws.scatter_gradient_pairing(
+                -0.5 * (stacked(responses, "q_moist") + q_old_f))
             if self.cprime:
-                m_t = np.stack([responses[e].m_t for e in pids])
-                m_f = np.stack([responses[e].m_f for e in pids])
-                R[:n] += ws.scatter_gradient_pairing(m_t)
-                R[n:] += ws.scatter_gradient_pairing(m_f)
+                R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
+                R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
             w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
             return (w * cmap.reduce_vector(R),
                     sp.diags(w) @ cmap.reduce_matrix(cache["J"]))
@@ -261,44 +245,10 @@ class FE2Driver:
         self.pool.commit()
         return u_new, len(trace) - 1
 
-    def step_with_retry(self, u_n, t_n, dt, cmap_for):
-        try:
-            u, iters = self.step(u_n, t_n, dt, cmap_for(t_n + dt))
-            return u, iters
-        except (SolverError, SchedulerError) as exc:
-            if not self.config.retry_halving:
-                raise
-            log.warning("macro step at t=%.0f s failed (%s); retrying "
-                        "with dt/2", t_n, exc)
-        half = 0.5 * dt
-        u, it1 = self.step(u_n, t_n, half, cmap_for(t_n + half))
-        u, it2 = self.step(u, t_n + half, half, cmap_for(t_n + dt))
-        return u, it1 + it2
-
     def solve(self, schedule, initial: FieldState, dt_hours,
               t_end_hours) -> History:
-        dt = float(dt_hours) * 3600.0
-        t_end = float(t_end_hours) * 3600.0
-        n_steps = int(round(t_end / dt))
-        if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
-            raise SolverError("t_end must be a positive whole number of steps")
-        cmap_for = lambda t: _dirichlet_for(self.mesh, schedule, t)
-        u = initial.vector()
-        history = History()
-        history.append(FieldState.from_vector(u, 0.0))
-        for k in range(1, n_steps + 1):
-            tic = _time.perf_counter()
-            u, iters = self.step_with_retry(u, (k - 1) * dt, dt, cmap_for)
-            wall = _time.perf_counter() - tic
-            history.append(FieldState.from_vector(u, k * dt), iters, wall)
-            log.info("step=%d t_hours=%.3f iterations=%d wall=%.3f",
-                     k, k * dt / 3600.0, iters, wall)
-        return history
-
-
-def fe2_step(driver: FE2Driver, u_n, t_n, dt, cmap):
-    """Single committed macro step on an existing driver."""
-    return driver.step(u_n, t_n, dt, cmap)
+        return step_with_retry(self.step, self.mesh, schedule, initial,
+                               dt_hours, t_end_hours, self.config)
 
 
 def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
@@ -316,14 +266,6 @@ def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
         history = driver.solve(schedule, initial, dt_hours, t_end_hours)
         rounds = list(driver.pool.timings)
         return FE2Result(history, driver.partition, rounds)
-
-
-def fine_scale_reference_solve(mesh: Mesh, materials, schedule,
-                               initial: FieldState, dt_hours, t_end_hours,
-                               config: SolverConfig = None) -> History:
-    """Single-scale solution on a mesh resolving every brick and joint."""
-    return transient_solve(mesh, materials, schedule, initial, dt_hours,
-                           t_end_hours, config)
 
 
 # ------------------------------------------------------------- comparison

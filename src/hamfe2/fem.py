@@ -13,7 +13,7 @@ are reduced by the congruence T' A T and recovered through the map.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,13 +85,6 @@ class CoupledSystem:
     def storage_diagonal(self):
         return np.concatenate([self.c_tt, self.c_ff])
 
-    def internal_flux(self, u):
-        """K u for the full field-major vector u."""
-        n = self.n_nodes
-        th, ph = u[:n], u[n:]
-        return np.concatenate([self.K_tt @ th + self.K_tf @ ph,
-                               self.K_ft @ th + self.K_ff @ ph])
-
 
 # ------------------------------------------------- per-mesh workspace
 
@@ -124,9 +117,7 @@ class Workspace:
         self.rows = np.repeat(tris, 3, axis=1).ravel()
         self.cols = np.tile(tris, (1, 3)).ravel()
         # lumped nodal areas (row-sum mass with unit density)
-        w = np.zeros(mesh.n_nodes)
-        np.add.at(w, tris.ravel(), np.repeat(self.areas / 3.0, 3))
-        self.node_areas = w
+        self.node_areas = self.lumped(np.ones(mesh.n_triangles))
         # per-phase element index lists, fixed order
         self.phase_elements = [np.nonzero(mesh.phases == k)[0]
                                for k in range(len(mesh.phase_names))]
@@ -155,6 +146,13 @@ class Workspace:
         return sp.csr_matrix((summed, self.csr_indices, self.csr_indptr),
                              shape=(n, n))
 
+    def lumped(self, vals):
+        """Row-sum lumped nodal diagonal of per-element densities, (N,)."""
+        d = np.zeros(self.mesh.n_nodes)
+        np.add.at(d, self.mesh.triangles.ravel(),
+                  np.repeat(vals * self.areas / 3.0, 3))
+        return d
+
     def element_gradient(self, nodal):
         """Constant per-element gradient of a nodal field, (M, 2)."""
         return np.einsum("mid,mi->md", self.grads, nodal[self.mesh.triangles])
@@ -181,49 +179,36 @@ def workspace(mesh: Mesh) -> Workspace:
 # ------------------------------------------------------------ assembly
 
 
-def element_matrices(coords, coeff: CoefficientSet):
-    """Single-element 6x6 conductivity and lumped storage (diagonal).
-
-    coords is (3, 2); dofs are field-major [t1 t2 t3 f1 f2 f3]. The
-    storage matrix is returned as its diagonal of length 6.
-    """
-    coords = np.asarray(coords, dtype=float)
-    area = 0.5 * ((coords[1, 0] - coords[0, 0]) * (coords[2, 1] - coords[0, 1])
-                  - (coords[2, 0] - coords[0, 0]) * (coords[1, 1] - coords[0, 1]))
-    if area <= 0.0:
-        raise FemError(f"degenerate or clockwise element (area {area:g})")
-    g = np.array([[coords[1, 1] - coords[2, 1], coords[2, 0] - coords[1, 0]],
-                  [coords[2, 1] - coords[0, 1], coords[0, 0] - coords[2, 0]],
-                  [coords[0, 1] - coords[1, 1], coords[1, 0] - coords[0, 0]]]) \
-        / (2.0 * area)
-    s = area * g @ g.T
-    k = np.zeros((6, 6))
-    k[:3, :3] = coeff.k_tt * s
-    k[:3, 3:] = coeff.k_tf * s
-    k[3:, :3] = coeff.k_ft * s
-    k[3:, 3:] = coeff.k_ff * s
-    c = np.concatenate([np.full(3, coeff.c_tt * area / 3.0),
-                        np.full(3, coeff.c_ff * area / 3.0)])
-    return k, c
-
-
-def evaluate_coefficients(mesh: Mesh, state: FieldState, materials) -> CoefficientSet:
-    """Per-element CoefficientSet at centroid states, phase by phase."""
+def _per_phase(mesh: Mesh, state: FieldState, materials, evaluate, n_out):
+    """n_out per-element arrays of evaluate(material, theta_c, phi_c) at
+    centroid states, one call per phase."""
     ws = workspace(mesh)
     th_c = ws.element_mean(state.theta)
     ph_c = ws.element_mean(state.phi)
-    m = mesh.n_triangles
-    out = {f: np.empty(m) for f in ("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff")}
+    out = [np.empty(mesh.n_triangles) for _ in range(n_out)]
     for pid, name in enumerate(mesh.phase_names):
         idx = ws.phase_elements[pid]
         if idx.size == 0:
             continue
         if name not in materials:
             raise FemError(f"mesh phase '{name}' missing from the material set")
-        c = materials[name].coefficients(th_c[idx], ph_c[idx])
-        for f in out:
-            out[f][idx] = getattr(c, f)
-    return CoefficientSet(**out)
+        for arr, vals in zip(out, evaluate(materials[name], th_c[idx], ph_c[idx])):
+            arr[idx] = vals
+    return out
+
+
+_COEFFICIENTS = tuple(f.name for f in fields(CoefficientSet))
+
+
+def evaluate_coefficients(mesh: Mesh, state: FieldState, materials) -> CoefficientSet:
+    """Per-element CoefficientSet at centroid states, phase by phase."""
+
+    def evaluate(material, theta, phi):
+        c = material.coefficients(theta, phi)
+        return [getattr(c, name) for name in _COEFFICIENTS]
+
+    return CoefficientSet(*_per_phase(mesh, state, materials, evaluate,
+                                      len(_COEFFICIENTS)))
 
 
 def assemble_system(mesh: Mesh, state: FieldState, materials,
@@ -243,11 +228,6 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
     def kblock(vals):
         return ws.csr_scatter((vals[:, None, None] * ws.pattern).ravel())
 
-    def cdiag(vals):
-        d = np.zeros(n)
-        np.add.at(d, mesh.triangles.ravel(), np.repeat(vals * ws.areas / 3.0, 3))
-        return d
-
     f = np.zeros(2 * n)
     if neumann:
         for (fld, set_name), flux in neumann.items():
@@ -261,7 +241,7 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
 
     return CoupledSystem(kblock(coeff.k_tt), kblock(coeff.k_tf),
                          kblock(coeff.k_ft), kblock(coeff.k_ff),
-                         cdiag(coeff.c_tt), cdiag(coeff.c_ff), f)
+                         ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f)
 
 
 def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
@@ -272,28 +252,11 @@ def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
     step; without them a steep sorption isotherm makes the frozen
     coefficient iteration oscillate near convergence.
     """
+    dtt, dff = _per_phase(
+        mesh, state, materials,
+        lambda material, theta, phi: material.storage_derivatives(theta, phi), 2)
     ws = workspace(mesh)
-    th_c = ws.element_mean(state.theta)
-    ph_c = ws.element_mean(state.phi)
-    m = mesh.n_triangles
-    dtt = np.empty(m)
-    dff = np.empty(m)
-    for pid, name in enumerate(mesh.phase_names):
-        idx = ws.phase_elements[pid]
-        if idx.size == 0:
-            continue
-        if name not in materials:
-            raise FemError(f"mesh phase '{name}' missing from the material set")
-        a, b = materials[name].storage_derivatives(th_c[idx], ph_c[idx])
-        dtt[idx] = a
-        dff[idx] = b
-    n = mesh.n_nodes
-    out = []
-    for vals in (dtt, dff):
-        d = np.zeros(n)
-        np.add.at(d, mesh.triangles.ravel(), np.repeat(vals * ws.areas / 3.0, 3))
-        out.append(d)
-    return out[0], out[1]
+    return ws.lumped(dtt), ws.lumped(dff)
 
 
 # ---------------------------------------------------------- constraints
@@ -311,7 +274,6 @@ class ConstraintMap:
         self.T = T.tocsr()
         self.g = np.asarray(g, dtype=float)
         self.free_index = np.asarray(free_index, dtype=np.int64)
-        self.n_full = self.g.size
         self.n_free = self.T.shape[1]
 
     def reduce_matrix(self, A) -> sp.csr_matrix:
@@ -347,16 +309,6 @@ def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:
     T = sp.csr_matrix((np.ones(free.size), (free, np.arange(free.size))),
                       shape=(n_dofs, free.size))
     return ConstraintMap(T, g, free)
-
-
-def apply_dirichlet(system: CoupledSystem, values: dict):
-    """Reduced steady operator (A_red, b_red, cmap) for K u = f.
-
-    values maps full field-major dof indices to prescribed values.
-    """
-    cmap = dirichlet_map(2 * system.n_nodes, values)
-    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
-    return A_red, b_red, cmap
 
 
 class PeriodicReduction:
@@ -407,28 +359,13 @@ class PeriodicReduction:
         self.free_index = np.concatenate([free, n + free])
         self.x0 = mesh.center()
 
-    def affine(self, value_theta, value_phi, grad_theta, grad_phi, x0=None):
+    def affine(self, value_theta, value_phi, grad_theta, grad_phi):
         """Nodal field-major vector of the macro (affine) part."""
-        x0 = self.x0 if x0 is None else np.asarray(x0, dtype=float)
-        rel = self.mesh.nodes - x0
+        rel = self.mesh.nodes - self.x0
         return np.concatenate([value_theta + rel @ np.asarray(grad_theta, dtype=float),
                                value_phi + rel @ np.asarray(grad_phi, dtype=float)])
 
-    def map_for(self, value_theta, value_phi, grad_theta, grad_phi,
-                x0=None) -> ConstraintMap:
-        g = self.affine(value_theta, value_phi, grad_theta, grad_phi, x0)
+    def map_for(self, value_theta, value_phi, grad_theta,
+                grad_phi) -> ConstraintMap:
+        g = self.affine(value_theta, value_phi, grad_theta, grad_phi)
         return ConstraintMap(self.T, g, self.free_index)
-
-
-def apply_periodic_constraints(system: CoupledSystem, mesh: Mesh,
-                               pairing: PeriodicPairing, grad_theta, grad_phi,
-                               value_theta=0.0, value_phi=0.0):
-    """Reduced steady periodic cell system (A_red, b_red, cmap).
-
-    Slave dofs equal their master plus the affine offset grad . dx; the
-    weighted mean of each field is anchored to its macro value.
-    """
-    red = PeriodicReduction(mesh, pairing)
-    cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
-    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
-    return A_red, b_red, cmap

@@ -19,6 +19,7 @@ effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -26,7 +27,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .fem import FieldState, assemble_system, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
-from .solver import SolverConfig, SolverError, crank_nicolson_step
+from .solver import SolverConfig, SolverError, _assemble, crank_nicolson_step
 
 
 @dataclass(frozen=True)
@@ -113,19 +114,13 @@ class CellProblem:
         self.pairing = detect_periodic_pairs(mesh)
         self.reduction = fem.PeriodicReduction(mesh, self.pairing)
         self.config = config or SolverConfig()
+        self._assembler = partial(_assemble, mesh, self.materials)
         ws = workspace(mesh)
         self.area = float(ws.areas.sum())
 
     @property
     def n_nodes(self):
         return self.mesh.n_nodes
-
-    @property
-    def second_moment(self):
-        """Area-averaged second moment <x~ (x) x~> of the cell, (2, 2)."""
-        ws = workspace(self.mesh)
-        xt = ws.centroids - self.reduction.x0
-        return np.einsum("m,mi,mj->ij", ws.areas, xt, xt) / self.area
 
     def affine_vector(self, loading: MacroLoading):
         return self.reduction.affine(loading.theta, loading.phi,
@@ -137,11 +132,16 @@ class CellProblem:
     def initial_state(self, loading: MacroLoading) -> MesoState:
         return MesoState(np.zeros(2 * self.n_nodes), loading, 0.0)
 
-    def _assembler(self, u, t):
-        state = FieldState.from_vector(u, t)
-        sysm = assemble_system(self.mesh, state, self.materials)
-        cap = fem.capacity_jacobian_diagonals(self.mesh, state, self.materials)
-        return sysm.stiffness(), sysm.storage_diagonal(), sysm.f, cap
+
+def _mean_conduction(ws, coeff, w, u):
+    """Area-weighted means <k grad u> of the heat and moisture rows, (2,) each."""
+    n = ws.mesh.n_nodes
+    gt = ws.element_gradient(u[:n])
+    gf = ws.element_gradient(u[n:])
+    return (np.array([w @ (coeff.k_tt * gt[:, 0] + coeff.k_tf * gf[:, 0]),
+                      w @ (coeff.k_tt * gt[:, 1] + coeff.k_tf * gf[:, 1])]),
+            np.array([w @ (coeff.k_ft * gt[:, 0] + coeff.k_ff * gf[:, 0]),
+                      w @ (coeff.k_ft * gt[:, 1] + coeff.k_ff * gf[:, 1])]))
 
 
 def average_fields(cell: CellProblem, u_new, u_old, dt) -> EffectiveResponse:
@@ -154,12 +154,8 @@ def average_fields(cell: CellProblem, u_new, u_old, dt) -> EffectiveResponse:
     state = FieldState.from_vector(u_new)
     coeff = evaluate_coefficients(cell.mesh, state, cell.materials)
     w = ws.areas / cell.area
-    gt = ws.element_gradient(state.theta)
-    gf = ws.element_gradient(state.phi)
-    q_heat = -np.array([w @ (coeff.k_tt * gt[:, 0] + coeff.k_tf * gf[:, 0]),
-                        w @ (coeff.k_tt * gt[:, 1] + coeff.k_tf * gf[:, 1])])
-    q_moist = -np.array([w @ (coeff.k_ft * gt[:, 0] + coeff.k_ff * gf[:, 0]),
-                         w @ (coeff.k_ft * gt[:, 1] + coeff.k_ff * gf[:, 1])])
+    kg_heat, kg_moist = _mean_conduction(ws, coeff, w, u_new)
+    q_heat, q_moist = -kg_heat, -kg_moist
     if dt is None:
         zero = np.zeros(2)
         return EffectiveResponse(q_heat, q_moist, 0.0, 0.0, zero, zero.copy())
@@ -233,9 +229,13 @@ def effective_tangent(cell: CellProblem, state: MesoState,
     if base is None:
         _, base = solve_rve_increment(cell, state, loading, cfg)
 
-    def perturbed(**changes):
-        return solve_rve_increment(cell, state, replace(loading, **changes),
-                                   cfg)[1]
+    def differences(step, **changes):
+        # rows q_heat, q_moist, m_t, m_f; the rerun for its storage rates
+        r = solve_rve_increment(cell, state, replace(loading, **changes),
+                                cfg)[1]
+        d = np.array([r.q_heat - base.q_heat, r.q_moist - base.q_moist,
+                      r.m_t - base.m_t, r.m_f - base.m_f]) / step
+        return d, r
 
     for step in (h, 0.1 * h):
         try:
@@ -244,30 +244,19 @@ def effective_tangent(cell: CellProblem, state: MesoState,
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = step
-                r = perturbed(grad_theta=loading.grad_theta + e)
-                k[0, 0, :, j] = -(r.q_heat - base.q_heat) / step
-                k[1, 0, :, j] = -(r.q_moist - base.q_moist) / step
-                mg[0, 0, :, j] = (r.m_t - base.m_t) / step
-                mg[1, 0, :, j] = (r.m_f - base.m_f) / step
-                r = perturbed(grad_phi=loading.grad_phi + e)
-                k[0, 1, :, j] = -(r.q_heat - base.q_heat) / step
-                k[1, 1, :, j] = -(r.q_moist - base.q_moist) / step
-                mg[0, 1, :, j] = (r.m_t - base.m_t) / step
-                mg[1, 1, :, j] = (r.m_f - base.m_f) / step
+                for g, name in enumerate(("grad_theta", "grad_phi")):
+                    d, _ = differences(step,
+                                       **{name: getattr(loading, name) + e})
+                    k[:, g, :, j] = -d[:2]
+                    mg[:, g, :, j] = d[2:]
             b = np.empty((2, 2, 2))   # [flux pair, flux comp, value field]
             mv = np.empty((2, 2, 2))  # [moment pair, comp, value field]
-            r = perturbed(theta=loading.theta + step)
+            d, r = differences(step, theta=loading.theta + step)
             c_t = (r.s_t - base.s_t) * loading.dt / step
-            b[0, :, 0] = (r.q_heat - base.q_heat) / step
-            b[1, :, 0] = (r.q_moist - base.q_moist) / step
-            mv[0, :, 0] = (r.m_t - base.m_t) / step
-            mv[1, :, 0] = (r.m_f - base.m_f) / step
-            r = perturbed(phi=loading.phi + step)
+            b[:, :, 0], mv[:, :, 0] = d[:2], d[2:]
+            d, r = differences(step, phi=loading.phi + step)
             c_f = (r.s_f - base.s_f) * loading.dt / step
-            b[0, :, 1] = (r.q_heat - base.q_heat) / step
-            b[1, :, 1] = (r.q_moist - base.q_moist) / step
-            mv[0, :, 1] = (r.m_t - base.m_t) / step
-            mv[1, :, 1] = (r.m_f - base.m_f) / step
+            b[:, :, 1], mv[:, :, 1] = d[:2], d[2:]
             return TangentBlocks(k[0, 0], k[0, 1], k[1, 0], k[1, 1],
                                  float(c_t), float(c_f), b[0], b[1],
                                  mg[0, 0], mg[0, 1], mg[1, 0], mg[1, 1],
@@ -303,14 +292,8 @@ def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
             cmap = red.map_for(0.0, 0.0, g_t, g_f)
             A_red, b_red = cmap.reduce_system(K, np.zeros(2 * n))
             u = cmap.expand(spla.splu(A_red.tocsc()).solve(b_red))
-            gt = ws.element_gradient(u[:n])
-            gf = ws.element_gradient(u[n:])
             # block column = <k grad u> per unit macroscopic gradient,
             # so that the physical flux is q = -K_eff g
-            blocks["k_t" + field][:, j] = np.array(
-                [w @ (coeff.k_tt * gt[:, 0] + coeff.k_tf * gf[:, 0]),
-                 w @ (coeff.k_tt * gt[:, 1] + coeff.k_tf * gf[:, 1])])
-            blocks["k_f" + field][:, j] = np.array(
-                [w @ (coeff.k_ft * gt[:, 0] + coeff.k_ff * gf[:, 0]),
-                 w @ (coeff.k_ft * gt[:, 1] + coeff.k_ff * gf[:, 1])])
+            blocks["k_t" + field][:, j], blocks["k_f" + field][:, j] = \
+                _mean_conduction(ws, coeff, w, u)
     return TangentBlocks(**blocks)

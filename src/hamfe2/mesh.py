@@ -291,19 +291,11 @@ def generate_masonry_wall(brick_w, brick_h, joint_t, nx_cells, ny_cells,
     xs = np.concatenate([xs0[:-1] + k * px for k in range(nx_cells)] + [[nx_cells * px]])
     ys = np.concatenate([ys0[:-1] + k * py for k in range(ny_cells)] + [[ny_cells * py]])
 
-    # classify by position inside the home cell
-    cell_cent = cell.nodes[cell.triangles].mean(axis=1)
-
-    def phase_fn(x, y):
-        xl = np.mod(x, px)
-        yl = np.mod(y, py)
-        out = np.empty(x.size, dtype=np.int64)
-        for k in range(x.size):
-            d2 = (cell_cent[:, 0] - xl[k]) ** 2 + (cell_cent[:, 1] - yl[k]) ** 2
-            out[k] = cell.phases[int(np.argmin(d2))]
-        return out
-
-    mesh = _grid_mesh(xs, ys, phase_fn, cell.phase_names)
+    # the wall grid is the cell grid tiled, so element (row, column,
+    # half) takes the phase of the cell element at the same position
+    phases = np.tile(cell.phases.reshape(ys0.size - 1, xs0.size - 1, 2),
+                     (ny_cells, nx_cells, 1)).ravel()
+    mesh = _grid_mesh(xs, ys, lambda x, y: phases, cell.phase_names)
     return validate_mesh(mesh)
 
 

@@ -47,10 +47,6 @@ class ResultFrame:
             object.__setattr__(self, name, q)
 
 
-def frames_from_history(history: History):
-    return [ResultFrame(s.time, s.theta, s.phi) for s in history.states]
-
-
 def _fmt(x):
     return "%.17g" % x
 

@@ -176,11 +176,31 @@ class RoundRecord:
     seconds: float
 
 
+class _Resident:
+    """One worker's registry slice; commit promotes the last round's states."""
+
+    def __init__(self, registry_slice):
+        self.committed = dict(registry_slice)
+        self.pending = {}
+
+    def run(self, batch, want_tangents):
+        results, failures = evaluate_batch(batch, self.committed,
+                                           want_tangents)
+        self.pending = {pid: st for pid, _, st in results}
+        return [(pid, resp) for pid, resp, _ in results], failures
+
+    def commit(self):
+        for pid, st in self.pending.items():
+            cell, _ = self.committed[pid]
+            self.committed[pid] = (cell, st)
+
+
 class _PoolBase:
     """Shared round bookkeeping and merge logic for both pools."""
 
-    def __init__(self):
+    def __init__(self, slices):
         self._round = 0
+        self._assignments = [tuple(s) for s in slices]
         self.timings = []
 
     def _record(self, worker, points, seconds):
@@ -200,16 +220,16 @@ class _PoolBase:
                 failures)
         return {pid: resp for pid, resp in sorted(pairs)}
 
-    def _batches(self, assignments, loadings):
+    def _batches(self, loadings):
         batches = []
-        for w, assignment in enumerate(assignments):
+        for w, assignment in enumerate(self._assignments):
             missing = [pid for pid in assignment if pid not in loadings]
             if missing:
                 raise SchedulerError(
                     f"round loadings lack points {missing}")
             batches.append(WorkBatch(self._round, w, tuple(
                 (pid, loadings[pid]) for pid in sorted(assignment))))
-        extra = set(loadings) - {p for a in assignments for p in a}
+        extra = set(loadings) - {p for a in self._assignments for p in a}
         if extra:
             raise SchedulerError(
                 f"round loadings name unknown points {sorted(extra)}")
@@ -228,37 +248,30 @@ class SerialPool(_PoolBase):
     WorkerPool; the reference for determinism comparisons."""
 
     def __init__(self, slices):
-        super().__init__()
-        self._resident = [dict(s) for s in slices]
-        self._cache = [{} for _ in slices]
+        super().__init__(slices)
+        self._residents = [_Resident(s) for s in slices]
 
     def run_round(self, loadings, want_tangents=True):
         self._round += 1
-        assignments = [tuple(s) for s in self._resident]
         pairs, failures = [], []
-        for w, batch in enumerate(self._batches(assignments, loadings)):
+        for w, batch in enumerate(self._batches(loadings)):
             t0 = time.perf_counter()
-            results, failed = evaluate_batch(
-                batch, self._resident[w], want_tangents)
-            self._cache[w] = {pid: st for pid, _, st in results}
-            pairs.extend((pid, resp) for pid, resp, _ in results)
+            results, failed = self._residents[w].run(batch, want_tangents)
+            pairs.extend(results)
             failures.extend(failed)
             self._record(w, len(batch.items), time.perf_counter() - t0)
         return self._merge(pairs, failures)
 
     def commit(self):
-        for resident, cache in zip(self._resident, self._cache):
-            for pid, st in cache.items():
-                cell, _ = resident[pid]
-                resident[pid] = (cell, st)
+        for resident in self._residents:
+            resident.commit()
 
     def stop(self):
         pass
 
 
 def _worker_main(conn, registry_slice):
-    resident = dict(registry_slice)
-    cache = {}
+    resident = _Resident(registry_slice)
     while True:
         msg = conn.recv()
         kind = msg[0]
@@ -266,18 +279,13 @@ def _worker_main(conn, registry_slice):
             _, batch, want_tangents = msg
             t0 = time.perf_counter()
             try:
-                results, failures = evaluate_batch(
-                    batch, resident, want_tangents)
+                results, failures = resident.run(batch, want_tangents)
             except Exception:
                 conn.send(("error", traceback.format_exc()))
                 continue
-            cache = {pid: st for pid, _, st in results}
-            conn.send(("done", [(pid, resp) for pid, resp, _ in results],
-                       failures, time.perf_counter() - t0))
+            conn.send(("done", results, failures, time.perf_counter() - t0))
         elif kind == "commit":
-            for pid, st in cache.items():
-                cell, _ = resident[pid]
-                resident[pid] = (cell, st)
+            resident.commit()
             conn.send(("ok",))
         elif kind == "stop":
             conn.send(("ok",))
@@ -290,15 +298,14 @@ class WorkerPool(_PoolBase):
 
     The slices are inherited at fork time, so cell meshes and cached
     factorizations are never serialized; rounds only move loadings and
-    responses over the pipes.
+    responses over the pipes. A dead worker fails them with SchedulerError.
     """
 
     def __init__(self, slices):
-        super().__init__()
+        super().__init__(slices)
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
-        self._assignments = [tuple(s) for s in slices]
         self._conns, self._procs = [], []
         for s in slices:
             parent, child = ctx.Pipe()
@@ -315,12 +322,12 @@ class WorkerPool(_PoolBase):
 
     def run_round(self, loadings, want_tangents=True):
         self._round += 1
-        batches = self._batches(self._assignments, loadings)
-        for conn, batch in zip(self._conns, batches):
-            conn.send(("round", batch, want_tangents))
+        batches = self._batches(loadings)
+        for w, batch in enumerate(batches):
+            self._send(w, ("round", batch, want_tangents))
         pairs, failures = [], []
-        for w, (conn, batch) in enumerate(zip(self._conns, batches)):
-            reply = self._receive(conn, w)
+        for w, batch in enumerate(batches):
+            reply = self._receive(w)
             if reply[0] == "error":
                 raise SchedulerError(f"worker {w} crashed:\n{reply[1]}")
             _, results, failed, seconds = reply
@@ -330,10 +337,10 @@ class WorkerPool(_PoolBase):
         return self._merge(pairs, failures)
 
     def commit(self):
-        for conn in self._conns:
-            conn.send(("commit",))
-        for w, conn in enumerate(self._conns):
-            self._receive(conn, w)
+        for w in range(self.n_workers):
+            self._send(w, ("commit",))
+        for w in range(self.n_workers):
+            self._receive(w)
 
     def stop(self):
         for conn, proc in zip(self._conns, self._procs):
@@ -341,18 +348,24 @@ class WorkerPool(_PoolBase):
                 try:
                     conn.send(("stop",))
                     conn.recv()
-                except (BrokenPipeError, EOFError):
+                except (OSError, EOFError):
                     pass
             conn.close()
         for proc in self._procs:
             proc.join(timeout=10.0)
         self._conns, self._procs = [], []
 
-    def _receive(self, conn, worker):
+    def _send(self, worker, msg):
         try:
-            return conn.recv()
-        except EOFError as exc:
-            raise SchedulerError(f"worker {worker} died mid-round") from exc
+            self._conns[worker].send(msg)
+        except OSError as exc:
+            raise SchedulerError(f"worker {worker} died") from exc
+
+    def _receive(self, worker):
+        try:
+            return self._conns[worker].recv()
+        except (OSError, EOFError) as exc:
+            raise SchedulerError(f"worker {worker} died") from exc
 
 
 def make_pool(slices):

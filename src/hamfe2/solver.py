@@ -13,8 +13,10 @@ for a fixed input, there is no iterative solver noise.
 
 from __future__ import annotations
 
+import logging
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +25,8 @@ import scipy.sparse.linalg as spla
 from .constitutive import ConstitutiveError
 from .fem import (ConstraintMap, FieldState, assemble_system,
                   capacity_jacobian_diagonals, dirichlet_map)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -159,30 +163,6 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
     return cmap.expand(z), trace, accepted["old"]
 
 
-def step_with_retry(assembler, u_n, t_n, dt, cmap_for, config: SolverConfig,
-                    old=None):
-    """One accepted step of size dt, retried once as two half steps.
-
-    cmap_for(t) builds the constraint map holding at time t, so the
-    half-step honors boundary data at the midpoint. Returns
-    (u_{n+1}, newton iteration count, old-data). A second failure
-    propagates.
-    """
-    try:
-        u_new, trace, old_new = crank_nicolson_step(
-            assembler, u_n, t_n, dt, cmap_for(t_n + dt), config, old)
-        return u_new, len(trace) - 1, old_new
-    except SolverError:
-        if not config.retry_halving:
-            raise
-    half = 0.5 * dt
-    u_mid, tr1, old_mid = crank_nicolson_step(
-        assembler, u_n, t_n, half, cmap_for(t_n + half), config, old)
-    u_new, tr2, old_new = crank_nicolson_step(
-        assembler, u_mid, t_n + half, half, cmap_for(t_n + dt), config, old_mid)
-    return u_new, len(tr1) + len(tr2) - 2, old_new
-
-
 @dataclass
 class History:
     """Accepted states at uniform multiples of the nominal step."""
@@ -212,8 +192,54 @@ class History:
         return np.asarray(self.times) / 3600.0
 
 
-def _dirichlet_for(mesh, schedule, t):
-    return dirichlet_map(2 * mesh.n_nodes, schedule.dirichlet_values(mesh, t))
+def _assemble(mesh, materials, u, t):
+    """crank_nicolson_step's assembler(u, t) once mesh and materials are bound."""
+    state = FieldState.from_vector(u, t)
+    sysm = assemble_system(mesh, state, materials)
+    cap = capacity_jacobian_diagonals(mesh, state, materials)
+    return sysm.stiffness(), sysm.storage_diagonal(), sysm.f, cap
+
+
+def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
+                    t_end_hours, config: SolverConfig) -> History:
+    """History of steps of size dt up to t_end, each retried once on failure.
+
+    step(u_n, t_n, dt, cmap) returns (u_{n+1}, newton iterations) under
+    the Dirichlet map of schedule at t_n + dt, or raises SolverError. A
+    failed step is retried as two half steps; a second failure, and
+    every error other than SolverError, propagates.
+    """
+    dt = float(dt_hours) * 3600.0
+    t_end = float(t_end_hours) * 3600.0
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
+        raise SolverError("t_end must be a positive whole number of steps")
+
+    def cmap_for(t):
+        return dirichlet_map(2 * mesh.n_nodes, schedule.dirichlet_values(mesh, t))
+
+    u = initial.vector()
+    history = History()
+    history.append(FieldState.from_vector(u, 0.0))
+    for k in range(1, n_steps + 1):
+        tic = _time.perf_counter()
+        t_n = (k - 1) * dt
+        try:
+            u, iters = step(u, t_n, dt, cmap_for(t_n + dt))
+        except SolverError as exc:
+            if not config.retry_halving:
+                raise
+            log.warning("step at t=%.0f s failed (%s); retrying with dt/2",
+                        t_n, exc)
+            half = 0.5 * dt
+            u_mid, it1 = step(u, t_n, half, cmap_for(t_n + half))
+            u, it2 = step(u_mid, t_n + half, half, cmap_for(t_n + dt))
+            iters = it1 + it2
+        wall = _time.perf_counter() - tic
+        history.append(FieldState.from_vector(u, k * dt), iters, wall)
+        log.info("step=%d t_hours=%.3f iterations=%d wall=%.3f",
+                 k, k * dt / 3600.0, iters, wall)
+    return history
 
 
 def transient_solve(mesh, materials, schedule, initial: FieldState,
@@ -221,32 +247,18 @@ def transient_solve(mesh, materials, schedule, initial: FieldState,
     """Single-scale transient solution with Dirichlet data from `schedule`.
 
     schedule.dirichlet_values(mesh, t_seconds) supplies the constrained
-    field-major dofs at a given time. A failed step is retried once as
-    two half steps before aborting; accepted history timestamps remain
-    exact multiples of dt.
+    field-major dofs at a given time; see step_with_retry for retries.
     """
     config = config or SolverConfig()
-    dt = float(dt_hours) * 3600.0
-    t_end = float(t_end_hours) * 3600.0
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(t_end, dt):
-        raise SolverError("t_end must be a positive whole number of steps")
-
-    def assembler(u, t):
-        state = FieldState.from_vector(u, t)
-        sys = assemble_system(mesh, state, materials)
-        cap = capacity_jacobian_diagonals(mesh, state, materials)
-        return sys.stiffness(), sys.storage_diagonal(), sys.f, cap
-
-    u = initial.vector()
-    history = History()
-    history.append(FieldState.from_vector(u, 0.0))
+    assembler = partial(_assemble, mesh, materials)
     old = None
-    cmap_for = lambda t: _dirichlet_for(mesh, schedule, t)
-    for k in range(1, n_steps + 1):
-        tic = _time.perf_counter()
-        u, iters, old = step_with_retry(
-            assembler, u, (k - 1) * dt, dt, cmap_for, config, old)
-        history.append(FieldState.from_vector(u, k * dt), iters,
-                       _time.perf_counter() - tic)
-    return history
+
+    def step(u_n, t_n, dt, cmap):
+        # reuses (K_n u_n, f_n) of the last accepted state
+        nonlocal old
+        u_new, trace, old = crank_nicolson_step(assembler, u_n, t_n, dt,
+                                                cmap, config, old)
+        return u_new, len(trace) - 1
+
+    return step_with_retry(step, mesh, schedule, initial, dt_hours,
+                           t_end_hours, config)

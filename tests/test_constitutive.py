@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamfe2 import constitutive as con
+from hamfe2.config import KUNZEL_KEYS, ConfigError, load_materials
 
 # ---------------------------------------------------------------- oracle
 
@@ -243,18 +244,22 @@ def test_property_water_content_monotone(phi, dphi):
 
 def test_material_file_round_trip(tmp_path):
     path = tmp_path / "materials.ini"
-    con.save_materials(path, {"brick": con.BRICK, "mortar": con.MORTAR})
-    loaded = con.load_materials(path)
+    path.write_text("".join(
+        f"[{name}]\ntype = kunzel\n" + "".join(
+            f"{field} = {getattr(params, field)!r}\n" for field in KUNZEL_KEYS)
+        for name, params in PHASES.items()))
+    loaded = load_materials(str(path))
     assert set(loaded) == {"brick", "mortar"}
     for name, params in PHASES.items():
-        for field in con.MATERIAL_FIELDS:
+        for field in KUNZEL_KEYS:
             assert getattr(loaded[name].params, field) == getattr(params, field)
 
 
 def test_material_file_reports_all_problems(tmp_path):
     path = tmp_path / "bad.ini"
-    path.write_text("[brick]\nw_f = 100\n[mortar]\nw_f = abc\n")
-    with pytest.raises(con.ConstitutiveError) as err:
-        con.load_materials(path)
+    path.write_text("[brick]\ntype = kunzel\nw_f = 100\n"
+                    "[mortar]\ntype = kunzel\nw_f = abc\n")
+    with pytest.raises(ConfigError) as err:
+        load_materials(str(path))
     msg = str(err.value)
     assert "brick" in msg and "mortar" in msg and "missing" in msg

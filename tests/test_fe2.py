@@ -5,19 +5,22 @@ layered slab and from the quadratic cell-size scaling of the moment
 term; derivations are quoted at the point of use.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from hamfe2.constitutive import LinearMaterial, default_materials
 from hamfe2.fe2 import (FE2Driver, FE2Error, MacroPointRegistry,
                         build_grid_cell_map, compare_fields,
-                        element_loadings, fe2_solve,
-                        fine_scale_reference_solve)
-from hamfe2.fem import FieldState
+                        element_loadings, fe2_solve)
+from hamfe2.fem import FieldState, dirichlet_map
 from hamfe2.homogenization import CellProblem
 from hamfe2.mesh import (generate_masonry_cell, generate_rectangle_mesh,
                          with_phases)
-from hamfe2.solver import History, SolverConfig, SolverError, _dirichlet_for
+from hamfe2.scheduler import SchedulerError
+from hamfe2.solver import History, SolverConfig, SolverError, transient_solve
 
 LIN = LinearMaterial("solid", k_tt=0.5, k_ff=2e-7, c_tt=2e6, c_ff=40.0)
 
@@ -106,8 +109,8 @@ def test_homogeneous_linear_fe2_matches_single_scale():
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
     res = fe2_solve(macro, {"solid": linear_cell()}, sched, initial,
                     dt_hours=0.5, t_end_hours=4.0, cprime=False)
-    ref = fine_scale_reference_solve(macro, {"solid": LIN}, sched, initial,
-                                     dt_hours=0.5, t_end_hours=4.0)
+    ref = transient_solve(macro, {"solid": LIN}, sched, initial,
+                          dt_hours=0.5, t_end_hours=4.0)
     dth = max(np.abs(a.theta - b.theta).max()
               for a, b in zip(res.history.states, ref.states))
     dph = max(np.abs(a.phi - b.phi).max()
@@ -170,7 +173,7 @@ def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
     dt = 3600.0
-    cmap = _dirichlet_for(macro, sched, dt)
+    cmap = dirichlet_map(2 * macro.n_nodes, sched.dirichlet_values(macro, dt))
     u_n = initial.vector()
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
                    config=SolverConfig(max_iterations=1)) as driver:
@@ -192,11 +195,43 @@ def test_unsolvable_meso_aborts_after_retry(masonry, caplog):
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
     strangled = CellProblem(mesh, mats, SolverConfig(max_iterations=1))
-    caplog.set_level("WARNING", logger="hamfe2.fe2")
+    caplog.set_level("WARNING", logger="hamfe2.solver")
     with pytest.raises(SolverError, match="refused the macro iterate"):
         fe2_solve(macro, {"solid": strangled}, sched, initial,
                   dt_hours=1.0, t_end_hours=2.0)
     assert any("retrying with dt/2" in rec.message for rec in caplog.records)
+
+
+def test_dead_worker_fails_the_run_with_scheduler_error(masonry, caplog):
+    # a killed worker ends the round and the run with SchedulerError,
+    # without a dt/2 retry; the alarm fails the test if the run hangs
+    mesh, mats = masonry
+    macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
+    sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run hung on a dead worker")
+
+    caplog.set_level("WARNING", logger="hamfe2.solver")
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
+                       n_workers=2) as driver:
+            victim = driver.pool._procs[1]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            loadings = element_loadings(macro, initial.vector(), 3600.0)
+            with pytest.raises(SchedulerError, match="worker 1 died"):
+                driver.pool.run_round(loadings)
+            with pytest.raises(SchedulerError, match="worker 1 died"):
+                driver.solve(sched, initial, dt_hours=1.0, t_end_hours=2.0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not any("retrying" in rec.message for rec in caplog.records)
 
 
 # ------------------------------------------------- fine-scale reference
@@ -220,8 +255,8 @@ def test_layered_slab_steady_state_matches_series_resistance():
             "B": LinearMaterial("B", k_tt=0.45, k_ff=2e-5, c_tt=1.5e5, c_ff=6.0)}
     sched = WallSchedule({"left": (0.0, 0.3), "right": (10.0, 0.6)})
     initial = FieldState.uniform(mesh.n_nodes, 5.0, 0.45)
-    hist = fine_scale_reference_solve(mesh, mats, sched, initial,
-                                      dt_hours=0.05, t_end_hours=10.0)
+    hist = transient_solve(mesh, mats, sched, initial,
+                           dt_hours=0.05, t_end_hours=10.0)
     theta, phi = hist.states[-1].theta, hist.states[-1].phi
     for x, t_ref, f_ref in ((0.06, 4.390243902439024, 0.4333333333333333),
                             (0.09, 5.609756097560975, 0.4666666666666667)):

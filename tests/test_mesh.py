@@ -139,6 +139,32 @@ def test_masonry_wall_tiles_cells():
     msh.validate_mesh(wall)
 
 
+def nearest_centroid_wall_phases(wall, cell):
+    """Reference: phase of the nearest cell centroid, element by element."""
+    px, py = cell.bbox
+    cell_cent = cell.nodes[cell.triangles].mean(axis=1)
+    wall_cent = wall.nodes[wall.triangles].mean(axis=1)
+    xl, yl = np.mod(wall_cent[:, 0], px), np.mod(wall_cent[:, 1], py)
+    out = np.empty(wall.n_triangles, dtype=np.int64)
+    for k in range(wall.n_triangles):
+        d2 = (cell_cent[:, 0] - xl[k]) ** 2 + (cell_cent[:, 1] - yl[k]) ** 2
+        out[k] = cell.phases[int(np.argmin(d2))]
+    return out
+
+
+@pytest.mark.parametrize("bond", ["stack", "running"])
+@pytest.mark.parametrize("resolution", [2, 4])
+@pytest.mark.parametrize("cells", [(3, 5), (8, 8)], ids=["3x5", "8x8"])
+def test_masonry_wall_phases_match_nearest_cell_centroid(bond, resolution,
+                                                         cells):
+    args = (0.29, 0.14, 0.01)
+    wall = msh.generate_masonry_wall(*args, *cells, bond=bond,
+                                     resolution=resolution)
+    cell = msh.generate_masonry_cell(*args, bond=bond, resolution=resolution)
+    assert np.array_equal(wall.phases,
+                          nearest_centroid_wall_phases(wall, cell))
+
+
 def test_with_phases_relabels():
     m = msh.generate_rectangle_mesh(1.0, 1.0, 4, 4)
     lam = msh.with_phases(m, ("a", "b"), lambda x, y: (x > 0.5).astype(int))

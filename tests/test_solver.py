@@ -169,41 +169,90 @@ def test_transient_history_layout():
 
 def stiff_exponential_assembler(u, t):
     # conductivity exp(u/2) makes the frozen-coefficient iteration
-    # diverge at dt = 1 but converge at dt = 1/2
-    return sp.csr_matrix([[np.exp(0.5 * u[0])]]), np.array([1.0]), np.array([10.0])
+    # diverge at dt = 1 but converge at dt = 1/2; both dofs of the one
+    # node obey the same decoupled equation
+    return sp.diags(np.exp(0.5 * u)).tocsr(), np.ones(2), np.full(2, 10.0)
+
+
+class OneNode:
+    """The node of the stiff test problem, without boundary data."""
+
+    n_nodes = 1
+
+    def dirichlet_values(self, mesh, t):
+        return {}
+
+
+def stiff_step(cfg, log):
+    """step callable of step_with_retry that records its step sizes."""
+    old = None
+
+    def step(u_n, t_n, dt, cmap):
+        nonlocal old
+        log.append(dt)
+        u, trace, old = solver.crank_nicolson_step(
+            stiff_exponential_assembler, u_n, t_n, dt, cmap, cfg, old)
+        return u, len(trace) - 1
+
+    return step
+
+
+def stiff_solve(cfg, log):
+    """One step of one second from u = 0 through step_with_retry."""
+    one = OneNode()
+    return solver.step_with_retry(stiff_step(cfg, log), one, one,
+                                  fem.FieldState.uniform(1, 0.0, 0.0),
+                                  1.0 / 3600.0, 1.0 / 3600.0, cfg)
 
 
 def test_step_retry_halves_once():
-    cmap_for = lambda t: IDENTITY_1DOF
     cfg = solver.SolverConfig(max_iterations=60)
-    u0 = np.array([0.0])
     with pytest.raises(solver.SolverError):
-        solver.crank_nicolson_step(stiff_exponential_assembler, u0, 0.0, 1.0,
-                                   IDENTITY_1DOF, cfg)
-    u, iters, _ = solver.step_with_retry(stiff_exponential_assembler, u0,
-                                         0.0, 1.0, cmap_for, cfg)
-    assert np.isfinite(u[0]) and u[0] > 0.0
+        solver.crank_nicolson_step(stiff_exponential_assembler, np.zeros(2),
+                                   0.0, 1.0, fem.dirichlet_map(2, {}), cfg)
+    log = []
+    hist = stiff_solve(cfg, log)
+    assert log == [1.0, 0.5, 0.5]
+    u, iters = hist.final.theta[0], hist.newton_iterations[1]
+    assert hist.times == [0.0, 1.0]
+    assert np.isfinite(u) and u > 0.0
     # more total iterations than a single solve may spend: two solves ran
     assert iters > cfg.max_iterations
     # the result solves the two-half-step composition, not the full step
-    r_full = u[0] + 0.5 * (np.exp(0.5 * u[0]) * u[0]) - 10.0
+    r_full = u + 0.5 * (np.exp(0.5 * u) * u) - 10.0
     assert abs(r_full) > 0.1
 
 
 def test_step_retry_double_failure_aborts():
-    cmap_for = lambda t: IDENTITY_1DOF
-    cfg = solver.SolverConfig(max_iterations=30)
+    log = []
     with pytest.raises(solver.SolverError):
-        solver.step_with_retry(stiff_exponential_assembler, np.array([0.0]),
-                               0.0, 1.0, cmap_for, cfg)
+        stiff_solve(solver.SolverConfig(max_iterations=30), log)
+    assert log == [1.0, 0.5]
 
 
 def test_step_retry_disabled_propagates():
-    cmap_for = lambda t: IDENTITY_1DOF
-    cfg = solver.SolverConfig(max_iterations=60, retry_halving=False)
+    log = []
     with pytest.raises(solver.SolverError):
-        solver.step_with_retry(stiff_exponential_assembler, np.array([0.0]),
-                               0.0, 1.0, cmap_for, cfg)
+        stiff_solve(solver.SolverConfig(max_iterations=60,
+                                        retry_halving=False), log)
+    assert log == [1.0]
+
+
+def test_step_retry_leaves_other_errors_alone():
+    # only SolverError is retried; any other failure, such as a dead
+    # worker pool, ends the run at once
+    calls = []
+
+    def step(u_n, t_n, dt, cmap):
+        calls.append(dt)
+        raise RuntimeError("pool is gone")
+
+    one = OneNode()
+    with pytest.raises(RuntimeError):
+        solver.step_with_retry(step, one, one,
+                               fem.FieldState.uniform(1, 0.0, 0.0),
+                               1.0, 1.0, solver.SolverConfig())
+    assert calls == [3600.0]
 
 
 def test_transient_rejects_partial_step_count():
