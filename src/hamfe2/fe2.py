@@ -206,7 +206,9 @@ class FE2Driver:
                     [conduction("mg_ft") + _value_coupling(ws, mvf[:, :, 0]),
                      conduction("mg_ff") + _value_coupling(ws, mvf[:, :, 1])]]
                 J = J + sp.bmat(mblocks, format="csr")
-            cache["C"], cache["J"] = C, J
+            # the frozen Jacobian is reduced and scaled once per step
+            cache["C"] = C
+            cache["matrix"], cache["scaled"] = cmap.newton_system(J, C)
 
         def residual_jacobian(z):
             u = cmap.expand(z)
@@ -233,12 +235,11 @@ class FE2Driver:
             if self.cprime:
                 R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
                 R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
-            w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
-            return (w * cmap.reduce_vector(R),
-                    sp.diags(w) @ cmap.reduce_matrix(cache["J"]))
+            return cache["scaled"](R), cache["matrix"]
 
         z0 = cmap.initial_reduced(u_n)
-        z, trace = newton_solve(residual_jacobian, z0, self.config)
+        z, trace = newton_solve(residual_jacobian, z0, self.config,
+                                cmap.z_rows)
         u_new = cmap.expand(z)
         for e in pids:
             entries[e].response = last[e]

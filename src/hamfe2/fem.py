@@ -6,8 +6,11 @@ per triangle. Conductivity uses one-point (centroid) integration,
 storage is lumped row-sum, i.e. area/3 per node and field.
 
 Constraints (Dirichlet values, periodic-affine cell conditions) are
-expressed as an affine map u = T z + g onto free unknowns z; systems
-are reduced by the congruence T' A T and recovered through the map.
+expressed as an affine map u = T z + g onto free unknowns z. Residuals
+reduce as T'R; linear systems are solved on the unknowns that remain
+once prescribed dofs are dropped and periodic slaves summed onto their
+masters, bordered by the cell's zero-mean constraints as Lagrange
+multipliers, so they keep the sparsity of the assembled matrix.
 """
 
 from __future__ import annotations
@@ -263,21 +266,72 @@ def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
 
 
 class ConstraintMap:
-    """Affine reduction u = T z + g with T an injection of free dofs.
+    """Affine constraints u = T z + g on the free unknowns z, and the
+    linear systems that solve for them.
 
     free_index gives, for every reduced unknown, the full dof it
     coincides with (every free dof appears identically in u), so the
-    reduced start vector for an admissible u is simply (u - g)[free].
+    reduced start vector for an admissible u is simply (u - g)[free_index].
+    Residuals reduce as T'R.
+
+    Matrices are not reduced by the congruence T'AT. Each full dof has a
+    row of the linear system, rows[dof] (-1 for a prescribed dof), and
+    row i stands for the dof row_dofs[i]. reduce_matrix sums A onto
+    those rows and columns, P'AP for the injection P of the system
+    unknowns, and borders it with one column and one row per linear
+    constraint G'y = 0 on them (`border` holds G as a coo matrix):
+
+        [ P'AP  -G ] [y]   [c]
+        [  G'    0 ] [l] = [0]
+
+    A Dirichlet map has P = T and no border. A periodic map ties every
+    slave to its master in P, and its G holds the weights of the
+    zero-mean constraints; T eliminates those through an anchor dof
+    (T = PQ), which would make T'AT dense, while the bordered matrix
+    keeps the sparsity of A. The reduced unknowns sit at the rows
+    z_rows = rows[free_index]: with c = b there and zero elsewhere,
+    y[z_rows] solves T'AT z = b.
     """
 
-    def __init__(self, T: sp.csr_matrix, g: np.ndarray, free_index: np.ndarray):
+    def __init__(self, T: sp.csr_matrix, g: np.ndarray, free_index: np.ndarray,
+                 rows: np.ndarray, row_dofs: np.ndarray, border=None):
         self.T = T.tocsr()
         self.g = np.asarray(g, dtype=float)
         self.free_index = np.asarray(free_index, dtype=np.int64)
         self.n_free = self.T.shape[1]
+        self.rows = np.asarray(rows, dtype=np.int32)
+        self.row_dofs = np.asarray(row_dofs, dtype=np.int64)
+        m = self.row_dofs.size
+        self.border = sp.coo_matrix((m, 0)) if border is None else border
+        self.z_rows = self.rows[self.free_index]
+        self.size = m + self.border.shape[1]
 
-    def reduce_matrix(self, A) -> sp.csr_matrix:
-        return (self.T.T @ A @ self.T).tocsr()
+    def reduce_matrix(self, A, weights=None) -> sp.csr_matrix:
+        """Bordered system matrix of A; `weights` scales the rows of P'AP."""
+        A = A.tocsr()
+        m, G = self.row_dofs.size, self.border
+        weights = np.ones(m) if weights is None else weights
+        # a constraint row's scale leaves the solution unchanged. Far
+        # below every diagonal entry, threshold pivoting never takes it
+        # as an early pivot, which would spread its full row through the
+        # factors
+        diag = np.abs(A.diagonal()[self.row_dofs] * weights)
+        tiny = 2.0 ** -30 * diag.min(initial=np.inf)
+        r, c = self.rows[A.tocoo().row], self.rows[A.indices]
+        keep = (r >= 0) & (c >= 0)
+        k = m + G.col
+        # entries of P'AP, the constraint columns, the constraint rows;
+        # the deletions keep the peak memory of a large system near that
+        # of the matrix built
+        data = np.concatenate([A.data[keep], -G.data, tiny * G.data])
+        rows = np.concatenate([r[keep], G.row, k])
+        del r
+        cols = np.concatenate([c[keep], k, G.row])
+        del c, keep
+        scaled = rows.size - G.nnz
+        data[:scaled] *= weights[rows[:scaled]]
+        return sp.csr_matrix((data, (rows, cols)),
+                             shape=(self.size, self.size))
 
     def reduce_vector(self, r):
         return self.T.T @ r
@@ -289,8 +343,24 @@ class ConstraintMap:
         return (u - self.g)[self.free_index]
 
     def reduce_system(self, A, b):
-        """Eliminate constraints from A u = b."""
-        return self.reduce_matrix(A), self.T.T @ (b - A @ self.g)
+        """Bordered system of A u = b; its solution at z_rows is z."""
+        rhs = np.zeros(self.size)
+        rhs[self.z_rows] = self.reduce_vector(b - A @ self.g)
+        return self.reduce_matrix(A), rhs
+
+    def newton_system(self, J, C):
+        """Storage-scaled Newton matrix of J and the matching residual map.
+
+        Every row is divided by the storage C at its dof, so heat and
+        moisture rows are measured in comparable rate units; the Newton
+        direction is unchanged, only the convergence norm and pivoting
+        see it. Returns (matrix, scaled) with scaled(R) = w * T'R, the
+        reduced residual in the same row scaling.
+        """
+        w = 1.0 / np.maximum(C[self.row_dofs], 1e-300)
+        w_z = w[self.z_rows]
+        return (self.reduce_matrix(J, w),
+                lambda R: w_z * self.reduce_vector(R))
 
 
 def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:
@@ -308,55 +378,56 @@ def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:
         g[dof] = float(val)
     T = sp.csr_matrix((np.ones(free.size), (free, np.arange(free.size))),
                       shape=(n_dofs, free.size))
-    return ConstraintMap(T, g, free)
+    rows = np.full(n_dofs, -1, dtype=np.int64)
+    rows[free] = np.arange(free.size)
+    return ConstraintMap(T, g, free, rows, free)
 
 
 class PeriodicReduction:
     """Loading-independent part of the periodic-affine constraints.
 
     Fluctuations are periodic (slave equals master) with a weighted
-    zero mean per field; the mean constraint is eliminated through one
-    anchor dof whose value balances the lumped-area average, anchoring
-    the cell average of each total field to its macro value.
+    zero mean per field, anchoring the cell average of each total field
+    to its macro value. The reduced unknowns are the masters except one
+    anchor per field, whose value balances the lumped-area average.
+    Linear systems run on all masters, bordered by the two mean
+    constraints (see ConstraintMap), so they stay as sparse as the cell
+    stiffness.
     """
 
     def __init__(self, mesh: Mesh, pairing: PeriodicPairing):
         self.mesh = mesh
         self.pairing = pairing
         n = mesh.n_nodes
-        w = workspace(mesh).node_areas
         master_of = np.arange(n)
-        for m, s in zip(pairing.masters, pairing.slaves):
-            master_of[s] = m
+        master_of[pairing.slaves] = pairing.masters
         if np.any(master_of[master_of] != master_of):
             raise FemError("chained periodic constraints are not supported")
-        self.master_of = master_of
         masters = np.nonzero(master_of == np.arange(n))[0]
+        row_of = np.searchsorted(masters, master_of)
         # group weight: own lumped area plus that of all slaves
-        gw = np.zeros(n)
-        np.add.at(gw, master_of, w)
-        self.anchor = int(masters[0])
-        free = masters[masters != self.anchor]
-        self.free = free
-        col_of = -np.ones(n, dtype=np.int64)
-        col_of[free] = np.arange(free.size)
-
-        rows, cols, data = [], [], []
-        anchor_row = -gw[free] / gw[self.anchor]
-        for i in range(n):
-            m = master_of[i]
-            if m == self.anchor:
-                rows.extend([i] * free.size)
-                cols.extend(range(free.size))
-                data.extend(anchor_row)
-            else:
-                rows.append(i)
-                cols.append(col_of[m])
-                data.append(1.0)
-        self.T_field = sp.csr_matrix((data, (rows, cols)), shape=(n, free.size))
-        # two-field block map [theta; phi]
-        self.T = sp.block_diag([self.T_field, self.T_field], format="csr")
-        self.free_index = np.concatenate([free, n + free])
+        gw = np.bincount(row_of, weights=workspace(mesh).node_areas,
+                         minlength=masters.size)
+        # the anchor is the first master, system row 0
+        k = masters.size - 1
+        anchored = np.nonzero(row_of == 0)[0]
+        others = np.nonzero(row_of != 0)[0]
+        T_field = sp.csr_matrix(
+            (np.concatenate([np.tile(-gw[1:] / gw[0], anchored.size),
+                             np.ones(others.size)]),
+             (np.concatenate([np.repeat(anchored, k), others]),
+              np.concatenate([np.tile(np.arange(k), anchored.size),
+                              row_of[others] - 1]))),
+            shape=(n, k))
+        # two-field block maps [theta; phi]
+        m = masters.size
+        self.T = sp.block_diag([T_field, T_field], format="csr")
+        self.free_index = np.concatenate([masters[1:], n + masters[1:]])
+        self.rows = np.concatenate([row_of, m + row_of])
+        self.row_dofs = np.concatenate([masters, n + masters])
+        self.border = sp.coo_matrix(
+            (np.concatenate([gw, gw]),
+             (np.arange(2 * m), np.repeat([0, 1], m))), shape=(2 * m, 2))
         self.x0 = mesh.center()
 
     def affine(self, value_theta, value_phi, grad_theta, grad_phi):
@@ -368,4 +439,5 @@ class PeriodicReduction:
     def map_for(self, value_theta, value_phi, grad_theta,
                 grad_phi) -> ConstraintMap:
         g = self.affine(value_theta, value_phi, grad_theta, grad_phi)
-        return ConstraintMap(self.T, g, self.free_index)
+        return ConstraintMap(self.T, g, self.free_index, self.rows,
+                             self.row_dofs, self.border)

@@ -291,7 +291,8 @@ def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
         for field, (g_t, g_f) in (("t", (e, zero)), ("f", (zero, e))):
             cmap = red.map_for(0.0, 0.0, g_t, g_f)
             A_red, b_red = cmap.reduce_system(K, np.zeros(2 * n))
-            u = cmap.expand(spla.splu(A_red.tocsc()).solve(b_red))
+            y = spla.splu(A_red.tocsc()).solve(b_red)
+            u = cmap.expand(y[cmap.z_rows])
             # block column = <k grad u> per unit macroscopic gradient,
             # so that the physical flux is q = -K_eff g
             blocks["k_t" + field][:, j], blocks["k_f" + field][:, j] = \

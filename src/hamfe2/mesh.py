@@ -149,17 +149,23 @@ def validate_mesh(mesh: Mesh):
     if np.unique(rounded, axis=0).shape[0] != mesh.n_nodes:
         raise MeshError("duplicate nodes detected")
     # boundary edges must each belong to exactly one triangle
-    edge_count = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
+    n = mesh.n_nodes
+    keys, counts = np.unique(_edge_keys(mesh.triangles[:, [0, 1, 1, 2, 2, 0]]
+                                        .reshape(-1, 2), n), return_counts=True)
+    once = keys[counts == 1]
     for name, edges in mesh.boundary.items():
-        for a, b in edges:
-            key = (min(a, b), max(a, b))
-            if edge_count.get(key, 0) != 1:
-                raise MeshError(f"boundary set '{name}' edge {a}-{b} is not a free edge")
+        free = ((edges >= 0) & (edges < n)).all(axis=1) \
+            & np.isin(_edge_keys(edges, n), once)
+        if not free.all():
+            a, b = edges[np.argmin(free)]
+            raise MeshError(f"boundary set '{name}' edge {a}-{b} is not a free edge")
     return mesh
+
+
+def _edge_keys(edges, n):
+    """One integer per undirected edge (a, b) of nodes in range(n)."""
+    ends = np.sort(edges, axis=1)
+    return ends[:, 0] * n + ends[:, 1]
 
 
 def _grid_mesh(xs, ys, phase_fn, phase_names):
@@ -174,25 +180,19 @@ def _grid_mesh(xs, ys, phase_fn, phase_names):
     xx, yy = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    tris = np.asarray(tris, dtype=np.int64)
+    nid = np.arange(nodes.shape[0], dtype=np.int64).reshape(ny + 1, nx + 1)
+    n00, n10 = nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel()
+    n01, n11 = nid[1:, :-1].ravel(), nid[1:, 1:].ravel()
+    # two triangles per quad, quads row by row
+    tris = np.stack([n00, n10, n11, n00, n11, n01], axis=1).reshape(-1, 3)
     cent = nodes[tris].mean(axis=1)
     phases = phase_fn(cent[:, 0], cent[:, 1])
 
-    left = np.array([(nid(0, j), nid(0, j + 1)) for j in range(ny)])
-    right = np.array([(nid(nx, j), nid(nx, j + 1)) for j in range(ny)])
-    bottom = np.array([(nid(i, 0), nid(i + 1, 0)) for i in range(nx)])
-    top = np.array([(nid(i, ny), nid(i + 1, ny)) for i in range(nx)])
-    boundary = {"left": left, "right": right, "bottom": bottom, "top": top}
+    def edges(line):
+        return np.column_stack([line[:-1], line[1:]])
+
+    boundary = {"left": edges(nid[:, 0]), "right": edges(nid[:, nx]),
+                "bottom": edges(nid[0]), "top": edges(nid[ny])}
     return Mesh(nodes, tris, phases, phase_names, boundary,
                 bbox=(float(xs[-1] - xs[0]), float(ys[-1] - ys[0])))
 

@@ -296,9 +296,10 @@ def _worker_main(conn, registry_slice):
 class WorkerPool(_PoolBase):
     """Fork-based pool; one resident process per registry slice.
 
-    The slices are inherited at fork time, so cell meshes and cached
-    factorizations are never serialized; rounds only move loadings and
-    responses over the pipes. A dead worker fails them with SchedulerError.
+    The slices are inherited at fork time, so cell meshes and their
+    constraint structures are never serialized; rounds only move
+    loadings and responses over the pipes. A dead worker fails them
+    with SchedulerError.
     """
 
     def __init__(self, slices):

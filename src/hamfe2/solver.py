@@ -44,17 +44,23 @@ class SolverError(RuntimeError):
         self.trace = list(trace) if trace is not None else []
 
 
-def newton_solve(residual_jacobian, z0, config: SolverConfig):
+def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
     """Newton iteration on the reduced unknowns.
 
-    residual_jacobian(z) returns the reduced residual and the reduced
-    sparse Jacobian. Converges when ||r|| <= max(tol * ||r0||, floor);
+    residual_jacobian(z) returns the reduced residual and the sparse
+    matrix of the Newton system. That system may be larger than z, as
+    the bordered systems of ConstraintMap are: `rows` then gives the
+    position of each entry of z among its unknowns, the other unknowns
+    take a zero right-hand side and are left out of the update.
+    Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations. Updates that
     overshoot out of the admissible state range are halved until they
     evaluate (at most 8 halvings). Raises SolverError with the residual
     trace on breakdown.
     """
     z = np.array(z0, dtype=float)
+    if rows is None:
+        rows = np.arange(z.size)
     trace = []
 
     def evaluate(zk):
@@ -73,7 +79,9 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     for _ in range(config.max_iterations):
         try:
             lu = spla.splu(sp.csc_matrix(jac))
-            dz = lu.solve(-r)
+            rhs = np.zeros(jac.shape[0])
+            rhs[rows] = -r
+            dz = lu.solve(rhs)[rows]
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed: {exc}", trace) from exc
         if not np.all(np.isfinite(dz)):
@@ -149,17 +157,12 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
             data = np.concatenate([gtt * rate[:n], gff * rate[n:]])
             J = J + sp.csr_matrix((data, (rows, cols)), shape=J.shape)
         accepted["old"] = (fint, f)
-        # row-scale by the storage so the heat and moisture rows are
-        # measured in comparable rate units; the Newton direction is
-        # unchanged, only the convergence norm and pivoting see it
-        w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
-        r_red = cmap.reduce_vector(R)
-        J_red = cmap.reduce_matrix(J)
-        return w * r_red, sp.diags(w) @ J_red
+        matrix, scaled = cmap.newton_system(J, C)
+        return scaled(R), matrix
 
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
-    z, trace = newton_solve(residual_jacobian, z0, config)
+    z, trace = newton_solve(residual_jacobian, z0, config, cmap.z_rows)
     return cmap.expand(z), trace, accepted["old"]
 
 

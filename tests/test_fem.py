@@ -1,12 +1,15 @@
 """Element matrices, assembly, and constraint elimination."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from hamfe2 import fem, mesh as msh
-from hamfe2.constitutive import CoefficientSet, LinearMaterial
+from hamfe2 import fem, homogenization as hom, mesh as msh, solver
+from hamfe2.constitutive import CoefficientSet, LinearMaterial, default_materials
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -61,15 +64,49 @@ def apply_dirichlet(system, values):
 
 def apply_periodic_constraints(system, mesh, pairing, grad_theta, grad_phi,
                                value_theta=0.0, value_phi=0.0):
-    """Reduced steady periodic cell system (A_red, b_red, cmap).
+    """Bordered steady periodic cell system (A_red, b_red, cmap).
 
     Slave dofs equal their master plus the affine offset grad . dx; the
-    weighted mean of each field is anchored to its macro value.
+    weighted mean of each field is anchored to its macro value. The
+    solution's entries at cmap.z_rows are the reduced unknowns.
     """
     red = fem.PeriodicReduction(mesh, pairing)
     cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
     A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
     return A_red, b_red, cmap
+
+
+def dense_newton_system(cmap, J, C):
+    """Newton matrix of the congruence T'JT, rows scaled by the storage.
+
+    The periodic T eliminates each mean constraint through an anchor
+    dof, whose row of T couples every reduced unknown, so this matrix
+    is dense. Reference for ConstraintMap.newton_system.
+    """
+    w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
+    return (sp.diags(w) @ (cmap.T.T @ J @ cmap.T)).tocsr(), \
+        lambda R: w * cmap.reduce_vector(R)
+
+
+class DenseCongruenceMap(fem.ConstraintMap):
+    """A constraint map whose Newton systems are the dense congruence."""
+
+    def __init__(self, cmap):
+        super().__init__(cmap.T, cmap.g, cmap.free_index, cmap.rows,
+                         cmap.row_dofs, cmap.border)
+        self.z_rows = np.arange(self.n_free)
+
+    def newton_system(self, J, C):
+        return dense_newton_system(self, J, C)
+
+
+LOADING = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0), dt=3600.0)
+
+
+def running_cell(resolution):
+    cell = msh.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
+                                     resolution=resolution)
+    return hom.CellProblem(cell, default_materials())
 
 
 def unit_coeff(**kw):
@@ -229,7 +266,7 @@ def test_periodic_steady_homogeneous_cell_fluctuation_free():
     gf = np.array([0.0, 2.0])
     A, b, cmap = apply_periodic_constraints(sys, cell, pairing, gt, gf,
                                             value_theta=20.0, value_phi=0.5)
-    u = cmap.expand(spla.spsolve(A.tocsc(), b))
+    u = cmap.expand(spla.spsolve(A.tocsc(), b)[cmap.z_rows])
     # exact affine field solves the homogeneous cell: zero fluctuation
     assert np.allclose(u, cmap.g, atol=1e-10)
     ws = fem.workspace(cell)
@@ -257,3 +294,118 @@ def test_property_periodic_expansion_consistent(gtx, gty, gfx, gfy, vt, vf):
         assert abs(u[n + s_i] - u[n + m_i] - gf @ off) < 1e-10 * scale
     w = fem.workspace(cell).node_areas
     assert abs(w @ (u - cmap.g)[:n]) < 1e-9 * w.sum() * (1.0 + np.abs(z).max())
+
+
+@pytest.mark.parametrize("resolution", [2, 4])
+def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
+    # every Newton system of a running-bond cell increment, solved both
+    # ways: y[z_rows] of the bordered system against T'JT dz = -r
+    seen = []
+    bordered = fem.ConstraintMap.newton_system
+
+    def spy(cmap, J, C):
+        matrix, reduce = bordered(cmap, J, C)
+
+        def keep(R):
+            seen.append((cmap, J, C, R))
+            return reduce(R)
+
+        return matrix, keep
+
+    monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
+    cell = running_cell(resolution)
+    hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
+    assert len(seen) > 2
+    for cmap, J, C, R in seen:
+        matrix, reduce = bordered(cmap, J, C)
+        r = reduce(R)
+        rhs = np.zeros(matrix.shape[0])
+        rhs[cmap.z_rows] = -r
+        dz = spla.splu(matrix.tocsc()).solve(rhs)[cmap.z_rows]
+        dense, reduce_dense = dense_newton_system(cmap, J, C)
+        assert np.array_equal(reduce_dense(R), r)
+        dz_ref = spla.splu(dense.tocsc()).solve(-r)
+        assert np.abs(dz - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
+
+
+# tangent blocks grouped by the averaged quantity they differentiate;
+# blocks of one group share its scale, and a weak block such as k_ft
+# carries less signal than the solver tolerance on that quantity
+TANGENT_GROUPS = (("k_tt", "k_tf", "b_t"), ("k_ft", "k_ff", "b_f"),
+                  ("mg_tt", "mg_tf", "mv_t"), ("mg_ft", "mg_ff", "mv_f"),
+                  ("c_t",), ("c_f",))
+
+
+@pytest.mark.parametrize("resolution", [2, 4])
+def test_rve_increment_matches_dense_congruence(resolution, monkeypatch):
+    real_newton = solver.newton_solve
+
+    def run(map_type):
+        cell = running_cell(resolution)
+        real_map_for = cell.reduction.map_for
+        monkeypatch.setattr(cell.reduction, "map_for",
+                            lambda *args: map_type(real_map_for(*args)))
+        traces = []
+
+        def counted(*args, **kwargs):
+            z, trace = real_newton(*args, **kwargs)
+            traces.append(len(trace))
+            return z, trace
+
+        monkeypatch.setattr(solver, "newton_solve", counted)
+        state, _ = hom.solve_rve_increment(cell, cell.initial_state(LOADING),
+                                           LOADING)
+        loading = replace(LOADING, theta=13.0, phi=0.62,
+                          grad_theta=(30.0, -20.0))
+        state, response = hom.solve_rve_increment(cell, state, loading,
+                                                   want_tangents=True)
+        return state, response, traces
+
+    state, response, traces = run(lambda cmap: cmap)
+    state_ref, response_ref, traces_ref = run(DenseCongruenceMap)
+    assert traces == traces_ref
+
+    def close(a, b, rel):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.abs(a - b).max() <= rel * np.abs(b).max()
+
+    assert close(state.fluct, state_ref.fluct, 1e-10)
+    for name in ("q_heat", "q_moist", "s_t", "s_f", "m_t", "m_f"):
+        assert close(getattr(response, name), getattr(response_ref, name),
+                     1e-10), name
+    for group in TANGENT_GROUPS:
+        got = np.concatenate([np.ravel(getattr(response.tangent, n))
+                              for n in group])
+        ref = np.concatenate([np.ravel(getattr(response_ref.tangent, n))
+                              for n in group])
+        assert close(got, ref, 1e-6), group
+
+
+def test_periodic_reduce_matrix_stays_sparse():
+    cell = running_cell(4)
+    state = fem.FieldState.uniform(cell.n_nodes, 20.0, 0.5)
+    K = fem.assemble_system(cell.mesh, state, cell.materials).stiffness()
+    cmap = cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0))
+    # the dense congruence of this cell stores (n_free)^2 = 260,100 entries
+    assert cmap.n_free ** 2 == 260_100
+    assert cmap.reduce_matrix(K).nnz < 10_000
+
+
+def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
+    # the fine solver's Newton matrices, and so its states, stay those
+    # of the congruence T'JT
+    m = msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
+    state = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
+    sysm = fem.assemble_system(m, state, default_materials())
+    C = sysm.storage_diagonal()
+    J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
+    left = np.unique(m.boundary["left"])
+    cmap = fem.dirichlet_map(2 * m.n_nodes, {**{i: 5.0 for i in left},
+                                             **{m.n_nodes + i: 0.8 for i in left}})
+    matrix, scaled = cmap.newton_system(J, C)
+    dense, scaled_ref = dense_newton_system(cmap, J, C)
+    got, ref = sp.csc_matrix(matrix), sp.csc_matrix(dense)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    R = np.random.default_rng(3).normal(size=2 * m.n_nodes)
+    assert np.array_equal(scaled(R), scaled_ref(R))

@@ -46,6 +46,74 @@ def test_validate_rejects_duplicate_nodes():
         msh.validate_mesh(msh.Mesh(nodes, tris, [0, 0], ("a",), {}))
 
 
+def grid_triangles_loop(nx, ny):
+    """Triangles and boundary edges of the (nx+1) x (ny+1) node grid,
+    one quad at a time. Reference for the generators' arrays."""
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            n00, n10 = nid(i, j), nid(i + 1, j)
+            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
+            tris.append((n00, n10, n11))
+            tris.append((n00, n11, n01))
+    boundary = {
+        "left": [(nid(0, j), nid(0, j + 1)) for j in range(ny)],
+        "right": [(nid(nx, j), nid(nx, j + 1)) for j in range(ny)],
+        "bottom": [(nid(i, 0), nid(i + 1, 0)) for i in range(nx)],
+        "top": [(nid(i, ny), nid(i + 1, ny)) for i in range(nx)]}
+    return np.array(tris), {k: np.array(v) for k, v in boundary.items()}
+
+
+def free_edge_error_loop(mesh):
+    """validate_mesh's free-edge message by a dict of edge counts, or None."""
+    edge_count = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    for name, edges in mesh.boundary.items():
+        for a, b in edges:
+            if edge_count.get((min(a, b), max(a, b)), 0) != 1:
+                return f"boundary set '{name}' edge {a}-{b} is not a free edge"
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: msh.generate_rectangle_mesh(1.0, 1.0, 1, 1),
+    lambda: msh.generate_rectangle_mesh(2.0, 1.0, 5, 3),
+    lambda: msh.generate_masonry_cell(0.29, 0.14, 0.01, "running", 4),
+    lambda: msh.generate_masonry_wall(0.27, 0.27, 0.03, 3, 2, "stack", 2)])
+def test_grid_arrays_match_quad_loop(make):
+    m = make()
+    nx = np.unique(m.nodes[:, 0]).size - 1
+    ny = np.unique(m.nodes[:, 1]).size - 1
+    tris, boundary = grid_triangles_loop(nx, ny)
+    assert np.array_equal(m.triangles, tris)
+    assert set(m.boundary) == set(boundary)
+    for name, edges in boundary.items():
+        assert np.array_equal(m.boundary[name], edges), name
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (1, 0), (0, 4), (4, 8), (0, 9),
+                                  (-1, 0), (2, 5)])
+def test_validate_free_edges_match_edge_count_loop(edge):
+    base = msh.generate_rectangle_mesh(1.0, 1.0, 2, 2)
+    bad = dict(base.boundary)
+    bad["extra"] = np.vstack([base.boundary["top"], [edge]])
+    m = msh.Mesh(base.nodes, base.triangles, base.phases, base.phase_names,
+                 bad)
+    expected = free_edge_error_loop(m)
+    if expected is None:
+        assert msh.validate_mesh(m) is m
+    else:
+        with pytest.raises(msh.MeshError) as err:
+            msh.validate_mesh(m)
+        assert str(err.value) == expected
+
+
 def test_masonry_cell_stack_geometry():
     bw, bh, j = 0.27, 0.27, 0.03
     cell = msh.generate_masonry_cell(bw, bh, j, bond="stack", resolution=2)

@@ -111,6 +111,23 @@ def test_newton_failure_reports_trace():
     assert len(trace) >= 1 and trace[0] == pytest.approx(1.25)
 
 
+def test_newton_singular_bordered_system_raises_solver_error():
+    # two unknowns bordered by a constraint row that repeats the first
+    # row: the factorization fails, and Newton must report it
+    jac = sp.csr_matrix([[1.0, 0.0, 1.0],
+                         [0.0, 1.0, 1.0],
+                         [1.0, 0.0, 1.0]])
+
+    def residual_jacobian(z):
+        return np.array([1.0, -2.0]), jac
+
+    with pytest.raises(solver.SolverError) as err:
+        solver.newton_solve(residual_jacobian, np.zeros(2),
+                            solver.SolverConfig(), rows=np.array([0, 1]))
+    assert "linear solve failed" in str(err.value)
+    assert err.value.trace == [pytest.approx(np.sqrt(5.0))]
+
+
 def test_cn_temporal_order_two():
     errs = []
     for dt in (0.25, 0.125, 0.0625):
