@@ -17,8 +17,8 @@ from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
 from .mesh import (Mesh, MeshError, generate_masonry_cell,
                    generate_masonry_wall, generate_rectangle_mesh, load_mesh,
                    save_mesh, with_phases)
-from .results import (ResultFrame, read_history_csv, write_results,
-                      write_round_log, write_step_log)
+from .results import (read_history_csv, write_results, write_round_log,
+                      write_step_log)
 from .scheduler import SchedulerError, WorkerPool, partition_points
 from .solver import (History, SolverConfig, SolverError, newton_solve,
                      transient_solve)
@@ -41,8 +41,7 @@ __all__ = [
     "steady_linear_homogenize",
     "Mesh", "MeshError", "generate_masonry_cell", "generate_masonry_wall",
     "generate_rectangle_mesh", "load_mesh", "save_mesh", "with_phases",
-    "ResultFrame", "read_history_csv", "write_results", "write_round_log",
-    "write_step_log",
+    "read_history_csv", "write_results", "write_round_log", "write_step_log",
     "SchedulerError", "WorkerPool", "partition_points",
     "History", "SolverConfig", "SolverError", "newton_solve",
     "transient_solve",

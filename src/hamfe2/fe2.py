@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem
 from .constitutive import ConstitutiveError
 from .fem import FieldState
-from .homogenization import EffectiveResponse, MacroLoading, initial_response
+from .homogenization import MacroLoading, initial_response
 from .mesh import Mesh
 from .scheduler import (SchedulerError, make_pool, partition_points,
                         slice_registry)
@@ -40,22 +39,13 @@ class FE2Error(RuntimeError):
     pass
 
 
-@dataclass
-class PointEntry:
-    """Master-side bookkeeping for one macro integration point."""
-
-    region: str
-    response: EffectiveResponse       # accepted response at t_n
-    tangent: object = None            # TangentBlocks, refreshed per step
-
-
 class MacroPointRegistry:
     """One meso problem per macro element (single integration point).
 
-    Maps element ids to their region's cell problem and tracks the last
-    accepted response and tangent blocks. The meso states themselves
-    live with the scheduler workers; this registry only holds what the
-    macro assembly needs.
+    Maps element ids to their region's cell problem and holds, in
+    `entries`, each point's last accepted EffectiveResponse. The meso
+    states themselves live with the scheduler workers; this registry
+    only holds what the macro assembly needs.
     """
 
     def __init__(self, mesh: Mesh, cells):
@@ -79,7 +69,7 @@ class MacroPointRegistry:
         for e in self.point_ids:
             state, resp = initial_response(self.cells[e], loadings[e])
             registry[e] = (self.cells[e], state)
-            self.entries[e] = PointEntry(self.regions[e], resp)
+            self.entries[e] = resp
         return registry
 
 
@@ -94,23 +84,26 @@ def element_loadings(mesh: Mesh, u, dt):
 
 
 def _tensor_stiffness(ws, tensors):
-    """csr matrix with entries sum_e A_e grad N_i . (T_e grad N_j)."""
-    data = np.einsum("mid,mde,mje,m->mij", ws.grads, tensors, ws.grads,
-                     ws.areas).ravel()
-    return ws.csr_scatter(data)
+    """Two-field csr matrix; block (a, b) has entries
+    sum_e A_e grad N_i . (T_e grad N_j) for T = tensors[a][b], (M, 2, 2)."""
+    return ws.csr_scatter(
+        [[np.einsum("mid,mde,mje,m->mij", ws.grads, t, ws.grads, ws.areas)
+          for t in row] for row in tensors])
 
 
 def _value_coupling(ws, vecs):
-    """csr matrix with entries sum_e A_e (grad N_i . v_e) / 3.
+    """Two-field csr matrix; block (a, b) has entries
+    sum_e A_e (grad N_i . v_e) / 3 for v = vecs[a][b], (M, 2).
 
     Jacobian of flux terms driven by the element mean value; the column
     weight 1/3 is the derivative of the mean with respect to each nodal
     value.
     """
     m = len(ws.areas)
-    row_vals = np.einsum("mid,md,m->mi", ws.grads, vecs, ws.areas) / 3.0
-    data = np.broadcast_to(row_vals[:, :, None], (m, 3, 3)).ravel()
-    return ws.csr_scatter(data)
+    return ws.csr_scatter(
+        [[np.broadcast_to(
+            (np.einsum("mid,md,m->mi", ws.grads, v, ws.areas) / 3.0)[:, :, None],
+            (m, 3, 3)) for v in row] for row in vecs])
 
 
 @dataclass
@@ -169,43 +162,35 @@ class FE2Driver:
             """Attribute `name` of every point's object, stacked by point."""
             return np.stack([getattr(per_point[e], name) for e in pids])
 
-        accepted = {e: entries[e].response for e in pids}
-        q_old_t = stacked(accepted, "q_heat")
-        q_old_f = stacked(accepted, "q_moist")
+        q_old_t = stacked(entries, "q_heat")
+        q_old_f = stacked(entries, "q_moist")
 
         def refresh_tangents(responses):
-            tan = {}
-            for e in pids:
-                entries[e].tangent = tan[e] = responses[e].tangent
+            tan = {e: responses[e].tangent for e in pids}
 
-            def conduction(name):
-                return _tensor_stiffness(ws, stacked(tan, name))
+            def conduction(prefix):
+                return _tensor_stiffness(ws, [[stacked(tan, prefix + a + b)
+                                               for b in "tf"] for a in "tf"])
+
+            def value_coupling(prefix):
+                return _value_coupling(ws, [[stacked(tan, prefix + a)[:, :, j]
+                                             for j in (0, 1)] for a in "tf"])
 
             C = np.concatenate([ws.lumped(stacked(tan, "c_t")),
                                 ws.lumped(stacked(tan, "c_f"))])
-            blocks = [[conduction("k_tt"), conduction("k_tf")],
-                      [conduction("k_ft"), conduction("k_ff")]]
+            # every term lies on the mesh's two-field skeleton, so the
+            # terms add on their .data arrays
+            J = 0.5 * conduction("k_")
+            J.setdiag(J.diagonal() + C / dt)
             # mean-flux sensitivity to the macro values; without it the
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate
-            bt, bf = stacked(tan, "b_t"), stacked(tan, "b_f")
-            vblocks = [[_value_coupling(ws, bt[:, :, 0]),
-                        _value_coupling(ws, bt[:, :, 1])],
-                       [_value_coupling(ws, bf[:, :, 0]),
-                        _value_coupling(ws, bf[:, :, 1])]]
-            J = (sp.diags(C / dt) + 0.5 * sp.bmat(blocks, format="csr")
-                 - 0.5 * sp.bmat(vblocks, format="csr"))
+            J.data -= 0.5 * value_coupling("b_").data
             if self.cprime:
                 # storage moments respond mostly to gradient rates, at
                 # capacity <x~ x~> / dt scale; these blocks dominate the
                 # conductive ones for hour-long steps
-                mvt, mvf = stacked(tan, "mv_t"), stacked(tan, "mv_f")
-                mblocks = [
-                    [conduction("mg_tt") + _value_coupling(ws, mvt[:, :, 0]),
-                     conduction("mg_tf") + _value_coupling(ws, mvt[:, :, 1])],
-                    [conduction("mg_ft") + _value_coupling(ws, mvf[:, :, 0]),
-                     conduction("mg_ff") + _value_coupling(ws, mvf[:, :, 1])]]
-                J = J + sp.bmat(mblocks, format="csr")
+                J.data += conduction("mg_").data + value_coupling("mv_").data
             # the frozen Jacobian is reduced and scaled once per step
             cache["C"] = C
             cache["matrix"], cache["scaled"] = cmap.newton_system(J, C)
@@ -241,8 +226,7 @@ class FE2Driver:
         z, trace = newton_solve(residual_jacobian, z0, self.config,
                                 cmap.z_rows)
         u_new = cmap.expand(z)
-        for e in pids:
-            entries[e].response = last[e]
+        entries.update(last)
         self.pool.commit()
         return u_new, len(trace) - 1
 

@@ -5,6 +5,14 @@ phi_0..phi_N-1]; element matrices follow the same ordering with 6 dofs
 per triangle. Conductivity uses one-point (centroid) integration,
 storage is lumped row-sum, i.e. area/3 per node and field.
 
+Every coupled operator on a mesh, the conductivity K of the fine and
+cell solves and the macro Jacobian of FE2, is assembled into one fixed
+2N x 2N csr skeleton per mesh: the four blocks [[tt, tf], [ft, ff]]
+each carry the one-field P1 pattern, and every node's own entry is
+stored in all four, so the Crank-Nicolson storage terms are added in
+place on the main diagonal and on offset N. The pattern keeps the
+exact zeros that P1 stiffness has on right-triangle grids.
+
 Constraints (Dirichlet values, periodic-affine cell conditions) are
 expressed as an affine map u = T z + g onto free unknowns z. Residuals
 reduce as T'R; linear systems are solved on the unknowns that remain
@@ -64,16 +72,14 @@ class FieldState:
 
 @dataclass
 class CoupledSystem:
-    """Assembled operator blocks of the coupled system.
+    """Assembled operators of the coupled system.
 
-    K_* are conductivity blocks (N x N csr), c_tt/c_ff the lumped
-    storage diagonals, f the external flux vector of length 2N.
+    K is the field-major conductivity (2N x 2N csr on the mesh's
+    two-field skeleton), c_tt/c_ff the lumped storage diagonals, f the
+    external flux vector of length 2N.
     """
 
-    K_tt: sp.csr_matrix
-    K_tf: sp.csr_matrix
-    K_ft: sp.csr_matrix
-    K_ff: sp.csr_matrix
+    K: sp.csr_matrix
     c_tt: np.ndarray
     c_ff: np.ndarray
     f: np.ndarray
@@ -83,7 +89,7 @@ class CoupledSystem:
         return self.c_tt.size
 
     def stiffness(self) -> sp.csr_matrix:
-        return sp.bmat([[self.K_tt, self.K_tf], [self.K_ft, self.K_ff]], format="csr")
+        return self.K
 
     def storage_diagonal(self):
         return np.concatenate([self.c_tt, self.c_ff])
@@ -95,7 +101,14 @@ _WORKSPACES: "weakref.WeakKeyDictionary[Mesh, Workspace]" = weakref.WeakKeyDicti
 
 
 class Workspace:
-    """Geometry factors and scatter indices precomputed once per mesh."""
+    """Geometry factors and scatter indices precomputed once per mesh.
+
+    csr_pos maps every element entry to its slot in the one-field csr
+    pattern (csr_indices, csr_indptr, csr_nnz slots). Each row of the
+    two-field skeleton (pair_indices, pair_indptr) holds the one-field
+    row of its left block, then that of its right block; pair_slots[b]
+    places the slots of block b = 2 * row field + column field there.
+    """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -140,13 +153,37 @@ class Workspace:
         counts = np.bincount(r_s[fresh], minlength=mesh.n_nodes)
         self.csr_indptr = np.concatenate(
             [[0], np.cumsum(counts)]).astype(np.int32)
+        # two-field skeleton: one-field slot s of node row i lands at
+        # s + indptr[i] (left block) or s + indptr[i + 1] (right block),
+        # 2 nnz further on in the phi rows
+        nnz = self.csr_nnz
+        left = np.arange(nnz) + np.repeat(self.csr_indptr[:-1], counts)
+        right = left + np.repeat(counts, counts)
+        self.pair_slots = np.stack([left, right, left + 2 * nnz,
+                                    right + 2 * nnz]).astype(np.int32)
+        self.pair_indices = np.empty(4 * nnz, dtype=np.int32)
+        self.pair_indices[self.pair_slots] = \
+            [self.csr_indices, self.csr_indices + mesh.n_nodes] * 2
+        self.pair_indptr = np.concatenate(
+            [2 * self.csr_indptr, 2 * nnz + 2 * self.csr_indptr[1:]])
 
     def csr_scatter(self, data):
-        """Assemble raveled (M*9,) element entries into a csr matrix."""
-        summed = np.bincount(self.csr_pos, weights=data,
-                             minlength=self.csr_nnz)
-        n = self.mesh.n_nodes
-        return sp.csr_matrix((summed, self.csr_indices, self.csr_indptr),
+        """Two-field 2N x 2N csr matrix of (2, 2, M, 3, 3) element entries.
+
+        data[a][b][m, i, j] couples field a at the i-th node of element
+        m to field b at its j-th node; a 2 x 2 nested list of (M, 3, 3)
+        blocks spares a large system one array four blocks in size.
+        Each block is summed over its one-field slots by one bincount
+        and placed into the skeleton, so every matrix of a mesh shares
+        indices, indptr and the order of its .data array.
+        """
+        nnz = self.csr_nnz
+        summed = np.empty(4 * nnz)
+        for slots, block in zip(self.pair_slots, [b for r in data for b in r]):
+            summed[slots] = np.bincount(self.csr_pos, weights=np.ravel(block),
+                                        minlength=nnz)
+        n = 2 * self.mesh.n_nodes
+        return sp.csr_matrix((summed, self.pair_indices, self.pair_indptr),
                              shape=(n, n))
 
     def lumped(self, vals):
@@ -227,9 +264,9 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
     ws = workspace(mesh)
     coeff = evaluate_coefficients(mesh, state, materials)
     n = mesh.n_nodes
-
-    def kblock(vals):
-        return ws.csr_scatter((vals[:, None, None] * ws.pattern).ravel())
+    K = ws.csr_scatter([[k[:, None, None] * ws.pattern for k in row]
+                        for row in ((coeff.k_tt, coeff.k_tf),
+                                    (coeff.k_ft, coeff.k_ff))])
 
     f = np.zeros(2 * n)
     if neumann:
@@ -242,9 +279,7 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
                 f[off + a] += half
                 f[off + b] += half
 
-    return CoupledSystem(kblock(coeff.k_tt), kblock(coeff.k_tf),
-                         kblock(coeff.k_ft), kblock(coeff.k_ff),
-                         ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f)
+    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f)
 
 
 def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
@@ -307,7 +342,13 @@ class ConstraintMap:
         self.size = m + self.border.shape[1]
 
     def reduce_matrix(self, A, weights=None) -> sp.csr_matrix:
-        """Bordered system matrix of A; `weights` scales the rows of P'AP."""
+        """Bordered system matrix of A; `weights` scales the rows of P'AP.
+
+        Stored zeros of A are skipped. The two-field skeleton keeps the
+        exact zeros of P1 stiffness on right-triangle grids, and so do
+        the Newton matrices built on it; carried into the bordered
+        matrix, they would only add entries and fill to its LU.
+        """
         A = A.tocsr()
         m, G = self.row_dofs.size, self.border
         weights = np.ones(m) if weights is None else weights
@@ -318,7 +359,7 @@ class ConstraintMap:
         diag = np.abs(A.diagonal()[self.row_dofs] * weights)
         tiny = 2.0 ** -30 * diag.min(initial=np.inf)
         r, c = self.rows[A.tocoo().row], self.rows[A.indices]
-        keep = (r >= 0) & (c >= 0)
+        keep = (r >= 0) & (c >= 0) & (A.data != 0)
         k = m + G.col
         # entries of P'AP, the constraint columns, the constraint rows;
         # the deletions keep the peak memory of a large system near that

@@ -9,7 +9,6 @@ and carry the same numbers without the bit-exactness contract.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,33 +17,6 @@ from .mesh import Mesh
 from .solver import History
 
 FORMATS = ("csv", "vtk")
-
-
-@dataclass(frozen=True)
-class ResultFrame:
-    """One exported snapshot: nodal fields, optional element fluxes."""
-
-    time: float              # s
-    theta: np.ndarray        # (n,)
-    phi: np.ndarray          # (n,)
-    q_heat: np.ndarray = None   # (m, 2), optional
-    q_moist: np.ndarray = None
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if theta.shape != phi.shape or theta.ndim != 1:
-            raise ValueError("theta and phi must be equal-length vectors")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        for name in ("q_heat", "q_moist"):
-            q = getattr(self, name)
-            if q is None:
-                continue
-            q = np.asarray(q, dtype=float)
-            if q.ndim != 2 or q.shape[1] != 2:
-                raise ValueError(f"{name} must have shape (elements, 2)")
-            object.__setattr__(self, name, q)
 
 
 def _fmt(x):

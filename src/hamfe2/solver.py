@@ -122,7 +122,9 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None):
     """Advance one step; returns (u_{n+1}, trace, old-data for the next step).
 
-    assembler(u, t) -> (K csr, C diagonal, f) on the full dof vector.
+    assembler(u, t) -> (K csr, C diagonal, f[, capacity derivatives]) on
+    the full dof vector; K stores its main diagonal and offset N, as
+    the two-field skeleton of fem does.
     `old` carries (K_n u_n, f_n) when the caller already assembled the
     old state; the returned triple's third entry is the same pair
     evaluated at the accepted new state. `z0` overrides the start
@@ -145,17 +147,18 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
         K, C, f = out[:3]
         fint = K @ u
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n) - 0.5 * (f + f_n)
-        J = sp.diags(C / dt) + 0.5 * K
+        J = 0.5 * K
+        diag = J.diagonal() + C / dt
         if len(out) > 3 and out[3] is not None:
             # storage coefficients depend on humidity: the derivative
-            # times the current rate enters the phi columns
+            # times the current rate enters the phi columns, on offset
+            # n in the theta rows and on the diagonal in the phi rows
             gtt, gff = out[3]
             n = gtt.size
             rate = (u - u_n) / dt
-            rows = np.concatenate([np.arange(n), np.arange(n, 2 * n)])
-            cols = np.tile(np.arange(n, 2 * n), 2)
-            data = np.concatenate([gtt * rate[:n], gff * rate[n:]])
-            J = J + sp.csr_matrix((data, (rows, cols)), shape=J.shape)
+            diag[n:] += gff * rate[n:]
+            J.setdiag(J.diagonal(n) + gtt * rate[:n], n)
+        J.setdiag(diag)
         accepted["old"] = (fint, f)
         matrix, scaled = cmap.newton_system(J, C)
         return scaled(R), matrix
@@ -200,7 +203,7 @@ def _assemble(mesh, materials, u, t):
     state = FieldState.from_vector(u, t)
     sysm = assemble_system(mesh, state, materials)
     cap = capacity_jacobian_diagonals(mesh, state, materials)
-    return sysm.stiffness(), sysm.storage_diagonal(), sysm.f, cap
+    return sysm.K, sysm.storage_diagonal(), sysm.f, cap
 
 
 def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,

@@ -10,7 +10,9 @@ import signal
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hamfe2 import fem
 from hamfe2.constitutive import LinearMaterial, default_materials
 from hamfe2.fe2 import (FE2Driver, FE2Error, MacroPointRegistry,
                         build_grid_cell_map, compare_fields,
@@ -51,6 +53,55 @@ def linear_cell(size=0.1):
 def masonry():
     mesh = generate_masonry_cell(0.27, 0.27, 0.03, resolution=2)
     return mesh, default_materials()
+
+
+def one_field_scatter(ws, data):
+    """N x N csr matrix of raveled (M*9,) element entries on the one-field
+    pattern; the per-block scatter the two-field skeleton replaced."""
+    summed = np.bincount(ws.csr_pos, weights=data, minlength=ws.csr_nnz)
+    n = ws.mesh.n_nodes
+    return sp.csr_matrix((summed, ws.csr_indices, ws.csr_indptr), shape=(n, n))
+
+
+def bmat_macro_jacobian(ws, tangents, C, dt, cprime):
+    """Frozen macro Jacobian joined from one-field blocks by sp.bmat and
+    sp.diags, term by term in FE2Driver.step's order. Reference for the
+    two-field construction."""
+
+    def stacked(name):
+        return np.stack([getattr(t, name) for t in tangents])
+
+    def conduction(name):
+        return one_field_scatter(ws, np.einsum(
+            "mid,mde,mje,m->mij", ws.grads, stacked(name), ws.grads,
+            ws.areas).ravel())
+
+    def value_coupling(vecs):
+        row_vals = np.einsum("mid,md,m->mi", ws.grads, vecs, ws.areas) / 3.0
+        return one_field_scatter(ws, np.broadcast_to(
+            row_vals[:, :, None], (len(ws.areas), 3, 3)).ravel())
+
+    blocks = [[conduction("k_tt"), conduction("k_tf")],
+              [conduction("k_ft"), conduction("k_ff")]]
+    bt, bf = stacked("b_t"), stacked("b_f")
+    vblocks = [[value_coupling(bt[:, :, 0]), value_coupling(bt[:, :, 1])],
+               [value_coupling(bf[:, :, 0]), value_coupling(bf[:, :, 1])]]
+    J = (sp.diags(C / dt) + 0.5 * sp.bmat(blocks, format="csr")
+         - 0.5 * sp.bmat(vblocks, format="csr"))
+    if cprime:
+        mvt, mvf = stacked("mv_t"), stacked("mv_f")
+        mblocks = [
+            [conduction("mg_tt") + value_coupling(mvt[:, :, 0]),
+             conduction("mg_tf") + value_coupling(mvt[:, :, 1])],
+            [conduction("mg_ft") + value_coupling(mvf[:, :, 0]),
+             conduction("mg_ff") + value_coupling(mvf[:, :, 1])]]
+        J = J + sp.bmat(mblocks, format="csr")
+    return J
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def max_state_diff(hist_a, hist_b):
@@ -162,6 +213,45 @@ def test_worker_counts_bit_identical(masonry):
     assert runs[0].history.newton_iterations == runs[1].history.newton_iterations
     assert sorted(runs[1].partition.loads) == [4, 4]
     assert runs[1].rounds and all(r.points in (4, 8) for r in runs[1].rounds)
+
+
+@pytest.mark.parametrize("cprime", [True, False])
+def test_macro_jacobian_matches_bmat_construction(masonry, cprime):
+    mesh, mats = masonry
+    macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
+    sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    dt = 3600.0
+    cmap = dirichlet_map(2 * macro.n_nodes, sched.dirichlet_values(macro, dt))
+    newton_system = cmap.newton_system
+    systems, tangent_rounds = [], []
+
+    def spy_system(J, C):
+        systems.append((J, C))
+        return newton_system(J, C)
+
+    cmap.newton_system = spy_system
+    with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
+                   cprime=cprime) as driver:
+        run_round = driver.pool.run_round
+
+        def spy_round(loadings, want_tangents=False):
+            responses = run_round(loadings, want_tangents=want_tangents)
+            if want_tangents:
+                tangent_rounds.append(responses)
+            return responses
+
+        driver.pool.run_round = spy_round
+        driver.step(initial.vector(), 0.0, dt, cmap)
+    (J, C), = systems
+    responses, = tangent_rounds
+    ref = bmat_macro_jacobian(
+        fem.workspace(macro),
+        [responses[e].tangent for e in range(macro.n_triangles)], C, dt, cprime)
+    bare = J.copy()
+    bare.eliminate_zeros()
+    assert_same_csr(bare, ref)
+    assert_same_csr(newton_system(J, C)[0], newton_system(ref, C)[0])
 
 
 def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):

@@ -48,8 +48,57 @@ def internal_flux(system, u):
     """K u for the full field-major vector u, block by block."""
     n = system.n_nodes
     th, ph = u[:n], u[n:]
-    return np.concatenate([system.K_tt @ th + system.K_tf @ ph,
-                           system.K_ft @ th + system.K_ff @ ph])
+    K = system.K
+    return np.concatenate([K[:n, :n] @ th + K[:n, n:] @ ph,
+                           K[n:, :n] @ th + K[n:, n:] @ ph])
+
+
+def one_field_scatter(ws, data):
+    """N x N csr matrix of raveled (M*9,) element entries on the one-field
+    pattern; the per-block scatter the two-field skeleton replaced."""
+    summed = np.bincount(ws.csr_pos, weights=data, minlength=ws.csr_nnz)
+    n = ws.mesh.n_nodes
+    return sp.csr_matrix((summed, ws.csr_indices, ws.csr_indptr), shape=(n, n))
+
+
+def bmat_stiffness(mesh, state, materials):
+    """Conductivity joined from four one-field scatters by sp.bmat.
+
+    Reference for the two-field skeleton of fem.assemble_system.
+    """
+    ws = fem.workspace(mesh)
+    coeff = fem.evaluate_coefficients(mesh, state, materials)
+
+    def kblock(vals):
+        return one_field_scatter(ws, (vals[:, None, None] * ws.pattern).ravel())
+
+    return sp.bmat([[kblock(coeff.k_tt), kblock(coeff.k_tf)],
+                    [kblock(coeff.k_ft), kblock(coeff.k_ff)]], format="csr")
+
+
+def diags_newton_matrix(K, C, cap, u, u_n, dt):
+    """Crank-Nicolson Newton matrix C/dt + K/2 plus the capacity coupling,
+    built from sp.diags and a coo matrix. Reference for the in-place
+    diagonal updates of solver.crank_nicolson_step."""
+    J = sp.diags(C / dt) + 0.5 * K
+    gtt, gff = cap
+    n = gtt.size
+    rate = (u - u_n) / dt
+    rows = np.concatenate([np.arange(n), np.arange(n, 2 * n)])
+    cols = np.tile(np.arange(n, 2 * n), 2)
+    data = np.concatenate([gtt * rate[:n], gff * rate[n:]])
+    return J + sp.csr_matrix((data, (rows, cols)), shape=J.shape)
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def without_zeros(A):
+    A = A.copy()
+    A.eliminate_zeros()
+    return A
 
 
 def apply_dirichlet(system, values):
@@ -391,21 +440,94 @@ def test_periodic_reduce_matrix_stays_sparse():
     assert cmap.reduce_matrix(K).nnz < 10_000
 
 
-def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
-    # the fine solver's Newton matrices, and so its states, stay those
-    # of the congruence T'JT
+def dirichlet_wall():
     m = msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
-    state = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
-    sysm = fem.assemble_system(m, state, default_materials())
-    C = sysm.storage_diagonal()
-    J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
     left = np.unique(m.boundary["left"])
     cmap = fem.dirichlet_map(2 * m.n_nodes, {**{i: 5.0 for i in left},
                                              **{m.n_nodes + i: 0.8 for i in left}})
+    return m, default_materials(), cmap
+
+
+def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
+    # the fine solver's Newton matrices, and so its states, stay those
+    # of the congruence T'JT
+    m, materials, cmap = dirichlet_wall()
+    state = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
+    sysm = fem.assemble_system(m, state, materials)
+    C = sysm.storage_diagonal()
+    J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
     matrix, scaled = cmap.newton_system(J, C)
     dense, scaled_ref = dense_newton_system(cmap, J, C)
-    got, ref = sp.csc_matrix(matrix), sp.csc_matrix(dense)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert_same_csr(sp.csc_matrix(matrix), sp.csc_matrix(dense))
     R = np.random.default_rng(3).normal(size=2 * m.n_nodes)
     assert np.array_equal(scaled(R), scaled_ref(R))
+
+
+def varied_state(mesh):
+    x, y = mesh.nodes.T
+    return fem.FieldState(15.0 + 40.0 * x - 30.0 * y, 0.55 + 0.8 * x + 0.6 * y)
+
+
+@pytest.mark.parametrize("case", ["kunzel-running-cell", "linear-no-k_tf"])
+def test_two_field_stiffness_is_bmat_of_one_field_blocks_bit_for_bit(case):
+    if case == "kunzel-running-cell":
+        cell = running_cell(2)
+        mesh, materials = cell.mesh, cell.materials
+    else:
+        mesh = msh.generate_rectangle_mesh(1.3, 0.8, 4, 3)
+        materials = {"solid": LinearMaterial("m", k_tt=2.0, k_ff=0.7, c_tt=5.0,
+                                             c_ff=3.0, k_tf=0.0, k_ft=0.1)}
+    state = varied_state(mesh)
+    K = fem.assemble_system(mesh, state, materials).stiffness()
+    ref = bmat_stiffness(mesh, state, materials)
+    assert_same_csr(K, ref)
+    # P1 stiffness on right-triangle grids stores exact zeros
+    assert np.count_nonzero(K.data == 0.0) > 0
+
+
+@pytest.mark.parametrize("case", ["periodic-cell", "dirichlet-wall"])
+def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
+    seen, assembled = [], []
+    bordered = fem.ConstraintMap.newton_system
+
+    def spy(cmap, J, C):
+        seen.append((cmap, J, C, assembled[-1]))
+        return bordered(cmap, J, C)
+
+    monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
+    if case == "periodic-cell":
+        cell = running_cell(2)
+        mesh, materials = cell.mesh, cell.materials
+        cmap = cell.reduction.map_for(LOADING.theta, LOADING.phi,
+                                      LOADING.grad_theta, LOADING.grad_phi)
+        u_n = cell.total_vector(cell.initial_state(LOADING))
+    else:
+        mesh, materials, cmap = dirichlet_wall()
+        u_n = fem.FieldState.uniform(mesh.n_nodes, 20.0, 0.5).vector()
+
+    def assembler(u, t):
+        out = solver._assemble(mesh, materials, u, t)
+        assembled.append((u, out))
+        return out
+
+    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
+                               solver.SolverConfig())
+    assert len(seen) > 2
+    for cmap, J, C, (u, (K, C_asm, _, cap)) in seen:
+        assert C is C_asm
+        ref = diags_newton_matrix(K, C, cap, u, u_n, 3600.0)
+        assert_same_csr(without_zeros(J), ref)
+        assert_same_csr(bordered(cmap, J, C)[0], bordered(cmap, ref, C)[0])
+
+
+def test_reduce_matrix_skips_stored_zeros():
+    cell = running_cell(2)
+    K = fem.assemble_system(cell.mesh, varied_state(cell.mesh),
+                            cell.materials).stiffness()
+    assert np.count_nonzero(K.data == 0.0) > 0
+    for cmap in (cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0)),
+                 fem.dirichlet_map(K.shape[0], {0: 1.0, 5: 2.0,
+                                                cell.n_nodes + 3: 0.5})):
+        for weights in (None, np.linspace(1.0, 2.0, cmap.row_dofs.size)):
+            assert_same_csr(cmap.reduce_matrix(K, weights),
+                            cmap.reduce_matrix(without_zeros(K), weights))

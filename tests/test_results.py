@@ -6,7 +6,7 @@ import pytest
 from hamfe2.fem import FieldState
 from hamfe2.homogenization import EffectiveResponse
 from hamfe2.mesh import generate_rectangle_mesh
-from hamfe2.results import (ResultFrame, read_history_csv, write_history_csv,
+from hamfe2.results import (read_history_csv, write_history_csv,
                             write_history_vtk, write_response_table,
                             write_results, write_round_log, write_step_log)
 from hamfe2.scheduler import RoundRecord
@@ -90,15 +90,6 @@ class TestVtk:
         start = lines.index("SCALARS theta double 1") + 2
         values = np.array([float(v) for v in lines[start:start + 9]])
         assert np.array_equal(values, history.states[0].theta)
-
-
-class TestFrames:
-
-    def test_frame_validates_shapes(self):
-        with pytest.raises(ValueError, match="equal-length"):
-            ResultFrame(0.0, np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError, match="q_heat"):
-            ResultFrame(0.0, np.zeros(3), np.zeros(3), q_heat=np.zeros(5))
 
 
 class TestLogs:
