@@ -193,8 +193,7 @@ def _cmd_solve_fe2(config: ScenarioConfig):
     initial = FieldState.uniform(mesh.n_nodes, theta0, phi0)
     result = fe2_solve(mesh, cells, schedule, initial, settings.dt_hours,
                        settings.t_end_hours, solver_cfg,
-                       n_workers=settings.workers, policy=settings.partition,
-                       cprime=settings.cprime)
+                       n_workers=settings.workers, cprime=settings.cprime)
     outdir = _outdir(settings)
     write_results(result.history, settings.format, outdir, mesh=mesh)
     write_step_log(result.history, os.path.join(outdir, "steps.csv"))

@@ -73,7 +73,6 @@ def load_climate_series(path, policy="periodic") -> ClimateSeries:
     with open(path) as fh:
         lines = fh.read().splitlines()
     rows = []
-    numbers = []
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 or not line.strip():
             continue
@@ -97,7 +96,6 @@ def load_climate_series(path, policy="periodic") -> ClimateSeries:
                 f"{path}:{lineno}: time {row[0]} does not increase over "
                 f"the previous sample at {rows[-1][0]}")
         rows.append(row)
-        numbers.append(lineno)
     if not rows:
         raise ClimateError(f"{path}: no data rows")
     data = np.array(rows)

@@ -8,7 +8,7 @@ ConfigError so a bad file needs only one round trip to fix.
 Sections used by the subcommands:
 
   [scenario]        dt_hours, t_end_hours, workers, cprime, seed,
-                    output_dir, format, partition, materials
+                    output_dir, format, materials
   [macro]           mesh
   [regions]         macro region name -> unit-cell mesh path
   [initial]         theta, phi
@@ -301,16 +301,6 @@ class BoundarySchedule:
         self.rules = {"theta": dict(theta_rules or {}),
                       "phi": dict(phi_rules or {})}
 
-    def missing_sets(self, mesh: Mesh):
-        names = set(self.rules["theta"]) | set(self.rules["phi"])
-        return sorted(n for n in names if n not in mesh.boundary)
-
-    def validate(self, mesh: Mesh):
-        missing = self.missing_sets(mesh)
-        if missing:
-            raise ConfigError([f"boundary set '{n}' does not exist in the "
-                               f"mesh" for n in missing])
-
     def dirichlet_values(self, mesh: Mesh, t):
         values = {}
         n = mesh.n_nodes
@@ -402,7 +392,6 @@ class ScenarioSettings:
     seed: int = 0
     output_dir: str = "out"
     format: str = "csv"
-    partition: str = "region-aware"
     materials_path: str = None
 
 
@@ -418,8 +407,6 @@ def scenario_settings(config: ScenarioConfig, problems, need_materials=True,
         seed=reader.get_int("seed", 0, minimum=0),
         output_dir=reader.get_path("output_dir", config.resolve("out")),
         format=reader.get_str("format", "csv", choices=("csv", "vtk")),
-        partition=reader.get_str("partition", "region-aware",
-                                 choices=("contiguous", "region-aware")),
         materials_path=reader.get_path("materials",
                                        required=need_materials,
                                        must_exist=need_materials))

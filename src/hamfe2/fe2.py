@@ -39,40 +39,6 @@ class FE2Error(RuntimeError):
     pass
 
 
-class MacroPointRegistry:
-    """One meso problem per macro element (single integration point).
-
-    Maps element ids to their region's cell problem and holds, in
-    `entries`, each point's last accepted EffectiveResponse. The meso
-    states themselves live with the scheduler workers; this registry
-    only holds what the macro assembly needs.
-    """
-
-    def __init__(self, mesh: Mesh, cells):
-        self.mesh = mesh
-        regions = [mesh.phase_names[k] for k in mesh.phases]
-        missing = sorted(set(regions) - set(cells))
-        if missing:
-            raise FE2Error(f"regions without a cell problem: {missing}")
-        self.regions = regions
-        self.cells = {e: cells[r] for e, r in enumerate(regions)}
-        self.entries = {}
-
-    @property
-    def point_ids(self):
-        return range(self.mesh.n_triangles)
-
-    def initialize(self, initial: FieldState, dt):
-        """Zero-rate responses and worker registry for the start state."""
-        loadings = element_loadings(self.mesh, initial.vector(), dt)
-        registry = {}
-        for e in self.point_ids:
-            state, resp = initial_response(self.cells[e], loadings[e])
-            registry[e] = (self.cells[e], state)
-            self.entries[e] = resp
-        return registry
-
-
 def element_loadings(mesh: Mesh, u, dt):
     """Per-element MacroLoading from the field-major macro vector."""
     ws = fem.workspace(mesh)
@@ -114,22 +80,32 @@ class FE2Result:
 
 
 class FE2Driver:
-    """Owns the macro mesh, the point registry and the worker pool."""
+    """Owns the macro mesh, each point's last accepted response and the
+    worker pool that holds the cell problems and meso states."""
 
     def __init__(self, mesh: Mesh, cells, initial: FieldState,
-                 config: SolverConfig = None, n_workers=1,
-                 policy="region-aware", cprime=True, init_dt=3600.0):
+                 config: SolverConfig = None, n_workers=1, cprime=True,
+                 init_dt=3600.0):
         self.mesh = mesh
         self.ws = fem.workspace(mesh)
         self.config = config or SolverConfig()
         self.cprime = bool(cprime)
-        self.registry = MacroPointRegistry(mesh, cells)
-        worker_registry = self.registry.initialize(initial, init_dt)
-        self.partition = partition_points(
-            list(self.registry.point_ids), self.registry.regions,
-            n_workers, policy)
-        self.pool = make_pool(slice_registry(self.partition,
-                                             worker_registry))
+        # one meso problem per macro element (single integration point),
+        # bound to its region's cell; checked before any worker forks
+        regions = [mesh.phase_names[k] for k in mesh.phases]
+        missing = sorted(set(regions) - set(cells))
+        if missing:
+            raise FE2Error(f"regions without a cell problem: {missing}")
+        loadings = element_loadings(mesh, initial.vector(), init_dt)
+        # the macro assembly needs only each point's last accepted
+        # response; the meso states live with the workers
+        self.entries, registry = {}, {}
+        for e, region in enumerate(regions):
+            state, self.entries[e] = initial_response(cells[region],
+                                                      loadings[e])
+            registry[e] = (cells[region], state)
+        self.partition = partition_points(registry, n_workers)
+        self.pool = make_pool(slice_registry(self.partition, registry))
 
     def close(self):
         self.pool.stop()
@@ -152,9 +128,9 @@ class FE2Driver:
         A SchedulerError from a failed pool, such as a dead worker,
         propagates as it is and is not retried.
         """
-        mesh, ws, entries = self.mesh, self.ws, self.registry.entries
+        mesh, ws, entries = self.mesh, self.ws, self.entries
         n = mesh.n_nodes
-        pids = list(self.registry.point_ids)
+        pids = range(mesh.n_triangles)
         cache = {}
         last = {}
 
@@ -238,7 +214,7 @@ class FE2Driver:
 
 def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
               t_end_hours, config: SolverConfig = None, n_workers=1,
-              policy="region-aware", cprime=True) -> FE2Result:
+              cprime=True) -> FE2Result:
     """Nested two-scale transient solution.
 
     cells maps macro region names to CellProblem instances; schedule
@@ -246,8 +222,8 @@ def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
     history together with the partition and per-round scheduler
     timings.
     """
-    with FE2Driver(mesh, cells, initial, config, n_workers, policy,
-                   cprime, init_dt=float(dt_hours) * 3600.0) as driver:
+    with FE2Driver(mesh, cells, initial, config, n_workers, cprime,
+                   init_dt=float(dt_hours) * 3600.0) as driver:
         history = driver.solve(schedule, initial, dt_hours, t_end_hours)
         rounds = list(driver.pool.timings)
         return FE2Result(history, driver.partition, rounds)

@@ -331,6 +331,8 @@ class ConstraintMap:
     def __init__(self, T: sp.csr_matrix, g: np.ndarray, free_index: np.ndarray,
                  rows: np.ndarray, row_dofs: np.ndarray, border=None):
         self.T = T.tocsr()
+        # a csc view sharing T's arrays, built once instead of per residual
+        self.Tt = self.T.T
         self.g = np.asarray(g, dtype=float)
         self.free_index = np.asarray(free_index, dtype=np.int64)
         self.n_free = self.T.shape[1]
@@ -375,7 +377,7 @@ class ConstraintMap:
                              shape=(self.size, self.size))
 
     def reduce_vector(self, r):
-        return self.T.T @ r
+        return self.Tt @ r
 
     def expand(self, z):
         return self.T @ z + self.g

@@ -29,30 +29,11 @@ from .solver import SolverError
 
 log = logging.getLogger(__name__)
 
-POLICIES = ("contiguous", "region-aware")
-
 
 class SchedulerError(RuntimeError):
     def __init__(self, message, failures=None):
         super().__init__(message)
         self.failures = list(failures) if failures is not None else []
-
-
-@dataclass(frozen=True)
-class WorkBatch:
-    """One worker's share of a round: (point id, loading) pairs."""
-
-    batch_id: int
-    worker_id: int
-    items: tuple
-
-    def __post_init__(self):
-        pids = [pid for pid, _ in self.items]
-        if len(set(pids)) != len(pids):
-            raise ValueError("duplicate point ids within a batch")
-
-    def point_ids(self):
-        return tuple(sorted(pid for pid, _ in self.items))
 
 
 @dataclass(frozen=True)
@@ -83,53 +64,24 @@ class Partition:
         return max(self.loads) * self.n_workers / total
 
 
-def partition_points(point_ids, regions=None, n_workers=1,
-                     policy="contiguous"):
+def partition_points(point_ids, n_workers=1):
     """Split macro point ids over n_workers.
 
-    "contiguous" splits the sorted id list into nearly equal runs.
-    "region-aware" first groups points by their region label so that
-    points sharing a cell mesh land on the same worker, then fills
-    workers greedily to the ceiling of the mean load; groups larger
-    than that are split into the minimal number of pieces. Both
-    policies produce an exact cover with near-perfect balance.
+    The one rule: the sorted ids are cut into n_workers contiguous runs
+    whose lengths differ by at most one. The result is an exact cover;
+    merges sort by point id, so results do not depend on it.
     """
     pids = [int(p) for p in point_ids]
     if len(set(pids)) != len(pids):
         raise SchedulerError("point ids must be unique")
     if not isinstance(n_workers, (int, np.integer)) or n_workers < 1:
         raise SchedulerError("n_workers must be a positive integer")
-    if policy not in POLICIES:
-        raise SchedulerError(f"unknown partition policy '{policy}'")
-    if regions is not None and len(regions) != len(pids):
-        raise SchedulerError("regions must label every point id")
-
     if n_workers > len(pids):
         warnings.warn(
             f"{n_workers - len(pids)} of {n_workers} workers receive "
             "no points", RuntimeWarning, stacklevel=2)
-
-    if policy == "contiguous" or regions is None:
-        chunks = np.array_split(np.sort(np.asarray(pids, dtype=int)),
-                                n_workers)
-        return Partition(tuple(tuple(int(p) for p in c) for c in chunks))
-
-    # region-aware: group, largest group first, fill the emptiest worker
-    # up to the target load before moving on
-    groups = {}
-    for pid, reg in sorted(zip(pids, regions)):
-        groups.setdefault(reg, []).append(pid)
-    order = sorted(groups, key=lambda r: (-len(groups[r]), str(r)))
-    target = -(-len(pids) // n_workers)  # ceil
-    loads = [[] for _ in range(n_workers)]
-    for reg in order:
-        queue = groups[reg]
-        while queue:
-            w = min(range(n_workers), key=lambda k: (len(loads[k]), k))
-            room = target - len(loads[w])
-            loads[w].extend(queue[:room])
-            queue = queue[room:]
-    return Partition(tuple(tuple(a) for a in loads))
+    chunks = np.array_split(np.sort(np.asarray(pids, dtype=int)), n_workers)
+    return Partition(tuple(tuple(int(p) for p in c) for c in chunks))
 
 
 def slice_registry(partition: Partition, registry):
@@ -146,15 +98,13 @@ def slice_registry(partition: Partition, registry):
 def evaluate_batch(batch, registry_slice, want_tangents=True):
     """Run one meso increment per (point id, loading) pair.
 
-    Accepts a WorkBatch or a plain iterable of pairs. Returns
-    (results, failures): results are (pid, response, new state)
+    Returns (results, failures): results are (pid, response, new state)
     triples sorted by point id; failures are (pid, message) pairs for
     increments the meso solver refused. Input states are not modified,
     so re-running a batch reproduces it bitwise.
     """
-    items = batch.items if isinstance(batch, WorkBatch) else list(batch)
     results, failures = [], []
-    for pid, loading in sorted(items, key=lambda it: it[0]):
+    for pid, loading in sorted(batch, key=lambda it: it[0]):
         if pid not in registry_slice:
             raise SchedulerError(f"registry slice lacks point {pid}")
         cell, state = registry_slice[pid]
@@ -221,14 +171,15 @@ class _PoolBase:
         return {pid: resp for pid, resp in sorted(pairs)}
 
     def _batches(self, loadings):
+        """Per worker, its (point id, loading) pairs sorted by id."""
         batches = []
-        for w, assignment in enumerate(self._assignments):
+        for assignment in self._assignments:
             missing = [pid for pid in assignment if pid not in loadings]
             if missing:
                 raise SchedulerError(
                     f"round loadings lack points {missing}")
-            batches.append(WorkBatch(self._round, w, tuple(
-                (pid, loadings[pid]) for pid in sorted(assignment))))
+            batches.append([(pid, loadings[pid])
+                            for pid in sorted(assignment)])
         extra = set(loadings) - {p for a in self._assignments for p in a}
         if extra:
             raise SchedulerError(
@@ -259,7 +210,7 @@ class SerialPool(_PoolBase):
             results, failed = self._residents[w].run(batch, want_tangents)
             pairs.extend(results)
             failures.extend(failed)
-            self._record(w, len(batch.items), time.perf_counter() - t0)
+            self._record(w, len(batch), time.perf_counter() - t0)
         return self._merge(pairs, failures)
 
     def commit(self):
@@ -334,7 +285,7 @@ class WorkerPool(_PoolBase):
             _, results, failed, seconds = reply
             pairs.extend(results)
             failures.extend(failed)
-            self._record(w, len(batch.items), seconds)
+            self._record(w, len(batch), seconds)
         return self._merge(pairs, failures)
 
     def commit(self):

@@ -190,17 +190,6 @@ class TestBoundarySchedule:
         assert rule_t.value_at(3600.0) == pytest.approx(12.0)
         assert rule_f.value_at(3600.0) == pytest.approx(0.6)
 
-    def test_missing_sets_are_detected(self):
-        mesh = generate_rectangle_mesh(1.0, 1.0, 2, 2)
-        schedule = BoundarySchedule(
-            theta_rules={"north": BoundaryRule("theta", constant=1.0)})
-        assert schedule.missing_sets(mesh) == ["north"]
-        with pytest.raises(ConfigError, match="north"):
-            schedule.validate(mesh)
-        schedule = BoundarySchedule(
-            theta_rules={"left": BoundaryRule("theta", constant=1.0)})
-        assert schedule.missing_sets(mesh) == []
-
     def test_schedule_from_config_with_climate_file(self, tmp_path):
         (tmp_path / "year.csv").write_text(
             "time_h,temp_C,humidity\n0,10,0.5\n1,12,0.6\n")
@@ -260,7 +249,7 @@ class TestSettings:
         assert not problems
         assert s.dt_hours == 1.0 and s.t_end_hours == 24.0
         assert s.workers == 1 and s.cprime is True and s.seed == 0
-        assert s.format == "csv" and s.partition == "region-aware"
+        assert s.format == "csv"
         assert s.materials_path == str(tmp_path / "m.ini")
 
     def test_every_bad_key_is_reported(self):

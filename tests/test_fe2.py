@@ -14,9 +14,8 @@ import scipy.sparse as sp
 
 from hamfe2 import fem
 from hamfe2.constitutive import LinearMaterial, default_materials
-from hamfe2.fe2 import (FE2Driver, FE2Error, MacroPointRegistry,
-                        build_grid_cell_map, compare_fields,
-                        element_loadings, fe2_solve)
+from hamfe2.fe2 import (FE2Driver, FE2Error, build_grid_cell_map,
+                        compare_fields, element_loadings, fe2_solve)
 from hamfe2.fem import FieldState, dirichlet_map
 from hamfe2.homogenization import CellProblem
 from hamfe2.mesh import (generate_masonry_cell, generate_rectangle_mesh,
@@ -133,8 +132,10 @@ def test_registry_requires_cells_for_all_regions():
     macro = with_phases(generate_rectangle_mesh(1.0, 0.5, 2, 1),
                         ("render", "core"),
                         lambda xc, yc: (xc > 0.5).astype(int))
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    # the check runs before the pool forks its workers
     with pytest.raises(FE2Error, match="core"):
-        MacroPointRegistry(macro, {"render": linear_cell()})
+        FE2Driver(macro, {"render": linear_cell()}, initial, n_workers=2)
 
 
 # ----------------------------------------------------------- stepping
@@ -213,6 +214,30 @@ def test_worker_counts_bit_identical(masonry):
     assert runs[0].history.newton_iterations == runs[1].history.newton_iterations
     assert sorted(runs[1].partition.loads) == [4, 4]
     assert runs[1].rounds and all(r.points in (4, 8) for r in runs[1].rounds)
+
+
+def test_two_regions_bit_identical_over_worker_counts():
+    # two different cells under the contiguous partition; with 2
+    # workers each worker holds points of both regions
+    macro = with_phases(generate_rectangle_mesh(1.2, 0.6, 2, 2),
+                        ("facing", "fill"),
+                        lambda xc, yc: (xc > 0.6).astype(int))
+    mats = default_materials()
+    cells = {"facing": CellProblem(generate_masonry_cell(
+                 0.27, 0.27, 0.03, "running", resolution=2), mats),
+             "fill": CellProblem(generate_masonry_cell(
+                 0.27, 0.27, 0.03, "stack", resolution=2), mats)}
+    sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    runs = [fe2_solve(macro, cells, sched, initial, dt_hours=1.0,
+                      t_end_hours=2.0, n_workers=w) for w in (1, 2, 3)]
+    for run in runs[1:]:
+        for a, b in zip(runs[0].history.states, run.history.states):
+            assert np.array_equal(a.vector(), b.vector())
+        assert (run.history.newton_iterations
+                == runs[0].history.newton_iterations)
+    for a in runs[1].partition.assignments:
+        assert set(macro.phases[list(a)]) == {0, 1}
 
 
 @pytest.mark.parametrize("cprime", [True, False])

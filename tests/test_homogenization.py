@@ -295,3 +295,18 @@ def test_fluctuation_invariants_property(theta, phi, gtx, gty, gfx, gfy, dt):
 # far harsher than any time-continuous drive
 _PROPERTY_CELL = hom.CellProblem(masonry_mesh(), cst.default_materials(),
                                  solver.SolverConfig(max_iterations=80))
+
+
+@pytest.mark.xfail(raises=solver.SolverError, strict=True,
+                   reason="frozen-coefficient Jacobian stalls near 2.1e-6 "
+                          "against a target of 1.6e-10")
+def test_stored_newton_stall_case_converges():
+    """A loading drawn by the property test above on which the cell
+    Newton iteration stalls; a consistent Jacobian must converge here."""
+    dt = 1592.0
+    start = hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=dt)
+    state, _ = hom.initial_response(_PROPERTY_CELL, start)
+    loading = hom.MacroLoading(3.541089200618295, 0.5,
+                               [22.36328125, 34.18359375],
+                               [0.140625, 0.0234375], dt=dt)
+    hom.solve_rve_increment(_PROPERTY_CELL, state, loading)

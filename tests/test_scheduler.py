@@ -84,69 +84,23 @@ def test_partition_rejects_bad_input():
         sched.partition_points([1, 2], n_workers=0)
     with pytest.raises(sched.SchedulerError):
         sched.partition_points([1, 1], n_workers=1)
-    with pytest.raises(sched.SchedulerError):
-        sched.partition_points([1, 2], n_workers=1, policy="random")
-    with pytest.raises(sched.SchedulerError):
-        sched.partition_points([1, 2], regions=["a"], n_workers=1,
-                               policy="region-aware")
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(),
-       n_workers=st.integers(min_value=1, max_value=12),
-       policy=st.sampled_from(sched.POLICIES))
-def test_partition_exact_cover_property(data, n_workers, policy):
-    """Every point lands on exactly one worker for any label pattern."""
+       n_workers=st.integers(min_value=1, max_value=12))
+def test_partition_exact_cover_property(data, n_workers):
+    """Every point lands on exactly one worker for any id set."""
     pids = sorted(data.draw(st.sets(
         st.integers(min_value=0, max_value=10_000),
         min_size=1, max_size=60)))
-    regions = data.draw(st.lists(
-        st.sampled_from("abcd"), min_size=len(pids), max_size=len(pids)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        part = sched.partition_points(pids, regions, n_workers, policy)
+        part = sched.partition_points(pids, n_workers)
     assert part.n_workers == n_workers
     assert part.point_ids() == tuple(pids)
     seen = [p for a in part.assignments for p in a]
     assert len(seen) == len(set(seen))
-
-
-def test_region_aware_balance_on_replayed_labels():
-    """Four uneven regions over 12 workers stay within the documented
-    load spread (max/mean well under 1.7)."""
-    sizes = {"render": 6000, "brick": 4000, "stone": 2500, "joint": 1294}
-    regions = [r for r, s in sizes.items() for _ in range(s)]
-    pids = range(len(regions))
-    part = sched.partition_points(pids, regions, n_workers=12,
-                                  policy="region-aware")
-    assert sum(part.loads) == 13794
-    assert part.balance() <= 1.7
-    # greedy fill to the ceiling of the mean keeps it nearly exact
-    assert part.balance() == pytest.approx(1150 * 12 / 13794)
-
-
-def test_region_aware_groups_regions_together():
-    """Interleaved labels: region-aware gives far fewer (worker, region)
-    incidences than a contiguous split of the same points."""
-    labels = ["a", "b", "c", "d"] * 300
-    pids = list(range(len(labels)))
-
-    def incidences(part):
-        count = 0
-        for a in part.assignments:
-            count += len({labels[p] for p in a})
-        return count
-
-    aware = sched.partition_points(pids, labels, 6, "region-aware")
-    contig = sched.partition_points(pids, labels, 6, "contiguous")
-    assert incidences(aware) <= 4 + 6
-    assert incidences(aware) < incidences(contig)
-
-
-def test_workbatch_rejects_duplicate_ids():
-    lo = rest_loading()
-    with pytest.raises(ValueError):
-        sched.WorkBatch(0, 0, ((1, lo), (1, lo)))
 
 
 # ---------------------------------------------------------- batch evaluation
