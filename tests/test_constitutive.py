@@ -183,6 +183,50 @@ def test_linear_material_constant_everywhere():
     assert c.k_tt.shape == (2,)
 
 
+def test_saturation_pressure_kinks_at_freezing():
+    # continuous at 0 deg C, but the slope jumps between the two branches
+    below, above = -1e-9, 1e-9
+    assert con.saturation_pressure(below) == pytest.approx(611.0, rel=1e-9)
+    assert con.saturation_pressure(above) == pytest.approx(611.0, rel=1e-9)
+    assert con.saturation_pressure_derivative(below) == pytest.approx(50.33, abs=5e-3)
+    assert con.saturation_pressure_derivative(above) == pytest.approx(44.56, abs=5e-3)
+
+
+CONDUCTION = ("k_tt", "k_tf", "k_ft", "k_ff")
+
+
+@pytest.mark.parametrize("name", ["brick", "mortar"])
+def test_conduction_derivatives_match_central_differences(name):
+    # both branches of p_sat, kept clear of the kink at 0 deg C
+    mat = con.default_materials()[name]
+    theta, phi = np.meshgrid([-20.0, -3.0, 3.54, 20.0, 60.0],
+                             [0.1, 0.5, 0.9, 0.99])
+    theta, phi = theta.ravel(), phi.ravel()
+    d_theta, d_phi = mat.conduction_derivatives(theta, phi)
+    base = mat.coefficients(theta, phi)
+    for dof, analytic, h in ((0, d_theta, 1e-4), (1, d_phi, 1e-6)):
+        up = mat.coefficients(theta + h * (dof == 0), phi + h * (dof == 1))
+        down = mat.coefficients(theta - h * (dof == 0), phi - h * (dof == 1))
+        for k, got in zip(CONDUCTION, analytic):
+            fd = (getattr(up, k) - getattr(down, k)) / (2.0 * h)
+            # per unit of the state, relative to the coefficient itself:
+            # the theta derivative of k_ff is small against its liquid
+            # part, so its difference loses digits to k_ff's size
+            err = np.abs(got - fd)
+            assert np.all(err <= 1e-8 * np.abs(getattr(base, k))
+                          + 1e-6 * np.abs(fd)), (name, dof, k)
+    assert np.all(d_phi[1] == 0.0)
+
+
+def test_linear_material_has_no_conduction_derivatives():
+    mat = con.LinearMaterial("unit", k_tt=0.5, k_ff=0.2, c_tt=1.0e6,
+                             c_ff=40.0, k_tf=0.01)
+    d_theta, d_phi = mat.conduction_derivatives(np.array([1.0, 2.0]),
+                                                np.array([0.3, 0.4]))
+    for d in (*d_theta, *d_phi):
+        assert d.shape == (2,) and np.all(d == 0.0)
+
+
 # -------------------------------------------------- property invariants
 
 feasible = st.tuples(

@@ -430,6 +430,112 @@ def test_rve_increment_matches_dense_congruence(resolution, monkeypatch):
         assert close(got, ref, 1e-6), group
 
 
+def forward_difference_tangent(cell, state, loading, base, h=1e-6):
+    """Tangent blocks from six perturbed reruns of the same increment.
+
+    The parent code's effective_tangent, without its h/10 retry:
+    forward differences of the averaged answer over unit perturbations
+    of each macro gradient component and value, scaled by h. Reference
+    for the consistent linearization.
+    """
+
+    def differences(**changes):
+        r = hom.solve_rve_increment(cell, state, replace(loading, **changes))[1]
+        d = np.array([r.q_heat - base.q_heat, r.q_moist - base.q_moist,
+                      r.m_t - base.m_t, r.m_f - base.m_f]) / h
+        return d, r
+
+    k = np.empty((2, 2, 2, 2))
+    mg = np.empty((2, 2, 2, 2))
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = h
+        for g, name in enumerate(("grad_theta", "grad_phi")):
+            d, _ = differences(**{name: getattr(loading, name) + e})
+            k[:, g, :, j] = -d[:2]
+            mg[:, g, :, j] = d[2:]
+    b = np.empty((2, 2, 2))
+    mv = np.empty((2, 2, 2))
+    d, r = differences(theta=loading.theta + h)
+    c_t = (r.s_t - base.s_t) * loading.dt / h
+    b[:, :, 0], mv[:, :, 0] = d[:2], d[2:]
+    d, r = differences(phi=loading.phi + h)
+    c_f = (r.s_f - base.s_f) * loading.dt / h
+    b[:, :, 1], mv[:, :, 1] = d[:2], d[2:]
+    return hom.TangentBlocks(k[0, 0], k[0, 1], k[1, 0], k[1, 1], c_t, c_f,
+                             b[0], b[1], mg[0, 0], mg[0, 1], mg[1, 0],
+                             mg[1, 1], mv[0], mv[1])
+
+
+def running_increment(resolution, theta):
+    """A running-bond cell after one increment at LOADING moved to theta,
+    and the harsher loading of its next increment."""
+    cell = running_cell(resolution)
+    first = replace(LOADING, theta=theta)
+    state, _ = hom.solve_rve_increment(cell, cell.initial_state(first), first)
+    loading = replace(first, theta=theta + 1.0, phi=0.62,
+                      grad_theta=(30.0, -20.0))
+    return cell, state, loading
+
+
+@pytest.mark.parametrize("theta", [12.0, -10.0], ids=["above-0C", "below-0C"])
+@pytest.mark.parametrize("resolution", [2, 4])
+def test_consistent_tangent_matches_forward_differences(resolution, theta):
+    cell, state, loading = running_increment(resolution, theta)
+    new_state, response = hom.solve_rve_increment(cell, state, loading,
+                                                   want_tangents=True)
+    # every state of the increment lies on one branch of p_sat
+    n = cell.n_nodes
+    for s in (state, new_state):
+        assert np.all(np.sign(cell.total_vector(s)[:n]) == np.sign(theta))
+    oracle = forward_difference_tangent(cell, state, loading,
+                                        replace(response, tangent=None))
+    for group in TANGENT_GROUPS:
+        got = np.concatenate([np.ravel(getattr(response.tangent, name))
+                              for name in group])
+        ref = np.concatenate([np.ravel(getattr(oracle, name))
+                              for name in group])
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max(), group
+
+
+def test_consistent_jacobian_taylor_remainder():
+    # J v against central differences of the Crank-Nicolson residual
+    # C(u) (u - u_n)/dt + K(u) u/2 at a state with a nonzero rate
+    cell, state, loading = running_increment(2, 12.0)
+    mesh, materials, dt = cell.mesh, cell.materials, loading.dt
+    u_n = cell.total_vector(state)
+    new_state, _ = hom.solve_rve_increment(cell, state, loading)
+    u = cell.total_vector(new_state)
+    rate = (u - u_n) / dt
+    assert np.abs(rate).max() > 0.0
+
+    def residual(x):
+        sysm = fem.assemble_system(mesh, fem.FieldState.from_vector(x),
+                                   materials)
+        return sysm.storage_diagonal() * (x - u_n) / dt + 0.5 * (sysm.K @ x)
+
+    fields = fem.FieldState.from_vector(u)
+    sysm = fem.assemble_system(mesh, fields, materials)
+    S = fem.state_jacobian(mesh, u, rate,
+                           fem.coefficient_derivatives(mesh, fields, materials))
+    J = S.copy()
+    J.data += 0.5 * sysm.K.data
+    J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
+    n = cell.n_nodes
+    rng = np.random.default_rng(0)
+    v = np.concatenate([rng.standard_normal(n), 0.01 * rng.standard_normal(n)])
+    Jv, Sv = J @ v, S @ v
+    errors = []
+    for eps in (4e-2, 2e-2):
+        fd = (residual(u + eps * v) - residual(u - eps * v)) / (2.0 * eps)
+        errors.append(np.linalg.norm(Jv - fd))
+    assert errors[0] <= 1e-6 * np.linalg.norm(Jv)
+    # the state terms are a few 1e-4 of J v at this dt; they alone must
+    # carry what the frozen matrix misses
+    assert errors[0] <= 1e-3 * np.linalg.norm(Sv)
+    assert 3.5 < errors[0] / errors[1] < 4.5
+
+
 def test_periodic_reduce_matrix_stays_sparse():
     cell = running_cell(4)
     state = fem.FieldState.uniform(cell.n_nodes, 20.0, 0.5)

@@ -297,16 +297,55 @@ _PROPERTY_CELL = hom.CellProblem(masonry_mesh(), cst.default_materials(),
                                  solver.SolverConfig(max_iterations=80))
 
 
+STALL_DT = 1592.0
+STALL_LOADING = hom.MacroLoading(3.541089200618295, 0.5,
+                                 [22.36328125, 34.18359375],
+                                 [0.140625, 0.0234375], dt=STALL_DT)
+
+
+def solve_stall_case():
+    start = hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=STALL_DT)
+    state, _ = hom.initial_response(_PROPERTY_CELL, start)
+    return hom.solve_rve_increment(_PROPERTY_CELL, state, STALL_LOADING)
+
+
 @pytest.mark.xfail(raises=solver.SolverError, strict=True,
-                   reason="frozen-coefficient Jacobian stalls near 2.1e-6 "
-                          "against a target of 1.6e-10")
+                   reason="the two-branch p_sat fit kinks at 0 deg C (slope "
+                          "50.33 Pa/K below, 44.56 above), so k_tt and k_ft "
+                          "jump inside this cell; Newton alternates near "
+                          "2.1e-6 against a target of 1.6e-10")
 def test_stored_newton_stall_case_converges():
     """A loading drawn by the property test above on which the cell
-    Newton iteration stalls; a consistent Jacobian must converge here."""
-    dt = 1592.0
-    start = hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=dt)
-    state, _ = hom.initial_response(_PROPERTY_CELL, start)
-    loading = hom.MacroLoading(3.541089200618295, 0.5,
-                               [22.36328125, 34.18359375],
-                               [0.140625, 0.0234375], dt=dt)
-    hom.solve_rve_increment(_PROPERTY_CELL, state, loading)
+    Newton iteration stalls. Its affine temperature spans -4.94 to
+    12.02 deg C, across the kink of the saturation pressure fit at the
+    freezing point; a consistent Jacobian does not remove the stall."""
+    solve_stall_case()
+
+
+def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
+    # the same loading with the over-water branch of p_sat on both sides
+    # of 0 deg C: smooth coefficients, and Newton converges
+    a, t0 = 17.08, 234.18
+
+    def psat(theta):
+        return 611.0 * np.exp(a * theta / (t0 + theta))
+
+    def dpsat(theta):
+        return psat(theta) * a * t0 / (t0 + theta) ** 2
+
+    monkeypatch.setattr(cst, "saturation_pressure", psat)
+    monkeypatch.setattr(cst, "saturation_pressure_derivative", dpsat)
+    n = _PROPERTY_CELL.n_nodes
+    theta = _PROPERTY_CELL.affine_vector(STALL_LOADING)[:n]
+    assert theta.min() < 0.0 < theta.max()
+    traces = []
+    real_newton = solver.newton_solve
+
+    def counted(*args, **kwargs):
+        z, trace = real_newton(*args, **kwargs)
+        traces.append(trace)
+        return z, trace
+
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    solve_stall_case()
+    assert len(traces) == 1 and len(traces[0]) - 1 <= 8

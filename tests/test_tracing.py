@@ -28,3 +28,56 @@ def test_tracer_finds_every_traced_name(tmp_path):
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == []
+
+
+def test_tangent_factorizes_once_outside_newton(tmp_path):
+    # one cell increment with tangents under the tracer: the tangent span
+    # holds exactly one factorization (spsolve, wrapped here as well) and
+    # no Newton solve, so the benchmark's solver.factor_* metrics count
+    # only Newton iterations and tangent_s carries the tangent's own cost
+    script = textwrap.dedent(f"""
+        import json, sys
+        sys.path.insert(0, {os.path.join(ROOT, "perfbench")!r})
+        import scipy.sparse.linalg as spla
+        from tracing import Tracer
+        tracer = Tracer({str(tmp_path)!r})
+        assert tracer.install() == []
+        spla.spsolve = tracer.wrapper("test.spsolve", spla.spsolve)
+        from hamfe2 import constitutive, homogenization as hom, mesh
+        cell = hom.CellProblem(
+            mesh.generate_masonry_cell(0.29, 0.14, 0.01, resolution=2),
+            constitutive.default_materials())
+        loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
+                                   dt=3600.0)
+        tracer.enabled = True
+        hom.solve_rve_increment(cell, cell.initial_state(loading), loading,
+                                want_tangents=True)
+        tracer.enabled = False
+        print(json.dumps(tracer.record()["spans"]))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    spans = json.loads(out.stdout.strip().splitlines()[-1])
+    parent = {sid: pid for sid, pid, _, _, _ in spans}
+    tangents = [sid for sid, _, name, _, _ in spans
+                if name == "homogenization.effective_tangent"]
+    assert len(tangents) == 1
+
+    def inside(sid):
+        while sid != -1:
+            sid = parent[sid]
+            if sid == tangents[0]:
+                return True
+        return False
+
+    nested = [name for sid, _, name, _, _ in spans if inside(sid)]
+    assert nested.count("test.spsolve") == 1
+    assert "solver.splu" not in nested
+    assert "solver.newton_solve" not in nested
+    names = [name for _, _, name, _, _ in spans]
+    assert names.count("solver.newton_solve") == 1
+    assert names.count("solver.splu") >= 1
