@@ -403,9 +403,10 @@ class ConstraintMap:
         m, G = self.row_dofs.size, self.border
         weights = np.ones(m) if weights is None else weights
         # a constraint row's scale leaves the solution unchanged. Far
-        # below every diagonal entry, threshold pivoting never takes it
-        # as an early pivot, which would spread its full row through the
-        # factors
+        # below every diagonal entry, it never decides a pivot: the
+        # factorization (solver.factorize) keeps a diagonal pivot above
+        # 1 % of its column's largest entry, and a constraint row taken
+        # as an early pivot would spread its full row through the factors
         diag = np.abs(A.diagonal()[self.row_dofs] * weights)
         tiny = 2.0 ** -30 * diag.min(initial=np.inf)
         r, c = self.rows[A.tocoo().row], self.rows[A.indices]
@@ -432,12 +433,6 @@ class ConstraintMap:
 
     def initial_reduced(self, u):
         return (u - self.g)[self.free_index]
-
-    def reduce_system(self, A, b):
-        """Bordered system of A u = b; its solution at z_rows is z."""
-        rhs = np.zeros(self.size)
-        rhs[self.z_rows] = self.reduce_vector(b - A @ self.g)
-        return self.reduce_matrix(A), rhs
 
     def newton_system(self, J, C):
         """Storage-scaled Newton matrix of J and the matching residual map.

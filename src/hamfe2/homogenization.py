@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .fem import FieldState, assemble_system, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
-from .solver import SolverConfig, SolverError, _assemble, crank_nicolson_step
+from .solver import (SolverConfig, SolverError, _assemble, crank_nicolson_step,
+                     factorize)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,10 @@ def effective_tangent(cell: CellProblem, state: MesoState,
     rhs = np.zeros((matrix.shape[0], 6))
     rhs[cmap.z_rows] = -np.column_stack([scaled(col) for col in (J @ dg).T])
     # one SuperLU factorization serves the six right-hand sides; spsolve
-    # rather than splu, whose calls perfbench counts as Newton iterations
+    # rather than splu, whose calls perfbench counts as Newton iterations.
+    # spsolve takes no pivot threshold, so this system keeps its default
+    # COLAMD ordering: minimum degree on A + A' at threshold 1.0 would
+    # pivot off the diagonal and fill far more
     dz = spla.spsolve(matrix.tocsc(), rhs)[cmap.z_rows]
     if not np.all(np.isfinite(dz)):
         raise SolverError("singular cell tangent system")
@@ -298,16 +302,18 @@ def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
     w = ws.areas / ws.areas.sum()
     blocks = {name: np.zeros((2, 2)) for name in ("k_tt", "k_tf", "k_ft", "k_ff")}
     zero = np.zeros(2)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = 1.0
-        for field, (g_t, g_f) in (("t", (e, zero)), ("f", (zero, e))):
-            cmap = red.map_for(0.0, 0.0, g_t, g_f)
-            A_red, b_red = cmap.reduce_system(K, np.zeros(2 * n))
-            y = spla.splu(A_red.tocsc()).solve(b_red)
-            u = cmap.expand(y[cmap.z_rows])
-            # block column = <k grad u> per unit macroscopic gradient,
-            # so that the physical flux is q = -K_eff g
-            blocks["k_t" + field][:, j], blocks["k_f" + field][:, j] = \
-                _mean_conduction(ws, coeff, w, u)
+    cases = [(field, j, red.map_for(0.0, 0.0, g_t, g_f))
+             for j, e in enumerate(np.eye(2))
+             for field, (g_t, g_f) in (("t", (e, zero)), ("f", (zero, e)))]
+    # the bordered matrix depends on the periodic pattern only, not on
+    # the loading's g: one factorization serves the four loadings
+    lu = factorize(cases[0][2].reduce_matrix(K))
+    for field, j, cmap in cases:
+        rhs = np.zeros(cmap.size)
+        rhs[cmap.z_rows] = -cmap.reduce_vector(K @ cmap.g)
+        u = cmap.expand(lu.solve(rhs)[cmap.z_rows])
+        # block column = <k grad u> per unit macroscopic gradient,
+        # so that the physical flux is q = -K_eff g
+        blocks["k_t" + field][:, j], blocks["k_f" + field][:, j] = \
+            _mean_conduction(ws, coeff, w, u)
     return TangentBlocks(**blocks)

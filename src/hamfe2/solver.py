@@ -9,6 +9,18 @@ with the storage diagonal evaluated at the step's current iterate and a
 frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2. Linear
 systems use a direct sparse factorization; everything is deterministic
 for a fixed input, there is no iterative solver noise.
+
+Every Newton system, fine, cell or macro, is factored by `factorize`.
+Its matrices have a symmetric pattern, so SuperLU orders them by
+minimum degree on A + A' and keeps a diagonal pivot whenever it holds
+at least 1 % of its column's largest entry. On an 8 x 8-cell wall with
+four elements across each joint, the smallest ratio |a_jj| / max_i
+|a_ij| of a Newton matrix is 0.065: every pivot stays on the diagonal,
+and the factors hold 2.6 M entries against 5.5 M with SuperLU's default
+COLAMD ordering. The ordering and the threshold only work together: at
+a threshold of 0.1 that wall already pivots off the diagonal, and its
+factors hold 50.8 M entries; at 0, a near-zero diagonal entry would
+stay the pivot with no fallback to partial pivoting.
 """
 
 from __future__ import annotations
@@ -42,6 +54,14 @@ class SolverError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = list(trace) if trace is not None else []
+
+
+def factorize(A):
+    """SuperLU factors of the square sparse A in the ordering above."""
+    # called through the module attribute, so a profiler that rebinds
+    # spla.splu sees every factorization
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01)
 
 
 def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
@@ -78,7 +98,7 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
         return z, trace
     for _ in range(config.max_iterations):
         try:
-            lu = spla.splu(sp.csc_matrix(jac))
+            lu = factorize(jac)
             rhs = np.zeros(jac.shape[0])
             rhs[rows] = -r
             dz = lu.solve(rhs)[rows]

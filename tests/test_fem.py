@@ -101,13 +101,20 @@ def without_zeros(A):
     return A
 
 
+def reduce_system(cmap, A, b):
+    """Bordered system of A u = b; its solution at cmap.z_rows is z."""
+    rhs = np.zeros(cmap.size)
+    rhs[cmap.z_rows] = cmap.reduce_vector(b - A @ cmap.g)
+    return cmap.reduce_matrix(A), rhs
+
+
 def apply_dirichlet(system, values):
     """Reduced steady operator (A_red, b_red, cmap) for K u = f.
 
     values maps full field-major dof indices to prescribed values.
     """
     cmap = fem.dirichlet_map(2 * system.n_nodes, values)
-    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
+    A_red, b_red = reduce_system(cmap, system.stiffness(), system.f)
     return A_red, b_red, cmap
 
 
@@ -121,7 +128,7 @@ def apply_periodic_constraints(system, mesh, pairing, grad_theta, grad_phi,
     """
     red = fem.PeriodicReduction(mesh, pairing)
     cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
-    A_red, b_red = cmap.reduce_system(system.stiffness(), system.f)
+    A_red, b_red = reduce_system(cmap, system.stiffness(), system.f)
     return A_red, b_red, cmap
 
 

@@ -5,14 +5,18 @@ frozen into FROZEN; the solver must reproduce them through its own code
 path.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamfe2 import constitutive, fem, solver
+from hamfe2 import homogenization as hom
 from hamfe2 import mesh as meshmod
 
 
@@ -126,6 +130,78 @@ def test_newton_singular_bordered_system_raises_solver_error():
                             solver.SolverConfig(), rows=np.array([0, 1]))
     assert "linear solve failed" in str(err.value)
     assert err.value.trace == [pytest.approx(np.sqrt(5.0))]
+
+
+def first_newton_system(monkeypatch, run):
+    """(cmap, matrix) of the first Newton system that run() factors."""
+    seen = []
+    bordered = fem.ConstraintMap.newton_system
+
+    def spy(cmap, J, C):
+        matrix, scaled = bordered(cmap, J, C)
+        seen.append((cmap, matrix))
+        return matrix, scaled
+
+    monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
+    run()
+    return seen[0]
+
+
+def wall_step():
+    # one step of a 4 x 4-cell running-bond wall, four elements across
+    # each joint, cooled and wetted on its left face
+    m = meshmod.generate_masonry_wall(0.29, 0.14, 0.01, 4, 4, "running", 4)
+    left = np.unique(m.boundary["left"])
+    cmap = fem.dirichlet_map(2 * m.n_nodes,
+                             {**{i: 5.0 for i in left},
+                              **{m.n_nodes + i: 0.8 for i in left}})
+    u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
+    assembler = partial(solver._assemble, m, constitutive.default_materials())
+    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
+                               solver.SolverConfig())
+
+
+def cell_increment():
+    # one increment of a bordered periodic running-bond cell
+    cell = hom.CellProblem(
+        meshmod.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
+                                      resolution=4),
+        constitutive.default_materials())
+    loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
+                               dt=3600.0)
+    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
+
+
+# L + U entries of the first Newton matrix: factorize gives 501,032 on
+# the wall and 26,902 on the cell; the same ordering at threshold 1.0
+# gives 5,261,333 and 46,547; COLAMD at threshold 0.01 gives 919,040
+# and 43,252; splu's defaults give 992,335 and 45,571
+@pytest.mark.parametrize("run, bound", [(wall_step, 550_000),
+                                        (cell_increment, 30_000)],
+                         ids=["wall", "cell"])
+def test_factorize_fill_is_bounded_and_solves(run, bound, monkeypatch):
+    cmap, A = first_newton_system(monkeypatch, run)
+    lu = solver.factorize(A)
+    assert lu.L.nnz + lu.U.nnz <= bound
+    # as in Newton, the right-hand side is zero on anchor and border rows
+    b = np.zeros(A.shape[0])
+    b[cmap.z_rows] = np.random.default_rng(0).normal(size=cmap.z_rows.size)
+    x = lu.solve(b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factorize_does_not_keep_a_tiny_diagonal_pivot():
+    # the ordering eliminates the lowest-degree node 0 first; at
+    # threshold 0 its 1e-20 diagonal stays the pivot and x[0] is lost
+    A = sp.csr_matrix([[1e-20, 1.0, 0.0],
+                       [1.0, 1.0, 1.0],
+                       [0.0, 1.0, 3.0]])
+    b = A @ np.ones(3)
+    x = solver.factorize(A).solve(b)
+    assert np.abs(x - 1.0).max() <= 1e-15
+    at_zero = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0).solve(b)
+    assert abs(at_zero[0] - 1.0) > 0.5
 
 
 def test_cn_temporal_order_two():
