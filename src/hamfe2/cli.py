@@ -233,8 +233,7 @@ def _cmd_solve_rve(config: ScenarioConfig):
     state = cell.initial_state(loading)
     rows = []
     for k in range(steps):
-        state, response = solve_rve_increment(cell, state, loading,
-                                              solver_cfg)
+        state, response = solve_rve_increment(cell, state, loading)
         rows.append(((k + 1) * dt_hours, response))
     outdir = _outdir(settings)
     path = os.path.join(outdir, "response.csv")
@@ -353,7 +352,7 @@ def run_scenario(config, subcommand, overrides=None) -> int:
             print(f"  {problem}", file=sys.stderr)
         return 1
     except (SolverError, SchedulerError, FE2Error, MeshError,
-            ValueError) as exc:
+            ValueError, OSError) as exc:
         print(f"{subcommand} failed: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,11 @@ moments. The macro residual uses
 
 Cell tangents are refreshed on the first Newton iteration of each step
 and reused within it; they only precondition the iteration and set the
-effective capacities. Cell states commit when the macro step is
-accepted, so a rejected or retried step never pollutes the meso memory.
+effective capacities. The macro Jacobian is the chain rule through each
+point's tangent arrays over its cell's loading p = (Theta, Phi,
+grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y). Cell states commit
+when the macro step is accepted, so a rejected or retried step never
+pollutes the meso memory.
 """
 
 from __future__ import annotations
@@ -49,17 +52,20 @@ def element_loadings(mesh: Mesh, u, dt):
             for e in range(mesh.n_triangles)}
 
 
-def _tensor_stiffness(ws, tensors):
-    """Two-field csr matrix; block (a, b) has entries
-    sum_e A_e grad N_i . (T_e grad N_j) for T = tensors[a][b], (M, 2, 2)."""
+def _tensor_stiffness(ws, g):
+    """Two-field csr matrix of the gradient columns of g, the (M, 2, 2, 6)
+    per-point tangent arrays over p; block (a, b) has entries
+    sum_e A_e grad N_i . (T_e grad N_j) for T_e = g[e, a, :, 2+2b:4+2b]."""
     return ws.csr_scatter(
-        [[np.einsum("mid,mde,mje,m->mij", ws.grads, t, ws.grads, ws.areas)
-          for t in row] for row in tensors])
+        [[np.einsum("mid,mde,mje,m->mij", ws.grads,
+                    g[:, a, :, 2 + 2 * b:4 + 2 * b], ws.grads, ws.areas)
+          for b in (0, 1)] for a in (0, 1)])
 
 
-def _value_coupling(ws, vecs):
-    """Two-field csr matrix; block (a, b) has entries
-    sum_e A_e (grad N_i . v_e) / 3 for v = vecs[a][b], (M, 2).
+def _value_coupling(ws, g):
+    """Two-field csr matrix of the value columns of g, the (M, 2, 2, 6)
+    per-point tangent arrays over p; block (a, b) has entries
+    sum_e A_e (grad N_i . v_e) / 3 for v_e = g[e, a, :, b].
 
     Jacobian of flux terms driven by the element mean value; the column
     weight 1/3 is the derivative of the mean with respect to each nodal
@@ -68,8 +74,9 @@ def _value_coupling(ws, vecs):
     m = len(ws.areas)
     return ws.csr_scatter(
         [[np.broadcast_to(
-            (np.einsum("mid,md,m->mi", ws.grads, v, ws.areas) / 3.0)[:, :, None],
-            (m, 3, 3)) for v in row] for row in vecs])
+            (np.einsum("mid,md,m->mi", ws.grads, g[:, a, :, b],
+                       ws.areas) / 3.0)[:, :, None],
+            (m, 3, 3)) for b in (0, 1)] for a in (0, 1)])
 
 
 @dataclass
@@ -143,30 +150,23 @@ class FE2Driver:
 
         def refresh_tangents(responses):
             tan = {e: responses[e].tangent for e in pids}
-
-            def conduction(prefix):
-                return _tensor_stiffness(ws, [[stacked(tan, prefix + a + b)
-                                               for b in "tf"] for a in "tf"])
-
-            def value_coupling(prefix):
-                return _value_coupling(ws, [[stacked(tan, prefix + a)[:, :, j]
-                                             for j in (0, 1)] for a in "tf"])
-
-            C = np.concatenate([ws.lumped(stacked(tan, "c_t")),
-                                ws.lumped(stacked(tan, "c_f"))])
+            kg, c = stacked(tan, "kg"), stacked(tan, "c")
+            C = np.concatenate([ws.lumped(c[:, 0]), ws.lumped(c[:, 1])])
             # every term lies on the mesh's two-field skeleton, so the
             # terms add on their .data arrays
-            J = 0.5 * conduction("k_")
+            J = 0.5 * _tensor_stiffness(ws, kg)
             J.setdiag(J.diagonal() + C / dt)
             # mean-flux sensitivity to the macro values; without it the
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate
-            J.data -= 0.5 * value_coupling("b_").data
+            J.data += 0.5 * _value_coupling(ws, kg).data
             if self.cprime:
                 # storage moments respond mostly to gradient rates, at
                 # capacity <x~ x~> / dt scale; these blocks dominate the
                 # conductive ones for hour-long steps
-                J.data += conduction("mg_").data + value_coupling("mv_").data
+                mg = stacked(tan, "mg")
+                J.data += (_tensor_stiffness(ws, mg).data
+                           + _value_coupling(ws, mg).data)
             # the frozen Jacobian is reduced and scaled once per step
             cache["C"] = C
             cache["matrix"], cache["scaled"] = cmap.newton_system(J, C)

@@ -261,14 +261,8 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
     """
     if state.n_nodes != mesh.n_nodes:
         raise FemError("state length does not match the mesh")
-    ws = workspace(mesh)
-    coeff = evaluate_coefficients(mesh, state, materials)
-    n = mesh.n_nodes
-    K = ws.csr_scatter([[k[:, None, None] * ws.pattern for k in row]
-                        for row in ((coeff.k_tt, coeff.k_tf),
-                                    (coeff.k_ft, coeff.k_ff))])
-
-    f = np.zeros(2 * n)
+    sysm = coupled_system(mesh, evaluate_coefficients(mesh, state, materials))
+    n, f = mesh.n_nodes, sysm.f
     if neumann:
         for (fld, set_name), flux in neumann.items():
             if set_name not in mesh.boundary:
@@ -278,7 +272,19 @@ def assemble_system(mesh: Mesh, state: FieldState, materials,
                 half = 0.5 * float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a]))) * flux
                 f[off + a] += half
                 f[off + b] += half
+    return sysm
 
+
+def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
+    """Conductivity and lumped storage of given per-element coefficients,
+    with zero external fluxes."""
+    ws = workspace(mesh)
+    K = ws.csr_scatter([[k[:, None, None] * ws.pattern for k in row]
+                        for row in ((coeff.k_tt, coeff.k_tf),
+                                    (coeff.k_ft, coeff.k_ff))])
+    # f before the lumped diagonals: on a large wall this allocation
+    # order keeps the peak memory of the later factorization lower
+    f = np.zeros(2 * mesh.n_nodes)
     return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f)
 
 

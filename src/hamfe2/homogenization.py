@@ -10,8 +10,9 @@ with periodic fluctuations theta~ constrained to zero weighted mean, and
 advances them by one Crank-Nicolson step. Volume averaging of the
 converged state returns the homogenized fluxes, storage rates and first
 moments. One consistent linearization of the converged cell equations
-yields the sensitivities of those averages to the macro values and
-gradients: the effective conductivity blocks and storage coefficients.
+yields the sensitivities of those averages to the loading
+p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
+the effective conductivity blocks and storage coefficients.
 
 Fluxes follow the physical sign convention q = -k grad u, and the
 effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .fem import FieldState, assemble_system, evaluate_coefficients, workspace
+from .fem import FieldState, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
 from .solver import (SolverConfig, SolverError, _assemble, crank_nicolson_step,
                      factorize)
@@ -67,26 +68,21 @@ class MesoState:
 
 @dataclass(frozen=True)
 class TangentBlocks:
-    k_tt: np.ndarray         # (2, 2) W/(m K)
-    k_tf: np.ndarray
-    k_ft: np.ndarray
-    k_ff: np.ndarray
-    c_t: float = None        # J/(m^3 K)
-    c_f: float = None        # kg/m^3 per unit humidity
-    # mean-flux sensitivities to the macroscopic values, columns
-    # (Theta, Phi); zero for linear materials, but the saturation
-    # pressure makes them sizeable for real ones
-    b_t: np.ndarray = None   # (2, 2) d q_heat / d(Theta, Phi)
-    b_f: np.ndarray = None   # (2, 2) d q_moist / d(Theta, Phi)
-    # storage-moment sensitivities: mg_xy = d m_x / d grad_y (2, 2),
-    # mv_x = d m_x / d(Theta, Phi) (2, 2). For one step these scale
-    # like capacity <x~ (x) x~> / dt and dwarf the conductive blocks
-    mg_tt: np.ndarray = None
-    mg_tf: np.ndarray = None
-    mg_ft: np.ndarray = None
-    mg_ff: np.ndarray = None
-    mv_t: np.ndarray = None
-    mv_f: np.ndarray = None
+    """Sensitivities of one cell's averages to its loading.
+
+    Axes: heat (a = 0) or moisture (a = 1) row, x or y component, and
+    p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y).
+    kg[a] = d <k grad u>_a / dp holds the effective conductivity blocks
+    K_ab = kg[a][:, 2+2b:4+2b], q_a = -(K_a0 grad_Theta + K_a1 grad_Phi),
+    and the mean-flux sensitivity -kg[a][:, :2] to the values, sizeable
+    through the saturation pressure. mg[a] = d m_a / dp, the
+    storage-moment sensitivities, of capacity <x~ (x) x~> / dt scale.
+    c = (c_t, c_f) = dt d s_a / d value_a, the effective capacities.
+    """
+
+    kg: np.ndarray           # (2, 2, 6) W/(m K) in the grad_Theta columns
+    mg: np.ndarray = None    # (2, 2, 6)
+    c: np.ndarray = None     # (2,)
 
 
 @dataclass(frozen=True)
@@ -146,15 +142,15 @@ def _mean_conduction(ws, coeff, w, u):
                       w @ (coeff.k_ft * gt[:, 1] + coeff.k_ff * gf[:, 1])]))
 
 
-def average_fields(cell: CellProblem, u_new, u_old, dt) -> EffectiveResponse:
+def average_fields(cell: CellProblem, coeff, u_new, u_old,
+                   dt) -> EffectiveResponse:
     """Volume averages of flux, storage rate and storage moment.
 
-    dt = None averages a static state: fluxes only, zero rates.
+    coeff holds the coefficients at u_new. dt = None averages a static
+    state: fluxes only, zero rates.
     """
     ws = workspace(cell.mesh)
     n = cell.n_nodes
-    state = FieldState.from_vector(u_new)
-    coeff = evaluate_coefficients(cell.mesh, state, cell.materials)
     w = ws.areas / cell.area
     kg_heat, kg_moist = _mean_conduction(ws, coeff, w, u_new)
     q_heat, q_moist = -kg_heat, -kg_moist
@@ -178,17 +174,17 @@ def initial_response(cell: CellProblem, loading: MacroLoading):
     """Zero-rate response of the fresh affine state, no solve involved."""
     state = cell.initial_state(loading)
     u0 = cell.total_vector(state)
-    return state, average_fields(cell, u0, u0, None)
+    coeff = evaluate_coefficients(cell.mesh, FieldState.from_vector(u0),
+                                  cell.materials)
+    return state, average_fields(cell, coeff, u0, u0, None)
 
 
 def solve_rve_increment(cell: CellProblem, state: MesoState,
-                        loading: MacroLoading, config: SolverConfig = None,
-                        want_tangents=False):
+                        loading: MacroLoading, want_tangents=False):
     """Advance the cell by loading.dt and average the converged state.
 
     Returns (new state, response).
     """
-    cfg = config or cell.config
     u_n = cell.total_vector(state)
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
@@ -198,49 +194,48 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     # window for large macro steps
     z0 = state.fluct[cell.reduction.free_index]
     u_new, _, _ = crank_nicolson_step(cell._assembler, u_n, state.time,
-                                      loading.dt, cmap, cfg, z0=z0)
+                                      loading.dt, cmap, cell.config, z0=z0)
     new_state = MesoState(u_new - cell.affine_vector(loading), loading,
                           state.time + loading.dt)
-    response = average_fields(cell, u_new, u_n, loading.dt)
+    # the converged state is evaluated once, for the averages and the tangent
+    coeff = evaluate_coefficients(cell.mesh, FieldState.from_vector(u_new),
+                                  cell.materials)
+    response = average_fields(cell, coeff, u_new, u_n, loading.dt)
     if want_tangents:
-        tangent = effective_tangent(cell, state, loading, u_new)
+        tangent = effective_tangent(cell, cmap, coeff, u_new, u_n, loading.dt)
         response = replace(response, tangent=tangent)
     return new_state, response
 
 
-def effective_tangent(cell: CellProblem, state: MesoState,
-                      loading: MacroLoading, u_new) -> TangentBlocks:
+def effective_tangent(cell: CellProblem, cmap, coeff, u_new, u_old,
+                      dt) -> TangentBlocks:
     """Sensitivities of the averaged increment answer at the converged u_new.
 
-    The converged fluctuation solves T'R(T z + g(p)) = 0 for the loading
-    p = (Theta, Phi, grad_Theta, grad_Phi), with the old state fixed.
-    Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
-    consistent Jacobian K/2 + C/dt + fem.state_jacobian of the
-    Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
-    factorization of its bordered system serves all six directions,
-    du/dp = T dz/dp + dg/dp, and the averages of average_fields are
-    differentiated along them in closed form. Besides the conductivity
-    blocks and storage coefficients this gives the mean-flux value
-    sensitivities b_t, b_f and the storage-moment sensitivities mg_*,
-    mv_*.
+    The converged fluctuation solves T'R(T z + g(p)) = 0 under the
+    constraint map cmap of the loading p = (Theta, Phi, grad_Theta_x,
+    grad_Theta_y, grad_Phi_x, grad_Phi_y), with the old state u_old
+    fixed; coeff holds the coefficients at u_new. Differentiating once
+    gives T'J (T dz/dp + dg/dp) = 0, where J is the consistent Jacobian
+    K/2 + C/dt + fem.state_jacobian of the Crank-Nicolson residual at
+    u_new, not the frozen Newton matrix. One factorization of its
+    bordered system serves all six directions, du/dp = T dz/dp + dg/dp,
+    and the averages of average_fields are differentiated along them in
+    closed form. The columns of every returned array follow p.
     """
-    mesh, n, dt = cell.mesh, cell.n_nodes, loading.dt
+    mesh, n = cell.mesh, cell.n_nodes
     ws = workspace(mesh)
     tris = mesh.triangles
-    rate = (u_new - cell.total_vector(state)) / dt
-    fields = FieldState.from_vector(u_new)
-    sysm = assemble_system(mesh, fields, cell.materials)
-    coeff = evaluate_coefficients(mesh, fields, cell.materials)
-    dk, dc = fem.coefficient_derivatives(mesh, fields, cell.materials)
+    rate = (u_new - u_old) / dt
+    dk, dc = fem.coefficient_derivatives(mesh, FieldState.from_vector(u_new),
+                                         cell.materials)
+    sysm = fem.coupled_system(mesh, coeff)
     C = sysm.storage_diagonal()
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     # both matrices lie on the mesh's two-field skeleton
     J.data += 0.5 * sysm.K.data
     J.setdiag(J.diagonal() + C / dt)
-    cmap = cell.reduction.map_for(loading.theta, loading.phi,
-                                  loading.grad_theta, loading.grad_phi)
     matrix, scaled = cmap.newton_system(J, C)
-    # dg/dp, columns (Theta, Phi, grad_Theta, grad_Phi); g is linear in p
+    # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))
     dg[:n, 0] = dg[n:, 1] = 1.0
     dg[:n, 2:4] = dg[n:, 4:6] = mesh.nodes - cell.reduction.x0
@@ -276,44 +271,36 @@ def effective_tangent(cell: CellProblem, state: MesoState,
         kg.append(np.einsum("m,mdk->dk", w, flux))
         m.append(np.einsum("m,md,mk->dk", w, xc, store))
         s.append(w @ store)
-    return TangentBlocks(kg[0][:, 2:4], kg[0][:, 4:6],
-                         kg[1][:, 2:4], kg[1][:, 4:6],
-                         float(s[0][0] * dt), float(s[1][1] * dt),
-                         -kg[0][:, :2], -kg[1][:, :2],
-                         m[0][:, 2:4], m[0][:, 4:6], m[1][:, 2:4], m[1][:, 4:6],
-                         m[0][:, :2], m[1][:, :2])
+    return TangentBlocks(np.array(kg), np.array(m),
+                         np.array([s[0][0] * dt, s[1][1] * dt]))
 
 
 def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
     """Effective conductivity blocks of the cell frozen at a uniform state.
 
     Solves the four steady periodic problems with unit macroscopic
-    gradients and reads the blocks off the averaged fluxes. Exact for
+    gradients and reads the gradient columns of kg, columns 2 to 5 of
+    p, off the averaged fluxes; the value columns stay zero. Exact for
     linear materials; for nonlinear ones this is the tangent at the
     given state with the coefficient fields held fixed.
     """
     red = fem.PeriodicReduction(mesh, detect_periodic_pairs(mesh))
     ws = workspace(mesh)
-    n = mesh.n_nodes
-    state = FieldState.uniform(n, theta, phi)
-    sysm = assemble_system(mesh, state, materials)
-    K = sysm.stiffness()
-    coeff = evaluate_coefficients(mesh, state, materials)
+    coeff = evaluate_coefficients(
+        mesh, FieldState.uniform(mesh.n_nodes, theta, phi), materials)
+    K = fem.coupled_system(mesh, coeff).K
     w = ws.areas / ws.areas.sum()
-    blocks = {name: np.zeros((2, 2)) for name in ("k_tt", "k_tf", "k_ft", "k_ff")}
-    zero = np.zeros(2)
-    cases = [(field, j, red.map_for(0.0, 0.0, g_t, g_f))
-             for j, e in enumerate(np.eye(2))
-             for field, (g_t, g_f) in (("t", (e, zero)), ("f", (zero, e)))]
+    kg = np.zeros((2, 2, 6))
+    # one unit gradient (grad_Theta, grad_Phi) per gradient column of p
+    cmaps = [red.map_for(0.0, 0.0, *e.reshape(2, 2)) for e in np.eye(4)]
     # the bordered matrix depends on the periodic pattern only, not on
     # the loading's g: one factorization serves the four loadings
-    lu = factorize(cases[0][2].reduce_matrix(K))
-    for field, j, cmap in cases:
+    lu = factorize(cmaps[0].reduce_matrix(K))
+    for k, cmap in enumerate(cmaps):
         rhs = np.zeros(cmap.size)
         rhs[cmap.z_rows] = -cmap.reduce_vector(K @ cmap.g)
         u = cmap.expand(lu.solve(rhs)[cmap.z_rows])
-        # block column = <k grad u> per unit macroscopic gradient,
-        # so that the physical flux is q = -K_eff g
-        blocks["k_t" + field][:, j], blocks["k_f" + field][:, j] = \
-            _mean_conduction(ws, coeff, w, u)
-    return TangentBlocks(**blocks)
+        # <k grad u> per unit macroscopic gradient, so that the
+        # physical flux is q = -K_eff g
+        kg[0][:, 2 + k], kg[1][:, 2 + k] = _mean_conduction(ws, coeff, w, u)
+    return TangentBlocks(kg)

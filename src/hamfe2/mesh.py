@@ -401,17 +401,21 @@ def load_mesh(path) -> Mesh:
         pos += 1
         return ln
 
-    def expect(keyword):
+    def section(keyword, i=1):
+        """Fields of the next section header and its integer count, field i."""
         parts = take().split()
         if parts[0] != keyword:
             raise MeshError(f"{path}: expected '{keyword}' section, got '{parts[0]}'")
-        return parts
+        try:
+            return parts, int(parts[i])
+        except (IndexError, ValueError):
+            raise MeshError(f"{path}: '{' '.join(parts)}' lacks an integer count") from None
 
-    n = int(expect("nodes")[1])
+    n = section("nodes")[1]
     nodes = np.array([[float(v) for v in take().split()] for _ in range(n)])
-    m = int(expect("triangles")[1])
+    m = section("triangles")[1]
     tris = np.array([[int(v) for v in take().split()] for _ in range(m)], dtype=np.int64)
-    mp = int(expect("phases")[1])
+    mp = section("phases")[1]
     if mp != m:
         raise MeshError(f"{path}: phases count {mp} != triangles count {m}")
     names = []
@@ -423,9 +427,8 @@ def load_mesh(path) -> Mesh:
         phase_ids[k] = names.index(nm)
     boundary = {}
     while pos < len(lines):
-        parts = expect("boundary")
-        bname, cnt = parts[1], int(parts[2])
-        boundary[bname] = np.array([[int(v) for v in take().split()]
-                                    for _ in range(cnt)], dtype=np.int64)
+        parts, cnt = section("boundary", 2)
+        boundary[parts[1]] = np.array([[int(v) for v in take().split()]
+                                       for _ in range(cnt)], dtype=np.int64)
     mesh = Mesh(nodes, tris, phase_ids, tuple(names), boundary)
     return validate_mesh(mesh)

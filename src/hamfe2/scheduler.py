@@ -315,7 +315,9 @@ class WorkerPool(_PoolBase):
 
 
 def make_pool(slices):
-    """SerialPool for a single slice, forked WorkerPool otherwise."""
+    """SerialPool for a single non-empty slice, forked WorkerPool
+    otherwise; an empty slice gets no process."""
+    slices = [s for s in slices if s]
     if len(slices) <= 1:
         return SerialPool(slices)
     return WorkerPool(slices)

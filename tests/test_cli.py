@@ -109,6 +109,22 @@ out = cell.msh
         for key in ("mesh.out", "mesh.lx", "mesh.ly", "mesh.nx", "mesh.ny"):
             assert key in err
 
+    def test_out_naming_a_directory_exits_two(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        cfg = write(tmp_path / "g.ini", """\
+[mesh]
+kind = rectangle
+lx = 1
+ly = 1
+nx = 1
+ny = 1
+out = taken
+""")
+        assert main(["gen-mesh", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "gen-mesh failed:" in err
+        assert "Traceback" not in err
+
 
 class TestSolveFine:
 
@@ -162,6 +178,15 @@ retry_halving = off
 """)
         assert main(["solve-fine", "--config", cfg]) == 2
         assert "did not converge" in capsys.readouterr().err
+
+    def test_mesh_header_without_count_exits_one(self, tmp_path, capsys):
+        cfg = fine_scenario(tmp_path)
+        mesh_file = tmp_path / "square.msh"
+        lines = mesh_file.read_text().splitlines()
+        mesh_file.write_text("\n".join(["nodes"] + lines[1:]) + "\n")
+        assert main(["solve-fine", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "macro.mesh:" in err and str(mesh_file) in err
 
     def test_config_errors_list_every_offending_key(self, tmp_path, capsys):
         gen_square(tmp_path)

@@ -67,12 +67,12 @@ def bmat_macro_jacobian(ws, tangents, C, dt, cprime):
     sp.diags, term by term in FE2Driver.step's order. Reference for the
     two-field construction."""
 
-    def stacked(name):
-        return np.stack([getattr(t, name) for t in tangents])
+    kg = np.stack([t.kg for t in tangents])
+    mg = np.stack([t.mg for t in tangents])
 
-    def conduction(name):
+    def conduction(tensors):
         return one_field_scatter(ws, np.einsum(
-            "mid,mde,mje,m->mij", ws.grads, stacked(name), ws.grads,
+            "mid,mde,mje,m->mij", ws.grads, tensors, ws.grads,
             ws.areas).ravel())
 
     def value_coupling(vecs):
@@ -80,20 +80,22 @@ def bmat_macro_jacobian(ws, tangents, C, dt, cprime):
         return one_field_scatter(ws, np.broadcast_to(
             row_vals[:, :, None], (len(ws.areas), 3, 3)).ravel())
 
-    blocks = [[conduction("k_tt"), conduction("k_tf")],
-              [conduction("k_ft"), conduction("k_ff")]]
-    bt, bf = stacked("b_t"), stacked("b_f")
+    # conductivity blocks K_ab and mean-flux value sensitivities
+    # b_a = d q_a / d(Theta, Phi) = -kg[a][:, :2]
+    blocks = [[conduction(kg[:, 0, :, 2:4]), conduction(kg[:, 0, :, 4:6])],
+              [conduction(kg[:, 1, :, 2:4]), conduction(kg[:, 1, :, 4:6])]]
+    bt, bf = -kg[:, 0, :, :2], -kg[:, 1, :, :2]
     vblocks = [[value_coupling(bt[:, :, 0]), value_coupling(bt[:, :, 1])],
                [value_coupling(bf[:, :, 0]), value_coupling(bf[:, :, 1])]]
     J = (sp.diags(C / dt) + 0.5 * sp.bmat(blocks, format="csr")
          - 0.5 * sp.bmat(vblocks, format="csr"))
     if cprime:
-        mvt, mvf = stacked("mv_t"), stacked("mv_f")
+        mvt, mvf = mg[:, 0, :, :2], mg[:, 1, :, :2]
         mblocks = [
-            [conduction("mg_tt") + value_coupling(mvt[:, :, 0]),
-             conduction("mg_tf") + value_coupling(mvt[:, :, 1])],
-            [conduction("mg_ft") + value_coupling(mvf[:, :, 0]),
-             conduction("mg_ff") + value_coupling(mvf[:, :, 1])]]
+            [conduction(mg[:, 0, :, 2:4]) + value_coupling(mvt[:, :, 0]),
+             conduction(mg[:, 0, :, 4:6]) + value_coupling(mvt[:, :, 1])],
+            [conduction(mg[:, 1, :, 2:4]) + value_coupling(mvf[:, :, 0]),
+             conduction(mg[:, 1, :, 4:6]) + value_coupling(mvf[:, :, 1])]]
         J = J + sp.bmat(mblocks, format="csr")
     return J
 
@@ -277,6 +279,18 @@ def test_macro_jacobian_matches_bmat_construction(masonry, cprime):
     bare.eliminate_zeros()
     assert_same_csr(bare, ref)
     assert_same_csr(newton_system(J, C)[0], newton_system(ref, C)[0])
+
+
+def test_workers_without_points_get_no_process():
+    # two macro points over three workers: the empty slice is dropped
+    macro = generate_rectangle_mesh(0.3, 0.3, 1, 1)
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    with pytest.warns(RuntimeWarning, match="receive no points"):
+        driver = FE2Driver(macro, {"solid": linear_cell()}, initial,
+                           n_workers=3)
+    with driver:
+        assert driver.partition.loads == (1, 1, 0)
+        assert driver.pool.n_workers == 2
 
 
 def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):

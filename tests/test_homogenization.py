@@ -45,21 +45,24 @@ def quad_areas_centroids(mesh):
 def test_layered_cell_matches_mixture_rules():
     m, mats = layered_cell()
     tb = hom.steady_linear_homogenize(m, mats)
-    assert tb.k_tt[0, 0] == pytest.approx(FROZEN["arithmetic_tt"], abs=1e-9)
-    assert tb.k_tt[1, 1] == pytest.approx(FROZEN["harmonic_tt"], abs=1e-9)
-    assert tb.k_ff[0, 0] == pytest.approx(FROZEN["arithmetic_ff"], abs=1e-9)
-    assert tb.k_ff[1, 1] == pytest.approx(FROZEN["harmonic_ff"], abs=1e-9)
-    for block in (tb.k_tt, tb.k_ff):
+    assert tb.kg[0, 0, 2] == pytest.approx(FROZEN["arithmetic_tt"], abs=1e-9)
+    assert tb.kg[0, 1, 3] == pytest.approx(FROZEN["harmonic_tt"], abs=1e-9)
+    assert tb.kg[1, 0, 4] == pytest.approx(FROZEN["arithmetic_ff"], abs=1e-9)
+    assert tb.kg[1, 1, 5] == pytest.approx(FROZEN["harmonic_ff"], abs=1e-9)
+    for block in (tb.kg[0, :, 2:4], tb.kg[1, :, 4:6]):
         assert abs(block[0, 1]) < 1e-12 and abs(block[1, 0]) < 1e-12
-    assert np.abs(tb.k_tf).max() < 1e-12 and np.abs(tb.k_ft).max() < 1e-12
+    assert np.abs(tb.kg[0, :, 4:6]).max() < 1e-12
+    assert np.abs(tb.kg[1, :, 2:4]).max() < 1e-12
 
 
 def test_steady_blocks_scale_invariant():
     m, mats = layered_cell()
     ref = hom.steady_linear_homogenize(m, mats)
     big = hom.steady_linear_homogenize(meshmod.scale_mesh(m, 10.0), mats)
-    assert np.allclose(big.k_tt, ref.k_tt, rtol=1e-9, atol=1e-12)
-    assert np.allclose(big.k_ff, ref.k_ff, rtol=1e-9, atol=1e-12)
+    assert np.allclose(big.kg[0, :, 2:4], ref.kg[0, :, 2:4], rtol=1e-9,
+                       atol=1e-12)
+    assert np.allclose(big.kg[1, :, 4:6], ref.kg[1, :, 4:6], rtol=1e-9,
+                       atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -78,9 +81,9 @@ def test_layered_bounds_property(ka, kb, cut):
     tb = hom.steady_linear_homogenize(m, mats)
     voigt = (1.0 - frac_b) * ka + frac_b * kb
     reuss = 1.0 / ((1.0 - frac_b) / ka + frac_b / kb)
-    assert reuss - 1e-9 <= tb.k_tt[1, 1] <= voigt + 1e-9
-    assert tb.k_tt[0, 0] == pytest.approx(voigt, rel=1e-9)
-    assert np.all(np.linalg.eigvals(tb.k_tt) > 0.0)
+    assert reuss - 1e-9 <= tb.kg[0, 1, 3] <= voigt + 1e-9
+    assert tb.kg[0, 0, 2] == pytest.approx(voigt, rel=1e-9)
+    assert np.all(np.linalg.eigvals(tb.kg[0, :, 2:4]) > 0.0)
 
 
 HOMOG = cst.LinearMaterial("s", k_tt=0.5, k_ff=0.2, c_tt=2e6, c_ff=40.0)
@@ -168,12 +171,12 @@ def test_homogeneous_tangent_recovers_material():
         cell, st0, hom.MacroLoading(20.5, 0.52, [2.0, 1.0], [0.1, -0.05], dt=dt),
         want_tangents=True)
     t = r.tangent
-    assert np.allclose(t.k_tt, 0.5 * np.eye(2), atol=1e-6)
-    assert np.allclose(t.k_ff, 0.2 * np.eye(2), atol=1e-6)
-    assert np.allclose(t.k_tf, 0.0, atol=1e-6)
-    assert np.allclose(t.k_ft, 0.0, atol=1e-6)
-    assert t.c_t == pytest.approx(2e6, rel=1e-6)
-    assert t.c_f == pytest.approx(40.0, rel=1e-6)
+    assert np.allclose(t.kg[0, :, 2:4], 0.5 * np.eye(2), atol=1e-6)
+    assert np.allclose(t.kg[1, :, 4:6], 0.2 * np.eye(2), atol=1e-6)
+    assert np.allclose(t.kg[0, :, 4:6], 0.0, atol=1e-6)
+    assert np.allclose(t.kg[1, :, 2:4], 0.0, atol=1e-6)
+    assert t.c[0] == pytest.approx(2e6, rel=1e-6)
+    assert t.c[1] == pytest.approx(40.0, rel=1e-6)
 
 
 MASONRY_LINEAR = {
@@ -200,15 +203,15 @@ def test_linear_masonry_steady_limit_matches_blocks():
     for _ in range(200):
         state, r = hom.solve_rve_increment(cell, state, fix)
     assert abs(r.s_t) < 1e-7 and abs(r.s_f) < 1e-12
-    q_pred = -(tb.k_tt @ g_t + tb.k_tf @ g_f)
-    qm_pred = -(tb.k_ft @ g_t + tb.k_ff @ g_f)
+    q_pred = -(tb.kg[0, :, 2:4] @ g_t + tb.kg[0, :, 4:6] @ g_f)
+    qm_pred = -(tb.kg[1, :, 2:4] @ g_t + tb.kg[1, :, 4:6] @ g_f)
     assert np.linalg.norm(r.q_heat - q_pred) < 1e-6 * np.linalg.norm(q_pred)
     assert np.linalg.norm(r.q_moist - qm_pred) < 1e-6 * np.linalg.norm(qm_pred)
     # mixture bounds for the diagonal entries
     frac_m = m.phase_fraction("mortar")
     voigt = (1 - frac_m) * 0.25 + frac_m * 0.45
     reuss = 1.0 / ((1 - frac_m) / 0.25 + frac_m / 0.45)
-    for d in (tb.k_tt[0, 0], tb.k_tt[1, 1]):
+    for d in (tb.kg[0, 0, 2], tb.kg[0, 1, 3]):
         assert reuss - 1e-9 < d < voigt + 1e-9
 
 
@@ -224,15 +227,15 @@ def test_nonlinear_masonry_tangent_sane():
                  for m in cst.default_materials().values()]
     phase_ctt = [m.coefficients(20.5, 0.55).c_tt
                  for m in cst.default_materials().values()]
-    for d in (t.k_tt[0, 0], t.k_tt[1, 1]):
+    for d in (t.kg[0, 0, 2], t.kg[0, 1, 3]):
         assert 0.5 * min(phase_ktt) < d < 2.0 * max(phase_ktt)
-    assert abs(t.k_tt[0, 1]) < 0.05 * t.k_tt[0, 0]
-    assert abs(t.k_tt[1, 0]) < 0.05 * t.k_tt[0, 0]
-    assert min(phase_ctt) * 0.9 < t.c_t < max(phase_ctt) * 1.1
-    assert t.c_f > 0.0
-    assert t.k_ff[0, 0] > 0.0 and t.k_ff[1, 1] > 0.0
+    assert abs(t.kg[0, 0, 3]) < 0.05 * t.kg[0, 0, 2]
+    assert abs(t.kg[0, 1, 2]) < 0.05 * t.kg[0, 0, 2]
+    assert min(phase_ctt) * 0.9 < t.c[0] < max(phase_ctt) * 1.1
+    assert t.c[1] > 0.0
+    assert t.kg[1, 0, 4] > 0.0 and t.kg[1, 1, 5] > 0.0
     # latent coupling block is significant for this material pair
-    assert t.k_tf[0, 0] > 0.01
+    assert t.kg[0, 0, 4] > 0.01
 
 
 def test_failed_increment_raises_solver_error():

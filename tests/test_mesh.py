@@ -266,6 +266,22 @@ def test_mesh_file_errors(tmp_path):
         msh.load_mesh(path)
 
 
+@pytest.mark.parametrize("header", ["nodes", "nodes four", "boundary left"])
+def test_mesh_header_without_integer_count_names_the_file(tmp_path, header):
+    path = tmp_path / "bad.mesh"
+    msh.save_mesh(path, msh.generate_rectangle_mesh(1.0, 1.0, 1, 1))
+    lines = path.read_text().splitlines()
+    if header.startswith("nodes"):
+        lines[0] = header
+    else:
+        lines.append(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(msh.MeshError) as err:
+        msh.load_mesh(path)
+    assert str(path) in str(err.value)
+    assert header in str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
        st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))

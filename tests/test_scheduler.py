@@ -58,7 +58,7 @@ def assert_same_response(a, b):
     assert a.s_t == b.s_t and a.s_f == b.s_f
     assert (a.tangent is None) == (b.tangent is None)
     if a.tangent is not None:
-        for name in ("k_tt", "k_tf", "k_ft", "k_ff", "c_t", "c_f"):
+        for name in ("kg", "mg", "c"):
             x, y = getattr(a.tangent, name), getattr(b.tangent, name)
             assert np.array_equal(x, y), name
 

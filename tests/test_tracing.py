@@ -11,6 +11,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -30,11 +32,11 @@ def test_tracer_finds_every_traced_name(tmp_path):
     assert json.loads(out.stdout.strip().splitlines()[-1]) == []
 
 
-def test_tangent_factorizes_once_outside_newton(tmp_path):
-    # one cell increment with tangents under the tracer: the tangent span
-    # holds exactly one factorization (spsolve, wrapped here as well) and
-    # no Newton solve, so the benchmark's solver.factor_* metrics count
-    # only Newton iterations and tangent_s carries the tangent's own cost
+@pytest.fixture(scope="module")
+def tangent_spans(tmp_path_factory):
+    """Spans of one cell increment with tangents under the tracer, with
+    spsolve wrapped as well, and the names of those inside the tangent."""
+    tmp_path = tmp_path_factory.mktemp("trace")
     script = textwrap.dedent(f"""
         import json, sys
         sys.path.insert(0, {os.path.join(ROOT, "perfbench")!r})
@@ -75,9 +77,25 @@ def test_tangent_factorizes_once_outside_newton(tmp_path):
         return False
 
     nested = [name for sid, _, name, _, _ in spans if inside(sid)]
+    return [name for _, _, name, _, _ in spans], nested
+
+
+def test_tangent_factorizes_once_outside_newton(tangent_spans):
+    # the tangent span holds exactly one factorization (spsolve) and no
+    # Newton solve, so the benchmark's solver.factor_* metrics count
+    # only Newton iterations and tangent_s carries the tangent's own cost
+    names, nested = tangent_spans
     assert nested.count("test.spsolve") == 1
     assert "solver.splu" not in nested
     assert "solver.newton_solve" not in nested
-    names = [name for _, _, name, _, _ in spans]
     assert names.count("solver.newton_solve") == 1
     assert names.count("solver.splu") >= 1
+
+
+def test_tangent_reuses_the_converged_coefficients(tangent_spans):
+    # the increment evaluates the converged state once; the tangent
+    # neither assembles nor evaluates the coefficients again
+    names, nested = tangent_spans
+    assert "fem.assemble_system" not in nested
+    assert "constitutive.coefficients" not in nested
+    assert "constitutive.coefficients" in names
