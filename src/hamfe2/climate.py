@@ -9,7 +9,7 @@ clamping to the end values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,9 +59,6 @@ class ClimateSeries:
     def span(self):
         """Recorded duration in hours."""
         return float(self.times[-1] - self.times[0])
-
-    def with_policy(self, policy):
-        return replace(self, policy=policy)
 
 
 def load_climate_series(path, policy="periodic") -> ClimateSeries:

@@ -9,6 +9,13 @@ w is in kg m^-3.
 All evaluation functions accept scalars or numpy arrays of matching
 shape and broadcast elementwise, so assembly loops can evaluate whole
 element batches at once.
+
+Each public per-quantity function checks its own argument against the
+validity window. An evaluation of a material (KunzelMaterial's
+coefficients, storage_derivatives and conduction_derivatives) checks
+the state once and computes every shared intermediate, p_sat, its
+derivative, w, dw/dphi, h_v and delta_p, once, with the same
+floating-point expressions as those functions.
 """
 
 from __future__ import annotations
@@ -99,7 +106,8 @@ class CoefficientSet:
 
 def _check_theta(theta):
     th = np.asarray(theta, dtype=float)
-    if np.any(~np.isfinite(th)) or np.any(th <= THETA_MIN) or np.any(th >= THETA_MAX):
+    # one reduction; NaN and +-inf fail both comparisons
+    if not np.all((th > THETA_MIN) & (th < THETA_MAX)):
         raise ConstitutiveError(
             f"temperature outside validity window ({THETA_MIN}, {THETA_MAX}) degC"
         )
@@ -108,9 +116,18 @@ def _check_theta(theta):
 
 def _check_phi(phi):
     ph = np.asarray(phi, dtype=float)
-    if np.any(~np.isfinite(ph)) or np.any(ph < -PHI_SLACK) or np.any(ph > 1.0 + PHI_SLACK):
+    if not np.all((ph >= -PHI_SLACK) & (ph <= 1.0 + PHI_SLACK)):
         raise ConstitutiveError("relative humidity outside the admissible band [0, 1]")
     return ph
+
+
+def _scalar(x):
+    return x if np.ndim(x) else float(x)
+
+
+# Unchecked kernels of checked arrays. The public per-quantity functions
+# below check their argument and call one kernel; the material methods
+# check the state once and share each kernel's result.
 
 
 def _saturation_branch(th):
@@ -118,6 +135,41 @@ def _saturation_branch(th):
     over ice below 0 deg C, over water from there on."""
     below = th < 0.0
     return np.where(below, 22.44, 17.08), np.where(below, 272.44, 234.18)
+
+
+def _saturation(th):
+    """(p_sat, d p_sat / d theta) on the branch of _saturation_branch."""
+    a, t0 = _saturation_branch(th)
+    p = 611.0 * np.exp(a * th / (t0 + th))
+    return p, p * a * t0 / (t0 + th) ** 2
+
+
+def _latent_heat(th):
+    t_abs = th + T_ZERO
+    return 2.5008e6 * (T_ZERO / t_abs) ** (0.167 + 3.67e-4 * t_abs)
+
+
+def _vapor_diffusion(th, p):
+    t_abs = th + T_ZERO
+    return 2.306e-5 * P_ATM / (R_VAPOR * t_abs * p) * (t_abs / T_ZERO) ** 1.81
+
+
+def _water_content(params, b, ph):
+    return params.w_f * (b - 1.0) * ph / (b - ph)
+
+
+def _moisture_capacity(params, b, ph):
+    return params.w_f * (b - 1.0) * b / (b - ph) ** 2
+
+
+def _moisture_capacity_derivative(params, b, ph):
+    return 2.0 * params.w_f * (b - 1.0) * b / (b - ph) ** 3
+
+
+def _capillary_transport(params, w):
+    """D_w(w) = 3.8 (A / w_f)^2 1000^(w / w_f - 1) [m^2 s^-1]."""
+    return (3.8 * (params.A / params.w_f) ** 2
+            * 1000.0 ** (np.asarray(w) / params.w_f - 1.0))
 
 
 def saturation_pressure(theta):
@@ -128,19 +180,12 @@ def saturation_pressure(theta):
     but their slopes do not (50.33 Pa/K below, 44.56 Pa/K above), so the
     vapor transport coefficients have a kink at 0 deg C.
     """
-    th = _check_theta(theta)
-    a, t0 = _saturation_branch(th)
-    p = 611.0 * np.exp(a * th / (t0 + th))
-    return p if p.ndim else float(p)
+    return _scalar(_saturation(_check_theta(theta))[0])
 
 
 def saturation_pressure_derivative(theta):
     """d p_sat / d theta [Pa K^-1], piecewise like the pressure itself."""
-    th = _check_theta(theta)
-    a, t0 = _saturation_branch(th)
-    p = 611.0 * np.exp(a * th / (t0 + th))
-    d = p * a * t0 / (t0 + th) ** 2
-    return d if d.ndim else float(d)
+    return _scalar(_saturation(_check_theta(theta))[1])
 
 
 def latent_heat(theta):
@@ -149,10 +194,7 @@ def latent_heat(theta):
     The underlying correlation takes absolute temperature,
     h_v = 2.5008e6 (273.15 / T)^(0.167 + 3.67e-4 T).
     """
-    th = _check_theta(theta)
-    t_abs = th + T_ZERO
-    h = 2.5008e6 * (T_ZERO / t_abs) ** (0.167 + 3.67e-4 * t_abs)
-    return h if h.ndim else float(h)
+    return _scalar(_latent_heat(_check_theta(theta)))
 
 
 def derive_approximation_factor(w_f, w_80):
@@ -171,32 +213,25 @@ def derive_approximation_factor(w_f, w_80):
     return b
 
 
+def _factor(params, b):
+    return derive_approximation_factor(params.w_f, params.w_80) if b is None else b
+
+
 def water_content(params: MaterialParams, phi, b: float | None = None):
     """Equilibrium water content w(phi) [kg m^-3] of the sorption isotherm."""
-    ph = _check_phi(phi)
-    if b is None:
-        b = derive_approximation_factor(params.w_f, params.w_80)
-    w = params.w_f * (b - 1.0) * ph / (b - ph)
-    return w if w.ndim else float(w)
+    return _scalar(_water_content(params, _factor(params, b), _check_phi(phi)))
 
 
 def moisture_capacity(params: MaterialParams, phi, b: float | None = None):
     """Moisture storage capacity dw/dphi [kg m^-3] (always positive)."""
-    ph = _check_phi(phi)
-    if b is None:
-        b = derive_approximation_factor(params.w_f, params.w_80)
-    c = params.w_f * (b - 1.0) * b / (b - ph) ** 2
-    return c if c.ndim else float(c)
+    return _scalar(_moisture_capacity(params, _factor(params, b), _check_phi(phi)))
 
 
 def moisture_capacity_derivative(params: MaterialParams, phi,
                                  b: float | None = None):
     """Second derivative of the sorption isotherm, d^2 w / d phi^2."""
-    ph = _check_phi(phi)
-    if b is None:
-        b = derive_approximation_factor(params.w_f, params.w_80)
-    c = 2.0 * params.w_f * (b - 1.0) * b / (b - ph) ** 3
-    return c if c.ndim else float(c)
+    return _scalar(_moisture_capacity_derivative(params, _factor(params, b),
+                                                 _check_phi(phi)))
 
 
 def vapor_diffusion(theta, p=P_ATM):
@@ -204,10 +239,7 @@ def vapor_diffusion(theta, p=P_ATM):
 
     delta = 2.306e-5 p_a / (R_v T p) (T / 273.15)^1.81 with T in kelvin.
     """
-    th = _check_theta(theta)
-    t_abs = th + T_ZERO
-    d = 2.306e-5 * P_ATM / (R_VAPOR * t_abs * p) * (t_abs / T_ZERO) ** 1.81
-    return d if d.ndim else float(d)
+    return _scalar(_vapor_diffusion(_check_theta(theta), p))
 
 
 def vapor_permeability(params: MaterialParams, theta, p=P_ATM):
@@ -221,12 +253,11 @@ def liquid_conduction(params: MaterialParams, phi, b: float | None = None):
     D_phi = D_w(w) dw/dphi with the capillary transport coefficient
     D_w = 3.8 (A / w_f)^2 1000^(w / w_f - 1)  [m^2 s^-1].
     """
-    if b is None:
-        b = derive_approximation_factor(params.w_f, params.w_80)
-    w = water_content(params, phi, b)
-    d_w = 3.8 * (params.A / params.w_f) ** 2 * 1000.0 ** (np.asarray(w) / params.w_f - 1.0)
-    out = d_w * moisture_capacity(params, phi, b)
-    return out if np.ndim(out) else float(out)
+    b = _factor(params, b)
+    ph = _check_phi(phi)
+    out = (_capillary_transport(params, _water_content(params, b, ph))
+           * _moisture_capacity(params, b, ph))
+    return _scalar(out)
 
 
 def thermal_conductivity(params: MaterialParams, w):
@@ -235,7 +266,7 @@ def thermal_conductivity(params: MaterialParams, w):
     lambda = lambda_0 (1 + b_tcs w / rho_s), linear in the water content.
     """
     lam = params.lambda_0 * (1.0 + params.b_tcs * np.asarray(w, dtype=float) / params.rho_s)
-    return lam if lam.ndim else float(lam)
+    return _scalar(lam)
 
 
 def transport_coefficients(params: MaterialParams, theta, phi,
@@ -243,30 +274,33 @@ def transport_coefficients(params: MaterialParams, theta, phi,
     """Full coupled CoefficientSet at state (theta [deg C], phi [-]).
 
     All entries are positive inside the validity window; c_tt is bounded
-    below by the dry heat capacity rho_s c_s.
+    below by the dry heat capacity rho_s c_s. The state is checked once,
+    and every intermediate is computed once.
     """
     th = _check_theta(theta)
     ph = _check_phi(phi)
-    if b is None:
-        b = derive_approximation_factor(params.w_f, params.w_80)
-    w = water_content(params, ph, b)
-    dp = vapor_permeability(params, th)
-    psat = saturation_pressure(th)
-    dpsat = saturation_pressure_derivative(th)
-    hv = latent_heat(th)
-    lam = thermal_conductivity(params, w)
+    b = _factor(params, b)
+    w = _water_content(params, b, ph)
+    dw = _moisture_capacity(params, b, ph)
+    dp = _vapor_diffusion(th, P_ATM) / params.mu
+    psat, dpsat = _saturation(th)
+    hv = _latent_heat(th)
     return CoefficientSet(
-        k_tt=lam + hv * dp * ph * dpsat,
+        k_tt=thermal_conductivity(params, w) + hv * dp * ph * dpsat,
         k_tf=hv * dp * psat,
         k_ft=dp * ph * dpsat,
-        k_ff=liquid_conduction(params, ph, b) + dp * psat,
+        k_ff=_capillary_transport(params, w) * dw + dp * psat,
         c_tt=params.rho_s * params.c_s + C_WATER * np.asarray(w),
-        c_ff=moisture_capacity(params, ph, b),
+        c_ff=_scalar(dw),
     )
 
 
 class KunzelMaterial:
-    """A material phase with its derived approximation factor cached."""
+    """A material phase with its derived approximation factor cached.
+
+    Each evaluation method checks the state once and computes every
+    intermediate once; fem evaluates materials only through them.
+    """
 
     def __init__(self, params: MaterialParams):
         self.params = params
@@ -285,8 +319,10 @@ class KunzelMaterial:
         Both storage coefficients depend on the state only through the
         water content, so only humidity derivatives arise.
         """
-        dw = moisture_capacity(self.params, phi, self.b)
-        d2w = moisture_capacity_derivative(self.params, phi, self.b)
+        _check_theta(theta)
+        ph = _check_phi(phi)
+        dw = _moisture_capacity(self.params, self.b, ph)
+        d2w = _moisture_capacity_derivative(self.params, self.b, ph)
         return C_WATER * np.asarray(dw), np.asarray(d2w)
 
     def conduction_derivatives(self, theta, phi):
@@ -299,22 +335,20 @@ class KunzelMaterial:
         3.67e-4 T) / T); lambda' = lambda_0 b_tcs w' / rho_s and
         D_phi' = D_w (ln(1000) w'^2 / w_f + w'').
         """
-        p = self.params
+        p, b = self.params, self.b
         th = _check_theta(theta)
         ph = _check_phi(phi)
         t_abs = th + T_ZERO
-        dp = vapor_permeability(p, th)
+        dp = _vapor_diffusion(th, P_ATM) / p.mu
         ddp = 0.81 * dp / t_abs
         a, t0 = _saturation_branch(th)
-        psat = saturation_pressure(th)
-        dpsat = saturation_pressure_derivative(th)
+        psat, dpsat = _saturation(th)
         d2psat = dpsat * (a * t0 / (t0 + th) ** 2 - 2.0 / (t0 + th))
-        hv = latent_heat(th)
+        hv = _latent_heat(th)
         dhv = hv * (3.67e-4 * np.log(T_ZERO / t_abs)
                     - (0.167 + 3.67e-4 * t_abs) / t_abs)
-        w = np.asarray(water_content(p, ph, self.b))
-        dw = moisture_capacity(p, ph, self.b)
-        d_w = 3.8 * (p.A / p.w_f) ** 2 * 1000.0 ** (w / p.w_f - 1.0)
+        dw = _moisture_capacity(p, b, ph)
+        d_w = _capillary_transport(p, _water_content(p, b, ph))
         # k_ft = delta_p phi p_sat' and k_tt = lambda + h_v k_ft; the
         # vapor part of k_ff is delta_p p_sat and k_tf = h_v times it
         k_ft = dp * ph * dpsat
@@ -326,7 +360,7 @@ class KunzelMaterial:
         d_phi = (p.lambda_0 * p.b_tcs * dw / p.rho_s + hv * dp * dpsat,
                  np.zeros_like(k_ft), dp * dpsat,
                  d_w * (np.log(1000.0) * dw ** 2 / p.w_f
-                        + moisture_capacity_derivative(p, ph, self.b)))
+                        + _moisture_capacity_derivative(p, b, ph)))
         return d_theta, d_phi
 
     def __repr__(self):

@@ -76,13 +76,15 @@ class CoupledSystem:
 
     K is the field-major conductivity (2N x 2N csr on the mesh's
     two-field skeleton), c_tt/c_ff the lumped storage diagonals, f the
-    external flux vector of length 2N.
+    external flux vector of length 2N, coeff the per-element
+    coefficients they were built from.
     """
 
     K: sp.csr_matrix
     c_tt: np.ndarray
     c_ff: np.ndarray
     f: np.ndarray
+    coeff: CoefficientSet = None
 
     @property
     def n_nodes(self):
@@ -285,7 +287,8 @@ def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
     # f before the lumped diagonals: on a large wall this allocation
     # order keeps the peak memory of the later factorization lower
     f = np.zeros(2 * mesh.n_nodes)
-    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f)
+    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f,
+                         coeff)
 
 
 def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):

@@ -14,13 +14,20 @@ yields the sensitivities of those averages to the loading
 p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
 the effective conductivity blocks and storage coefficients.
 
+Every cell state is evaluated once. A committed state carries its
+Crank-Nicolson old data (K u, f) once computed, so the rounds of a
+macro step and a retried half step reuse it, and a converged increment
+hands its new state the pair Newton evaluated there. The averages and
+the tangent reuse the coefficients, conductivity and storage of
+Newton's last, accepted evaluation.
+
 Fluxes follow the physical sign convention q = -k grad u, and the
 effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -30,7 +37,7 @@ from . import fem
 from .fem import FieldState, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
 from .solver import (SolverConfig, SolverError, _assemble, crank_nicolson_step,
-                     factorize)
+                     factorize, old_data)
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,16 @@ class MacroLoading:
 
 @dataclass
 class MesoState:
-    """Converged cell state: fluctuations plus the loading that made them."""
+    """Converged cell state: fluctuations plus the loading that made them.
+
+    old caches (K u, f) of the total field, the old data of every
+    increment from this state; None until an increment computes it.
+    """
 
     fluct: np.ndarray        # (2N,) field-major fluctuation vector
     loading: MacroLoading
     time: float = 0.0        # s, cell-local
+    old: tuple = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -183,9 +195,14 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                         loading: MacroLoading, want_tangents=False):
     """Advance the cell by loading.dt and average the converged state.
 
-    Returns (new state, response).
+    Returns (new state, response). The old data of `state` is computed
+    on its first increment and kept on it. The new state carries the
+    pair of Newton's accepted evaluation, whose coefficients, K and C
+    also feed the averages and the tangent: no state is evaluated twice.
     """
     u_n = cell.total_vector(state)
+    if state.old is None:
+        state.old = old_data(cell._assembler, u_n, state.time)
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
     # start from the carried-over fluctuation under the new affine part;
@@ -193,34 +210,46 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     # shift onto the anchor group and can leave the material validity
     # window for large macro steps
     z0 = state.fluct[cell.reduction.free_index]
-    u_new, _, _ = crank_nicolson_step(cell._assembler, u_n, state.time,
-                                      loading.dt, cmap, cell.config, z0=z0)
-    new_state = MesoState(u_new - cell.affine_vector(loading), loading,
-                          state.time + loading.dt)
-    # the converged state is evaluated once, for the averages and the tangent
-    coeff = evaluate_coefficients(cell.mesh, FieldState.from_vector(u_new),
-                                  cell.materials)
+    last = {}
+
+    def assembler(u, t):
+        last["out"] = out = cell._assembler(u, t)
+        return out
+
+    u_new, _, old = crank_nicolson_step(assembler, u_n, state.time,
+                                        loading.dt, cmap, cell.config,
+                                        state.old, z0)
+    K, C, _, _, coeff = last["out"]
+    affine = cell.affine_vector(loading)
+    new_state = MesoState(u_new - affine, loading, state.time + loading.dt)
+    # the pair was evaluated at u_new; it serves the new state only if
+    # that state's total field reproduces u_new bit for bit
+    if np.array_equal(affine + new_state.fluct, u_new):
+        new_state.old = old
     response = average_fields(cell, coeff, u_new, u_n, loading.dt)
     if want_tangents:
-        tangent = effective_tangent(cell, cmap, coeff, u_new, u_n, loading.dt)
+        tangent = effective_tangent(cell, cmap, coeff, K, C, u_new, u_n,
+                                    loading.dt)
         response = replace(response, tangent=tangent)
     return new_state, response
 
 
-def effective_tangent(cell: CellProblem, cmap, coeff, u_new, u_old,
+def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
                       dt) -> TangentBlocks:
     """Sensitivities of the averaged increment answer at the converged u_new.
 
     The converged fluctuation solves T'R(T z + g(p)) = 0 under the
     constraint map cmap of the loading p = (Theta, Phi, grad_Theta_x,
     grad_Theta_y, grad_Phi_x, grad_Phi_y), with the old state u_old
-    fixed; coeff holds the coefficients at u_new. Differentiating once
-    gives T'J (T dz/dp + dg/dp) = 0, where J is the consistent Jacobian
-    K/2 + C/dt + fem.state_jacobian of the Crank-Nicolson residual at
-    u_new, not the frozen Newton matrix. One factorization of its
-    bordered system serves all six directions, du/dp = T dz/dp + dg/dp,
-    and the averages of average_fields are differentiated along them in
-    closed form. The columns of every returned array follow p.
+    fixed; coeff, K and C are the coefficients, conductivity and
+    storage diagonal at u_new, as Newton last evaluated them.
+    Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
+    consistent Jacobian K/2 + C/dt + fem.state_jacobian of the
+    Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
+    factorization of its bordered system serves all six directions,
+    du/dp = T dz/dp + dg/dp, and the averages of average_fields are
+    differentiated along them in closed form. The columns of every
+    returned array follow p.
     """
     mesh, n = cell.mesh, cell.n_nodes
     ws = workspace(mesh)
@@ -228,11 +257,9 @@ def effective_tangent(cell: CellProblem, cmap, coeff, u_new, u_old,
     rate = (u_new - u_old) / dt
     dk, dc = fem.coefficient_derivatives(mesh, FieldState.from_vector(u_new),
                                          cell.materials)
-    sysm = fem.coupled_system(mesh, coeff)
-    C = sysm.storage_diagonal()
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     # both matrices lie on the mesh's two-field skeleton
-    J.data += 0.5 * sysm.K.data
+    J.data += 0.5 * K.data
     J.setdiag(J.diagonal() + C / dt)
     matrix, scaled = cmap.newton_system(J, C)
     # dg/dp, columns p; g is linear in p

@@ -388,47 +388,70 @@ def save_mesh(path, mesh: Mesh):
 
 
 def load_mesh(path) -> Mesh:
+    """Read a mesh written by save_mesh.
+
+    Malformed headers and rows raise MeshError naming the file and the
+    1-based line.
+    """
     with open(path) as fh:
         raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    lines = [(k, ln) for k, ln in enumerate(raw, start=1)
+             if ln and not ln.startswith("#")]
     pos = 0
 
     def take():
         nonlocal pos
         if pos >= len(lines):
             raise MeshError(f"{path}: unexpected end of file")
-        ln = lines[pos]
         pos += 1
-        return ln
+        return lines[pos - 1]
 
     def section(keyword, i=1):
         """Fields of the next section header and its integer count, field i."""
-        parts = take().split()
+        lineno, ln = take()
+        parts = ln.split()
         if parts[0] != keyword:
-            raise MeshError(f"{path}: expected '{keyword}' section, got '{parts[0]}'")
+            raise MeshError(f"{path}:{lineno}: expected '{keyword}' section, "
+                            f"got '{parts[0]}'")
         try:
             return parts, int(parts[i])
         except (IndexError, ValueError):
-            raise MeshError(f"{path}: '{' '.join(parts)}' lacks an integer count") from None
+            raise MeshError(f"{path}:{lineno}: '{ln}' lacks an integer "
+                            "count") from None
+
+    def rows(count, width, kind, label):
+        """count rows of `width` fields, each parsed by kind."""
+        out = []
+        for _ in range(count):
+            lineno, ln = take()
+            parts = ln.split()
+            try:
+                if len(parts) != width:
+                    raise ValueError
+                out.append([kind(v) for v in parts])
+            except ValueError:
+                raise MeshError(
+                    f"{path}:{lineno}: {label} row '{ln}' needs {width} "
+                    f"{kind.__name__} values") from None
+        return np.array(out, dtype=kind).reshape(count, width)
 
     n = section("nodes")[1]
-    nodes = np.array([[float(v) for v in take().split()] for _ in range(n)])
+    nodes = rows(n, 2, float, "node")
     m = section("triangles")[1]
-    tris = np.array([[int(v) for v in take().split()] for _ in range(m)], dtype=np.int64)
+    tris = rows(m, 3, int, "triangle")
     mp = section("phases")[1]
     if mp != m:
         raise MeshError(f"{path}: phases count {mp} != triangles count {m}")
     names = []
     phase_ids = np.empty(m, dtype=np.int64)
     for k in range(m):
-        nm = take()
+        nm = take()[1]
         if nm not in names:
             names.append(nm)
         phase_ids[k] = names.index(nm)
     boundary = {}
     while pos < len(lines):
         parts, cnt = section("boundary", 2)
-        boundary[parts[1]] = np.array([[int(v) for v in take().split()]
-                                       for _ in range(cnt)], dtype=np.int64)
+        boundary[parts[1]] = rows(cnt, 2, int, "boundary")
     mesh = Mesh(nodes, tris, phase_ids, tuple(names), boundary)
     return validate_mesh(mesh)

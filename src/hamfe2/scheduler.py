@@ -6,9 +6,11 @@ over a pool of workers once per run. Each worker owns its registry
 slice (cell problem and committed meso state per point) for the whole
 run; a round sends only the per-point loadings down and returns the
 averaged responses, and a commit promotes the states of the most
-recently evaluated round to the resident committed set. Merging sorts
-by point id, so the merged result is independent of worker count and
-completion order.
+recently evaluated round to the resident committed set. A committed
+state keeps its Crank-Nicolson old data, computed once (see
+homogenization), through every round and retry of a macro step.
+Merging sorts by point id, so the merged result is independent of
+worker count and completion order.
 
 The pool is in-process (fork), but the protocol is pure message
 passing: loadings down, homogenized data up, no shared mutable state.
@@ -94,8 +96,9 @@ def evaluate_batch(batch, registry_slice, want_tangents=True):
 
     Returns (results, failures): results are (pid, response, new state)
     triples sorted by point id; failures are (pid, message) pairs for
-    increments the meso solver refused. Input states are not modified,
-    so re-running a batch reproduces it bitwise.
+    increments the meso solver refused. An input state changes only by
+    caching its Crank-Nicolson old data on its first increment, so
+    re-running a batch reproduces it bitwise.
     """
     results, failures = [], []
     for pid, loading in sorted(batch, key=lambda it: it[0]):

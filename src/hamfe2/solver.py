@@ -138,26 +138,29 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
         f"(residual {trace[-1]:.3e}, target {target:.3e})", trace)
 
 
+def old_data(assembler, u, t):
+    """(K u, f) at the state u: the old data of a Crank-Nicolson step from it."""
+    out = assembler(u, t)
+    return out[0] @ u, out[2]
+
+
 def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None):
     """Advance one step; returns (u_{n+1}, trace, old-data for the next step).
 
-    assembler(u, t) -> (K csr, C diagonal, f[, capacity derivatives]) on
-    the full dof vector; K stores its main diagonal and offset N, as
-    the two-field skeleton of fem does.
-    `old` carries (K_n u_n, f_n) when the caller already assembled the
-    old state; the returned triple's third entry is the same pair
-    evaluated at the accepted new state. `z0` overrides the start
+    assembler(u, t) -> (K csr, C diagonal, f[, capacity derivatives, ...])
+    on the full dof vector; K stores its main diagonal and offset N, as
+    the two-field skeleton of fem does. Entries past the capacity
+    derivatives are ignored here. The last assembler call of a step that
+    returns is the one at the accepted state.
+    `old` carries (K_n u_n, f_n) when the caller already has them for
+    u_n (see old_data); the returned triple's third entry is the same
+    pair evaluated at the accepted new state. `z0` overrides the start
     iterate in reduced coordinates (default: project u_n).
     """
     if dt <= 0.0:
         raise SolverError("time step must be positive")
-    if old is None:
-        out_n = assembler(u_n, t_n)
-        fint_n = out_n[0] @ u_n
-        f_n = out_n[2]
-    else:
-        fint_n, f_n = old
+    fint_n, f_n = old_data(assembler, u_n, t_n) if old is None else old
     t_new = t_n + dt
     accepted = {}
 
@@ -165,15 +168,19 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
         u = cmap.expand(z)
         out = assembler(u, t_new)
         K, C, f = out[:3]
+        cap = out[3] if len(out) > 3 else None
+        # the evaluation's other entries, such as the coefficient set of
+        # _assemble, need not stay alive through the reduction below
+        del out
         fint = K @ u
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n) - 0.5 * (f + f_n)
         J = 0.5 * K
         diag = J.diagonal() + C / dt
-        if len(out) > 3 and out[3] is not None:
+        if cap is not None:
             # storage coefficients depend on humidity: the derivative
             # times the current rate enters the phi columns, on offset
             # n in the theta rows and on the diagonal in the phi rows
-            gtt, gff = out[3]
+            gtt, gff = cap
             n = gtt.size
             rate = (u - u_n) / dt
             diag[n:] += gff * rate[n:]
@@ -219,11 +226,14 @@ class History:
 
 
 def _assemble(mesh, materials, u, t):
-    """crank_nicolson_step's assembler(u, t) once mesh and materials are bound."""
+    """crank_nicolson_step's assembler(u, t) once mesh and materials are bound.
+
+    Returns (K, C, f, capacity derivatives, coefficient set at u).
+    """
     state = FieldState.from_vector(u, t)
     sysm = assemble_system(mesh, state, materials)
     cap = capacity_jacobian_diagonals(mesh, state, materials)
-    return sysm.K, sysm.storage_diagonal(), sysm.f, cap
+    return sysm.K, sysm.storage_diagonal(), sysm.f, cap, sysm.coeff
 
 
 def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,

@@ -188,6 +188,16 @@ retry_halving = off
         err = capsys.readouterr().err
         assert "macro.mesh:" in err and str(mesh_file) in err
 
+    @pytest.mark.parametrize("row", ["1 zero", "0.5"])
+    def test_malformed_mesh_row_exits_one(self, tmp_path, capsys, row):
+        cfg = fine_scenario(tmp_path)
+        mesh_file = tmp_path / "square.msh"
+        lines = mesh_file.read_text().splitlines()
+        mesh_file.write_text("\n".join(lines[:1] + [row] + lines[2:]) + "\n")
+        assert main(["solve-fine", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "macro.mesh:" in err and f"{mesh_file}:2:" in err
+
     def test_config_errors_list_every_offending_key(self, tmp_path, capsys):
         gen_square(tmp_path)
         cfg = write(tmp_path / "bad.ini", """\

@@ -1,5 +1,7 @@
 """Climate series loading, sampling and the synthetic generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,7 @@ class TestSampling:
         assert sample_climate(series, -1.0) == sample_climate(series, 8759.0)
 
     def test_clamp_holds_end_values(self):
-        series = self.series().with_policy("clamp")
+        series = replace(self.series(), policy="clamp")
         assert sample_climate(series, -5.0) == (10.0, 0.5)
         assert sample_climate(series, 99.0) == (12.0, 0.6)
 

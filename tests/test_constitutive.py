@@ -174,6 +174,106 @@ def test_validity_window_enforced():
         con.transport_coefficients(con.BRICK, np.array([10.0, 90.0]), np.array([0.5, 0.5]))
 
 
+def public_composition(params, b, theta, phi):
+    """Every quantity KunzelMaterial evaluates, composed from the public
+    per-quantity functions (each checks its own argument) and the printed
+    closed forms: (coefficients, storage derivatives, d/dtheta, d/dphi)."""
+    w = con.water_content(params, phi, b)
+    dw = con.moisture_capacity(params, phi, b)
+    d2w = con.moisture_capacity_derivative(params, phi, b)
+    dp = con.vapor_permeability(params, theta)
+    psat = con.saturation_pressure(theta)
+    dpsat = con.saturation_pressure_derivative(theta)
+    hv = con.latent_heat(theta)
+    coeff = (con.thermal_conductivity(params, w) + hv * dp * phi * dpsat,
+             hv * dp * psat, dp * phi * dpsat,
+             con.liquid_conduction(params, phi, b) + dp * psat,
+             params.rho_s * params.c_s + 4187.0 * np.asarray(w), dw)
+    storage = (4187.0 * np.asarray(dw), d2w)
+    t_abs = np.asarray(theta) + 273.15
+    ddp = 0.81 * dp / t_abs
+    below = np.asarray(theta) < 0.0
+    a, t0 = np.where(below, 22.44, 17.08), np.where(below, 272.44, 234.18)
+    d2psat = dpsat * (a * t0 / (t0 + theta) ** 2 - 2.0 / (t0 + theta))
+    dhv = hv * (3.67e-4 * np.log(273.15 / t_abs)
+                - (0.167 + 3.67e-4 * t_abs) / t_abs)
+    d_w = 3.8 * (params.A / params.w_f) ** 2 \
+        * 1000.0 ** (np.asarray(w) / params.w_f - 1.0)
+    dft_t = phi * (ddp * dpsat + dp * d2psat)
+    dvapor_t = ddp * psat + dp * dpsat
+    d_theta = (dhv * coeff[2] + hv * dft_t, dhv * (dp * psat) + hv * dvapor_t,
+               dft_t, dvapor_t)
+    d_phi = (params.lambda_0 * params.b_tcs * dw / params.rho_s
+             + hv * dp * dpsat, 0.0, dp * dpsat,
+             d_w * (np.log(1000.0) * dw ** 2 / params.w_f + d2w))
+    return coeff, storage, d_theta, d_phi
+
+
+# both sides of the freezing point, and the admissible band's edges
+EXACT_THETA = (-39.9, -12.5, -1e-9, 0.0, 1e-9, 3.25, 20.0, 79.9)
+EXACT_PHI = (-0.01, 0.0, 0.3, 0.5, 0.8, 0.97, 1.0, 1.01)
+
+
+@pytest.mark.parametrize("name", ["brick", "mortar"])
+def test_material_evaluation_equals_public_functions_bitwise(name):
+    mat = con.KunzelMaterial(PHASES[name])
+    grid = np.meshgrid(EXACT_THETA, EXACT_PHI, indexing="ij")
+    states = [(th, ph) for th in EXACT_THETA for ph in EXACT_PHI]
+    states.append((grid[0].ravel(), grid[1].ravel()))
+    for theta, phi in states:
+        want = public_composition(mat.params, mat.b, theta, phi)
+        c = mat.coefficients(theta, phi)
+        got = ([getattr(c, f) for f in ("k_tt", "k_tf", "k_ft", "k_ff",
+                                        "c_tt", "c_ff")],
+               mat.storage_derivatives(theta, phi),
+               *mat.conduction_derivatives(theta, phi))
+        for got_group, want_group in zip(got, want):
+            assert len(got_group) == len(want_group)
+            for g, w in zip(got_group, want_group):
+                assert np.shape(g) == np.shape(theta)
+                assert np.all(np.asarray(g) == w), (theta, phi)
+
+
+EVALUATIONS = ("coefficients", "storage_derivatives", "conduction_derivatives")
+THETA_OUT = (-40.0, 80.0, np.nextafter(-40.0, -np.inf),
+             np.nextafter(80.0, np.inf), np.nan, np.inf, -np.inf)
+PHI_OUT = (np.nextafter(-0.01, -np.inf), np.nextafter(1.01, np.inf),
+           np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("method", EVALUATIONS)
+def test_one_state_check_keeps_the_window_edges(method):
+    evaluate = getattr(con.KunzelMaterial(con.BRICK), method)
+    # open in theta, closed in phi
+    evaluate(np.nextafter(-40.0, 0.0), -0.01)
+    evaluate(np.nextafter(80.0, 0.0), 1.01)
+    evaluate(np.array([np.nextafter(-40.0, 0.0), 20.0]), np.array([-0.01, 1.01]))
+    for theta in THETA_OUT:
+        for args in ((theta, 0.5), (np.array([20.0, theta]), np.array([0.5, 0.5]))):
+            with pytest.raises(con.ConstitutiveError):
+                evaluate(*args)
+    for phi in PHI_OUT:
+        for args in ((20.0, phi), (np.array([20.0, 20.0]), np.array([phi, 0.5]))):
+            with pytest.raises(con.ConstitutiveError):
+                evaluate(*args)
+
+
+def test_public_functions_keep_their_own_checks():
+    for f in (con.saturation_pressure, con.saturation_pressure_derivative,
+              con.latent_heat, con.vapor_diffusion):
+        for theta in THETA_OUT:
+            with pytest.raises(con.ConstitutiveError):
+                f(theta)
+        f(np.nextafter(-40.0, 0.0))
+    for f in (con.water_content, con.moisture_capacity,
+              con.moisture_capacity_derivative, con.liquid_conduction):
+        for phi in PHI_OUT:
+            with pytest.raises(con.ConstitutiveError):
+                f(con.BRICK, phi)
+        f(con.BRICK, -0.01)
+        f(con.BRICK, 1.01)
+
+
 def test_linear_material_constant_everywhere():
     mat = con.LinearMaterial("unit", k_tt=0.5, k_ff=0.2, c_tt=1.0e6, c_ff=40.0,
                              k_tf=0.01, k_ft=0.002)

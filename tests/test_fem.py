@@ -613,7 +613,7 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
     solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
                                solver.SolverConfig())
     assert len(seen) > 2
-    for cmap, J, C, (u, (K, C_asm, _, cap)) in seen:
+    for cmap, J, C, (u, (K, C_asm, _, cap, _)) in seen:
         assert C is C_asm
         ref = diags_newton_matrix(K, C, cap, u, u_n, 3600.0)
         assert_same_csr(without_zeros(J), ref)

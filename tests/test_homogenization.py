@@ -327,17 +327,10 @@ def test_stored_newton_stall_case_converges():
 
 def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
     # the same loading with the over-water branch of p_sat on both sides
-    # of 0 deg C: smooth coefficients, and Newton converges
-    a, t0 = 17.08, 234.18
-
-    def psat(theta):
-        return 611.0 * np.exp(a * theta / (t0 + theta))
-
-    def dpsat(theta):
-        return psat(theta) * a * t0 / (t0 + theta) ** 2
-
-    monkeypatch.setattr(cst, "saturation_pressure", psat)
-    monkeypatch.setattr(cst, "saturation_pressure_derivative", dpsat)
+    # of 0 deg C: smooth coefficients, and Newton converges. Every
+    # evaluation of p_sat and its derivatives takes its fit coefficients
+    # from _saturation_branch
+    monkeypatch.setattr(cst, "_saturation_branch", lambda th: (17.08, 234.18))
     n = _PROPERTY_CELL.n_nodes
     theta = _PROPERTY_CELL.affine_vector(STALL_LOADING)[:n]
     assert theta.min() < 0.0 < theta.max()
@@ -352,3 +345,68 @@ def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
     monkeypatch.setattr(solver, "newton_solve", counted)
     solve_stall_case()
     assert len(traces) == 1 and len(traces[0]) - 1 <= 8
+
+
+def assert_same_increment(a, b):
+    (state_a, resp_a), (state_b, resp_b) = a, b
+    assert np.array_equal(state_a.fluct, state_b.fluct)
+    for x, y in zip(state_a.old, state_b.old):
+        assert np.array_equal(x, y)
+    for name in ("q_heat", "q_moist", "m_t", "m_f"):
+        assert np.array_equal(getattr(resp_a, name), getattr(resp_b, name))
+    assert resp_a.s_t == resp_b.s_t and resp_a.s_f == resp_b.s_f
+    for name in ("kg", "mg", "c"):
+        assert np.array_equal(getattr(resp_a.tangent, name),
+                              getattr(resp_b.tangent, name))
+
+
+def test_increments_evaluate_each_cell_state_once(monkeypatch):
+    cell = _PROPERTY_CELL
+    assert len(cell.mesh.phase_names) == 2
+    calls, evals = [], []
+    real_coefficients = cst.KunzelMaterial.coefficients
+    real_newton = solver.newton_solve
+
+    def coefficients(material, theta, phi):
+        calls.append(material.name)
+        return real_coefficients(material, theta, phi)
+
+    def newton(residual_jacobian, *args, **kwargs):
+        def counted(z):
+            evals.append(1)
+            return residual_jacobian(z)
+        return real_newton(counted, *args, **kwargs)
+
+    start = hom.MacroLoading(20.0, 0.5, [0.0, 0.0], [0.0, 0.0], dt=3600.0)
+    committed, _ = hom.initial_response(cell, start)
+    # two rounds of one macro step, loadings differing as macro iterates do
+    rounds = [hom.MacroLoading(17.0, 0.55, [4.0, -2.0], [0.3, 0.1], dt=3600.0),
+              hom.MacroLoading(17.5, 0.54, [4.5, -2.5], [0.3, 0.2], dt=3600.0)]
+    monkeypatch.setattr(cst.KunzelMaterial, "coefficients", coefficients)
+    monkeypatch.setattr(solver, "newton_solve", newton)
+
+    def counted_increment(state, loading):
+        calls.clear()
+        evals.clear()
+        out = hom.solve_rve_increment(cell, state, loading, want_tangents=True)
+        return out, len(calls), len(evals)
+
+    # the first increment from a fresh state computes its old data
+    _, n_calls, n_evals = counted_increment(committed, rounds[0])
+    assert committed.old is not None
+    assert n_calls == 2 * (n_evals + 1)
+    # the later round reuses it and evaluates the converged state no more
+    second, n_calls, n_evals = counted_increment(committed, rounds[1])
+    assert n_calls == 2 * n_evals
+    fresh = hom.MesoState(committed.fluct.copy(), committed.loading,
+                          committed.time)
+    assert_same_increment(second, counted_increment(fresh, rounds[1])[0])
+    # a converged state carries the pair Newton evaluated there
+    new_state = second[0]
+    assert new_state.old is not None
+    step = hom.MacroLoading(16.0, 0.56, [4.0, -2.0], [0.3, 0.2], dt=3600.0)
+    carried, n_calls, n_evals = counted_increment(new_state, step)
+    assert n_calls == 2 * n_evals
+    fresh = hom.MesoState(new_state.fluct.copy(), new_state.loading,
+                          new_state.time)
+    assert_same_increment(carried, counted_increment(fresh, step)[0])

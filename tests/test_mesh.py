@@ -282,6 +282,24 @@ def test_mesh_header_without_integer_count_names_the_file(tmp_path, header):
     assert header in str(err.value)
 
 
+@pytest.mark.parametrize("section, row", [
+    ("nodes", "1 zero"), ("nodes", "0.5"), ("triangles", "0 1 2.0"),
+    ("boundary", "0")])
+def test_malformed_row_names_the_file_and_line(tmp_path, section, row):
+    path = tmp_path / "bad.mesh"
+    msh.save_mesh(path, msh.generate_rectangle_mesh(1.0, 1.0, 1, 1))
+    lines = path.read_text().splitlines()
+    # the first row of the section; boundary rows follow the last header
+    lineno = 1 + max(k for k, ln in enumerate(lines)
+                     if ln.startswith(section)) + 1
+    lines[lineno - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(msh.MeshError) as err:
+        msh.load_mesh(path)
+    assert f"{path}:{lineno}:" in str(err.value)
+    assert f"'{row}'" in str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
        st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))
