@@ -154,8 +154,9 @@ class FE2Driver:
             C = np.concatenate([ws.lumped(c[:, 0]), ws.lumped(c[:, 1])])
             # every term lies on the mesh's two-field skeleton, so the
             # terms add on their .data arrays
-            J = 0.5 * _tensor_stiffness(ws, kg)
-            J.setdiag(J.diagonal() + C / dt)
+            J = _tensor_stiffness(ws, kg)
+            J.data *= 0.5
+            J.data[fem.newton_slots(J)[0]] += C / dt
             # mean-flux sensitivity to the macro values; without it the
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate
@@ -169,7 +170,7 @@ class FE2Driver:
                            + _value_coupling(ws, mg).data)
             # the frozen Jacobian is reduced and scaled once per step
             cache["C"] = C
-            cache["matrix"], cache["scaled"] = cmap.newton_system(J, C)
+            cache["system"] = cmap.newton_system(J, C)
 
         def residual_jacobian(z):
             u = cmap.expand(z)
@@ -196,11 +197,11 @@ class FE2Driver:
             if self.cprime:
                 R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
                 R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
-            return cache["scaled"](R), cache["matrix"]
+            matrix, scaled, rows = cache["system"]
+            return scaled(R), matrix, rows
 
         z0 = cmap.initial_reduced(u_n)
-        z, trace = newton_solve(residual_jacobian, z0, self.config,
-                                cmap.z_rows)
+        z, trace = newton_solve(residual_jacobian, z0, self.config)
         u_new = cmap.expand(z)
         entries.update(last)
         self.pool.commit()

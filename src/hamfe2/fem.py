@@ -18,16 +18,22 @@ expressed as an affine map u = T z + g onto free unknowns z. Residuals
 reduce as T'R; linear systems are solved on the unknowns that remain
 once prescribed dofs are dropped and periodic slaves summed onto their
 masters, bordered by the cell's zero-mean constraints as Lagrange
-multipliers, so they keep the sparsity of the assembled matrix.
+multipliers, so they keep the sparsity of the assembled matrix. Each
+pattern of such a system gets one SystemPlan: a fill-reducing ordering
+and a gather map from the assembled matrix straight into the bordered
+system, stored as CSC in that ordering. The plans of the matrices on a
+mesh's skeleton live with its workspace.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .constitutive import CoefficientSet
 from .mesh import Mesh, PeriodicPairing, triangle_areas
@@ -100,6 +106,9 @@ class CoupledSystem:
 # ------------------------------------------------- per-mesh workspace
 
 _WORKSPACES: "weakref.WeakKeyDictionary[Mesh, Workspace]" = weakref.WeakKeyDictionary()
+# workspaces by the id of their skeleton's indptr array, see skeleton_of
+_SKELETONS: "weakref.WeakValueDictionary[int, Workspace]" = \
+    weakref.WeakValueDictionary()
 
 
 class Workspace:
@@ -110,6 +119,9 @@ class Workspace:
     two-field skeleton (pair_indices, pair_indptr) holds the one-field
     row of its left block, then that of its right block; pair_slots[b]
     places the slots of block b = 2 * row field + column field there.
+    plans holds the SystemPlan of every bordered-system pattern met on
+    that skeleton (see ConstraintMap.plan), and diagonal_slots the
+    newton_slots of its matrices once found.
     """
 
     def __init__(self, mesh: Mesh):
@@ -168,6 +180,9 @@ class Workspace:
             [self.csr_indices, self.csr_indices + mesh.n_nodes] * 2
         self.pair_indptr = np.concatenate(
             [2 * self.csr_indptr, 2 * nnz + 2 * self.csr_indptr[1:]])
+        self.plans = {}
+        self.diagonal_slots = None
+        _SKELETONS[id(self.pair_indptr)] = self
 
     def csr_scatter(self, data):
         """Two-field 2N x 2N csr matrix of (2, 2, M, 3, 3) element entries.
@@ -216,6 +231,38 @@ def workspace(mesh: Mesh) -> Workspace:
         ws = Workspace(mesh)
         _WORKSPACES[mesh] = ws
     return ws
+
+
+def skeleton_of(A):
+    """The workspace whose two-field skeleton stores the csr matrix A, or None.
+
+    A matrix built on a skeleton (csr_scatter, or a new .data array with
+    its index arrays) shares the skeleton's indptr array; scipy keeps
+    that array as it is but may hand the matrix a view of the indices.
+    """
+    ws = _SKELETONS.get(id(A.indptr))
+    return ws if ws is not None and ws.pair_indptr is A.indptr else None
+
+
+def newton_slots(A):
+    """Positions in A.data of the main diagonal and of offset N.
+
+    A is a 2N x 2N csr matrix that stores both, like the two-field
+    skeleton: the first array holds the slot of (i, i) for every row,
+    the second that of (i, N + i) for the N theta rows. The storage and
+    capacity terms of a Newton matrix are added there. Found once per
+    mesh for the matrices on its skeleton.
+    """
+    ws = skeleton_of(A)
+    if ws is not None and ws.diagonal_slots is not None:
+        return ws.diagonal_slots
+    n = A.shape[0]
+    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype),
+                                   np.diff(A.indptr))
+    slots = np.flatnonzero(offset == 0), np.flatnonzero(offset == n // 2)
+    if ws is not None:
+        ws.diagonal_slots = slots
+    return slots
 
 
 # ------------------------------------------------------------ assembly
@@ -357,6 +404,76 @@ def state_jacobian(mesh: Mesh, u, rate, derivatives) -> sp.csr_matrix:
 # ---------------------------------------------------------- constraints
 
 
+class SystemPlan:
+    """Ordering and gather map of one bordered-system pattern.
+
+    The pattern is that of ConstraintMap.reduce_matrix: the stored
+    nonzero entries of a csr matrix A (given by its indptr, indices and
+    the mask `keep` of its nonzero entries) on the rows and columns that
+    stay in the system, and the border. The plan depends on nothing
+    else, so every matrix of one pattern is ordered and summed alike.
+
+    order[i] is the position, in the planned system, of row and column
+    i of the map's numbering (ConstraintMap.rows). It is SuperLU's
+    minimum degree ordering on S + S', with its elimination-tree
+    postorder, of a diagonally dominant stand-in S that has the
+    system's pattern and a full diagonal: incomplete factors with
+    everything dropped yield it without a factorization of the system.
+    The system is stored as CSC in that order (indptr, indices). slots
+    gives the data slot of every entry of A, or nnz for an entry the
+    system drops; border_cols and border_rows are the slots of the
+    border's entries in the constraint columns and rows.
+    """
+
+    def __init__(self, indptr, indices, keep, cmap: "ConstraintMap"):
+        n, m, G = cmap.size, cmap.row_dofs.size, cmap.border
+        r = cmap.rows[np.repeat(np.arange(indptr.size - 1, dtype=np.int32),
+                                np.diff(indptr))]
+        c = cmap.rows[indices]
+        keep = keep & (r >= 0) & (c >= 0)
+        k = (m + G.col).astype(np.int32)
+        r = np.concatenate([r[keep], G.row, k])
+        c = np.concatenate([c[keep], k, G.row])
+        # column-major keys in the map's numbering; merging equal keys
+        # sums the periodic slaves onto their masters
+        keys, entry = np.unique(c.astype(np.int64) * n + r,
+                                return_inverse=True)
+        del r, c
+        # the stand-in adds the diagonal keys the system lacks, in order
+        diag = np.arange(n, dtype=np.int64) * (n + 1)
+        at = np.searchsorted(keys, diag)
+        missing = keys[np.minimum(at, keys.size - 1)] != diag
+        s_col, s_row = np.divmod(np.insert(keys, at[missing], diag[missing]), n)
+        del diag, at, missing
+        S = sp.csc_matrix(
+            (np.where(s_row == s_col, float(n), 1.0), s_row.astype(np.int32),
+             np.concatenate([[0], np.cumsum(np.bincount(s_col, minlength=n))])
+             .astype(np.int32)), shape=(n, n))
+        del s_col, s_row
+        self.order = spla.spilu(S, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                                fill_factor=1).perm_c.astype(np.int32)
+        del S
+        col, row = np.divmod(keys, n)
+        del keys
+        row, col = self.order[row], self.order[col]
+        sort = np.argsort(col.astype(np.int64) * n + row)
+        self.nnz = sort.size
+        self.indices = row[sort]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(col, minlength=n))]).astype(np.int32)
+        del row, col
+        slot = np.empty(self.nnz, dtype=np.int32)
+        slot[sort] = np.arange(self.nnz, dtype=np.int32)
+        del sort
+        slot = slot[entry]
+        del entry
+        kept = np.count_nonzero(keep)
+        self.slots = np.full(keep.size, self.nnz, dtype=np.int32)
+        self.slots[keep] = slot[:kept]
+        self.border_cols = slot[kept:kept + G.nnz]
+        self.border_rows = slot[kept + G.nnz:]
+
+
 class ConstraintMap:
     """Affine constraints u = T z + g on the free unknowns z, and the
     linear systems that solve for them.
@@ -383,6 +500,11 @@ class ConstraintMap:
     keeps the sparsity of A. The reduced unknowns sit at the rows
     z_rows = rows[free_index]: with c = b there and zero elsewhere,
     y[z_rows] solves T'AT z = b.
+
+    That numbering is the map's. The system reduce_matrix returns is
+    stored in the order of its pattern's plan (see plan): unknown i of
+    the map's numbering is unknown plan.order[i] there, so its reduced
+    unknowns sit at plan.order[z_rows].
     """
 
     def __init__(self, T: sp.csr_matrix, g: np.ndarray, free_index: np.ndarray,
@@ -400,15 +522,44 @@ class ConstraintMap:
         self.z_rows = self.rows[self.free_index]
         self.size = m + self.border.shape[1]
 
-    def reduce_matrix(self, A, weights=None) -> sp.csr_matrix:
+    @cached_property
+    def _pattern_key(self):
+        """What of this map a plan depends on, as bytes, built once per map."""
+        G = self.border
+        return (self.size, self.rows.tobytes(), G.row.tobytes(),
+                G.col.tobytes())
+
+    def plan(self, A) -> SystemPlan:
+        """The SystemPlan of A's pattern under these constraints.
+
+        Stored zeros of A are not part of the pattern. For a matrix on a
+        mesh's skeleton the plan is computed once and kept with the
+        mesh's workspace; any other matrix gets a fresh one, equal to
+        what a cached plan of the same pattern would be.
+        """
+        A = A.tocsr()
+        keep = A.data != 0
+        ws = skeleton_of(A)
+        if ws is None:
+            return SystemPlan(A.indptr, A.indices, keep, self)
+        key = (self._pattern_key, np.packbits(keep).tobytes())
+        plan = ws.plans.get(key)
+        if plan is None:
+            plan = ws.plans[key] = SystemPlan(A.indptr, A.indices, keep, self)
+        return plan
+
+    def reduce_matrix(self, A, weights=None, plan=None) -> sp.csc_matrix:
         """Bordered system matrix of A; `weights` scales the rows of P'AP.
 
+        The result is CSC in the order of `plan`, self.plan(A) unless
+        the caller has it already, gathered from A.data by one bincount.
         Stored zeros of A are skipped. The two-field skeleton keeps the
         exact zeros of P1 stiffness on right-triangle grids, and so do
         the Newton matrices built on it; carried into the bordered
         matrix, they would only add entries and fill to its LU.
         """
         A = A.tocsr()
+        plan = self.plan(A) if plan is None else plan
         m, G = self.row_dofs.size, self.border
         weights = np.ones(m) if weights is None else weights
         # a constraint row's scale leaves the solution unchanged. Far
@@ -418,20 +569,17 @@ class ConstraintMap:
         # as an early pivot would spread its full row through the factors
         diag = np.abs(A.diagonal()[self.row_dofs] * weights)
         tiny = 2.0 ** -30 * diag.min(initial=np.inf)
-        r, c = self.rows[A.tocoo().row], self.rows[A.indices]
-        keep = (r >= 0) & (c >= 0) & (A.data != 0)
-        k = m + G.col
-        # entries of P'AP, the constraint columns, the constraint rows;
-        # the deletions keep the peak memory of a large system near that
-        # of the matrix built
-        data = np.concatenate([A.data[keep], -G.data, tiny * G.data])
-        rows = np.concatenate([r[keep], G.row, k])
-        del r
-        cols = np.concatenate([c[keep], k, G.row])
-        del c, keep
-        scaled = rows.size - G.nnz
-        data[:scaled] *= weights[rows[:scaled]]
-        return sp.csr_matrix((data, (rows, cols)),
+        data = np.bincount(plan.slots, weights=A.data,
+                           minlength=plan.nnz + 1)[:plan.nnz]
+        data[plan.border_cols] = -G.data
+        # the weights scale the rows of P'AP, constraint columns
+        # included, and every slot lies in one row: scaling the sums
+        # equals scaling the terms up to rounding
+        scale = np.ones(self.size)
+        scale[plan.order[:m]] = weights
+        data *= scale[plan.indices]
+        data[plan.border_rows] = tiny * G.data
+        return sp.csc_matrix((data, plan.indices, plan.indptr),
                              shape=(self.size, self.size))
 
     def reduce_vector(self, r):
@@ -449,13 +597,17 @@ class ConstraintMap:
         Every row is divided by the storage C at its dof, so heat and
         moisture rows are measured in comparable rate units; the Newton
         direction is unchanged, only the convergence norm and pivoting
-        see it. Returns (matrix, scaled) with scaled(R) = w * T'R, the
-        reduced residual in the same row scaling.
+        see it. Returns (matrix, scaled, rows): the planned system,
+        scaled(R) = w * T'R, the reduced residual in the same row
+        scaling, and the positions of the reduced unknowns in the
+        matrix's order.
         """
+        plan = self.plan(J)
         w = 1.0 / np.maximum(C[self.row_dofs], 1e-300)
         w_z = w[self.z_rows]
-        return (self.reduce_matrix(J, w),
-                lambda R: w_z * self.reduce_vector(R))
+        return (self.reduce_matrix(J, w, plan),
+                lambda R: w_z * self.reduce_vector(R),
+                plan.order[self.z_rows])
 
 
 def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:

@@ -260,20 +260,22 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     # both matrices lie on the mesh's two-field skeleton
     J.data += 0.5 * K.data
-    J.setdiag(J.diagonal() + C / dt)
-    matrix, scaled = cmap.newton_system(J, C)
+    J.data[fem.newton_slots(J)[0]] += C / dt
+    matrix, scaled, rows = cmap.newton_system(J, C)
     # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))
     dg[:n, 0] = dg[n:, 1] = 1.0
     dg[:n, 2:4] = dg[n:, 4:6] = mesh.nodes - cell.reduction.x0
+    # the right-hand sides in the system's own order: the reduced
+    # unknowns sit at `rows` of its plan, the others take zero
     rhs = np.zeros((matrix.shape[0], 6))
-    rhs[cmap.z_rows] = -np.column_stack([scaled(col) for col in (J @ dg).T])
+    rhs[rows] = -np.column_stack([scaled(col) for col in (J @ dg).T])
     # one SuperLU factorization serves the six right-hand sides; spsolve
     # rather than splu, whose calls perfbench counts as Newton iterations.
     # spsolve takes no pivot threshold, so this system keeps its default
     # COLAMD ordering: minimum degree on A + A' at threshold 1.0 would
     # pivot off the diagonal and fill far more
-    dz = spla.spsolve(matrix.tocsc(), rhs)[cmap.z_rows]
+    dz = spla.spsolve(matrix, rhs)[rows]
     if not np.all(np.isfinite(dz)):
         raise SolverError("singular cell tangent system")
     du = cmap.T @ dz + dg
@@ -322,11 +324,13 @@ def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
     cmaps = [red.map_for(0.0, 0.0, *e.reshape(2, 2)) for e in np.eye(4)]
     # the bordered matrix depends on the periodic pattern only, not on
     # the loading's g: one factorization serves the four loadings
-    lu = factorize(cmaps[0].reduce_matrix(K))
+    plan = cmaps[0].plan(K)
+    rows = plan.order[cmaps[0].z_rows]
+    lu = factorize(cmaps[0].reduce_matrix(K, plan=plan))
     for k, cmap in enumerate(cmaps):
         rhs = np.zeros(cmap.size)
-        rhs[cmap.z_rows] = -cmap.reduce_vector(K @ cmap.g)
-        u = cmap.expand(lu.solve(rhs)[cmap.z_rows])
+        rhs[rows] = -cmap.reduce_vector(K @ cmap.g)
+        u = cmap.expand(lu.solve(rhs)[rows])
         # <k grad u> per unit macroscopic gradient, so that the
         # physical flux is q = -K_eff g
         kg[0][:, 2 + k], kg[1][:, 2 + k] = _mean_conduction(ws, coeff, w, u)

@@ -52,13 +52,6 @@ class Partition:
     def loads(self):
         return tuple(len(a) for a in self.assignments)
 
-    def balance(self):
-        """Max over mean worker load; 1.0 is perfectly even."""
-        total = sum(self.loads)
-        if total == 0:
-            return 1.0
-        return max(self.loads) * self.n_workers / total
-
 
 def partition_points(point_ids, n_workers=1):
     """Split macro point ids over n_workers.

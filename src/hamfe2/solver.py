@@ -11,14 +11,18 @@ systems use a direct sparse factorization; everything is deterministic
 for a fixed input, there is no iterative solver noise.
 
 Every Newton system, fine, cell or macro, is factored by `factorize`.
-Its matrices have a symmetric pattern, so SuperLU orders them by
-minimum degree on A + A' and keeps a diagonal pivot whenever it holds
-at least 1 % of its column's largest entry. On an 8 x 8-cell wall with
-four elements across each joint, the smallest ratio |a_jj| / max_i
-|a_ij| of a Newton matrix is 0.065: every pivot stays on the diagonal,
-and the factors hold 2.6 M entries against 5.5 M with SuperLU's default
-COLAMD ordering. The ordering and the threshold only work together: at
-a threshold of 0.1 that wall already pivots off the diagonal, and its
+Its matrices have a symmetric pattern, so they are ordered by minimum
+degree on A + A', and SuperLU keeps a diagonal pivot whenever it holds
+at least 1 % of its column's largest entry. The ordering depends on the
+pattern alone: ConstraintMap.reduce_matrix computes it once per pattern
+(fem.SystemPlan) and gathers every matrix of that pattern straight into
+that order, so `factorize` runs SuperLU with its NATURAL column order
+and repeats no ordering. On an 8 x 8-cell wall with four elements
+across each joint, the smallest ratio |a_jj| / max_i |a_ij| of a
+Newton matrix is 0.065: every pivot stays on the diagonal, and the
+factors hold 2.6 M entries against 5.5 M with SuperLU's default COLAMD
+ordering. The ordering and the threshold only work together: at a
+threshold of 0.1 that wall already pivots off the diagonal, and its
 factors hold 50.8 M entries; at 0, a near-zero diagonal entry would
 stay the pivot with no fallback to partial pivoting.
 """
@@ -36,7 +40,7 @@ import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveError
 from .fem import (ConstraintMap, FieldState, assemble_system,
-                  capacity_jacobian_diagonals, dirichlet_map)
+                  capacity_jacobian_diagonals, dirichlet_map, newton_slots)
 
 log = logging.getLogger(__name__)
 
@@ -57,21 +61,21 @@ class SolverError(RuntimeError):
 
 
 def factorize(A):
-    """SuperLU factors of the square sparse A in the ordering above."""
+    """SuperLU factors of the square sparse A, already in the ordering above."""
     # called through the module attribute, so a profiler that rebinds
     # spla.splu sees every factorization
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+    return spla.splu(sp.csc_matrix(A), permc_spec="NATURAL",
                      diag_pivot_thresh=0.01)
 
 
-def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
+def newton_solve(residual_jacobian, z0, config: SolverConfig):
     """Newton iteration on the reduced unknowns.
 
-    residual_jacobian(z) returns the reduced residual and the sparse
-    matrix of the Newton system. That system may be larger than z, as
-    the bordered systems of ConstraintMap are: `rows` then gives the
-    position of each entry of z among its unknowns, the other unknowns
-    take a zero right-hand side and are left out of the update.
+    residual_jacobian(z) returns the reduced residual, the sparse matrix
+    of the Newton system and `rows`, the position of each entry of z
+    among the system's unknowns. The system may be larger than z, as
+    the bordered systems of ConstraintMap are: its other unknowns take a
+    zero right-hand side and are left out of the update.
     Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations. Updates that
     overshoot out of the admissible state range are halved until they
@@ -79,8 +83,6 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
     trace on breakdown.
     """
     z = np.array(z0, dtype=float)
-    if rows is None:
-        rows = np.arange(z.size)
     trace = []
 
     def evaluate(zk):
@@ -90,7 +92,7 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
             raise SolverError(f"iterate left the admissible state range: {exc}",
                               trace) from exc
 
-    r, jac = evaluate(z)
+    r, jac, rows = evaluate(z)
     norm0 = float(np.linalg.norm(r))
     target = max(config.newton_tol * norm0, config.newton_floor)
     trace.append(norm0)
@@ -98,10 +100,11 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
         return z, trace
     for _ in range(config.max_iterations):
         try:
-            lu = factorize(jac)
             rhs = np.zeros(jac.shape[0])
             rhs[rows] = -r
-            dz = lu.solve(rhs)[rows]
+            # the factors are dropped once they have solved, so the next
+            # factorization does not run while they are still held
+            dz = factorize(jac).solve(rhs)[rows]
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed: {exc}", trace) from exc
         if not np.all(np.isfinite(dz)):
@@ -117,19 +120,19 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, rows=None):
         for _halving in range(9):
             z_try = z + step * dz
             try:
-                r_try, jac_try = evaluate(z_try)
+                r_try, jac_try, rows_try = evaluate(z_try)
                 nrm = float(np.linalg.norm(r_try))
             except SolverError:
                 nrm = np.inf
             if np.isfinite(nrm) and nrm <= 1.5 * trace[-1]:
-                accepted = (nrm, z_try, r_try, jac_try)
+                accepted = (nrm, z_try, r_try, jac_try, rows_try)
                 break
             step *= 0.5
         if accepted is None:
             raise SolverError(
                 "damped Newton made no progress; the state update is "
                 "pinned to the admissible range boundary", trace)
-        nrm, z, r, jac = accepted
+        nrm, z, r, jac, rows = accepted
         trace.append(nrm)
         if nrm <= target:
             return z, trace
@@ -174,8 +177,11 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
         del out
         fint = K @ u
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n) - 0.5 * (f + f_n)
-        J = 0.5 * K
-        diag = J.diagonal() + C / dt
+        # J = K/2 + C/dt on K's own index arrays, so it stays on the
+        # skeleton and finds its plan there
+        diag, offset = newton_slots(K)
+        data = 0.5 * K.data
+        data[diag] += C / dt
         if cap is not None:
             # storage coefficients depend on humidity: the derivative
             # times the current rate enters the phi columns, on offset
@@ -183,16 +189,16 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
             gtt, gff = cap
             n = gtt.size
             rate = (u - u_n) / dt
-            diag[n:] += gff * rate[n:]
-            J.setdiag(J.diagonal(n) + gtt * rate[:n], n)
-        J.setdiag(diag)
+            data[diag[n:]] += gff * rate[n:]
+            data[offset] += gtt * rate[:n]
+        J = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
         accepted["old"] = (fint, f)
-        matrix, scaled = cmap.newton_system(J, C)
-        return scaled(R), matrix
+        matrix, scaled, rows = cmap.newton_system(J, C)
+        return scaled(R), matrix, rows
 
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
-    z, trace = newton_solve(residual_jacobian, z0, config, cmap.z_rows)
+    z, trace = newton_solve(residual_jacobian, z0, config)
     return cmap.expand(z), trace, accepted["old"]
 
 

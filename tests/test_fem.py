@@ -1,6 +1,7 @@
 """Element matrices, assembly, and constraint elimination."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from hamfe2 import fem, homogenization as hom, mesh as msh, solver
+from hamfe2 import fe2, fem, homogenization as hom, mesh as msh, solver
 from hamfe2.constitutive import CoefficientSet, LinearMaterial, default_materials
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -101,35 +102,68 @@ def without_zeros(A):
     return A
 
 
+def reduce_matrix_oracle(cmap, A, weights=None):
+    """Bordered system matrix of A in the map's numbering, from coo triples.
+
+    The body ConstraintMap.reduce_matrix had before its plans: the
+    reference the planned matrices are checked against.
+    """
+    A = A.tocsr()
+    m, G = cmap.row_dofs.size, cmap.border
+    weights = np.ones(m) if weights is None else weights
+    diag = np.abs(A.diagonal()[cmap.row_dofs] * weights)
+    tiny = 2.0 ** -30 * diag.min(initial=np.inf)
+    r, c = cmap.rows[A.tocoo().row], cmap.rows[A.indices]
+    keep = (r >= 0) & (c >= 0) & (A.data != 0)
+    k = m + G.col
+    # entries of P'AP, the constraint columns, the constraint rows
+    data = np.concatenate([A.data[keep], -G.data, tiny * G.data])
+    rows = np.concatenate([r[keep], G.row, k])
+    cols = np.concatenate([c[keep], k, G.row])
+    scaled = rows.size - G.nnz
+    data[:scaled] *= weights[rows[:scaled]]
+    return sp.csr_matrix((data, (rows, cols)), shape=(cmap.size, cmap.size))
+
+
+def in_map_order(matrix, plan):
+    """A planned system renumbered back into its map's numbering, csr."""
+    out = matrix[plan.order][:, plan.order].tocsr()
+    out.sort_indices()
+    return out
+
+
 def reduce_system(cmap, A, b):
-    """Bordered system of A u = b; its solution at cmap.z_rows is z."""
+    """Bordered system of A u = b, and the rows of its solution that hold z."""
+    plan = cmap.plan(A)
+    rows = plan.order[cmap.z_rows]
     rhs = np.zeros(cmap.size)
-    rhs[cmap.z_rows] = cmap.reduce_vector(b - A @ cmap.g)
-    return cmap.reduce_matrix(A), rhs
+    rhs[rows] = cmap.reduce_vector(b - A @ cmap.g)
+    return cmap.reduce_matrix(A), rhs, rows
 
 
 def apply_dirichlet(system, values):
-    """Reduced steady operator (A_red, b_red, cmap) for K u = f.
+    """Reduced steady operator (A_red, b_red, cmap, rows) for K u = f.
 
-    values maps full field-major dof indices to prescribed values.
+    values maps full field-major dof indices to prescribed values; the
+    solution's entries at rows are the reduced unknowns.
     """
     cmap = fem.dirichlet_map(2 * system.n_nodes, values)
-    A_red, b_red = reduce_system(cmap, system.stiffness(), system.f)
-    return A_red, b_red, cmap
+    A_red, b_red, rows = reduce_system(cmap, system.stiffness(), system.f)
+    return A_red, b_red, cmap, rows
 
 
 def apply_periodic_constraints(system, mesh, pairing, grad_theta, grad_phi,
                                value_theta=0.0, value_phi=0.0):
-    """Bordered steady periodic cell system (A_red, b_red, cmap).
+    """Bordered steady periodic cell system (A_red, b_red, cmap, rows).
 
     Slave dofs equal their master plus the affine offset grad . dx; the
     weighted mean of each field is anchored to its macro value. The
-    solution's entries at cmap.z_rows are the reduced unknowns.
+    solution's entries at rows are the reduced unknowns.
     """
     red = fem.PeriodicReduction(mesh, pairing)
     cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
-    A_red, b_red = reduce_system(cmap, system.stiffness(), system.f)
-    return A_red, b_red, cmap
+    A_red, b_red, rows = reduce_system(cmap, system.stiffness(), system.f)
+    return A_red, b_red, cmap, rows
 
 
 def dense_newton_system(cmap, J, C):
@@ -150,10 +184,9 @@ class DenseCongruenceMap(fem.ConstraintMap):
     def __init__(self, cmap):
         super().__init__(cmap.T, cmap.g, cmap.free_index, cmap.rows,
                          cmap.row_dofs, cmap.border)
-        self.z_rows = np.arange(self.n_free)
 
     def newton_system(self, J, C):
-        return dense_newton_system(self, J, C)
+        return (*dense_newton_system(self, J, C), np.arange(self.n_free))
 
 
 LOADING = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0), dt=3600.0)
@@ -244,8 +277,8 @@ def test_dirichlet_solve_reproduces_linear_profile():
     for i in right:
         values[i] = 4.0
         values[n + i] = 0.3
-    A, b, cmap = apply_dirichlet(sys, values)
-    u = cmap.expand(spla.spsolve(A.tocsc(), b))
+    A, b, cmap, rows = apply_dirichlet(sys, values)
+    u = cmap.expand(spla.spsolve(A, b)[rows])
     # prescribed dofs exact, interior linear in x, phi uniform
     for dof, val in values.items():
         assert u[dof] == val
@@ -320,9 +353,9 @@ def test_periodic_steady_homogeneous_cell_fluctuation_free():
     pairing = msh.detect_periodic_pairs(cell)
     gt = np.array([1.0, 0.0])
     gf = np.array([0.0, 2.0])
-    A, b, cmap = apply_periodic_constraints(sys, cell, pairing, gt, gf,
-                                            value_theta=20.0, value_phi=0.5)
-    u = cmap.expand(spla.spsolve(A.tocsc(), b)[cmap.z_rows])
+    A, b, cmap, rows = apply_periodic_constraints(
+        sys, cell, pairing, gt, gf, value_theta=20.0, value_phi=0.5)
+    u = cmap.expand(spla.spsolve(A, b)[rows])
     # exact affine field solves the homogeneous cell: zero fluctuation
     assert np.allclose(u, cmap.g, atol=1e-10)
     ws = fem.workspace(cell)
@@ -355,33 +388,40 @@ def test_property_periodic_expansion_consistent(gtx, gty, gfx, gfy, vt, vf):
 @pytest.mark.parametrize("resolution", [2, 4])
 def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
     # every Newton system of a running-bond cell increment, solved both
-    # ways: y[z_rows] of the bordered system against T'JT dz = -r
+    # ways: y[rows] of the bordered system against T'JT dz = -r
     seen = []
     bordered = fem.ConstraintMap.newton_system
 
     def spy(cmap, J, C):
-        matrix, reduce = bordered(cmap, J, C)
+        matrix, reduce, rows = bordered(cmap, J, C)
 
         def keep(R):
             seen.append((cmap, J, C, R))
             return reduce(R)
 
-        return matrix, keep
+        return matrix, keep, rows
 
     monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
     cell = running_cell(resolution)
     hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
     assert len(seen) > 2
     for cmap, J, C, R in seen:
-        matrix, reduce = bordered(cmap, J, C)
+        matrix, reduce, rows = bordered(cmap, J, C)
         r = reduce(R)
         rhs = np.zeros(matrix.shape[0])
+        rhs[rows] = -r
+        dz_newton = solver.factorize(matrix).solve(rhs)[rows]
+        # splu's default COLAMD ordering depends on the column order it
+        # is given: it gets the system in the map's numbering
+        rhs = np.zeros(matrix.shape[0])
         rhs[cmap.z_rows] = -r
-        dz = spla.splu(matrix.tocsc()).solve(rhs)[cmap.z_rows]
+        dz = spla.splu(in_map_order(matrix, cmap.plan(J)).tocsc()).solve(
+            rhs)[cmap.z_rows]
         dense, reduce_dense = dense_newton_system(cmap, J, C)
         assert np.array_equal(reduce_dense(R), r)
         dz_ref = spla.splu(dense.tocsc()).solve(-r)
         assert np.abs(dz - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
+        assert np.abs(dz_newton - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
 
 
 # tangent entries grouped by the averaged quantity they differentiate,
@@ -556,9 +596,12 @@ def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
     sysm = fem.assemble_system(m, state, materials)
     C = sysm.storage_diagonal()
     J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
-    matrix, scaled = cmap.newton_system(J, C)
+    matrix, scaled, rows = cmap.newton_system(J, C)
+    plan = cmap.plan(J)
+    assert np.array_equal(rows, plan.order[cmap.z_rows])
     dense, scaled_ref = dense_newton_system(cmap, J, C)
-    assert_same_csr(sp.csc_matrix(matrix), sp.csc_matrix(dense))
+    assert_same_csr(sp.csc_matrix(in_map_order(matrix, plan)),
+                    sp.csc_matrix(dense))
     R = np.random.default_rng(3).normal(size=2 * m.n_nodes)
     assert np.array_equal(scaled(R), scaled_ref(R))
 
@@ -631,3 +674,127 @@ def test_reduce_matrix_skips_stored_zeros():
         for weights in (None, np.linspace(1.0, 2.0, cmap.row_dofs.size)):
             assert_same_csr(cmap.reduce_matrix(K, weights),
                             cmap.reduce_matrix(without_zeros(K), weights))
+
+
+# ------------------------------------------------------------ system plans
+
+
+def spied_newton_systems(monkeypatch, run):
+    """(cmap, J, C) of every Newton system that run() builds, in order."""
+    seen = []
+    bordered = fem.ConstraintMap.newton_system
+
+    def spy(cmap, J, C):
+        seen.append((cmap, J, C))
+        return bordered(cmap, J, C)
+
+    monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def wall_systems(monkeypatch):
+    """The Newton systems of one step of a Dirichlet wall."""
+    mesh, materials, cmap = dirichlet_wall()
+    u_n = fem.FieldState.uniform(mesh.n_nodes, 20.0, 0.5).vector()
+    return spied_newton_systems(monkeypatch, lambda: solver.crank_nicolson_step(
+        partial(solver._assemble, mesh, materials), u_n, 0.0, 3600.0, cmap,
+        solver.SolverConfig()))
+
+
+def cell_systems(monkeypatch):
+    """The Newton systems of a periodic cell increment, then its tangent's."""
+    cell = running_cell(2)
+    return spied_newton_systems(monkeypatch, lambda: hom.solve_rve_increment(
+        cell, cell.initial_state(LOADING), LOADING, want_tangents=True))
+
+
+def macro_systems(monkeypatch):
+    """A macro Newton system: the chain rule through random cell tangents,
+    built as FE2Driver.step builds it, under the wall's Dirichlet map."""
+    mesh = msh.generate_rectangle_mesh(1.2, 0.6, 4, 2)
+    ws = fem.workspace(mesh)
+    rng = np.random.default_rng(5)
+    kg, mg = rng.normal(size=(2, mesh.n_triangles, 2, 2, 6))
+    C = rng.uniform(1.0, 2.0, 2 * mesh.n_nodes)
+    J = fe2._tensor_stiffness(ws, kg)
+    J.data *= 0.5
+    J.data[fem.newton_slots(J)[0]] += C / 3600.0
+    J.data += (0.5 * fe2._value_coupling(ws, kg).data
+               + fe2._tensor_stiffness(ws, mg).data
+               + fe2._value_coupling(ws, mg).data)
+    # a cell tangent can vanish in whole blocks (no k_tf, say): a few
+    # stored zeros off the diagonal stand for them
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
+    J.data[np.flatnonzero(J.indices != rows)[::5]] = 0.0
+    left = mesh.boundary_nodes("left")
+    cmap = fem.dirichlet_map(2 * mesh.n_nodes,
+                             {**{i: 5.0 for i in left},
+                              **{mesh.n_nodes + i: 0.8 for i in left}})
+    return [(cmap, J, C)]
+
+
+SYSTEMS = {"dirichlet-wall": wall_systems, "periodic-cell": cell_systems,
+           "macro": macro_systems}
+
+
+@pytest.mark.parametrize("case", list(SYSTEMS))
+def test_planned_matrix_is_the_coo_oracle_in_the_plan_order(case, monkeypatch):
+    # entry for entry, with and without row weights, from the skeleton
+    # matrix with its stored zeros and from a copy without them. A
+    # Dirichlet system is bit for bit the oracle. Periodic slaves sum
+    # duplicates in another order, and the weights scale the sums rather
+    # than their terms: there each entry may differ by 8 units in the
+    # last place of the sum of its terms' magnitudes
+    systems = SYSTEMS[case](monkeypatch)
+    assert any(np.count_nonzero(J.data == 0.0) for _, J, _ in systems)
+    eps = np.finfo(float).eps
+    for cmap, J, C in systems:
+        assert fem.skeleton_of(J) is not None
+        periodic = cmap.border.shape[1] > 0
+        assert periodic == (case == "periodic-cell")
+        for weights in (None, 1.0 / C[cmap.row_dofs]):
+            ref = reduce_matrix_oracle(cmap, J, weights)
+            scale = reduce_matrix_oracle(cmap, abs(J), weights)
+            for A in (J, without_zeros(J)):
+                plan = cmap.plan(A)
+                got = in_map_order(cmap.reduce_matrix(A, weights), plan)
+                assert np.array_equal(got.indptr, ref.indptr)
+                assert np.array_equal(got.indices, ref.indices)
+                if periodic:
+                    assert np.all(np.abs(got.data - ref.data)
+                                  <= 8 * eps * np.abs(scale.data))
+                else:
+                    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("case", list(SYSTEMS))
+def test_plan_is_the_minimum_degree_order_of_its_pattern(case, monkeypatch):
+    # the cached plan of a skeleton matrix and the fresh one of the same
+    # matrix without its stored zeros agree, and both order the system
+    # as splu's own minimum degree ordering of the oracle would; the
+    # factors of the planned matrix are as large as that splu's
+    for cmap, J, C in SYSTEMS[case](monkeypatch):
+        plan = cmap.plan(J)
+        assert cmap.plan(J) is plan
+        fresh = cmap.plan(without_zeros(J))
+        assert fresh is not plan
+        for name in ("order", "indptr", "indices"):
+            assert np.array_equal(getattr(fresh, name), getattr(plan, name))
+        weights = 1.0 / C[cmap.row_dofs]
+        ref = spla.splu(reduce_matrix_oracle(cmap, J, weights).tocsc(),
+                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01)
+        assert np.array_equal(plan.order, ref.perm_c)
+        lu = solver.factorize(cmap.reduce_matrix(J, weights, plan))
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+
+
+def test_cell_newton_and_tangent_systems_get_different_plans(monkeypatch):
+    # the tangent's consistent Jacobian fills zeros that the Newton
+    # matrices keep: its pattern, and so its plan, is another one
+    *newton, tangent = cell_systems(monkeypatch)
+    plans = {id(cmap.plan(J)): cmap.plan(J) for cmap, J, _ in newton}
+    cmap, J, _ = tangent
+    assert id(cmap.plan(J)) not in plans
+    assert all(cmap.plan(J).nnz > plan.nnz for plan in plans.values())

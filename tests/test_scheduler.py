@@ -69,7 +69,8 @@ def test_partition_contiguous_even_split():
     part = sched.partition_points(range(10), n_workers=2)
     assert part.loads == (5, 5)
     assert covered_ids(part) == tuple(range(10))
-    assert part.balance() == 1.0
+    # max over mean worker load: 1.0 is perfectly even
+    assert max(part.loads) * part.n_workers / sum(part.loads) == 1.0
 
 
 def test_partition_single_worker_takes_all():

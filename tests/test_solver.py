@@ -82,7 +82,7 @@ def test_newton_iterates_match_oracle():
 
     def residual_jacobian(z):
         seen.append(float(z[0]))
-        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]])
+        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([3.0]),
                                    solver.SolverConfig(newton_tol=1e-13))
@@ -97,7 +97,7 @@ def test_newton_iterates_match_oracle():
 
 def test_newton_zero_iterations_at_root():
     def residual_jacobian(z):
-        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]])
+        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([2.0]),
                                    solver.SolverConfig())
@@ -106,7 +106,7 @@ def test_newton_zero_iterations_at_root():
 
 def test_newton_failure_reports_trace():
     def residual_jacobian(z):
-        return np.array([z[0] ** 2 + 1.0]), sp.csr_matrix([[2.0 * z[0]]])
+        return np.array([z[0] ** 2 + 1.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.array([0.5]),
@@ -123,24 +123,24 @@ def test_newton_singular_bordered_system_raises_solver_error():
                          [1.0, 0.0, 1.0]])
 
     def residual_jacobian(z):
-        return np.array([1.0, -2.0]), jac
+        return np.array([1.0, -2.0]), jac, np.array([0, 1])
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.zeros(2),
-                            solver.SolverConfig(), rows=np.array([0, 1]))
+                            solver.SolverConfig())
     assert "linear solve failed" in str(err.value)
     assert err.value.trace == [pytest.approx(np.sqrt(5.0))]
 
 
 def first_newton_system(monkeypatch, run):
-    """(cmap, matrix) of the first Newton system that run() factors."""
+    """(matrix, rows) of the first Newton system that run() factors."""
     seen = []
     bordered = fem.ConstraintMap.newton_system
 
     def spy(cmap, J, C):
-        matrix, scaled = bordered(cmap, J, C)
-        seen.append((cmap, matrix))
-        return matrix, scaled
+        matrix, scaled, rows = bordered(cmap, J, C)
+        seen.append((matrix, rows))
+        return matrix, scaled, rows
 
     monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
     run()
@@ -180,12 +180,12 @@ def cell_increment():
                                         (cell_increment, 30_000)],
                          ids=["wall", "cell"])
 def test_factorize_fill_is_bounded_and_solves(run, bound, monkeypatch):
-    cmap, A = first_newton_system(monkeypatch, run)
+    A, rows = first_newton_system(monkeypatch, run)
     lu = solver.factorize(A)
     assert lu.L.nnz + lu.U.nnz <= bound
     # as in Newton, the right-hand side is zero on anchor and border rows
     b = np.zeros(A.shape[0])
-    b[cmap.z_rows] = np.random.default_rng(0).normal(size=cmap.z_rows.size)
+    b[rows] = np.random.default_rng(0).normal(size=rows.size)
     x = lu.solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
