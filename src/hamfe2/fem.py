@@ -419,6 +419,9 @@ class SystemPlan:
     postorder, of a diagonally dominant stand-in S that has the
     system's pattern and a full diagonal: incomplete factors with
     everything dropped yield it without a factorization of the system.
+    That call takes the unrelaxed supernodes and one-column panels of
+    solver.factorize: they leave the ordering as it is and make the
+    incomplete factorization cheaper.
     The system is stored as CSC in that order (indptr, indices). slots
     gives the data slot of every entry of A, or nnz for an entry the
     system drops; border_cols and border_rows are the slots of the
@@ -451,7 +454,8 @@ class SystemPlan:
              .astype(np.int32)), shape=(n, n))
         del s_col, s_row
         self.order = spla.spilu(S, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
-                                fill_factor=1).perm_c.astype(np.int32)
+                                fill_factor=1, relax=1,
+                                panel_size=1).perm_c.astype(np.int32)
         del S
         col, row = np.divmod(keys, n)
         del keys

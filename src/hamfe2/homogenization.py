@@ -274,7 +274,10 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     # rather than splu, whose calls perfbench counts as Newton iterations.
     # spsolve takes no pivot threshold, so this system keeps its default
     # COLAMD ordering: minimum degree on A + A' at threshold 1.0 would
-    # pivot off the diagonal and fill far more
+    # pivot off the diagonal and fill far more. Nor does it take
+    # solver.factorize's relax and panel size, so it also keeps SuperLU's
+    # default relaxed supernodes until the benchmark counts
+    # factorizations by caller and the tangent can use factorize
     dz = spla.spsolve(matrix, rhs)[rows]
     if not np.all(np.isfinite(dz)):
         raise SolverError("singular cell tangent system")

@@ -43,21 +43,42 @@ def write_history_csv(history: History, outdir):
     return [os.path.join(outdir, "theta.csv"), os.path.join(outdir, "phi.csv")]
 
 
+def _numbers(path, lineno, fields):
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: malformed number") from None
+    if not all(np.isfinite(values)):
+        raise ValueError(f"{path}:{lineno}: non-finite value")
+    return values
+
+
 def _read_field_csv(path):
+    """(times [h], values) of a table written by _write_field_csv.
+
+    Errors cite the one-based line number of the offending row.
+    """
     with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+        lines = [(lineno, ln) for lineno, ln in
+                 enumerate(fh.read().splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = lines[0].split(",")
+    lineno, line = lines[0]
+    header = line.split(",")
     if header[0] != "node":
         raise ValueError(f"{path}: missing 'node' header column")
-    times_h = np.array([float(v) for v in header[1:]])
+    times_h = np.array(_numbers(path, lineno, header[1:]))
     values = np.empty((len(lines) - 1, times_h.size))
-    for k, line in enumerate(lines[1:]):
+    for k, (lineno, line) in enumerate(lines[1:]):
         parts = line.split(",")
-        if int(parts[0]) != k:
-            raise ValueError(f"{path}: rows must be ordered by node id")
-        values[k] = [float(v) for v in parts[1:]]
+        if len(parts) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} "
+                             f"comma-separated fields as in the header, "
+                             f"got {len(parts)}")
+        if parts[0].strip() != str(k):
+            raise ValueError(
+                f"{path}:{lineno}: rows must be ordered by node id")
+        values[k] = _numbers(path, lineno, parts[1:])
     return times_h, values
 
 

@@ -25,6 +25,41 @@ ordering. The ordering and the threshold only work together: at a
 threshold of 0.1 that wall already pivots off the diagonal, and its
 factors hold 50.8 M entries; at 0, a near-zero diagonal entry would
 stay the pivot with no fallback to partial pivoting.
+
+SuperLU also groups columns into supernodes and panels. Its default
+relaxation merges small subtrees of the elimination tree into dense
+supernodes and stores their zeros, which pays off on large matrices;
+on the cell systems about a third of the entries it stores are zeros.
+`factorize` therefore asks for unrelaxed supernodes (relax=1) and
+one-column panels (panel_size=1). The pivots and the pattern of L and
+U stay the same, though their values can change in the last bits; only
+the stored zeros go. A sweep on the first Newton matrix of a
+running-bond cell (r elements across a joint) and of the 8 x 8-cell
+wall of perfbench's fine-wall workload (seed 0) gave these stored
+entries; the panel size does not change them:
+
+    matrix          default    relax 1    relax 2
+    r=2 cell          6,486      4,246      4,478
+    r=4 cell         39,470     26,902     29,694
+    r=8 cell        235,110    158,486    178,526
+    r=12 cell       592,846    438,294    487,134
+    fine wall     2,620,122  2,617,994  2,617,994
+
+and these `splu` times in ms (minimum over interleaved runs on one core
+of a 2-CPU Xeon host, whose speed swings about 1.4x), by relax and
+panel size:
+
+    matrix      default   1/1   1/2   1/4   2/1   2/2   2/4
+    r=2 cell       0.24  0.15  0.16  0.18  0.15  0.16  0.16
+    r=4 cell       1.60  0.84  0.88  0.90  1.01  1.03  1.13
+    r=8 cell       13.1   6.7   6.8   6.6   8.5   8.2   8.3
+    r=12 cell      38.8  20.0  21.2  19.5  25.8  24.5  25.7
+    fine wall       159   133   136   139   133   128   139
+
+relax=1 halves the time of a cell factorization, and relax=2 is 20 to
+30 % slower than relax=1 on r >= 4; on the wall every setting beats the
+default, and they all lie within the host's noise of each other. No
+panel size above 1 is faster beyond that noise, so the rule keeps 1.
 """
 
 from __future__ import annotations
@@ -61,11 +96,15 @@ class SolverError(RuntimeError):
 
 
 def factorize(A):
-    """SuperLU factors of the square sparse A, already in the ordering above."""
+    """SuperLU factors of the square sparse A, already in the ordering above.
+
+    Unrelaxed supernodes and one-column panels, as the sweep above chose.
+    """
     # called through the module attribute, so a profiler that rebinds
-    # spla.splu sees every factorization
-    return spla.splu(sp.csc_matrix(A), permc_spec="NATURAL",
-                     diag_pivot_thresh=0.01)
+    # spla.splu sees every factorization; a CSC input is not wrapped again
+    return spla.splu(A if sp.isspmatrix_csc(A) else sp.csc_matrix(A),
+                     permc_spec="NATURAL", diag_pivot_thresh=0.01, relax=1,
+                     panel_size=1)
 
 
 def newton_solve(residual_jacobian, z0, config: SolverConfig):

@@ -344,6 +344,25 @@ ny = 2
         assert float(lines["abs_phi"]) == 0.0
         assert float(lines["rel_theta_pct"]) == 0.0
 
+    def test_non_finite_result_exits_two(self, tmp_path, capsys):
+        fine = fine_scenario(tmp_path)
+        assert main(["solve-fine", "--config", fine]) == 0
+        theta = tmp_path / "out" / "theta.csv"
+        lines = theta.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        theta.write_text("\n".join(lines) + "\n")
+        cfg = write(tmp_path / "cmp.ini", """\
+[compare]
+fine_mesh = square.msh
+coarse_mesh = square.msh
+fine_results = out
+coarse_results = out
+nx = 2
+ny = 2
+""")
+        assert main(["compare", "--config", cfg]) == 2
+        assert "theta.csv:2: non-finite value" in capsys.readouterr().err
+
     def test_missing_results_directory_is_reported(self, tmp_path, capsys):
         gen_square(tmp_path)
         cfg = write(tmp_path / "cmp.ini", """\

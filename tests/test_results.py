@@ -57,6 +57,23 @@ class TestCsv:
         with pytest.raises(ValueError, match="format"):
             write_results(small_history(3), "hdf5", str(tmp_path))
 
+    @pytest.mark.parametrize("name, line, row, message", [
+        ("theta", 3, "1,20", "expected 3"),
+        ("theta", 3, "1,20,21,22", "expected 3"),
+        ("theta", 3, "x,20,21", "rows must be ordered"),
+        ("phi", 4, "2,0.5,nan", "non-finite"),
+        ("phi", 4, "2,inf,0.5", "non-finite")],
+        ids=["short", "long", "node", "nan", "inf"])
+    def test_bad_row_names_the_file_and_line(self, tmp_path, name, line, row,
+                                             message):
+        write_history_csv(small_history(3), str(tmp_path))
+        path = tmp_path / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        lines[line - 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{name}\\.csv:{line}: {message}"):
+            read_history_csv(str(tmp_path))
+
 
 class TestVtk:
 

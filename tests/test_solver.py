@@ -172,10 +172,12 @@ def cell_increment():
     hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
 
 
-# L + U entries of the first Newton matrix: factorize gives 501,032 on
-# the wall and 26,902 on the cell; the same ordering at threshold 1.0
-# gives 5,261,333 and 46,547; COLAMD at threshold 0.01 gives 919,040
-# and 43,252; splu's defaults give 992,335 and 45,571
+# entries of the factors of the first Newton matrix: factorize stores
+# 501,032 on the wall and 26,902 on the cell, as many as L + U hold;
+# SuperLU's default relaxed supernodes and panels pad the same factors
+# to 504,296 and 39,470 stored entries. For L + U, the same ordering at
+# threshold 1.0 gives 5,261,333 and 46,547; COLAMD at threshold 0.01
+# gives 919,040 and 43,252; splu's defaults give 992,335 and 45,571
 @pytest.mark.parametrize("run, bound", [(wall_step, 550_000),
                                         (cell_increment, 30_000)],
                          ids=["wall", "cell"])
@@ -183,6 +185,10 @@ def test_factorize_fill_is_bounded_and_solves(run, bound, monkeypatch):
     A, rows = first_newton_system(monkeypatch, run)
     lu = solver.factorize(A)
     assert lu.L.nnz + lu.U.nnz <= bound
+    # the stored entries, explicit zeros of the supernodes included
+    assert lu.nnz <= bound
+    # every pivot stays on the diagonal
+    assert np.array_equal(lu.perm_r, np.arange(A.shape[0]))
     # as in Newton, the right-hand side is zero on anchor and border rows
     b = np.zeros(A.shape[0])
     b[rows] = np.random.default_rng(0).normal(size=rows.size)
