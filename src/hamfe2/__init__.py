@@ -1,11 +1,10 @@
 """Coupled heat and moisture transport in masonry by nested FE2 homogenization."""
 
 from .climate import (ClimateError, ClimateSeries, load_climate_series,
-                      sample_climate, save_climate_series,
-                      synthetic_annual_climate)
+                      sample_climate, synthetic_annual_climate)
 from .config import (BoundaryRule, BoundarySchedule, ConfigError,
                      ScenarioConfig, load_materials, load_scenario,
-                     parse_scenario, save_scenario, serialize_scenario)
+                     parse_scenario)
 from .constitutive import (ConstitutiveError, KunzelMaterial, LinearMaterial,
                            MaterialParams, default_materials)
 from .fe2 import (ComparisonReport, FE2Driver, FE2Error, FE2Result,
@@ -13,7 +12,7 @@ from .fe2 import (ComparisonReport, FE2Driver, FE2Error, FE2Result,
 from .fem import FieldState
 from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
                              MesoState, TangentBlocks, effective_tangent,
-                             solve_rve_increment, steady_linear_homogenize)
+                             solve_rve_increment)
 from .mesh import (Mesh, MeshError, generate_masonry_cell,
                    generate_masonry_wall, generate_rectangle_mesh, load_mesh,
                    save_mesh, with_phases)
@@ -27,10 +26,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClimateError", "ClimateSeries", "load_climate_series", "sample_climate",
-    "save_climate_series", "synthetic_annual_climate",
+    "synthetic_annual_climate",
     "BoundaryRule", "BoundarySchedule", "ConfigError", "ScenarioConfig",
-    "load_materials", "load_scenario", "parse_scenario", "save_scenario",
-    "serialize_scenario",
+    "load_materials", "load_scenario", "parse_scenario",
     "ConstitutiveError", "KunzelMaterial", "LinearMaterial", "MaterialParams",
     "default_materials",
     "ComparisonReport", "FE2Driver", "FE2Error", "FE2Result",
@@ -38,7 +36,6 @@ __all__ = [
     "FieldState",
     "CellProblem", "EffectiveResponse", "MacroLoading", "MesoState",
     "TangentBlocks", "effective_tangent", "solve_rve_increment",
-    "steady_linear_homogenize",
     "Mesh", "MeshError", "generate_masonry_cell", "generate_masonry_wall",
     "generate_rectangle_mesh", "load_mesh", "save_mesh", "with_phases",
     "read_history_csv", "write_results", "write_round_log", "write_step_log",

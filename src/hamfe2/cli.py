@@ -315,6 +315,12 @@ def _cmd_compare(config: ScenarioConfig):
 
     fine = read_history_csv(fine_results)
     coarse = read_history_csv(coarse_results)
+    for label, history, mesh in (("fine", fine, fine_mesh),
+                                 ("coarse", coarse, coarse_mesh)):
+        if history.states and history.states[0].n_nodes != mesh.n_nodes:
+            raise FE2Error(
+                f"compare.{label}_results hold {history.states[0].n_nodes} "
+                f"nodes, but compare.{label}_mesh has {mesh.n_nodes}")
     cell_map = build_grid_cell_map(fine_mesh, coarse_mesh, nx, ny)
     report = compare_fields(fine, coarse, cell_map)
     outdir = _outdir(settings)

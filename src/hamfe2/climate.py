@@ -99,20 +99,6 @@ def load_climate_series(path, policy="periodic") -> ClimateSeries:
     return ClimateSeries(data[:, 0], data[:, 1], data[:, 2], policy)
 
 
-def save_climate_series(series: ClimateSeries, path):
-    """Write the CSV form read back by load_climate_series.
-
-    Values print with 17 significant digits, so a round trip is exact
-    and the output bytes are a deterministic function of the series.
-    """
-    lines = ["time_h,temp_C,humidity"]
-    lines.extend("%.17g,%.17g,%.17g" % (t, th, ph)
-                 for t, th, ph in zip(series.times, series.temperature,
-                                      series.humidity))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def sample_climate(series: ClimateSeries, t):
     """Sampled (temperature, humidity) at time t [h].
 

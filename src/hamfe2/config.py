@@ -28,7 +28,6 @@ annual generator with the scenario seed.
 from __future__ import annotations
 
 import configparser
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -61,9 +60,6 @@ class ScenarioConfig:
 
     sections: dict
     base_dir: str = field(default=".", compare=False)
-
-    def get(self, section, key, default=None):
-        return self.sections.get(section, {}).get(key, default)
 
     def section(self, name):
         return dict(self.sections.get(name, {}))
@@ -103,22 +99,6 @@ def load_scenario(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigError(f"config file: {exc}") from exc
     return parse_scenario(text, os.path.dirname(os.path.abspath(path)))
-
-
-def serialize_scenario(config: ScenarioConfig) -> str:
-    """Canonical INI text; parse -> serialize -> parse is a fixed point."""
-    out = io.StringIO()
-    for name, pairs in config.sections.items():
-        out.write(f"[{name}]\n")
-        for key, value in pairs.items():
-            out.write(f"{key} = {value}\n")
-        out.write("\n")
-    return out.getvalue()
-
-
-def save_scenario(config: ScenarioConfig, path):
-    with open(path, "w") as fh:
-        fh.write(serialize_scenario(config))
 
 
 # ------------------------------------------------- typed section access

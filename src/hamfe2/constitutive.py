@@ -372,9 +372,17 @@ class LinearMaterial:
 
     Used for verification problems with known closed-form behavior; the
     state arguments are accepted and ignored apart from broadcasting.
+    The direct coefficients k_tt, k_ff, c_tt and c_ff must be positive,
+    and every coefficient finite.
     """
 
     def __init__(self, name, k_tt, k_ff, c_tt, c_ff, k_tf=0.0, k_ft=0.0):
+        direct = {"k_tt": k_tt, "k_ff": k_ff, "c_tt": c_tt, "c_ff": c_ff}
+        bad = [k for k, v in direct.items() if not (np.isfinite(v) and v > 0.0)]
+        bad += [k for k, v in (("k_tf", k_tf), ("k_ft", k_ft))
+                if not np.isfinite(v)]
+        if bad:
+            raise ConstitutiveError(f"{name}: non-physical coefficients {bad}")
         self.name = name
         self._c = CoefficientSet(k_tt, k_tf, k_ft, k_ff, c_tt, c_ff)
 

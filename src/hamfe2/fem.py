@@ -13,16 +13,18 @@ stored in all four, so the Crank-Nicolson storage terms are added in
 place on the main diagonal and on offset N. The pattern keeps the
 exact zeros that P1 stiffness has on right-triangle grids.
 
-Constraints (Dirichlet values, periodic-affine cell conditions) are
-expressed as an affine map u = T z + g onto free unknowns z. Residuals
-reduce as T'R; linear systems are solved on the unknowns that remain
-once prescribed dofs are dropped and periodic slaves summed onto their
-masters, bordered by the cell's zero-mean constraints as Lagrange
-multipliers, so they keep the sparsity of the assembled matrix. Each
-pattern of such a system gets one SystemPlan: a fill-reducing ordering
-and a gather map from the assembled matrix straight into the bordered
-system, stored as CSC in that ordering. The plans of the matrices on a
-mesh's skeleton live with its workspace.
+Boundary data enter as Dirichlet values only; no assembly adds an edge
+flux, so the external flux vector of every system is zero. Constraints
+(Dirichlet values, periodic-affine cell conditions) are expressed as an
+affine map u = T z + g onto free unknowns z. Residuals reduce as T'R;
+linear systems are solved on the unknowns that remain once prescribed
+dofs are dropped and periodic slaves summed onto their masters,
+bordered by the cell's zero-mean constraints as Lagrange multipliers,
+so they keep the sparsity of the assembled matrix. Each pattern of such
+a system gets one SystemPlan: a fill-reducing ordering and a gather map
+from the assembled matrix straight into the bordered system, stored as
+CSC in that ordering. The plans of the matrices on a mesh's skeleton
+live with its workspace.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ class CoupledSystem:
     K is the field-major conductivity (2N x 2N csr on the mesh's
     two-field skeleton), c_tt/c_ff the lumped storage diagonals, f the
     external flux vector of length 2N, coeff the per-element
-    coefficients they were built from.
+    coefficients they were built from. f is zero (see the module notes)
+    but keeps its place in the Crank-Nicolson residual.
     """
 
     K: sp.csr_matrix
@@ -91,10 +94,6 @@ class CoupledSystem:
     c_ff: np.ndarray
     f: np.ndarray
     coeff: CoefficientSet = None
-
-    @property
-    def n_nodes(self):
-        return self.c_tt.size
 
     def stiffness(self) -> sp.csr_matrix:
         return self.K
@@ -300,28 +299,17 @@ def evaluate_coefficients(mesh: Mesh, state: FieldState, materials) -> Coefficie
                                       len(_COEFFICIENTS)))
 
 
-def assemble_system(mesh: Mesh, state: FieldState, materials,
-                    neumann=None) -> CoupledSystem:
-    """Assemble conductivity blocks, lumped storage and external fluxes.
+def assemble_system(mesh: Mesh, state: FieldState,
+                    materials) -> CoupledSystem:
+    """Conductivity blocks and lumped storage at the given state.
 
-    materials maps phase names to objects with coefficients(theta, phi);
-    neumann, when given, maps (field, boundary-set) to a flux density
-    [W m^-2 or kg m^-2 s^-1] applied on that edge set.
+    materials maps phase names to objects with coefficients(theta, phi).
+    The external flux vector is zero: boundary data enter as Dirichlet
+    values through the constraint map.
     """
     if state.n_nodes != mesh.n_nodes:
         raise FemError("state length does not match the mesh")
-    sysm = coupled_system(mesh, evaluate_coefficients(mesh, state, materials))
-    n, f = mesh.n_nodes, sysm.f
-    if neumann:
-        for (fld, set_name), flux in neumann.items():
-            if set_name not in mesh.boundary:
-                raise FemError(f"unknown boundary set '{set_name}'")
-            off = 0 if fld == "theta" else n
-            for a, b in mesh.boundary[set_name]:
-                half = 0.5 * float(np.hypot(*(mesh.nodes[b] - mesh.nodes[a]))) * flux
-                f[off + a] += half
-                f[off + b] += half
-    return sysm
+    return coupled_system(mesh, evaluate_coefficients(mesh, state, materials))
 
 
 def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:

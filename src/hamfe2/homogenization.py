@@ -37,7 +37,7 @@ from . import fem
 from .fem import FieldState, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
 from .solver import (SolverConfig, SolverError, _assemble, crank_nicolson_step,
-                     factorize, old_data)
+                     old_data)
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,6 @@ class CellProblem:
         ws = workspace(mesh)
         self.area = float(ws.areas.sum())
 
-    @property
-    def n_nodes(self):
-        return self.mesh.n_nodes
-
     def affine_vector(self, loading: MacroLoading):
         return self.reduction.affine(loading.theta, loading.phi,
                                      loading.grad_theta, loading.grad_phi)
@@ -140,7 +136,7 @@ class CellProblem:
         return self.affine_vector(state.loading) + state.fluct
 
     def initial_state(self, loading: MacroLoading) -> MesoState:
-        return MesoState(np.zeros(2 * self.n_nodes), loading, 0.0)
+        return MesoState(np.zeros(2 * self.mesh.n_nodes), loading, 0.0)
 
 
 def _mean_conduction(ws, coeff, w, u):
@@ -162,7 +158,7 @@ def average_fields(cell: CellProblem, coeff, u_new, u_old,
     state: fluxes only, zero rates.
     """
     ws = workspace(cell.mesh)
-    n = cell.n_nodes
+    n = cell.mesh.n_nodes
     w = ws.areas / cell.area
     kg_heat, kg_moist = _mean_conduction(ws, coeff, w, u_new)
     q_heat, q_moist = -kg_heat, -kg_moist
@@ -251,7 +247,8 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     differentiated along them in closed form. The columns of every
     returned array follow p.
     """
-    mesh, n = cell.mesh, cell.n_nodes
+    mesh = cell.mesh
+    n = mesh.n_nodes
     ws = workspace(mesh)
     tris = mesh.triangles
     rate = (u_new - u_old) / dt
@@ -305,36 +302,3 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
         s.append(w @ store)
     return TangentBlocks(np.array(kg), np.array(m),
                          np.array([s[0][0] * dt, s[1][1] * dt]))
-
-
-def steady_linear_homogenize(mesh: Mesh, materials, theta=20.0, phi=0.5):
-    """Effective conductivity blocks of the cell frozen at a uniform state.
-
-    Solves the four steady periodic problems with unit macroscopic
-    gradients and reads the gradient columns of kg, columns 2 to 5 of
-    p, off the averaged fluxes; the value columns stay zero. Exact for
-    linear materials; for nonlinear ones this is the tangent at the
-    given state with the coefficient fields held fixed.
-    """
-    red = fem.PeriodicReduction(mesh, detect_periodic_pairs(mesh))
-    ws = workspace(mesh)
-    coeff = evaluate_coefficients(
-        mesh, FieldState.uniform(mesh.n_nodes, theta, phi), materials)
-    K = fem.coupled_system(mesh, coeff).K
-    w = ws.areas / ws.areas.sum()
-    kg = np.zeros((2, 2, 6))
-    # one unit gradient (grad_Theta, grad_Phi) per gradient column of p
-    cmaps = [red.map_for(0.0, 0.0, *e.reshape(2, 2)) for e in np.eye(4)]
-    # the bordered matrix depends on the periodic pattern only, not on
-    # the loading's g: one factorization serves the four loadings
-    plan = cmaps[0].plan(K)
-    rows = plan.order[cmaps[0].z_rows]
-    lu = factorize(cmaps[0].reduce_matrix(K, plan=plan))
-    for k, cmap in enumerate(cmaps):
-        rhs = np.zeros(cmap.size)
-        rhs[rows] = -cmap.reduce_vector(K @ cmap.g)
-        u = cmap.expand(lu.solve(rhs)[rows])
-        # <k grad u> per unit macroscopic gradient, so that the
-        # physical flux is q = -K_eff g
-        kg[0][:, 2 + k], kg[1][:, 2 + k] = _mean_conduction(ws, coeff, w, u)
-    return TangentBlocks(kg)

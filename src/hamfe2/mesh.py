@@ -78,12 +78,6 @@ class Mesh:
         x0, x1, y0, y1 = self.extent()
         return np.array([0.5 * (x0 + x1), 0.5 * (y0 + y1)])
 
-    def phase_fraction(self, name):
-        """Area fraction occupied by the named phase."""
-        areas = triangle_areas(self)
-        pid = self.phase_names.index(name)
-        return float(areas[self.phases == pid].sum() / areas.sum())
-
     def boundary_nodes(self, name):
         """Sorted node indices of a named boundary edge set."""
         if name not in self.boundary:
@@ -117,10 +111,6 @@ class PeriodicPairing:
             raise MeshError("periodic pairing assigns a slave node twice")
         if set(self.slaves.tolist()) & set(self.masters.tolist()):
             raise MeshError("periodic pairing uses a node as both master and slave")
-
-    @property
-    def n_pairs(self):
-        return self.masters.size
 
 
 def triangle_areas(mesh: Mesh):
@@ -305,15 +295,6 @@ def with_phases(mesh: Mesh, phase_names, labeler):
     phases = np.asarray(labeler(cent[:, 0], cent[:, 1]), dtype=np.int64)
     return Mesh(mesh.nodes, mesh.triangles, phases, phase_names,
                 dict(mesh.boundary), bbox=mesh.bbox)
-
-
-def scale_mesh(mesh: Mesh, factor):
-    """Geometrically similar mesh, coordinates multiplied by factor."""
-    if factor <= 0:
-        raise MeshError("scale factor must be positive")
-    return Mesh(mesh.nodes * factor, mesh.triangles, mesh.phases,
-                mesh.phase_names, dict(mesh.boundary),
-                bbox=(mesh.bbox[0] * factor, mesh.bbox[1] * factor))
 
 
 def detect_periodic_pairs(mesh: Mesh, tol=1e-9):

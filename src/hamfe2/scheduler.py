@@ -44,14 +44,6 @@ class Partition:
 
     assignments: tuple
 
-    @property
-    def n_workers(self):
-        return len(self.assignments)
-
-    @property
-    def loads(self):
-        return tuple(len(a) for a in self.assignments)
-
 
 def partition_points(point_ids, n_workers=1):
     """Split macro point ids over n_workers.

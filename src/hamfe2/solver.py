@@ -116,10 +116,11 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     the bordered systems of ConstraintMap are: its other unknowns take a
     zero right-hand side and are left out of the update.
     Converges when ||r|| <= max(tol * ||r0||, floor);
-    a start at the root returns after zero iterations. Updates that
-    overshoot out of the admissible state range are halved until they
-    evaluate (at most 8 halvings). Raises SolverError with the residual
-    trace on breakdown.
+    a start at the root returns after zero iterations, and a start with
+    a non-finite residual raises, since no target can be set from it.
+    Updates that overshoot out of the admissible state range are halved
+    until they evaluate (at most 8 halvings). Raises SolverError with
+    the residual trace on breakdown.
     """
     z = np.array(z0, dtype=float)
     trace = []
@@ -133,8 +134,10 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
 
     r, jac, rows = evaluate(z)
     norm0 = float(np.linalg.norm(r))
-    target = max(config.newton_tol * norm0, config.newton_floor)
     trace.append(norm0)
+    if not np.isfinite(norm0):
+        raise SolverError("non-finite residual at the start iterate", trace)
+    target = max(config.newton_tol * norm0, config.newton_floor)
     if norm0 <= target:
         return z, trace
     for _ in range(config.max_iterations):

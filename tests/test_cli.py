@@ -188,6 +188,16 @@ retry_halving = off
         err = capsys.readouterr().err
         assert "macro.mesh:" in err and str(mesh_file) in err
 
+    def test_non_physical_linear_material_exits_one(self, tmp_path, capsys):
+        cfg = fine_scenario(tmp_path)
+        write(tmp_path / "mats.ini", LINEAR_MATS.replace("k_tt = 0.5",
+                                                         "k_tt = -2.0")
+              .replace("c_tt = 2e6", "c_tt = 0.0"))
+        assert main(["solve-fine", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "solid:" in err and "k_tt" in err and "c_tt" in err
+        assert not (tmp_path / "out" / "theta.csv").exists()
+
     @pytest.mark.parametrize("row", ["1 zero", "0.5"])
     def test_malformed_mesh_row_exits_one(self, tmp_path, capsys, row):
         cfg = fine_scenario(tmp_path)
@@ -362,6 +372,25 @@ ny = 2
 """)
         assert main(["compare", "--config", cfg]) == 2
         assert "theta.csv:2: non-finite value" in capsys.readouterr().err
+
+    def test_results_of_another_mesh_exit_two(self, tmp_path, capsys):
+        fine = fine_scenario(tmp_path)
+        assert main(["solve-fine", "--config", fine]) == 0
+        gen_square(tmp_path, "fine15.msh", nx=4, ny=2)
+        cfg = write(tmp_path / "cmp.ini", """\
+[compare]
+fine_mesh = fine15.msh
+coarse_mesh = square.msh
+fine_results = out
+coarse_results = out
+nx = 2
+ny = 2
+""")
+        assert main(["compare", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "compare failed:" in err and "Traceback" not in err
+        assert "compare.fine_results hold 9 nodes" in err
+        assert "compare.fine_mesh has 15" in err
 
     def test_missing_results_directory_is_reported(self, tmp_path, capsys):
         gen_square(tmp_path)

@@ -283,6 +283,16 @@ def test_linear_material_constant_everywhere():
     assert c.k_tt.shape == (2,)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k_tt", -2.0), ("k_ff", 0.0), ("c_tt", 0.0), ("c_ff", -1.0),
+    ("k_tt", np.inf), ("c_ff", np.nan), ("k_tf", np.nan), ("k_ft", np.inf)])
+def test_linear_material_rejects_non_physical_coefficients(key, value):
+    coefficients = dict(k_tt=0.5, k_ff=0.2, c_tt=1.0e6, c_ff=40.0)
+    coefficients[key] = value
+    with pytest.raises(con.ConstitutiveError, match=f"unit: .*{key}"):
+        con.LinearMaterial("unit", **coefficients)
+
+
 def test_saturation_pressure_kinks_at_freezing():
     # continuous at 0 deg C, but the slope jumps between the two branches
     below, above = -1e-9, 1e-9

@@ -47,7 +47,7 @@ def element_matrices(coords, coeff: CoefficientSet):
 
 def internal_flux(system, u):
     """K u for the full field-major vector u, block by block."""
-    n = system.n_nodes
+    n = system.c_tt.size
     th, ph = u[:n], u[n:]
     K = system.K
     return np.concatenate([K[:n, :n] @ th + K[:n, n:] @ ph,
@@ -147,7 +147,7 @@ def apply_dirichlet(system, values):
     values maps full field-major dof indices to prescribed values; the
     solution's entries at rows are the reduced unknowns.
     """
-    cmap = fem.dirichlet_map(2 * system.n_nodes, values)
+    cmap = fem.dirichlet_map(2 * system.c_tt.size, values)
     A_red, b_red, rows = reduce_system(cmap, system.stiffness(), system.f)
     return A_red, b_red, cmap, rows
 
@@ -304,22 +304,6 @@ def test_field_state_validation():
     s = fem.FieldState.uniform(5, 20.0, 0.5, time=3.0)
     r = fem.FieldState.from_vector(s.vector(), time=3.0)
     assert np.array_equal(r.theta, s.theta) and np.array_equal(r.phi, s.phi)
-
-
-def test_neumann_edge_loads():
-    m = msh.generate_rectangle_mesh(1.0, 2.0, 2, 2)
-    mat = LinearMaterial("m", k_tt=1.0, k_ff=1.0, c_tt=1.0, c_ff=1.0)
-    state = fem.FieldState.uniform(m.n_nodes, 0.0, 0.5)
-    sys = fem.assemble_system(m, state, {"solid": mat},
-                              neumann={("theta", "right"): 3.0})
-    n = m.n_nodes
-    # total imposed flux = density * side length
-    assert sys.f[:n].sum() == pytest.approx(3.0 * 2.0, rel=1e-12)
-    assert np.all(sys.f[n:] == 0.0)
-    right = np.unique(m.boundary["right"])
-    assert np.all(sys.f[:n][right] > 0.0)
-    with pytest.raises(fem.FemError):
-        fem.assemble_system(m, state, {"solid": mat}, neumann={("theta", "nope"): 1.0})
 
 
 def test_periodic_map_offsets_and_anchor():
@@ -521,7 +505,7 @@ def test_consistent_tangent_matches_forward_differences(resolution, theta):
     new_state, response = hom.solve_rve_increment(cell, state, loading,
                                                    want_tangents=True)
     # every state of the increment lies on one branch of p_sat
-    n = cell.n_nodes
+    n = cell.mesh.n_nodes
     for s in (state, new_state):
         assert np.all(np.sign(cell.total_vector(s)[:n]) == np.sign(theta))
     oracle = forward_difference_tangent(cell, state, loading,
@@ -555,7 +539,7 @@ def test_consistent_jacobian_taylor_remainder():
     J = S.copy()
     J.data += 0.5 * sysm.K.data
     J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
-    n = cell.n_nodes
+    n = cell.mesh.n_nodes
     rng = np.random.default_rng(0)
     v = np.concatenate([rng.standard_normal(n), 0.01 * rng.standard_normal(n)])
     Jv, Sv = J @ v, S @ v
@@ -572,7 +556,7 @@ def test_consistent_jacobian_taylor_remainder():
 
 def test_periodic_reduce_matrix_stays_sparse():
     cell = running_cell(4)
-    state = fem.FieldState.uniform(cell.n_nodes, 20.0, 0.5)
+    state = fem.FieldState.uniform(cell.mesh.n_nodes, 20.0, 0.5)
     K = fem.assemble_system(cell.mesh, state, cell.materials).stiffness()
     cmap = cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0))
     # the dense congruence of this cell stores (n_free)^2 = 260,100 entries
@@ -670,7 +654,7 @@ def test_reduce_matrix_skips_stored_zeros():
     assert np.count_nonzero(K.data == 0.0) > 0
     for cmap in (cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0)),
                  fem.dirichlet_map(K.shape[0], {0: 1.0, 5: 2.0,
-                                                cell.n_nodes + 3: 0.5})):
+                                                cell.mesh.n_nodes + 3: 0.5})):
         for weights in (None, np.linspace(1.0, 2.0, cmap.row_dofs.size)):
             assert_same_csr(cmap.reduce_matrix(K, weights),
                             cmap.reduce_matrix(without_zeros(K), weights))

@@ -42,9 +42,62 @@ def quad_areas_centroids(mesh):
     return areas, pts.mean(axis=1)
 
 
+def scale_mesh(mesh, factor):
+    """Geometrically similar mesh, coordinates multiplied by factor."""
+    if factor <= 0:
+        raise meshmod.MeshError("scale factor must be positive")
+    return meshmod.Mesh(mesh.nodes * factor, mesh.triangles, mesh.phases,
+                        mesh.phase_names, dict(mesh.boundary),
+                        bbox=(mesh.bbox[0] * factor, mesh.bbox[1] * factor))
+
+
+def steady_linear_homogenize(mesh, materials, theta=20.0, phi=0.5):
+    """Effective conductivity blocks of the cell frozen at a uniform state.
+
+    Solves the four steady periodic problems with unit macroscopic
+    gradients and reads the gradient columns of kg, columns 2 to 5 of
+    p, off the averaged fluxes; the value columns stay zero. Exact for
+    linear materials; for nonlinear ones this is the tangent at the
+    given state with the coefficient fields held fixed.
+    """
+    red = fem.PeriodicReduction(mesh, meshmod.detect_periodic_pairs(mesh))
+    ws = fem.workspace(mesh)
+    coeff = fem.evaluate_coefficients(
+        mesh, fem.FieldState.uniform(mesh.n_nodes, theta, phi), materials)
+    K = fem.coupled_system(mesh, coeff).K
+    w = ws.areas / ws.areas.sum()
+    kg = np.zeros((2, 2, 6))
+    # one unit gradient (grad_Theta, grad_Phi) per gradient column of p
+    cmaps = [red.map_for(0.0, 0.0, *e.reshape(2, 2)) for e in np.eye(4)]
+    # the bordered matrix depends on the periodic pattern only, not on
+    # the loading's g: one factorization serves the four loadings
+    plan = cmaps[0].plan(K)
+    rows = plan.order[cmaps[0].z_rows]
+    lu = solver.factorize(cmaps[0].reduce_matrix(K, plan=plan))
+    for k, cmap in enumerate(cmaps):
+        rhs = np.zeros(cmap.size)
+        rhs[rows] = -cmap.reduce_vector(K @ cmap.g)
+        u = cmap.expand(lu.solve(rhs)[rows])
+        # <k grad u> per unit macroscopic gradient, so that the
+        # physical flux is q = -K_eff g
+        kg[0][:, 2 + k], kg[1][:, 2 + k] = hom._mean_conduction(ws, coeff, w, u)
+    return hom.TangentBlocks(kg)
+
+
+def test_scale_mesh_similar():
+    cell = meshmod.generate_masonry_cell(0.27, 0.27, 0.03, resolution=2)
+    big = scale_mesh(cell, 10.0)
+    assert big.bbox == pytest.approx((3.0, 3.0))
+    assert big is not cell
+    assert np.array_equal(big.triangles, cell.triangles)
+    assert meshmod.triangle_areas(big).sum() == pytest.approx(
+        100.0 * meshmod.triangle_areas(cell).sum(), rel=1e-12)
+    assert cell.bbox == pytest.approx((0.3, 0.3))  # original untouched
+
+
 def test_layered_cell_matches_mixture_rules():
     m, mats = layered_cell()
-    tb = hom.steady_linear_homogenize(m, mats)
+    tb = steady_linear_homogenize(m, mats)
     assert tb.kg[0, 0, 2] == pytest.approx(FROZEN["arithmetic_tt"], abs=1e-9)
     assert tb.kg[0, 1, 3] == pytest.approx(FROZEN["harmonic_tt"], abs=1e-9)
     assert tb.kg[1, 0, 4] == pytest.approx(FROZEN["arithmetic_ff"], abs=1e-9)
@@ -57,8 +110,8 @@ def test_layered_cell_matches_mixture_rules():
 
 def test_steady_blocks_scale_invariant():
     m, mats = layered_cell()
-    ref = hom.steady_linear_homogenize(m, mats)
-    big = hom.steady_linear_homogenize(meshmod.scale_mesh(m, 10.0), mats)
+    ref = steady_linear_homogenize(m, mats)
+    big = steady_linear_homogenize(scale_mesh(m, 10.0), mats)
     assert np.allclose(big.kg[0, :, 2:4], ref.kg[0, :, 2:4], rtol=1e-9,
                        atol=1e-12)
     assert np.allclose(big.kg[1, :, 4:6], ref.kg[1, :, 4:6], rtol=1e-9,
@@ -78,7 +131,7 @@ def test_layered_bounds_property(ka, kb, cut):
     frac_b = 1.0 - y_cut
     mats = {"a": cst.LinearMaterial("a", k_tt=ka, k_ff=1.0, c_tt=1.0, c_ff=1.0),
             "b": cst.LinearMaterial("b", k_tt=kb, k_ff=1.0, c_tt=1.0, c_ff=1.0)}
-    tb = hom.steady_linear_homogenize(m, mats)
+    tb = steady_linear_homogenize(m, mats)
     voigt = (1.0 - frac_b) * ka + frac_b * kb
     reuss = 1.0 / ((1.0 - frac_b) / ka + frac_b / kb)
     assert reuss - 1e-9 <= tb.kg[0, 1, 3] <= voigt + 1e-9
@@ -194,7 +247,7 @@ def test_linear_masonry_steady_limit_matches_blocks():
     homogenization answer, which is exact for linear phases."""
     m = masonry_mesh()
     cell = hom.CellProblem(m, MASONRY_LINEAR)
-    tb = hom.steady_linear_homogenize(m, MASONRY_LINEAR)
+    tb = steady_linear_homogenize(m, MASONRY_LINEAR)
     g_t = np.array([10.0, 3.0])
     g_f = np.array([0.2, 0.05])
     state, _ = hom.initial_response(
@@ -208,7 +261,8 @@ def test_linear_masonry_steady_limit_matches_blocks():
     assert np.linalg.norm(r.q_heat - q_pred) < 1e-6 * np.linalg.norm(q_pred)
     assert np.linalg.norm(r.q_moist - qm_pred) < 1e-6 * np.linalg.norm(qm_pred)
     # mixture bounds for the diagonal entries
-    frac_m = m.phase_fraction("mortar")
+    areas = meshmod.triangle_areas(m)
+    frac_m = areas[m.phases == m.phase_names.index("mortar")].sum() / areas.sum()
     voigt = (1 - frac_m) * 0.25 + frac_m * 0.45
     reuss = 1.0 / ((1 - frac_m) / 0.25 + frac_m / 0.45)
     for d in (tb.kg[0, 0, 2], tb.kg[0, 1, 3]):
@@ -277,7 +331,7 @@ def test_fluctuation_invariants_property(theta, phi, gtx, gty, gfx, gfy, dt):
     state, _ = hom.initial_response(cell, start)
     loading = hom.MacroLoading(theta, phi, [gtx, gty], [gfx, gfy], dt=dt)
     state, _ = hom.solve_rve_increment(cell, state, loading)
-    n = cell.n_nodes
+    n = cell.mesh.n_nodes
     red = cell.reduction
     w = fem.workspace(cell.mesh).node_areas
     for part in (state.fluct[:n], state.fluct[n:]):
@@ -331,7 +385,7 @@ def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
     # evaluation of p_sat and its derivatives takes its fit coefficients
     # from _saturation_branch
     monkeypatch.setattr(cst, "_saturation_branch", lambda th: (17.08, 234.18))
-    n = _PROPERTY_CELL.n_nodes
+    n = _PROPERTY_CELL.mesh.n_nodes
     theta = _PROPERTY_CELL.affine_vector(STALL_LOADING)[:n]
     assert theta.min() < 0.0 < theta.max()
     traces = []

@@ -7,6 +7,13 @@ from hypothesis import given, settings, strategies as st
 from hamfe2 import mesh as msh
 
 
+def phase_fraction(mesh, name):
+    """Area fraction occupied by the named phase."""
+    areas = msh.triangle_areas(mesh)
+    pid = mesh.phase_names.index(name)
+    return float(areas[mesh.phases == pid].sum() / areas.sum())
+
+
 def test_rectangle_mesh_counts_and_area():
     m = msh.generate_rectangle_mesh(1.0, 1.0, 2, 2)
     assert m.n_nodes == 9
@@ -121,7 +128,7 @@ def test_masonry_cell_stack_geometry():
     assert set(cell.phase_names) == {"brick", "mortar"}
     # interface-aligned bands make the area fraction exact
     expect = 1.0 - bw * bh / ((bw + j) * (bh + j))
-    assert cell.phase_fraction("mortar") == pytest.approx(expect, rel=1e-12)
+    assert phase_fraction(cell, "mortar") == pytest.approx(expect, rel=1e-12)
     msh.validate_mesh(cell)
 
 
@@ -130,7 +137,7 @@ def test_masonry_cell_running_bond_sepuc1_like():
     cell = msh.generate_masonry_cell(0.42, 0.19, 0.03, bond="running", resolution=2)
     assert cell.bbox == pytest.approx((0.45, 0.44))
     expect = 1.0 - 2.0 * 0.42 * 0.19 / (0.45 * 0.44)
-    assert cell.phase_fraction("mortar") == pytest.approx(expect, rel=1e-12)
+    assert phase_fraction(cell, "mortar") == pytest.approx(expect, rel=1e-12)
     msh.validate_mesh(cell)
     # wrapped upper brick touches both vertical cell sides
     pid = cell.phase_names.index("brick")
@@ -152,12 +159,12 @@ def test_periodic_pairs_rectangle():
     m = msh.generate_rectangle_mesh(2.0, 1.0, 2, 2)
     pairing = msh.detect_periodic_pairs(m)
     # 3 corner slaves on one master, 1 left-right pair, 1 bottom-top pair
-    assert pairing.n_pairs == 5
+    assert pairing.masters.size == 5
     origin = np.argmin(m.nodes[:, 0] ** 2 + m.nodes[:, 1] ** 2)
     corner_rows = np.nonzero(pairing.masters == origin)[0]
     assert corner_rows.size >= 3
     # every slave exactly once, slave = master + offset
-    assert len(set(pairing.slaves.tolist())) == pairing.n_pairs
+    assert len(set(pairing.slaves.tolist())) == pairing.masters.size
     for m_i, s_i, off in zip(pairing.masters, pairing.slaves, pairing.offsets):
         assert m.nodes[s_i] == pytest.approx(m.nodes[m_i] + off, abs=1e-12)
         assert tuple(np.abs(off)) in {(2.0, 0.0), (0.0, 1.0), (2.0, 1.0)}
@@ -168,7 +175,7 @@ def test_periodic_pairs_masonry_cell():
     pairing = msh.detect_periodic_pairs(cell)
     xs = np.unique(cell.nodes[:, 0])
     ys = np.unique(cell.nodes[:, 1])
-    assert pairing.n_pairs == (ys.size - 2) + (xs.size - 2) + 3
+    assert pairing.masters.size == (ys.size - 2) + (xs.size - 2) + 3
     for m_i, s_i, off in zip(pairing.masters, pairing.slaves, pairing.offsets):
         assert cell.nodes[s_i] == pytest.approx(cell.nodes[m_i] + off, abs=1e-12)
 
@@ -185,25 +192,14 @@ def test_periodic_pairs_mismatch_reports_node():
         msh.detect_periodic_pairs(warped)
 
 
-def test_scale_mesh_similar():
-    cell = msh.generate_masonry_cell(0.27, 0.27, 0.03, resolution=2)
-    big = msh.scale_mesh(cell, 10.0)
-    assert big.bbox == pytest.approx((3.0, 3.0))
-    assert big is not cell
-    assert np.array_equal(big.triangles, cell.triangles)
-    assert msh.triangle_areas(big).sum() == pytest.approx(
-        100.0 * msh.triangle_areas(cell).sum(), rel=1e-12)
-    assert cell.bbox == pytest.approx((0.3, 0.3))  # original untouched
-
-
 def test_masonry_wall_tiles_cells():
     wall = msh.generate_masonry_wall(0.27, 0.27, 0.03, nx_cells=3, ny_cells=2,
                                      resolution=2)
     cell = msh.generate_masonry_cell(0.27, 0.27, 0.03, resolution=2)
     assert wall.bbox == pytest.approx((0.9, 0.6))
     assert wall.n_triangles == 6 * cell.n_triangles
-    assert wall.phase_fraction("mortar") == pytest.approx(
-        cell.phase_fraction("mortar"), rel=1e-12)
+    assert phase_fraction(wall, "mortar") == pytest.approx(
+        phase_fraction(cell, "mortar"), rel=1e-12)
     msh.validate_mesh(wall)
 
 
@@ -237,7 +233,7 @@ def test_with_phases_relabels():
     m = msh.generate_rectangle_mesh(1.0, 1.0, 4, 4)
     lam = msh.with_phases(m, ("a", "b"), lambda x, y: (x > 0.5).astype(int))
     assert set(lam.phases.tolist()) == {0, 1}
-    assert lam.phase_fraction("a") == pytest.approx(0.5, rel=1e-12)
+    assert phase_fraction(lam, "a") == pytest.approx(0.5, rel=1e-12)
 
 
 def test_mesh_file_round_trip(tmp_path):
@@ -309,4 +305,4 @@ def test_property_rectangle_mesh_consistency(nx, ny, lx, ly):
     assert m.n_triangles == 2 * nx * ny
     assert msh.triangle_areas(m).sum() == pytest.approx(lx * ly, rel=1e-12)
     pairing = msh.detect_periodic_pairs(m)
-    assert pairing.n_pairs == (nx - 1) + (ny - 1) + 3
+    assert pairing.masters.size == (nx - 1) + (ny - 1) + 3

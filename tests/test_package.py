@@ -17,3 +17,10 @@ def test_project_version_is_the_package_version():
         config = read_configuration(os.path.join(ROOT, "pyproject.toml"),
                                     expand=True)
     assert config["project"]["version"] == hamfe2.__version__
+
+
+def test_every_export_resolves_once():
+    names = hamfe2.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(hamfe2, name)]
+    assert missing == []

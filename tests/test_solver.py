@@ -104,6 +104,19 @@ def test_newton_zero_iterations_at_root():
     assert z[0] == 2.0 and len(trace) == 1
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_newton_non_finite_start_residual_raises(bad):
+    # an infinite start residual would set an infinite target and pass
+    # as converged after zero iterations
+    def residual_jacobian(z):
+        return np.array([bad, 1.0]), sp.identity(2, format="csr"), [0, 1]
+
+    with pytest.raises(solver.SolverError, match="start iterate") as err:
+        solver.newton_solve(residual_jacobian, np.zeros(2),
+                            solver.SolverConfig())
+    assert len(err.value.trace) == 1 and not np.isfinite(err.value.trace[0])
+
+
 def test_newton_failure_reports_trace():
     def residual_jacobian(z):
         return np.array([z[0] ** 2 + 1.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
