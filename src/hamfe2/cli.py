@@ -217,7 +217,6 @@ def _cmd_solve_rve(config: ScenarioConfig):
     grad = {key: reader.get_float(key, 0.0)
             for key in ("grad_theta_x", "grad_theta_y",
                         "grad_phi_x", "grad_phi_y")}
-    dt_hours = reader.get_float("dt_hours", settings.dt_hours, minimum=1e-12)
     steps = reader.get_int("steps", 1, minimum=1)
     reader.reject_unknown()
     cell_mesh = _load_mesh_checked(mesh_path, "rve.mesh", problems)
@@ -229,12 +228,12 @@ def _cmd_solve_rve(config: ScenarioConfig):
                            np.array([grad["grad_theta_x"],
                                      grad["grad_theta_y"]]),
                            np.array([grad["grad_phi_x"], grad["grad_phi_y"]]),
-                           dt_hours * 3600.0)
+                           settings.dt_hours * 3600.0)
     state = cell.initial_state(loading)
     rows = []
     for k in range(steps):
         state, response = solve_rve_increment(cell, state, loading)
-        rows.append(((k + 1) * dt_hours, response))
+        rows.append(((k + 1) * settings.dt_hours, response))
     outdir = _outdir(settings)
     path = os.path.join(outdir, "response.csv")
     write_response_table(rows, path)

@@ -15,8 +15,7 @@ Sections used by the subcommands:
   [boundary:theta]  boundary set -> constant or climate:<path>[:<policy>]
   [boundary:phi]    same for relative humidity
   [solver]          newton_tol, newton_floor, max_iterations, retry_halving
-  [rve]             mesh, theta, phi, grad_theta_x/y, grad_phi_x/y,
-                    dt_hours, steps
+  [rve]             mesh, theta, phi, grad_theta_x/y, grad_phi_x/y, steps
   [compare]         fine_mesh, coarse_mesh, fine_results, coarse_results,
                     nx, ny
   [mesh]            kind plus generator parameters, out

@@ -20,8 +20,17 @@ starts each point from the state it converged to in the previous round,
 kept per point in its worker, so the starts do not depend on the
 worker count either.
 
-The pool is in-process (fork), but the protocol is pure message
-passing: loadings down, homogenized data up, no shared mutable state.
+The protocol is pure message passing: loadings down, homogenized data
+up, no shared mutable state. Each worker's resident answers every
+message; SerialPool hands the messages to residents in this process,
+WorkerPool sends them over pipes to forked processes, and both run the
+one round and commit body. Both fail alike:
+
+- a round the meso solver refuses at some points raises SchedulerError
+  whose `failures` lists (point id, message) pairs;
+- a round that raises anything else in a worker raises SchedulerError
+  naming the worker ("worker <w> crashed"), once every reply is read;
+- a worker process that is gone raises SchedulerError("worker <w> died").
 """
 
 from __future__ import annotations
@@ -84,35 +93,6 @@ def slice_registry(partition: Partition, registry):
     return slices
 
 
-def evaluate_batch(batch, registry_slice, want_tangents=True, starts=None):
-    """Run one meso increment per (point id, loading) pair.
-
-    Each increment runs from the point's state in registry_slice, and
-    its Newton starts from the point's state in `starts` where there is
-    one, from that same state otherwise. Returns (results, failures):
-    results are (pid, response, new state) triples sorted by point id;
-    failures are (pid, message) pairs for increments the meso solver
-    refused. An input state changes only by caching its Crank-Nicolson
-    old data on its first increment, so re-running a batch from the same
-    starts reproduces it bitwise.
-    """
-    starts = starts or {}
-    results, failures = [], []
-    for pid, loading in sorted(batch, key=lambda it: it[0]):
-        if pid not in registry_slice:
-            raise SchedulerError(f"registry slice lacks point {pid}")
-        cell, state = registry_slice[pid]
-        try:
-            new_state, response = solve_rve_increment(
-                cell, state, loading, want_tangents=want_tangents,
-                start=starts.get(pid))
-        except SolverError as exc:
-            failures.append((pid, str(exc)))
-            continue
-        results.append((pid, response, new_state))
-    return results, failures
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     round_index: int
@@ -122,11 +102,11 @@ class RoundRecord:
 
 
 class _Resident:
-    """One worker's registry slice; commit promotes the last round's states.
+    """One worker's registry slice; the one place that answers the pool.
 
-    A round with tangents starts every point's Newton from its committed
-    state, a round without them from the state the point reached in the
-    previous round (pending), where it has one.
+    pending holds the states the last round reached: a round without
+    tangents starts each point's Newton from its pending state, a round
+    with tangents from its committed one, and a commit promotes them.
     """
 
     def __init__(self, registry_slice):
@@ -134,34 +114,82 @@ class _Resident:
         self.pending = {}
 
     def run(self, batch, want_tangents):
-        starts = {} if want_tangents else self.pending
-        results, failures = evaluate_batch(batch, self.committed,
-                                           want_tangents, starts)
-        self.pending = {pid: st for pid, _, st in results}
-        return [(pid, resp) for pid, resp, _ in results], failures
+        """Run one meso increment per (point id, loading) pair.
 
-    def commit(self):
-        for pid, st in self.pending.items():
-            cell, _ = self.committed[pid]
-            self.committed[pid] = (cell, st)
+        Each increment runs from the point's committed state. Returns
+        (results, failures): results are (pid, response) pairs sorted by
+        point id; failures are (pid, message) pairs for increments the
+        meso solver refused. An input state changes only by caching its
+        Crank-Nicolson old data on its first increment, so re-running a
+        batch from the same starts reproduces it bitwise.
+        """
+        starts = {} if want_tangents else self.pending
+        results, failures, pending = [], [], {}
+        for pid, loading in sorted(batch, key=lambda it: it[0]):
+            if pid not in self.committed:
+                raise SchedulerError(f"registry slice lacks point {pid}")
+            cell, state = self.committed[pid]
+            try:
+                pending[pid], response = solve_rve_increment(
+                    cell, state, loading, want_tangents=want_tangents,
+                    start=starts.get(pid))
+            except SolverError as exc:
+                failures.append((pid, str(exc)))
+                continue
+            results.append((pid, response))
+        self.pending = pending
+        return results, failures
+
+    def answer(self, msg):
+        """The reply to one pool message.
+
+        ("round", batch, want_tangents) gets ("done", results, failures,
+        seconds), or ("error", traceback) if the round raised;
+        ("commit",) and ("stop",) get ("ok",).
+        """
+        if msg[0] == "round":
+            t0 = time.perf_counter()
+            try:
+                results, failures = self.run(msg[1], msg[2])
+            except Exception:
+                return ("error", traceback.format_exc())
+            return ("done", results, failures, time.perf_counter() - t0)
+        if msg[0] == "commit":
+            for pid, st in self.pending.items():
+                cell, _ = self.committed[pid]
+                self.committed[pid] = (cell, st)
+        return ("ok",)
 
 
 class _PoolBase:
-    """Shared round bookkeeping and merge logic for both pools."""
+    """The round and commit protocol; a pool adds only how its messages
+    reach the residents (_exchange), and how it starts and stops."""
 
     def __init__(self, slices):
         self._round = 0
         self._assignments = [tuple(s) for s in slices]
         self.timings = []
+        self.n_workers = len(self._assignments)
 
-    def _record(self, worker, points, seconds):
-        rec = RoundRecord(self._round, worker, points, seconds)
-        self.timings.append(rec)
-        log.info("round=%d worker=%d points=%d seconds=%.4f",
-                 rec.round_index, rec.worker, rec.points, rec.seconds)
-
-    @staticmethod
-    def _merge(pairs, failures):
+    def run_round(self, loadings, want_tangents=True):
+        """Merged responses by point id of one increment per point."""
+        self._round += 1
+        batches = self._batches(loadings)
+        replies = self._exchange([("round", batch, want_tangents)
+                                  for batch in batches])
+        crashed = [(w, r[1]) for w, r in enumerate(replies) if r[0] == "error"]
+        if crashed:
+            raise SchedulerError("".join(
+                f"worker {w} crashed:\n{tb}" for w, tb in crashed))
+        pairs, failures = [], []
+        for w, (batch, reply) in enumerate(zip(batches, replies)):
+            _, results, failed, seconds = reply
+            pairs.extend(results)
+            failures.extend(failed)
+            self.timings.append(RoundRecord(self._round, w, len(batch),
+                                            seconds))
+            log.info("round=%d worker=%d points=%d seconds=%.4f",
+                     self._round, w, len(batch), seconds)
         if failures:
             pids = sorted(pid for pid, _ in failures)
             detail = "; ".join(f"{pid}: {msg}" for pid, msg in
@@ -170,6 +198,9 @@ class _PoolBase:
                 f"meso increments failed at points {pids} ({detail})",
                 failures)
         return {pid: resp for pid, resp in sorted(pairs)}
+
+    def commit(self):
+        self._exchange([("commit",)] * self.n_workers)
 
     def _batches(self, loadings):
         """Per worker, its (point id, loading) pairs sorted by id."""
@@ -196,27 +227,20 @@ class _PoolBase:
 
 
 class SerialPool(_PoolBase):
-    """Single-process pool with the exact round/commit contract of
-    WorkerPool; the reference for determinism comparisons."""
+    """The in-process transport: residents in this process answer the
+    messages of _PoolBase's one protocol. Not a second implementation;
+    the reference for determinism comparisons."""
+
+    # perfbench's tracer wraps these from each pool class's own __dict__
+    run_round = _PoolBase.run_round
+    commit = _PoolBase.commit
 
     def __init__(self, slices):
         super().__init__(slices)
         self._residents = [_Resident(s) for s in slices]
 
-    def run_round(self, loadings, want_tangents=True):
-        self._round += 1
-        pairs, failures = [], []
-        for w, batch in enumerate(self._batches(loadings)):
-            t0 = time.perf_counter()
-            results, failed = self._residents[w].run(batch, want_tangents)
-            pairs.extend(results)
-            failures.extend(failed)
-            self._record(w, len(batch), time.perf_counter() - t0)
-        return self._merge(pairs, failures)
-
-    def commit(self):
-        for resident in self._residents:
-            resident.commit()
+    def _exchange(self, msgs):
+        return [r.answer(m) for r, m in zip(self._residents, msgs)]
 
     def stop(self):
         pass
@@ -226,33 +250,23 @@ def _worker_main(conn, registry_slice):
     resident = _Resident(registry_slice)
     while True:
         msg = conn.recv()
-        kind = msg[0]
-        if kind == "round":
-            _, batch, want_tangents = msg
-            t0 = time.perf_counter()
-            try:
-                results, failures = resident.run(batch, want_tangents)
-            except Exception:
-                conn.send(("error", traceback.format_exc()))
-                continue
-            conn.send(("done", results, failures, time.perf_counter() - t0))
-        elif kind == "commit":
-            resident.commit()
-            conn.send(("ok",))
-        elif kind == "stop":
-            conn.send(("ok",))
+        conn.send(resident.answer(msg))
+        if msg[0] == "stop":
             conn.close()
             return
 
 
 class WorkerPool(_PoolBase):
-    """Fork-based pool; one resident process per registry slice.
+    """Fork-based transport; one resident process per registry slice.
 
     The slices are inherited at fork time, so cell meshes and their
     constraint structures are never serialized; rounds only move
-    loadings and responses over the pipes. A dead worker fails them
-    with SchedulerError.
+    loadings and responses over the pipes.
     """
+
+    # perfbench's tracer wraps these from each pool class's own __dict__
+    run_round = _PoolBase.run_round
+    commit = _PoolBase.commit
 
     def __init__(self, slices):
         super().__init__(slices)
@@ -269,35 +283,21 @@ class WorkerPool(_PoolBase):
             self._conns.append(parent)
             self._procs.append(proc)
 
-    @property
-    def n_workers(self):
-        return len(self._procs)
-
-    def run_round(self, loadings, want_tangents=True):
-        self._round += 1
-        batches = self._batches(loadings)
-        for w, batch in enumerate(batches):
-            self._send(w, ("round", batch, want_tangents))
-        # read every reply before raising, so that no stale reply is
-        # left in a pipe for the next round to read
-        replies = [self._receive(w) for w in range(len(batches))]
-        crashed = [(w, r[1]) for w, r in enumerate(replies) if r[0] == "error"]
-        if crashed:
-            raise SchedulerError("".join(
-                f"worker {w} crashed:\n{tb}" for w, tb in crashed))
-        pairs, failures = [], []
-        for w, (batch, reply) in enumerate(zip(batches, replies)):
-            _, results, failed, seconds = reply
-            pairs.extend(results)
-            failures.extend(failed)
-            self._record(w, len(batch), seconds)
-        return self._merge(pairs, failures)
-
-    def commit(self):
-        for w in range(self.n_workers):
-            self._send(w, ("commit",))
-        for w in range(self.n_workers):
-            self._receive(w)
+    def _exchange(self, msgs):
+        for w, msg in enumerate(msgs):
+            try:
+                self._conns[w].send(msg)
+            except OSError as exc:
+                raise SchedulerError(f"worker {w} died") from exc
+        # read every reply before any is acted on, so that no stale
+        # reply is left in a pipe for the next round to read
+        replies = []
+        for w, conn in enumerate(self._conns):
+            try:
+                replies.append(conn.recv())
+            except (OSError, EOFError) as exc:
+                raise SchedulerError(f"worker {w} died") from exc
+        return replies
 
     def stop(self):
         for conn, proc in zip(self._conns, self._procs):
@@ -311,18 +311,6 @@ class WorkerPool(_PoolBase):
         for proc in self._procs:
             proc.join(timeout=10.0)
         self._conns, self._procs = [], []
-
-    def _send(self, worker, msg):
-        try:
-            self._conns[worker].send(msg)
-        except OSError as exc:
-            raise SchedulerError(f"worker {worker} died") from exc
-
-    def _receive(self, worker):
-        try:
-            return self._conns[worker].recv()
-        except (OSError, EOFError) as exc:
-            raise SchedulerError(f"worker {worker} died") from exc
 
 
 def make_pool(slices):

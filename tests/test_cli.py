@@ -235,14 +235,12 @@ north = 20
 
 class TestSolveRve:
 
-    def test_homogeneous_cell_flux_matches_conductivity(self, tmp_path):
-        """Unit theta gradient on a uniform brick cell: the averaged heat
-        flux must equal -k_tt(theta, phi) from the constitutive law, and
-        the moisture flux -k_ft from the vapor coupling."""
+    def scenario(self, tmp_path):
         write(tmp_path / "mats.ini", BRICK_MATS)
         gen_square(tmp_path, name="cell.msh", lx=0.1, ly=0.1, phase="brick")
-        cfg = write(tmp_path / "rve.ini", """\
+        return write(tmp_path / "rve.ini", """\
 [scenario]
+dt_hours = 1.0
 materials = mats.ini
 output_dir = out
 
@@ -251,9 +249,14 @@ mesh = cell.msh
 theta = 20
 phi = 0.5
 grad_theta_x = 1.0
-dt_hours = 1.0
 steps = 2
 """)
+
+    def test_homogeneous_cell_flux_matches_conductivity(self, tmp_path):
+        """Unit theta gradient on a uniform brick cell: the averaged heat
+        flux must equal -k_tt(theta, phi) from the constitutive law, and
+        the moisture flux -k_ft from the vapor coupling."""
+        cfg = self.scenario(tmp_path)
         assert main(["solve-rve", "--config", cfg]) == 0
         lines = (tmp_path / "out" / "response.csv").read_text().splitlines()
         assert len(lines) == 3
@@ -263,6 +266,17 @@ steps = 2
             assert vals[0] == pytest.approx(-coeffs.k_tt, rel=1e-7)
             assert vals[1] == 0.0
             assert vals[2] == pytest.approx(-coeffs.k_ft, rel=1e-4)
+
+    def test_dt_hours_flag_sets_the_cell_step(self, tmp_path, capsys):
+        cfg = self.scenario(tmp_path)
+        # the cell step has one key, so no [rve] key can beat the flag
+        stale = write(tmp_path / "stale.ini", open(cfg).read().replace(
+            "steps = 2", "steps = 2\ndt_hours = 1.0"))
+        assert main(["solve-rve", "--config", stale, "--dt-hours", "3"]) == 1
+        assert "rve.dt_hours: unknown key" in capsys.readouterr().err
+        assert main(["solve-rve", "--config", cfg, "--dt-hours", "3"]) == 0
+        lines = (tmp_path / "out" / "response.csv").read_text().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [3, 6]
 
 
 class TestSolveFe2:
@@ -328,6 +342,20 @@ left = 0.7
         monkeypatch.delenv("HAMFE2_WORKERS")
         assert main(["solve-fe2", "--config", cfg]) == 0
         assert "1 workers" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_crashed_cell_increment_exits_two(self, tmp_path, capsys, caplog,
+                                              monkeypatch, workers):
+        # a crash is not a refused increment: no dt/2 retry, status 2
+        def crash(*args, **kwargs):
+            raise RuntimeError("injected crash")
+
+        monkeypatch.setattr("hamfe2.scheduler.solve_rve_increment", crash)
+        caplog.set_level("WARNING", logger="hamfe2.solver")
+        cfg = self.scenario(tmp_path)
+        assert main(["solve-fe2", "--config", cfg, "--workers", workers]) == 2
+        assert "worker 0 crashed" in capsys.readouterr().err
+        assert not any("retrying" in rec.message for rec in caplog.records)
 
 
 class TestCompare:

@@ -113,7 +113,7 @@ def test_partition_exact_cover_property(data, n_workers):
 # ---------------------------------------------------------- batch evaluation
 
 def test_evaluate_batch_empty():
-    assert sched.evaluate_batch([], {}) == ([], [])
+    assert sched._Resident({}).run([], True) == ([], [])
 
 
 def test_evaluate_batch_sorts_and_is_pure():
@@ -122,9 +122,9 @@ def test_evaluate_batch_sorts_and_is_pure():
     fluct_before = {p: registry[p][1].fluct.copy() for p in registry}
     lo = hom.MacroLoading(26.0, 0.55, [10, 0], [0.1, 0], dt=600.0)
     items = [(7, lo), (2, lo), (4, lo)]  # deliberately unsorted
-    results, failures = sched.evaluate_batch(items, registry)
+    results, failures = sched._Resident(registry).run(items, True)
     assert failures == []
-    assert [pid for pid, _, _ in results] == [2, 4, 7]
+    assert [pid for pid, _ in results] == [2, 4, 7]
     # identical loadings and states give bitwise identical responses
     assert_same_response(results[0][1], results[1][1])
     assert_same_response(results[0][1], results[2][1])
@@ -142,15 +142,15 @@ def test_evaluate_batch_collects_failures_and_continues():
     registry = {1: (good, state), 2: (strangled, state_s),
                 3: (good, state)}
     lo = hom.MacroLoading(27.0, 0.6, [20, 0], [0.1, 0], dt=600.0)
-    results, failures = sched.evaluate_batch(
-        [(1, lo), (2, lo), (3, lo)], registry)
-    assert [pid for pid, _, _ in results] == [1, 3]
+    results, failures = sched._Resident(registry).run(
+        [(1, lo), (2, lo), (3, lo)], True)
+    assert [pid for pid, _ in results] == [1, 3]
     assert len(failures) == 1 and failures[0][0] == 2
 
 
 def test_evaluate_batch_requires_registry_entry():
     with pytest.raises(sched.SchedulerError):
-        sched.evaluate_batch([(9, rest_loading())], {})
+        sched._Resident({}).run([(9, rest_loading())], True)
 
 
 # ------------------------------------------------------------------- pools
@@ -221,8 +221,15 @@ def test_rounds_without_tangents_start_from_the_previous_round():
             assert_same_response(cold[p], got_cold[p])
 
 
-def test_crashed_worker_leaves_the_pool_in_step(monkeypatch):
-    # the round after a worker crash reads that round's replies, not the
+POOLS = pytest.mark.parametrize("pool_class",
+                                [sched.SerialPool, sched.WorkerPool],
+                                ids=lambda cls: cls.__name__)
+
+
+@POOLS
+def test_crashed_worker_leaves_the_pool_in_step(monkeypatch, pool_class):
+    # a crash ends the round with one SchedulerError after every worker
+    # has answered; the next round reads that round's replies, not the
     # other workers' replies to the crashed round
     cell = linear_cell()
     pids = list(range(4))
@@ -241,7 +248,7 @@ def test_crashed_worker_leaves_the_pool_in_step(monkeypatch):
     monkeypatch.setattr(sched, "solve_rve_increment", increment)
     part = sched.partition_points(pids, n_workers=2)
     slices = sched.slice_registry(part, registry)
-    with sched.WorkerPool(slices) as pool:
+    with pool_class(slices) as pool:
         with pytest.raises(sched.SchedulerError, match="worker 0 crashed"):
             pool.run_round(round1)
         got = pool.run_round(round2)
@@ -268,7 +275,8 @@ def test_rounds_only_advance_state_after_commit():
     assert moved[0].s_t != first[0].s_t
 
 
-def test_round_failure_names_the_point():
+@POOLS
+def test_round_failure_names_the_point(pool_class):
     good = linear_cell()
     strangled = masonry_cell(solver.SolverConfig(max_iterations=1))
     state, _ = hom.initial_response(good, rest_loading())
@@ -277,7 +285,7 @@ def test_round_failure_names_the_point():
                 7: (strangled, state_s), 8: (good, state)}
     part = sched.partition_points(registry, n_workers=2)
     lo = {p: varied_loading(2) for p in registry}
-    with sched.WorkerPool(sched.slice_registry(part, registry)) as pool:
+    with pool_class(sched.slice_registry(part, registry)) as pool:
         with pytest.raises(sched.SchedulerError, match="7"):
             pool.run_round(lo)
         # pool survives a failed round; resident states are untouched
