@@ -6,8 +6,11 @@ the macro unknowns; each iteration sends the current element values and
 gradients to the scheduler pool, which advances every cell from its
 committed state and returns averaged fluxes, storage rates and storage
 moments. A cell's Newton starts from its committed fluctuation on the
-first iteration of a step attempt, and from the fluctuation it reached
-on the previous iteration after that. The macro residual uses
+first iteration of a step attempt. After that it starts from the
+fluctuation it reached on the previous iteration, moved along the
+change of its loading by the sensitivity its cell tangent computed on
+the first iteration. The points are dealt to the workers cyclically by
+element id. The macro residual uses
 
   * effective capacities (from the cell tangents) times nodal rates,
   * the Crank-Nicolson average of the cell flux averages against

@@ -22,9 +22,14 @@ the tangent reuse the coefficients, conductivity and storage of
 Newton's last, accepted evaluation.
 
 An increment always advances from a committed state: its time and old
-data. Newton starts from that state's fluctuation, or from the one of
-an optional start state: a later round of a macro step passes the state
-the same point converged to one round earlier.
+data. Newton starts from that state's fluctuation, or from a prediction
+off an optional start state: a later round of a macro step passes the
+state the same point converged to one round earlier. The tangent round,
+the first of a step attempt, solves for the sensitivity dz/dp of the
+converged reduced fluctuation and keeps it on its new state, and every
+later round of the attempt carries it forward. A start that carries
+one predicts z(p) = z_start + dz/dp (p - p_start), to first order in
+the change of loading since the start; one without it predicts z_start.
 
 Fluxes follow the physical sign convention q = -k grad u, and the
 effective blocks satisfy q_heat = -(K_tt grad_Theta + K_tf grad_Phi).
@@ -75,12 +80,18 @@ class MesoState:
 
     old caches (K u, f) of the total field, the old data of every
     increment from this state; None until an increment computes it.
+    sensitivity, (n_free, 6), is dz/dp of the reduced fluctuation
+    z = fluct[free_index] over the loading p, from the tangent round of
+    the step attempt that reached this state; None otherwise. It
+    predicts the start of a later round of the same attempt, and means
+    nothing once the state is committed.
     """
 
     fluct: np.ndarray        # (2N,) field-major fluctuation vector
     loading: MacroLoading
     time: float = 0.0        # s, cell-local
     old: tuple = field(default=None, repr=False)
+    sensitivity: np.ndarray = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,12 @@ def average_fields(cell: CellProblem, coeff, u_new, u_old,
     return EffectiveResponse(q_heat, q_moist, s_t, s_f, m_t, m_f)
 
 
+def _loading_vector(loading: MacroLoading):
+    """p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y)."""
+    return np.concatenate([[loading.theta, loading.phi], loading.grad_theta,
+                           loading.grad_phi])
+
+
 def initial_response(cell: CellProblem, loading: MacroLoading):
     """Zero-rate response of the fresh affine state, no solve involved."""
     state = cell.initial_state(loading)
@@ -200,13 +217,17 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     Returns (new state, response). The increment runs from `state`: its
     time and Crank-Nicolson old data. The old data of `state` is
     computed on its first increment and kept on it. Newton starts from
-    the fluctuation of `start`, by default `state`; a later round of a
-    macro step passes the state the same point converged to one round
-    earlier, under an almost equal loading. `start` changes the
-    iteration count and moves the result within Newton's tolerance. The
-    new state carries the pair of Newton's accepted evaluation, whose
-    coefficients, K and C also feed the averages and the tangent: no
-    state is evaluated twice.
+    the fluctuation of `state` when `start` is None. A later round of a
+    macro step passes as `start` the state the same point converged to
+    one round earlier, from the same `state` and under the same dt;
+    Newton then starts from the prediction z_start + dz/dp (p - p_start)
+    when `start` carries a sensitivity, and from z_start when it does
+    not. `start` changes the iteration count and moves the result
+    within Newton's tolerance. want_tangents solves for the tangent and
+    keeps its dz/dp on the new state; otherwise the new state carries
+    the sensitivity of `start` on. The new state also carries the pair
+    of Newton's accepted evaluation, whose coefficients, K and C feed
+    the averages and the tangent: no state is evaluated twice.
     """
     u_n = cell.total_vector(state)
     if state.old is None:
@@ -218,6 +239,12 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     # shift onto the anchor group and can leave the material validity
     # window for large macro steps
     z0 = (state if start is None else start).fluct[cell.reduction.free_index]
+    # an earlier round's state moves along the sensitivity of its
+    # attempt's tangent round; a committed state starts as it is
+    sensitivity = None if start is None else start.sensitivity
+    if sensitivity is not None:
+        z0 = z0 + sensitivity @ (_loading_vector(loading)
+                                 - _loading_vector(start.loading))
     last = {}
 
     def assembler(u, t):
@@ -229,21 +256,22 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                                         state.old, z0)
     K, C, _, _, coeff = last["out"]
     affine = cell.affine_vector(loading)
-    new_state = MesoState(u_new - affine, loading, state.time + loading.dt)
+    response = average_fields(cell, coeff, u_new, u_n, loading.dt)
+    if want_tangents:
+        tangent, sensitivity = effective_tangent(cell, cmap, coeff, K, C,
+                                                 u_new, u_n, loading.dt)
+        response = replace(response, tangent=tangent)
+    new_state = MesoState(u_new - affine, loading, state.time + loading.dt,
+                          sensitivity=sensitivity)
     # the pair was evaluated at u_new; it serves the new state only if
     # that state's total field reproduces u_new bit for bit
     if np.array_equal(affine + new_state.fluct, u_new):
         new_state.old = old
-    response = average_fields(cell, coeff, u_new, u_n, loading.dt)
-    if want_tangents:
-        tangent = effective_tangent(cell, cmap, coeff, K, C, u_new, u_n,
-                                    loading.dt)
-        response = replace(response, tangent=tangent)
     return new_state, response
 
 
 def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
-                      dt) -> TangentBlocks:
+                      dt):
     """Sensitivities of the averaged increment answer at the converged u_new.
 
     The converged fluctuation solves T'R(T z + g(p)) = 0 under the
@@ -256,7 +284,9 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
     factorization of its bordered system serves all six directions,
     du/dp = T dz/dp + dg/dp, and the averages of average_fields are
-    differentiated along them in closed form. The columns of every
+    differentiated along them in closed form. Returns (TangentBlocks,
+    dz/dp), the latter (n_free, 6) over the reduced unknowns of cmap,
+    which the next rounds' predicted starts use. The columns of every
     returned array follow p.
     """
     mesh = cell.mesh
@@ -314,4 +344,4 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
         m.append(np.einsum("m,md,mk->dk", w, xc, store))
         s.append(w @ store)
     return TangentBlocks(np.array(kg), np.array(m),
-                         np.array([s[0][0] * dt, s[1][1] * dt]))
+                         np.array([s[0][0] * dt, s[1][1] * dt])), dz

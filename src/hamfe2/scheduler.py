@@ -1,14 +1,15 @@
 """Master-worker evaluation of batched meso increments.
 
 Within one macro Newton iteration every integration point needs an
-independent transient cell increment, so the point set is partitioned
-over a pool of workers once per run. Each worker owns its registry
-slice (cell problem and committed meso state per point) for the whole
-run; a round sends only the per-point loadings down and returns the
-averaged responses, and a commit promotes the states of the most
-recently evaluated round to the resident committed set. A committed
-state keeps its Crank-Nicolson old data, computed once (see
-homogenization), through every round and retry of a macro step.
+independent transient cell increment, so the point set is dealt over a
+pool of workers once per run, cyclically by sorted id: neighbouring
+points, whose cells cost alike, land on different workers. Each worker
+owns its registry slice (cell problem and committed meso state per
+point) for the whole run; a round sends only the per-point loadings
+down and returns the averaged responses, and a commit promotes the
+states of the most recently evaluated round to the resident committed
+set. A committed state keeps its Crank-Nicolson old data, computed once
+(see homogenization), through every round and retry of a macro step.
 Merging sorts by point id, so the merged result is independent of
 worker count and completion order.
 
@@ -17,8 +18,10 @@ asks for tangents starts each cell's Newton from the committed
 fluctuation; that is the first round of every macro step attempt, so a
 retried step repeats a fresh one bit for bit. A round without tangents
 starts each point from the state it converged to in the previous round,
-kept per point in its worker, so the starts do not depend on the
-worker count either.
+kept per point in its worker, moved to first order along the change of
+its loading by the sensitivity dz/dp of the attempt's tangent round
+(see homogenization). A commit drops those states, so no start crosses
+a macro step, and the starts do not depend on the worker count either.
 
 The protocol is pure message passing: loadings down, homogenized data
 up, no shared mutable state. Each worker's resident answers every
@@ -65,9 +68,13 @@ class Partition:
 def partition_points(point_ids, n_workers=1):
     """Split macro point ids over n_workers.
 
-    The one rule: the sorted ids are cut into n_workers contiguous runs
-    whose lengths differ by at most one. The result is an exact cover;
-    merges sort by point id, so results do not depend on it.
+    The one rule: the sorted ids are dealt round-robin, worker w takes
+    ids[w::n_workers], so the counts differ by at most one. Nearby
+    macro points carry nearby ids (a structured mesh numbers its quads
+    row by row, two triangles each) and cost alike: same cell, same
+    distance from a climate face. Dealing spreads every such run of ids
+    over all workers. The result is an exact cover; merges sort by
+    point id, so results do not depend on it.
     """
     pids = [int(p) for p in point_ids]
     if len(set(pids)) != len(pids):
@@ -78,8 +85,9 @@ def partition_points(point_ids, n_workers=1):
         warnings.warn(
             f"{n_workers - len(pids)} of {n_workers} workers receive "
             "no points", RuntimeWarning, stacklevel=2)
-    chunks = np.array_split(np.sort(np.asarray(pids, dtype=int)), n_workers)
-    return Partition(tuple(tuple(int(p) for p in c) for c in chunks))
+    ids = sorted(pids)
+    return Partition(tuple(tuple(ids[w::n_workers])
+                           for w in range(n_workers)))
 
 
 def slice_registry(partition: Partition, registry):
@@ -104,9 +112,11 @@ class RoundRecord:
 class _Resident:
     """One worker's registry slice; the one place that answers the pool.
 
-    pending holds the states the last round reached: a round without
-    tangents starts each point's Newton from its pending state, a round
-    with tangents from its committed one, and a commit promotes them.
+    pending holds the states the last round of the current step attempt
+    reached: a round without tangents starts each point's Newton from
+    its pending state, predicted along the sensitivity it carries, and
+    a round with tangents from its committed one. A commit promotes the
+    pending states without their sensitivities and empties pending.
     """
 
     def __init__(self, registry_slice):
@@ -157,7 +167,9 @@ class _Resident:
         if msg[0] == "commit":
             for pid, st in self.pending.items():
                 cell, _ = self.committed[pid]
+                st.sensitivity = None
                 self.committed[pid] = (cell, st)
+            self.pending = {}
         return ("ok",)
 
 

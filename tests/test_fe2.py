@@ -219,8 +219,8 @@ def test_worker_counts_bit_identical(masonry):
 
 
 def test_two_regions_bit_identical_over_worker_counts():
-    # two different cells under the contiguous partition; with 2
-    # workers each worker holds points of both regions
+    # two different cells, one per half of the mesh; dealt cyclically,
+    # each of 2 workers holds points of both regions
     macro = with_phases(generate_rectangle_mesh(1.2, 0.6, 2, 2),
                         ("facing", "fill"),
                         lambda xc, yc: (xc > 0.6).astype(int))
@@ -279,6 +279,19 @@ def test_macro_jacobian_matches_bmat_construction(masonry, cprime):
     bare.eliminate_zeros()
     assert_same_csr(bare, ref)
     assert_same_csr(newton_system(J, C)[0], newton_system(ref, C)[0])
+
+
+def test_each_worker_holds_a_point_of_each_square():
+    # the two triangles of a square share its distance from the climate
+    # face, and so its cost; the cyclic partition splits every square
+    macro = generate_rectangle_mesh(0.6, 0.3, 2, 1)
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    with FE2Driver(macro, {"solid": linear_cell()}, initial,
+                   n_workers=2) as driver:
+        assignments = driver.partition.assignments
+    centroids = fem.workspace(macro).centroids
+    for a in assignments:
+        assert sorted(centroids[list(a), 0] > 0.3) == [False, True]
 
 
 def test_workers_without_points_get_no_process():

@@ -65,13 +65,12 @@ def assert_same_response(a, b):
 
 # ------------------------------------------------------------- partitioning
 
-def test_partition_contiguous_even_split():
-    part = sched.partition_points(range(10), n_workers=2)
-    loads = [len(a) for a in part.assignments]
-    assert loads == [5, 5]
-    assert covered_ids(part) == tuple(range(10))
-    # max over mean worker load: 1.0 is perfectly even
-    assert max(loads) * len(loads) / sum(loads) == 1.0
+def test_partition_deals_ids_cyclically():
+    part = sched.partition_points(range(10), n_workers=3)
+    assert part.assignments == ((0, 3, 6, 9), (1, 4, 7), (2, 5, 8))
+    # unsorted ids are dealt in sorted order
+    part = sched.partition_points([7, 2, 5, 0], n_workers=2)
+    assert part.assignments == ((0, 5), (2, 7))
 
 
 def test_partition_single_worker_takes_all():
@@ -108,6 +107,12 @@ def test_partition_exact_cover_property(data, n_workers):
     assert covered_ids(part) == tuple(pids)
     seen = [p for a in part.assignments for p in a]
     assert len(seen) == len(set(seen))
+    # dealt round-robin: loads differ by at most one, the earlier
+    # workers take the extra points, and each worker's ids ascend
+    loads = [len(a) for a in part.assignments]
+    assert loads == sorted(loads, reverse=True)
+    assert loads[0] - loads[-1] <= 1
+    assert all(list(a) == sorted(a) for a in part.assignments)
 
 
 # ---------------------------------------------------------- batch evaluation
@@ -190,10 +195,17 @@ def test_worker_pool_matches_serial_bitwise():
             assert_same_response(ref2[pid], got2[pid])
 
 
+POOLS = pytest.mark.parametrize("pool_class",
+                                [sched.SerialPool, sched.WorkerPool],
+                                ids=lambda cls: cls.__name__)
+
+
 def test_rounds_without_tangents_start_from_the_previous_round():
     # a round without tangents starts each cell's Newton from the state
-    # the point reached one round earlier, a round with tangents from
-    # the committed state; both for any worker count
+    # the point reached one round earlier, predicted along the
+    # sensitivity that state carries from the tangent round; a round
+    # with tangents starts from the committed state; both for any worker
+    # count
     cell = masonry_cell()
     pids = list(range(4))
     registry = make_registry(cell, pids)
@@ -221,9 +233,27 @@ def test_rounds_without_tangents_start_from_the_previous_round():
             assert_same_response(cold[p], got_cold[p])
 
 
-POOLS = pytest.mark.parametrize("pool_class",
-                                [sched.SerialPool, sched.WorkerPool],
-                                ids=lambda cls: cls.__name__)
+@POOLS
+def test_round_after_a_commit_starts_cold(pool_class):
+    # a commit ends the step: the round after it, even without tangents,
+    # starts from the newly committed states alone, neither from a
+    # round of the step before nor predicted along its sensitivities
+    cell = masonry_cell()
+    pids = list(range(4))
+    registry = make_registry(cell, pids)
+    round1, round2 = two_round_loadings(pids)
+    cold = {}
+    for p in pids:
+        committed, _ = hom.solve_rve_increment(cell, registry[p][1],
+                                               round1[p], want_tangents=True)
+        _, cold[p] = hom.solve_rve_increment(cell, committed, round2[p])
+    part = sched.partition_points(pids, n_workers=2)
+    with pool_class(sched.slice_registry(part, registry)) as pool:
+        pool.run_round(round1, want_tangents=True)
+        pool.commit()
+        got = pool.run_round(round2, want_tangents=False)
+    for p in pids:
+        assert_same_response(cold[p], got[p])
 
 
 @POOLS
