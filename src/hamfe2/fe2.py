@@ -173,9 +173,11 @@ class FE2Driver:
                 mg = stacked(tan, "mg")
                 J.data += (_tensor_stiffness(ws, mg).data
                            + _value_coupling(ws, mg).data)
-            # the frozen Jacobian is reduced and scaled once per step
+            # the frozen Jacobian is reduced and scaled once per step,
+            # and every evaluation of the step returns that system
+            system = cmap.newton_system(J, C)
             cache["C"] = C
-            cache["system"] = cmap.newton_system(J, C)
+            cache["system"] = lambda: system
 
         def residual_jacobian(z):
             u = cmap.expand(z)
@@ -202,8 +204,7 @@ class FE2Driver:
             if self.cprime:
                 R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
                 R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
-            matrix, scaled, rows = cache["system"]
-            return scaled(R), matrix, rows
+            return cmap.scaled_residual(R, C), cache["system"]
 
         z0 = cmap.initial_reduced(u_n)
         z, trace = newton_solve(residual_jacobian, z0, self.config)

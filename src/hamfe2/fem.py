@@ -13,6 +13,17 @@ stored in all four, so the Crank-Nicolson storage terms are added in
 place on the main diagonal and on offset N. The pattern keeps the
 exact zeros that P1 stiffness has on right-triangle grids.
 
+The index arrays of a skeleton live with the mesh's workspace, and the
+values of a matrix on it in a SkeletonMatrix, which is no scipy object.
+The Newton solvers assemble and multiply such matrices on every
+residual evaluation and reduce them for every factorization: a product
+runs scipy's compiled csr product on the workspace's own csr matrix of
+the skeleton, and a reduction gathers the values straight into the
+planned bordered system. The one scipy matrix built per Newton system
+is that bordered system, the input of its factorization. CoupledSystem.K, state_jacobian and
+Workspace.csr_scatter build csr matrices for the callers that want
+one; none of them runs on a residual evaluation.
+
 Boundary data enter as Dirichlet values only; no assembly adds an edge
 flux, so the external flux vector of every system is zero. Constraints
 (Dirichlet values, periodic-affine cell conditions) are expressed as an
@@ -29,6 +40,7 @@ live with its workspace.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -82,18 +94,25 @@ class FieldState:
 class CoupledSystem:
     """Assembled operators of the coupled system.
 
-    K is the field-major conductivity (2N x 2N csr on the mesh's
-    two-field skeleton), c_tt/c_ff the lumped storage diagonals, f the
-    external flux vector of length 2N, coeff the per-element
-    coefficients they were built from. f is zero (see the module notes)
-    but keeps its place in the Crank-Nicolson residual.
+    conductivity holds the values of the field-major conductivity on
+    the mesh's two-field skeleton (a SkeletonMatrix); the solvers
+    multiply and reduce it as it is. K is the same 2N x 2N matrix as
+    csr, built on its first access and sharing those values. c_tt/c_ff
+    are the lumped storage diagonals, f the external flux vector of
+    length 2N, coeff the per-element coefficients they were built from.
+    f is zero (see the module notes) but keeps its place in the
+    Crank-Nicolson residual.
     """
 
-    K: sp.csr_matrix
+    conductivity: "SkeletonMatrix"
     c_tt: np.ndarray
     c_ff: np.ndarray
     f: np.ndarray
     coeff: CoefficientSet = None
+
+    @cached_property
+    def K(self) -> sp.csr_matrix:
+        return self.conductivity.tocsr()
 
     def stiffness(self) -> sp.csr_matrix:
         return self.K
@@ -182,46 +201,106 @@ class Workspace:
         self.plans = {}
         self.diagonal_slots = None
         _SKELETONS[id(self.pair_indptr)] = self
+        # the csr matrix that multiplies every SkeletonMatrix of this
+        # skeleton; it holds values only during a product and is never
+        # handed out
+        n = 2 * mesh.n_nodes
+        self._product = sp.csr_matrix(
+            (np.zeros(4 * nnz), self.pair_indices, self.pair_indptr),
+            shape=(n, n))
+        self._product.data = None
 
-    def csr_scatter(self, data):
-        """Two-field 2N x 2N csr matrix of (2, 2, M, 3, 3) element entries.
+    def scatter(self, data):
+        """Skeleton values of (2, 2, M, 3, 3) element entries, (4 nnz,).
 
         data[a][b][m, i, j] couples field a at the i-th node of element
         m to field b at its j-th node; a 2 x 2 nested list of (M, 3, 3)
         blocks spares a large system one array four blocks in size.
         Each block is summed over its one-field slots by one bincount
         and placed into the skeleton, so every matrix of a mesh shares
-        indices, indptr and the order of its .data array.
+        indices, indptr and the order of its values.
         """
         nnz = self.csr_nnz
         summed = np.empty(4 * nnz)
         for slots, block in zip(self.pair_slots, [b for r in data for b in r]):
             summed[slots] = np.bincount(self.csr_pos, weights=np.ravel(block),
                                         minlength=nnz)
-        n = 2 * self.mesh.n_nodes
-        return sp.csr_matrix((summed, self.pair_indices, self.pair_indptr),
-                             shape=(n, n))
+        return summed
+
+    def csr_scatter(self, data):
+        """Two-field 2N x 2N csr matrix of the entries of `scatter`."""
+        return SkeletonMatrix(self, self.scatter(data)).tocsr()
 
     def lumped(self, vals):
         """Row-sum lumped nodal diagonal of per-element densities, (N,)."""
-        d = np.zeros(self.mesh.n_nodes)
-        np.add.at(d, self.mesh.triangles.ravel(),
-                  np.repeat(vals * self.areas / 3.0, 3))
-        return d
+        # bincount adds each node's terms in index order, so the sums
+        # are those of np.add.at bit for bit
+        return np.bincount(self.mesh.triangles.ravel(),
+                           weights=np.repeat(vals * self.areas / 3.0, 3),
+                           minlength=self.mesh.n_nodes)
 
     def element_gradient(self, nodal):
         """Constant per-element gradient of a nodal field, (M, 2)."""
         return np.einsum("mid,mi->md", self.grads, nodal[self.mesh.triangles])
 
     def element_mean(self, nodal):
-        return nodal[self.mesh.triangles].mean(axis=1)
+        # what .mean(axis=1) computes, without its Python wrapper
+        return nodal[self.mesh.triangles].sum(axis=1) / 3.0
 
     def scatter_gradient_pairing(self, vec):
         """Nodal vector b with b_i = sum_e A_e grad N_i . vec_e."""
         contrib = np.einsum("mid,md->mi", self.grads, vec) * self.areas[:, None]
-        out = np.zeros(self.mesh.n_nodes)
-        np.add.at(out, self.mesh.triangles.ravel(), contrib.ravel())
-        return out
+        return np.bincount(self.mesh.triangles.ravel(),
+                           weights=contrib.ravel(),
+                           minlength=self.mesh.n_nodes)
+
+
+class SkeletonMatrix:
+    """The values of a 2N x 2N matrix on a mesh's two-field skeleton.
+
+    data follows the slots of the skeleton, whose index arrays the
+    workspace holds; a SkeletonMatrix is not a scipy matrix and builds
+    none. `A @ x` runs scipy's csr product on the workspace's own csr
+    matrix of the skeleton, `s * A` scales the values into a new
+    SkeletonMatrix, and ConstraintMap plans and reduces it like a csr
+    matrix on the skeleton. tocsr() builds that csr matrix, sharing
+    data and the index arrays.
+    """
+
+    def __init__(self, workspace: "Workspace", data):
+        self.workspace = workspace
+        self.data = data
+
+    @property
+    def shape(self):
+        n = 2 * self.workspace.mesh.n_nodes
+        return n, n
+
+    @property
+    def indptr(self):
+        return self.workspace.pair_indptr
+
+    @property
+    def indices(self):
+        return self.workspace.pair_indices
+
+    def __matmul__(self, x):
+        A = self.workspace._product
+        A.data = self.data
+        try:
+            return A @ x
+        finally:
+            A.data = None
+
+    def __rmul__(self, scalar):
+        return SkeletonMatrix(self.workspace, scalar * self.data)
+
+    def diagonal(self):
+        return self.data[newton_slots(self)[0]]
+
+    def tocsr(self) -> sp.csr_matrix:
+        return sp.csr_matrix((self.data, self.indices, self.indptr),
+                             shape=self.shape)
 
 
 def workspace(mesh: Mesh) -> Workspace:
@@ -233,11 +312,12 @@ def workspace(mesh: Mesh) -> Workspace:
 
 
 def skeleton_of(A):
-    """The workspace whose two-field skeleton stores the csr matrix A, or None.
+    """The workspace whose two-field skeleton stores A, or None.
 
-    A matrix built on a skeleton (csr_scatter, or a new .data array with
-    its index arrays) shares the skeleton's indptr array; scipy keeps
-    that array as it is but may hand the matrix a view of the indices.
+    A is a SkeletonMatrix or a csr matrix. A csr matrix built on a
+    skeleton (csr_scatter, tocsr, or a new .data array with its index
+    arrays) shares the skeleton's indptr array; scipy keeps that array
+    as it is but may hand the matrix a view of the indices.
     """
     ws = _SKELETONS.get(id(A.indptr))
     return ws if ws is not None and ws.pair_indptr is A.indptr else None
@@ -316,9 +396,9 @@ def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
     """Conductivity and lumped storage of given per-element coefficients,
     with zero external fluxes."""
     ws = workspace(mesh)
-    K = ws.csr_scatter([[k[:, None, None] * ws.pattern for k in row]
-                        for row in ((coeff.k_tt, coeff.k_tf),
-                                    (coeff.k_ft, coeff.k_ff))])
+    K = SkeletonMatrix(ws, ws.scatter(
+        [[k[:, None, None] * ws.pattern for k in row]
+         for row in ((coeff.k_tt, coeff.k_tf), (coeff.k_ft, coeff.k_ff))]))
     # f before the lumped diagonals: on a large wall this allocation
     # order keeps the peak memory of the later factorization lower
     f = np.zeros(2 * mesh.n_nodes)
@@ -513,23 +593,21 @@ class ConstraintMap:
         self.border = sp.coo_matrix((m, 0)) if border is None else border
         self.z_rows = self.rows[self.free_index]
         self.size = m + self.border.shape[1]
-
-    @cached_property
-    def _pattern_key(self):
-        """What of this map a plan depends on, as bytes, built once per map."""
         G = self.border
-        return (self.size, self.rows.tobytes(), G.row.tobytes(),
-                G.col.tobytes())
+        # what of this map a plan depends on, as bytes
+        self._pattern_key = (self.size, self.rows.tobytes(),
+                             G.row.tobytes(), G.col.tobytes())
 
     def plan(self, A) -> SystemPlan:
         """The SystemPlan of A's pattern under these constraints.
 
-        Stored zeros of A are not part of the pattern. For a matrix on a
-        mesh's skeleton the plan is computed once and kept with the
-        mesh's workspace; any other matrix gets a fresh one, equal to
-        what a cached plan of the same pattern would be.
+        A is a SkeletonMatrix or a sparse matrix. Stored zeros of A are
+        not part of the pattern. For a matrix on a mesh's skeleton the
+        plan is computed once and kept with the mesh's workspace; any
+        other matrix gets a fresh one, equal to what a cached plan of
+        the same pattern would be.
         """
-        A = A.tocsr()
+        A = _stored(A)
         keep = A.data != 0
         ws = skeleton_of(A)
         if ws is None:
@@ -543,14 +621,16 @@ class ConstraintMap:
     def reduce_matrix(self, A, weights=None, plan=None) -> sp.csc_matrix:
         """Bordered system matrix of A; `weights` scales the rows of P'AP.
 
-        The result is CSC in the order of `plan`, self.plan(A) unless
-        the caller has it already, gathered from A.data by one bincount.
-        Stored zeros of A are skipped. The two-field skeleton keeps the
+        A is a SkeletonMatrix or a sparse matrix. The result is CSC in
+        the order of `plan`, self.plan(A) unless the caller has it
+        already, gathered from A.data by one bincount; it is the one
+        scipy matrix a Newton system builds. Stored zeros of A are
+        skipped. The two-field skeleton keeps the
         exact zeros of P1 stiffness on right-triangle grids, and so do
         the Newton matrices built on it; carried into the bordered
         matrix, they would only add entries and fill to its LU.
         """
-        A = A.tocsr()
+        A = _stored(A)
         plan = self.plan(A) if plan is None else plan
         m, G = self.row_dofs.size, self.border
         weights = np.ones(m) if weights is None else weights
@@ -583,23 +663,38 @@ class ConstraintMap:
     def initial_reduced(self, u):
         return (u - self.g)[self.free_index]
 
-    def newton_system(self, J, C):
-        """Storage-scaled Newton matrix of J and the matching residual map.
+    def newton_weights(self, C):
+        """Row weights of the storage-scaled Newton systems, 1 / C at the
+        dof of every system row.
 
         Every row is divided by the storage C at its dof, so heat and
         moisture rows are measured in comparable rate units; the Newton
         direction is unchanged, only the convergence norm and pivoting
-        see it. Returns (matrix, scaled, rows): the planned system,
-        scaled(R) = w * T'R, the reduced residual in the same row
-        scaling, and the positions of the reduced unknowns in the
-        matrix's order.
+        see it.
+        """
+        return 1.0 / np.maximum(C[self.row_dofs], 1e-300)
+
+    def scaled_residual(self, R, C):
+        """w * T'R: the reduced residual in the Newton rows' scaling."""
+        return self.newton_weights(C)[self.z_rows] * self.reduce_vector(R)
+
+    def newton_system(self, J, C):
+        """Storage-scaled Newton matrix of J, and where z sits in it.
+
+        Returns (matrix, rows): the planned system of J with its rows
+        scaled by newton_weights(C), and the positions of the reduced
+        unknowns in the matrix's order. With scaled_residual(R, C) as
+        its right-hand side on those rows, and zero on the others, it
+        solves for the Newton update of z.
         """
         plan = self.plan(J)
-        w = 1.0 / np.maximum(C[self.row_dofs], 1e-300)
-        w_z = w[self.z_rows]
-        return (self.reduce_matrix(J, w, plan),
-                lambda R: w_z * self.reduce_vector(R),
+        return (self.reduce_matrix(J, self.newton_weights(C), plan),
                 plan.order[self.z_rows])
+
+
+def _stored(A):
+    """A as its stored entries: a SkeletonMatrix as it is, else csr."""
+    return A if isinstance(A, SkeletonMatrix) else A.tocsr()
 
 
 def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:
@@ -668,6 +763,9 @@ class PeriodicReduction:
             (np.concatenate([gw, gw]),
              (np.arange(2 * m), np.repeat([0, 1], m))), shape=(2 * m, 2))
         self.x0 = mesh.center()
+        # every loading's map shares T, T' and the plan key of this one
+        self._map = ConstraintMap(self.T, np.zeros(2 * n), self.free_index,
+                                  self.rows, self.row_dofs, self.border)
 
     def affine(self, value_theta, value_phi, grad_theta, grad_phi):
         """Nodal field-major vector of the macro (affine) part."""
@@ -677,6 +775,6 @@ class PeriodicReduction:
 
     def map_for(self, value_theta, value_phi, grad_theta,
                 grad_phi) -> ConstraintMap:
-        g = self.affine(value_theta, value_phi, grad_theta, grad_phi)
-        return ConstraintMap(self.T, g, self.free_index, self.rows,
-                             self.row_dofs, self.border)
+        cmap = copy.copy(self._map)
+        cmap.g = self.affine(value_theta, value_phi, grad_theta, grad_phi)
+        return cmap

@@ -10,6 +10,16 @@ frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2. Linear
 systems use a direct sparse factorization; everything is deterministic
 for a fixed input, there is no iterative solver noise.
 
+A residual evaluation defers its Newton system. newton_solve takes
+residual_jacobian(z) -> (r, system), and system() -> (matrix, rows)
+builds the matrix; Newton calls it only for an iterate whose update it
+solves for, right before it factors the matrix, and drops the system
+first. An evaluation that converges, and a trial step that is
+rejected, build no matrix. For the Crank-Nicolson step, system()
+evaluates the capacity derivatives, adds the storage terms to K/2 and
+reduces the result onto the planned bordered system; the FE2 macro
+step returns the system it reduced once for the whole step.
+
 Every Newton system, fine, cell or macro, is factored by `factorize`.
 Its matrices have a symmetric pattern, so they are ordered by minimum
 degree on A + A', and SuperLU keeps a diagonal pivot whenever it holds
@@ -110,17 +120,24 @@ def factorize(A):
 def newton_solve(residual_jacobian, z0, config: SolverConfig):
     """Newton iteration on the reduced unknowns.
 
-    residual_jacobian(z) returns the reduced residual, the sparse matrix
-    of the Newton system and `rows`, the position of each entry of z
-    among the system's unknowns. The system may be larger than z, as
-    the bordered systems of ConstraintMap are: its other unknowns take a
-    zero right-hand side and are left out of the update.
+    residual_jacobian(z) returns the reduced residual r and its
+    deferred Newton system, a function: system() returns the sparse
+    matrix of the Newton system and `rows`, the position of each entry
+    of z among the system's unknowns. The system may be larger than z,
+    as the bordered systems of ConstraintMap are: its other unknowns
+    take a zero right-hand side and are left out of the update. system
+    is called at most once, for an iterate that is not yet converged,
+    right before its matrix is factored; the evaluation behind it is
+    dropped before the factorization.
     Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations, and a start with
     a non-finite residual raises, since no target can be set from it.
-    Updates that overshoot out of the admissible state range are halved
-    until they evaluate (at most 8 halvings). Raises SolverError with
-    the residual trace on breakdown.
+    Updates are halved (at most 8 times) until the trial iterate
+    evaluates and does not grow the residual beyond 1.5 times the last.
+    Raises SolverError with the residual trace on breakdown: when no
+    trial evaluates, and when every trial that evaluates grows the
+    residual, a stall at round-off or on a steep part of the material
+    curves.
     """
     z = np.array(z0, dtype=float)
     trace = []
@@ -132,7 +149,7 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
             raise SolverError(f"iterate left the admissible state range: {exc}",
                               trace) from exc
 
-    r, jac, rows = evaluate(z)
+    r, system = evaluate(z)
     norm0 = float(np.linalg.norm(r))
     trace.append(norm0)
     if not np.isfinite(norm0):
@@ -142,11 +159,16 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         return z, trace
     for _ in range(config.max_iterations):
         try:
-            rhs = np.zeros(jac.shape[0])
+            matrix, rows = system()
+            # the evaluation behind the system is dropped before the
+            # factorization, and the matrix and its factors once they
+            # have solved: neither the factorization nor the trial
+            # evaluations run while the others are still held
+            system = None
+            rhs = np.zeros(matrix.shape[0])
             rhs[rows] = -r
-            # the factors are dropped once they have solved, so the next
-            # factorization does not run while they are still held
-            dz = factorize(jac).solve(rhs)[rows]
+            dz = factorize(matrix).solve(rhs)[rows]
+            del matrix
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed: {exc}", trace) from exc
         if not np.all(np.isfinite(dz)):
@@ -154,27 +176,29 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         # damped update: halve the step while the trial iterate leaves
         # the admissible state range, gives a non-finite residual, or
         # grows the residual well beyond the previous one (the moisture
-        # capacity softens steeply and full steps can run away). Small
-        # steps always pass the growth test by continuity, so failing
-        # all trials means the iterate is pinned to the admissibility
-        # boundary with the correction pointing outward.
-        step, accepted = 1.0, None
+        # capacity softens steeply and full steps can run away)
+        step, evaluated = 1.0, False
         for _halving in range(9):
             z_try = z + step * dz
             try:
-                r_try, jac_try, rows_try = evaluate(z_try)
-                nrm = float(np.linalg.norm(r_try))
+                r, system = evaluate(z_try)
+                nrm = float(np.linalg.norm(r))
             except SolverError:
                 nrm = np.inf
+            evaluated = evaluated or np.isfinite(nrm)
             if np.isfinite(nrm) and nrm <= 1.5 * trace[-1]:
-                accepted = (nrm, z_try, r_try, jac_try, rows_try)
                 break
             step *= 0.5
-        if accepted is None:
+        else:
+            if evaluated:
+                raise SolverError(
+                    f"damped Newton stalled at residual {trace[-1]:.3e} "
+                    f"(target {target:.3e}): every trial step that "
+                    "evaluated grew the residual", trace)
             raise SolverError(
-                "damped Newton made no progress; the state update is "
-                "pinned to the admissible range boundary", trace)
-        nrm, z, r, jac, rows = accepted
+                "damped Newton made no progress: every trial left the "
+                "admissible range or gave a non-finite residual", trace)
+        z = z_try
         trace.append(nrm)
         if nrm <= target:
             return z, trace
@@ -193,11 +217,14 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None):
     """Advance one step; returns (u_{n+1}, trace, old-data for the next step).
 
-    assembler(u, t) -> (K csr, C diagonal, f[, capacity derivatives, ...])
-    on the full dof vector; K stores its main diagonal and offset N, as
-    the two-field skeleton of fem does. Entries past the capacity
-    derivatives are ignored here. The last assembler call of a step that
-    returns is the one at the accepted state.
+    assembler(u, t) -> (K, C diagonal, f[, capacity, ...]) on the full
+    dof vector. K is a csr matrix or a fem.SkeletonMatrix that stores
+    its main diagonal and offset N, as the two-field skeleton of fem
+    does. capacity, when given, is a function that returns the
+    capacity derivatives; it runs only when the Newton matrix of that
+    evaluation is built. Entries past it are ignored here. The last
+    assembler call of a step that returns is the one at the accepted
+    state.
     `old` carries (K_n u_n, f_n) when the caller already has them for
     u_n (see old_data); the returned triple's third entry is the same
     pair evaluated at the accepted new state. `z0` overrides the start
@@ -211,32 +238,31 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
 
     def residual_jacobian(z):
         u = cmap.expand(z)
-        out = assembler(u, t_new)
-        K, C, f = out[:3]
-        cap = out[3] if len(out) > 3 else None
-        # the evaluation's other entries, such as the coefficient set of
-        # _assemble, need not stay alive through the reduction below
-        del out
+        K, C, f, *rest = assembler(u, t_new)
+        capacity = rest[0] if rest else None
         fint = K @ u
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n) - 0.5 * (f + f_n)
-        # J = K/2 + C/dt on K's own index arrays, so it stays on the
-        # skeleton and finds its plan there
-        diag, offset = newton_slots(K)
-        data = 0.5 * K.data
-        data[diag] += C / dt
-        if cap is not None:
-            # storage coefficients depend on humidity: the derivative
-            # times the current rate enters the phi columns, on offset
-            # n in the theta rows and on the diagonal in the phi rows
-            gtt, gff = cap
-            n = gtt.size
-            rate = (u - u_n) / dt
-            data[diag[n:]] += gff * rate[n:]
-            data[offset] += gtt * rate[:n]
-        J = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
         accepted["old"] = (fint, f)
-        matrix, scaled, rows = cmap.newton_system(J, C)
-        return scaled(R), matrix, rows
+
+        def system():
+            # J = K/2 + C/dt on K's own pattern, so it stays on the
+            # skeleton and finds its plan there
+            J = 0.5 * K
+            diag, offset = newton_slots(J)
+            J.data[diag] += C / dt
+            if capacity is not None:
+                # storage coefficients depend on humidity: the
+                # derivative times the current rate enters the phi
+                # columns, on offset n in the theta rows and on the
+                # diagonal in the phi rows
+                gtt, gff = capacity()
+                n = gtt.size
+                rate = (u - u_n) / dt
+                J.data[diag[n:]] += gff * rate[n:]
+                J.data[offset] += gtt * rate[:n]
+            return cmap.newton_system(J, C)
+
+        return cmap.scaled_residual(R, C), system
 
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
@@ -276,12 +302,15 @@ class History:
 def _assemble(mesh, materials, u, t):
     """crank_nicolson_step's assembler(u, t) once mesh and materials are bound.
 
-    Returns (K, C, f, capacity derivatives, coefficient set at u).
+    Returns (K, C, f, capacity, coefficient set at u): K a
+    fem.SkeletonMatrix, and capacity the deferred
+    capacity_jacobian_diagonals at u.
     """
     state = FieldState.from_vector(u, t)
     sysm = assemble_system(mesh, state, materials)
-    cap = capacity_jacobian_diagonals(mesh, state, materials)
-    return sysm.K, sysm.storage_diagonal(), sysm.f, cap, sysm.coeff
+    return (sysm.conductivity, sysm.storage_diagonal(), sysm.f,
+            partial(capacity_jacobian_diagonals, mesh, state, materials),
+            sysm.coeff)
 
 
 def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,

@@ -97,7 +97,9 @@ def assert_same_csr(a, b):
 
 
 def without_zeros(A):
-    A = A.copy()
+    """A csr copy of A, a SkeletonMatrix or sparse matrix, without its
+    stored zeros."""
+    A = A.tocsr().copy()
     A.eliminate_zeros()
     return A
 
@@ -171,10 +173,11 @@ def dense_newton_system(cmap, J, C):
 
     The periodic T eliminates each mean constraint through an anchor
     dof, whose row of T couples every reduced unknown, so this matrix
-    is dense. Reference for ConstraintMap.newton_system.
+    is dense. Reference for ConstraintMap.newton_system and
+    scaled_residual; J is a SkeletonMatrix or a sparse matrix.
     """
     w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
-    return (sp.diags(w) @ (cmap.T.T @ J @ cmap.T)).tocsr(), \
+    return (sp.diags(w) @ (cmap.T.T @ J.tocsr() @ cmap.T)).tocsr(), \
         lambda R: w * cmap.reduce_vector(R)
 
 
@@ -186,7 +189,7 @@ class DenseCongruenceMap(fem.ConstraintMap):
                          cmap.row_dofs, cmap.border)
 
     def newton_system(self, J, C):
-        return (*dense_newton_system(self, J, C), np.arange(self.n_free))
+        return dense_newton_system(self, J, C)[0], np.arange(self.n_free)
 
 
 LOADING = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0), dt=3600.0)
@@ -372,26 +375,28 @@ def test_property_periodic_expansion_consistent(gtx, gty, gfx, gfy, vt, vf):
 @pytest.mark.parametrize("resolution", [2, 4])
 def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
     # every Newton system of a running-bond cell increment, solved both
-    # ways: y[rows] of the bordered system against T'JT dz = -r
-    seen = []
+    # ways: y[rows] of the bordered system against T'JT dz = -r. A
+    # system is built for the iterate whose residual was scaled last
+    seen, residuals = [], []
     bordered = fem.ConstraintMap.newton_system
+    scaled = fem.ConstraintMap.scaled_residual
+
+    def spy_residual(cmap, R, C):
+        residuals.append(R)
+        return scaled(cmap, R, C)
 
     def spy(cmap, J, C):
-        matrix, reduce, rows = bordered(cmap, J, C)
+        seen.append((cmap, J, C, residuals[-1]))
+        return bordered(cmap, J, C)
 
-        def keep(R):
-            seen.append((cmap, J, C, R))
-            return reduce(R)
-
-        return matrix, keep, rows
-
+    monkeypatch.setattr(fem.ConstraintMap, "scaled_residual", spy_residual)
     monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
     cell = running_cell(resolution)
     hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
     assert len(seen) > 2
     for cmap, J, C, R in seen:
-        matrix, reduce, rows = bordered(cmap, J, C)
-        r = reduce(R)
+        matrix, rows = bordered(cmap, J, C)
+        r = scaled(cmap, R, C)
         rhs = np.zeros(matrix.shape[0])
         rhs[rows] = -r
         dz_newton = solver.factorize(matrix).solve(rhs)[rows]
@@ -580,14 +585,14 @@ def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
     sysm = fem.assemble_system(m, state, materials)
     C = sysm.storage_diagonal()
     J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
-    matrix, scaled, rows = cmap.newton_system(J, C)
+    matrix, rows = cmap.newton_system(J, C)
     plan = cmap.plan(J)
     assert np.array_equal(rows, plan.order[cmap.z_rows])
     dense, scaled_ref = dense_newton_system(cmap, J, C)
     assert_same_csr(sp.csc_matrix(in_map_order(matrix, plan)),
                     sp.csc_matrix(dense))
     R = np.random.default_rng(3).normal(size=2 * m.n_nodes)
-    assert np.array_equal(scaled(R), scaled_ref(R))
+    assert np.array_equal(cmap.scaled_residual(R, C), scaled_ref(R))
 
 
 def varied_state(mesh):
@@ -640,9 +645,9 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
     solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
                                solver.SolverConfig())
     assert len(seen) > 2
-    for cmap, J, C, (u, (K, C_asm, _, cap, _)) in seen:
+    for cmap, J, C, (u, (K, C_asm, _, capacity, _)) in seen:
         assert C is C_asm
-        ref = diags_newton_matrix(K, C, cap, u, u_n, 3600.0)
+        ref = diags_newton_matrix(K.tocsr(), C, capacity(), u, u_n, 3600.0)
         assert_same_csr(without_zeros(J), ref)
         assert_same_csr(bordered(cmap, J, C)[0], bordered(cmap, ref, C)[0])
 
@@ -740,7 +745,7 @@ def test_planned_matrix_is_the_coo_oracle_in_the_plan_order(case, monkeypatch):
         assert periodic == (case == "periodic-cell")
         for weights in (None, 1.0 / C[cmap.row_dofs]):
             ref = reduce_matrix_oracle(cmap, J, weights)
-            scale = reduce_matrix_oracle(cmap, abs(J), weights)
+            scale = reduce_matrix_oracle(cmap, abs(J.tocsr()), weights)
             for A in (J, without_zeros(J)):
                 plan = cmap.plan(A)
                 got = in_map_order(cmap.reduce_matrix(A, weights), plan)
@@ -782,3 +787,76 @@ def test_cell_newton_and_tangent_systems_get_different_plans(monkeypatch):
     cmap, J, _ = tangent
     assert id(cmap.plan(J)) not in plans
     assert all(cmap.plan(J).nnz > plan.nnz for plan in plans.values())
+
+
+# ------------------------------------------------------------ kernels
+
+
+def kernel_meshes():
+    return [running_cell(2).mesh,
+            msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)]
+
+
+@pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
+def test_nodal_sums_and_means_match_their_numpy_oracles_bit_for_bit(mesh):
+    ws = fem.workspace(mesh)
+    tris = mesh.triangles.ravel()
+    rng = np.random.default_rng(11)
+    vals = rng.uniform(0.5, 2.0e6, mesh.n_triangles)
+    ref = np.zeros(mesh.n_nodes)
+    np.add.at(ref, tris, np.repeat(vals * ws.areas / 3.0, 3))
+    assert np.array_equal(ws.lumped(vals), ref)
+    vec = rng.normal(size=(mesh.n_triangles, 2))
+    contrib = np.einsum("mid,md->mi", ws.grads, vec) * ws.areas[:, None]
+    ref = np.zeros(mesh.n_nodes)
+    np.add.at(ref, tris, contrib.ravel())
+    assert np.array_equal(ws.scatter_gradient_pairing(vec), ref)
+    nodal = rng.normal(size=mesh.n_nodes)
+    assert np.array_equal(ws.element_mean(nodal),
+                          nodal[mesh.triangles].mean(axis=1))
+
+
+@pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
+def test_skeleton_products_match_the_csr_product_bit_for_bit(mesh):
+    x, y = (mesh.nodes / mesh.nodes.max(axis=0)).T
+    state = fem.FieldState(15.0 + 10.0 * x - 8.0 * y, 0.4 + 0.3 * x + 0.2 * y)
+    sysm = fem.assemble_system(mesh, state, default_materials())
+    A = sysm.conductivity
+    assert isinstance(A, fem.SkeletonMatrix)
+    K = sysm.K
+    assert np.shares_memory(K.data, A.data)
+    assert fem.skeleton_of(K) is fem.skeleton_of(A) is not None
+    rng = np.random.default_rng(2)
+    for x in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 6))):
+        assert np.array_equal(A @ x, K @ x)
+    half = 0.5 * A
+    assert isinstance(half, fem.SkeletonMatrix)
+    assert np.array_equal(half.data, (0.5 * K).data)
+    assert np.array_equal(A.diagonal(), K.diagonal())
+
+
+def test_shared_periodic_map_equals_a_fresh_map_bit_for_bit():
+    cell = running_cell(2)
+    red = cell.reduction
+    loading = (12.0, 0.6, (30.0, -10.0), (0.5, 1.0))
+    first = red.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0))
+    shared = red.map_for(*loading)
+    fresh = fem.ConstraintMap(red.T, red.affine(*loading), red.free_index,
+                              red.rows, red.row_dofs, red.border)
+    assert shared.T is first.T and shared.Tt is first.Tt
+    assert not np.array_equal(shared.g, first.g)
+    for name in ("T", "Tt", "border"):
+        a, b = getattr(shared, name), getattr(fresh, name)
+        assert type(a) is type(b) and a.shape == b.shape
+        for part in ("data", "indices", "indptr", "row", "col"):
+            if hasattr(b, part):
+                assert np.array_equal(getattr(a, part), getattr(b, part))
+    for name in ("g", "free_index", "rows", "row_dofs", "z_rows"):
+        a, b = getattr(shared, name), getattr(fresh, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (shared.n_free, shared.size, shared._pattern_key) \
+        == (fresh.n_free, fresh.size, fresh._pattern_key)
+    R = np.random.default_rng(4).normal(size=2 * cell.mesh.n_nodes)
+    z = R[:shared.n_free]
+    assert np.array_equal(shared.expand(z), fresh.expand(z))
+    assert np.array_equal(shared.reduce_vector(R), fresh.reduce_vector(R))

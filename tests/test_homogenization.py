@@ -591,3 +591,33 @@ def test_increments_evaluate_each_cell_state_once(monkeypatch):
     fresh = hom.MesoState(new_state.fluct.copy(), new_state.loading,
                           new_state.time)
     assert_same_increment(carried, counted_increment(fresh, step)[0])
+
+
+def test_cell_increment_builds_scipy_matrices_only_to_factor_them(monkeypatch):
+    # a cell increment without tangents builds one scipy matrix per
+    # Newton factorization, the bordered system it factors, and none on
+    # its residual evaluations, its constraint map or its averages. A
+    # first increment computes the plan of the cell's Newton pattern
+    from scipy.sparse._compressed import _cs_matrix
+    cell = running_bond_cell(2)
+    loading = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0],
+                               dt=3600.0)
+    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
+    state = cell.initial_state(replace(loading, theta=14.0))
+    events = []
+    init, factorize = _cs_matrix.__init__, solver.factorize
+
+    def construct(matrix, *args, **kwargs):
+        events.append("construct")
+        init(matrix, *args, **kwargs)
+
+    def factor(matrix):
+        events.append("factor")
+        return factorize(matrix)
+
+    monkeypatch.setattr(_cs_matrix, "__init__", construct)
+    monkeypatch.setattr(solver, "factorize", factor)
+    hom.solve_rve_increment(cell, state, loading)
+    n = events.count("factor")
+    assert n >= 2
+    assert events == ["construct", "factor"] * n

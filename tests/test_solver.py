@@ -5,6 +5,7 @@ frozen into FROZEN; the solver must reproduce them through its own code
 path.
 """
 
+import weakref
 from functools import partial
 
 import numpy as np
@@ -82,7 +83,8 @@ def test_newton_iterates_match_oracle():
 
     def residual_jacobian(z):
         seen.append(float(z[0]))
-        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
+        return (np.array([z[0] ** 2 - 4.0]),
+                lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([3.0]),
                                    solver.SolverConfig(newton_tol=1e-13))
@@ -96,12 +98,20 @@ def test_newton_iterates_match_oracle():
 
 
 def test_newton_zero_iterations_at_root():
+    built = []
+
     def residual_jacobian(z):
-        return np.array([z[0] ** 2 - 4.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
+        def system():
+            built.append(1)
+            return sp.csr_matrix([[2.0 * z[0]]]), [0]
+
+        return np.array([z[0] ** 2 - 4.0]), system
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([2.0]),
                                    solver.SolverConfig())
     assert z[0] == 2.0 and len(trace) == 1
+    # a start at the root builds no Newton system
+    assert built == []
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -109,7 +119,8 @@ def test_newton_non_finite_start_residual_raises(bad):
     # an infinite start residual would set an infinite target and pass
     # as converged after zero iterations
     def residual_jacobian(z):
-        return np.array([bad, 1.0]), sp.identity(2, format="csr"), [0, 1]
+        return (np.array([bad, 1.0]),
+                lambda: (sp.identity(2, format="csr"), [0, 1]))
 
     with pytest.raises(solver.SolverError, match="start iterate") as err:
         solver.newton_solve(residual_jacobian, np.zeros(2),
@@ -119,7 +130,8 @@ def test_newton_non_finite_start_residual_raises(bad):
 
 def test_newton_failure_reports_trace():
     def residual_jacobian(z):
-        return np.array([z[0] ** 2 + 1.0]), sp.csr_matrix([[2.0 * z[0]]]), [0]
+        return (np.array([z[0] ** 2 + 1.0]),
+                lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.array([0.5]),
@@ -136,7 +148,7 @@ def test_newton_singular_bordered_system_raises_solver_error():
                          [1.0, 0.0, 1.0]])
 
     def residual_jacobian(z):
-        return np.array([1.0, -2.0]), jac, np.array([0, 1])
+        return np.array([1.0, -2.0]), lambda: (jac, np.array([0, 1]))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.zeros(2),
@@ -145,15 +157,46 @@ def test_newton_singular_bordered_system_raises_solver_error():
     assert err.value.trace == [pytest.approx(np.sqrt(5.0))]
 
 
+def test_newton_stall_reports_residual_and_target():
+    # every trial step evaluates, and every one grows the residual: the
+    # iterate is not pinned anywhere, Newton stalls where it stands
+    def residual_jacobian(z):
+        return (np.array([1.0 + 1000.0 * abs(z[0])]),
+                lambda: (sp.csr_matrix([[1.0]]), [0]))
+
+    with pytest.raises(solver.SolverError) as err:
+        solver.newton_solve(residual_jacobian, np.zeros(1),
+                            solver.SolverConfig(newton_tol=1e-8))
+    assert "stalled at residual 1.000e+00 (target 1.000e-08)" \
+        in str(err.value)
+    assert "admissible" not in str(err.value)
+    assert err.value.trace == [1.0]
+
+
+def test_newton_inadmissible_trials_report_the_admissible_range():
+    # every trial iterate leaves the material's admissible range
+    def residual_jacobian(z):
+        if z[0] != 0.0:
+            raise constitutive.ConstitutiveError("phi outside [0, 1]")
+        return np.array([1.0]), lambda: (sp.csr_matrix([[1.0]]), [0])
+
+    with pytest.raises(solver.SolverError) as err:
+        solver.newton_solve(residual_jacobian, np.zeros(1),
+                            solver.SolverConfig())
+    assert "every trial left the admissible range" in str(err.value)
+    assert "stalled" not in str(err.value)
+    assert err.value.trace == [1.0]
+
+
 def first_newton_system(monkeypatch, run):
     """(matrix, rows) of the first Newton system that run() factors."""
     seen = []
     bordered = fem.ConstraintMap.newton_system
 
     def spy(cmap, J, C):
-        matrix, scaled, rows = bordered(cmap, J, C)
+        matrix, rows = bordered(cmap, J, C)
         seen.append((matrix, rows))
-        return matrix, scaled, rows
+        return matrix, rows
 
     monkeypatch.setattr(fem.ConstraintMap, "newton_system", spy)
     run()
@@ -401,3 +444,102 @@ def test_cn_step_never_amplifies_decay(lam, dt, u0):
     u, _, _ = solver.crank_nicolson_step(assembler, np.array([u0]), 0.0, dt,
                                          IDENTITY_1DOF, solver.SolverConfig())
     assert abs(u[0]) <= abs(u0) + 1e-12
+
+
+def spy_newton_work(monkeypatch):
+    """Counts of reduce_matrix, capacity derivative and factorize calls."""
+    counts = {"reduce": 0, "capacity": 0, "factor": 0}
+
+    def counted(key, fn):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(fem.ConstraintMap, "reduce_matrix",
+                        counted("reduce", fem.ConstraintMap.reduce_matrix))
+    monkeypatch.setattr(solver, "capacity_jacobian_diagonals",
+                        counted("capacity", solver.capacity_jacobian_diagonals))
+    monkeypatch.setattr(solver, "factorize",
+                        counted("factor", solver.factorize))
+    return counts
+
+
+def cell_increment_with_tangent():
+    cell = hom.CellProblem(
+        meshmod.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
+                                      resolution=2),
+        constitutive.default_materials())
+    loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
+                               dt=3600.0)
+    hom.solve_rve_increment(cell, cell.initial_state(loading), loading,
+                            want_tangents=True)
+
+
+@pytest.mark.parametrize("run, tangents", [(wall_step, 0),
+                                           (cell_increment_with_tangent, 1)],
+                         ids=["wall", "cell"])
+def test_newton_builds_a_system_only_to_factor_it(run, tangents, monkeypatch):
+    # a residual evaluation defers its Newton matrix: the capacity
+    # derivatives and the reduction run once per factorization, and the
+    # tangent reduces its own system once more
+    counts = spy_newton_work(monkeypatch)
+    run()
+    assert counts["factor"] >= 2
+    assert counts["capacity"] == counts["factor"]
+    assert counts["reduce"] == counts["factor"] + tangents
+
+
+def test_increment_at_its_root_builds_no_system(monkeypatch):
+    # a uniform cell state under its own loading and no gradient is
+    # already the solution of its increment
+    counts = spy_newton_work(monkeypatch)
+    cell = hom.CellProblem(
+        meshmod.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
+                                      resolution=2),
+        constitutive.default_materials())
+    loading = hom.MacroLoading(15.0, 0.6, (0.0, 0.0), (0.0, 0.0), dt=3600.0)
+    traces = []
+    newton = solver.newton_solve
+
+    def traced(*args, **kwargs):
+        z, trace = newton(*args, **kwargs)
+        traces.append(trace)
+        return z, trace
+
+    monkeypatch.setattr(solver, "newton_solve", traced)
+    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
+    (trace,) = traces
+    assert len(trace) == 1
+    assert counts == {"reduce": 0, "capacity": 0, "factor": 0}
+
+
+def test_factored_evaluation_is_dropped_before_its_factorization(monkeypatch):
+    # the K of every evaluation, the one whose system is factored
+    # included, is gone once SuperLU runs: only the bordered matrix
+    # stays alive through a factorization of a large wall
+    m = meshmod.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
+    left = np.unique(m.boundary["left"])
+    cmap = fem.dirichlet_map(2 * m.n_nodes,
+                             {**{i: 5.0 for i in left},
+                              **{m.n_nodes + i: 0.8 for i in left}})
+    materials = constitutive.default_materials()
+    refs, alive = [], []
+
+    def assembler(u, t):
+        out = solver._assemble(m, materials, u, t)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    factorize = solver.factorize
+
+    def spy(matrix):
+        alive.append(sum(ref() is not None for ref in refs))
+        return factorize(matrix)
+
+    monkeypatch.setattr(solver, "factorize", spy)
+    u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
+    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
+                               solver.SolverConfig())
+    assert len(alive) >= 2
+    assert alive == [0] * len(alive)
