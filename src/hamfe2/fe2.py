@@ -58,17 +58,17 @@ def element_loadings(mesh: Mesh, u, dt):
 
 
 def _tensor_stiffness(ws, g):
-    """Two-field csr matrix of the gradient columns of g, the (M, 2, 2, 6)
+    """SkeletonMatrix of the gradient columns of g, the (M, 2, 2, 6)
     per-point tangent arrays over p; block (a, b) has entries
     sum_e A_e grad N_i . (T_e grad N_j) for T_e = g[e, a, :, 2+2b:4+2b]."""
-    return ws.csr_scatter(
+    return ws.scatter(
         [[np.einsum("mid,mde,mje,m->mij", ws.grads,
                     g[:, a, :, 2 + 2 * b:4 + 2 * b], ws.grads, ws.areas)
           for b in (0, 1)] for a in (0, 1)])
 
 
 def _value_coupling(ws, g):
-    """Two-field csr matrix of the value columns of g, the (M, 2, 2, 6)
+    """SkeletonMatrix of the value columns of g, the (M, 2, 2, 6)
     per-point tangent arrays over p; block (a, b) has entries
     sum_e A_e (grad N_i . v_e) / 3 for v_e = g[e, a, :, b].
 
@@ -77,7 +77,7 @@ def _value_coupling(ws, g):
     value.
     """
     m = len(ws.areas)
-    return ws.csr_scatter(
+    return ws.scatter(
         [[np.broadcast_to(
             (np.einsum("mid,md,m->mi", ws.grads, g[:, a, :, b],
                        ws.areas) / 3.0)[:, :, None],
@@ -93,7 +93,12 @@ class FE2Result:
 
 class FE2Driver:
     """Owns the macro mesh, each point's last accepted response and the
-    worker pool that holds the cell problems and meso states."""
+    worker pool that holds the cell problems and meso states.
+
+    init_dt is the dt of the initial loadings, which no increment
+    reads; the benchmark passes it, and the benchmark's change of
+    ROADMAP item 1 deletes it.
+    """
 
     def __init__(self, mesh: Mesh, cells, initial: FieldState,
                  config: SolverConfig = None, n_workers=1, cprime=True,
@@ -161,7 +166,7 @@ class FE2Driver:
             # terms add on their .data arrays
             J = _tensor_stiffness(ws, kg)
             J.data *= 0.5
-            J.data[fem.newton_slots(J)[0]] += C / dt
+            J.data[ws.diagonal_slots[0]] += C / dt
             # mean-flux sensitivity to the macro values; without it the
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate

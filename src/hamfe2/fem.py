@@ -6,26 +6,27 @@ per triangle. Conductivity uses one-point (centroid) integration,
 storage is lumped row-sum, i.e. area/3 per node and field.
 
 Every coupled operator on a mesh, the conductivity K of the fine and
-cell solves and the macro Jacobian of FE2, is assembled into one fixed
-2N x 2N csr skeleton per mesh: the four blocks [[tt, tf], [ft, ff]]
-each carry the one-field P1 pattern, and every node's own entry is
-stored in all four, so the Crank-Nicolson storage terms are added in
-place on the main diagonal and on offset N. The pattern keeps the
-exact zeros that P1 stiffness has on right-triangle grids.
+cell solves, the consistent cell Jacobian and the macro Jacobian of
+FE2, is assembled into one fixed 2N x 2N skeleton per mesh: the four
+blocks [[tt, tf], [ft, ff]] each carry the one-field P1 pattern, and
+every node's own entry is stored in all four, so the Crank-Nicolson
+storage terms are added in place on the main diagonal and on offset N.
+The pattern keeps the exact zeros that P1 stiffness has on
+right-triangle grids.
 
-The index arrays of a skeleton live with the mesh's workspace, and the
-values of a matrix on it in a SkeletonMatrix, which is no scipy object.
-The Newton solvers assemble and multiply such matrices on every
-residual evaluation and reduce them for every factorization: a product
-runs scipy's compiled csr product on the workspace's own csr matrix of
-the skeleton, and a reduction gathers the values straight into the
-planned bordered system. The one scipy matrix built per Newton system
-is that bordered system, the input of its factorization. CoupledSystem.K, state_jacobian and
-Workspace.csr_scatter build csr matrices for the callers that want
-one; none of them runs on a residual evaluation.
+The index arrays of a skeleton, its diagonal slots and the plans of its
+bordered systems live with the mesh's workspace, and the values of a
+matrix on it in a SkeletonMatrix, the one matrix type on a mesh, which
+is no scipy object. The Newton solvers assemble and multiply such
+matrices on every residual evaluation and reduce them for every
+factorization: a product runs scipy's compiled csr product on the
+workspace's own csr matrix of the skeleton, and a reduction gathers the
+values straight into the planned bordered system. The one scipy matrix
+built per Newton system is that bordered system, the input of its
+factorization.
 
 Boundary data enter as Dirichlet values only; no assembly adds an edge
-flux, so the external flux vector of every system is zero. Constraints
+flux, so a system has no external flux vector. Constraints
 (Dirichlet values, periodic-affine cell conditions) are expressed as an
 affine map u = T z + g onto free unknowns z. Residuals reduce as T'R;
 linear systems are solved on the unknowns that remain once prescribed
@@ -43,7 +44,6 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,27 +95,27 @@ class CoupledSystem:
     """Assembled operators of the coupled system.
 
     conductivity holds the values of the field-major conductivity on
-    the mesh's two-field skeleton (a SkeletonMatrix); the solvers
-    multiply and reduce it as it is. K is the same 2N x 2N matrix as
-    csr, built on its first access and sharing those values. c_tt/c_ff
-    are the lumped storage diagonals, f the external flux vector of
-    length 2N, coeff the per-element coefficients they were built from.
-    f is zero (see the module notes) but keeps its place in the
-    Crank-Nicolson residual.
+    the mesh's two-field skeleton, a SkeletonMatrix; the solvers
+    multiply and reduce it as it is. c_tt/c_ff are the lumped storage
+    diagonals, coeff the per-element coefficients they were built from.
     """
 
     conductivity: "SkeletonMatrix"
     c_tt: np.ndarray
     c_ff: np.ndarray
-    f: np.ndarray
     coeff: CoefficientSet = None
 
-    @cached_property
-    def K(self) -> sp.csr_matrix:
-        return self.conductivity.tocsr()
+    def stiffness(self) -> "SkeletonMatrix":
+        """The conductivity, for the benchmark's residual check; the
+        benchmark's change of ROADMAP item 1 deletes it."""
+        return self.conductivity
 
-    def stiffness(self) -> sp.csr_matrix:
-        return self.K
+    @property
+    def f(self):
+        """A zero external flux vector of length 2N (see the module
+        notes), for the benchmark's residual check; the benchmark's
+        change of ROADMAP item 1 deletes it."""
+        return np.zeros(2 * self.c_tt.size)
 
     def storage_diagonal(self):
         return np.concatenate([self.c_tt, self.c_ff])
@@ -124,9 +124,6 @@ class CoupledSystem:
 # ------------------------------------------------- per-mesh workspace
 
 _WORKSPACES: "weakref.WeakKeyDictionary[Mesh, Workspace]" = weakref.WeakKeyDictionary()
-# workspaces by the id of their skeleton's indptr array, see skeleton_of
-_SKELETONS: "weakref.WeakValueDictionary[int, Workspace]" = \
-    weakref.WeakValueDictionary()
 
 
 class Workspace:
@@ -137,9 +134,11 @@ class Workspace:
     two-field skeleton (pair_indices, pair_indptr) holds the one-field
     row of its left block, then that of its right block; pair_slots[b]
     places the slots of block b = 2 * row field + column field there.
-    plans holds the SystemPlan of every bordered-system pattern met on
-    that skeleton (see ConstraintMap.plan), and diagonal_slots the
-    newton_slots of its matrices once found.
+    diagonal_slots holds the skeleton's slots of the main diagonal, for
+    every row in order, and of offset N, the (i, N + i) entry of every
+    theta row: the storage and capacity terms of a Newton matrix are
+    added there. plans holds the SystemPlan of every bordered-system
+    pattern met on that skeleton (see ConstraintMap.plan).
     """
 
     def __init__(self, mesh: Mesh):
@@ -198,9 +197,16 @@ class Workspace:
             [self.csr_indices, self.csr_indices + mesh.n_nodes] * 2
         self.pair_indptr = np.concatenate(
             [2 * self.csr_indptr, 2 * nnz + 2 * self.csr_indptr[1:]])
+        # each node's own one-field slot, in its tt, ff and tf blocks
+        own = np.full(mesh.n_nodes, -1, dtype=np.int64)
+        on_diagonal = self.rows == self.cols
+        own[self.rows[on_diagonal]] = pos[on_diagonal]
+        if np.any(own < 0):
+            raise FemError("mesh has nodes that belong to no triangle")
+        self.diagonal_slots = (np.concatenate([self.pair_slots[0][own],
+                                               self.pair_slots[3][own]]),
+                               self.pair_slots[1][own])
         self.plans = {}
-        self.diagonal_slots = None
-        _SKELETONS[id(self.pair_indptr)] = self
         # the csr matrix that multiplies every SkeletonMatrix of this
         # skeleton; it holds values only during a product and is never
         # handed out
@@ -211,25 +217,21 @@ class Workspace:
         self._product.data = None
 
     def scatter(self, data):
-        """Skeleton values of (2, 2, M, 3, 3) element entries, (4 nnz,).
+        """SkeletonMatrix of (2, 2, M, 3, 3) element entries.
 
         data[a][b][m, i, j] couples field a at the i-th node of element
         m to field b at its j-th node; a 2 x 2 nested list of (M, 3, 3)
         blocks spares a large system one array four blocks in size.
         Each block is summed over its one-field slots by one bincount
         and placed into the skeleton, so every matrix of a mesh shares
-        indices, indptr and the order of its values.
+        the order of its values.
         """
         nnz = self.csr_nnz
         summed = np.empty(4 * nnz)
         for slots, block in zip(self.pair_slots, [b for r in data for b in r]):
             summed[slots] = np.bincount(self.csr_pos, weights=np.ravel(block),
                                         minlength=nnz)
-        return summed
-
-    def csr_scatter(self, data):
-        """Two-field 2N x 2N csr matrix of the entries of `scatter`."""
-        return SkeletonMatrix(self, self.scatter(data)).tocsr()
+        return SkeletonMatrix(self, summed)
 
     def lumped(self, vals):
         """Row-sum lumped nodal diagonal of per-element densities, (N,)."""
@@ -262,9 +264,9 @@ class SkeletonMatrix:
     workspace holds; a SkeletonMatrix is not a scipy matrix and builds
     none. `A @ x` runs scipy's csr product on the workspace's own csr
     matrix of the skeleton, `s * A` scales the values into a new
-    SkeletonMatrix, and ConstraintMap plans and reduces it like a csr
-    matrix on the skeleton. tocsr() builds that csr matrix, sharing
-    data and the index arrays.
+    SkeletonMatrix, and ConstraintMap plans and reduces it. tocsr()
+    builds the csr matrix of the skeleton, sharing data and the index
+    arrays, for a caller that compares against scipy.
     """
 
     def __init__(self, workspace: "Workspace", data):
@@ -275,14 +277,6 @@ class SkeletonMatrix:
     def shape(self):
         n = 2 * self.workspace.mesh.n_nodes
         return n, n
-
-    @property
-    def indptr(self):
-        return self.workspace.pair_indptr
-
-    @property
-    def indices(self):
-        return self.workspace.pair_indices
 
     def __matmul__(self, x):
         A = self.workspace._product
@@ -296,10 +290,11 @@ class SkeletonMatrix:
         return SkeletonMatrix(self.workspace, scalar * self.data)
 
     def diagonal(self):
-        return self.data[newton_slots(self)[0]]
+        return self.data[self.workspace.diagonal_slots[0]]
 
     def tocsr(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
+        ws = self.workspace
+        return sp.csr_matrix((self.data, ws.pair_indices, ws.pair_indptr),
                              shape=self.shape)
 
 
@@ -309,39 +304,6 @@ def workspace(mesh: Mesh) -> Workspace:
         ws = Workspace(mesh)
         _WORKSPACES[mesh] = ws
     return ws
-
-
-def skeleton_of(A):
-    """The workspace whose two-field skeleton stores A, or None.
-
-    A is a SkeletonMatrix or a csr matrix. A csr matrix built on a
-    skeleton (csr_scatter, tocsr, or a new .data array with its index
-    arrays) shares the skeleton's indptr array; scipy keeps that array
-    as it is but may hand the matrix a view of the indices.
-    """
-    ws = _SKELETONS.get(id(A.indptr))
-    return ws if ws is not None and ws.pair_indptr is A.indptr else None
-
-
-def newton_slots(A):
-    """Positions in A.data of the main diagonal and of offset N.
-
-    A is a 2N x 2N csr matrix that stores both, like the two-field
-    skeleton: the first array holds the slot of (i, i) for every row,
-    the second that of (i, N + i) for the N theta rows. The storage and
-    capacity terms of a Newton matrix are added there. Found once per
-    mesh for the matrices on its skeleton.
-    """
-    ws = skeleton_of(A)
-    if ws is not None and ws.diagonal_slots is not None:
-        return ws.diagonal_slots
-    n = A.shape[0]
-    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype),
-                                   np.diff(A.indptr))
-    slots = np.flatnonzero(offset == 0), np.flatnonzero(offset == n // 2)
-    if ws is not None:
-        ws.diagonal_slots = slots
-    return slots
 
 
 # ------------------------------------------------------------ assembly
@@ -384,7 +346,7 @@ def assemble_system(mesh: Mesh, state: FieldState,
     """Conductivity blocks and lumped storage at the given state.
 
     materials maps phase names to objects with coefficients(theta, phi).
-    The external flux vector is zero: boundary data enter as Dirichlet
+    No external flux is assembled: boundary data enter as Dirichlet
     values through the constraint map.
     """
     if state.n_nodes != mesh.n_nodes:
@@ -393,17 +355,12 @@ def assemble_system(mesh: Mesh, state: FieldState,
 
 
 def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
-    """Conductivity and lumped storage of given per-element coefficients,
-    with zero external fluxes."""
+    """Conductivity and lumped storage of given per-element coefficients."""
     ws = workspace(mesh)
-    K = SkeletonMatrix(ws, ws.scatter(
-        [[k[:, None, None] * ws.pattern for k in row]
-         for row in ((coeff.k_tt, coeff.k_tf), (coeff.k_ft, coeff.k_ff))]))
-    # f before the lumped diagonals: on a large wall this allocation
-    # order keeps the peak memory of the later factorization lower
-    f = np.zeros(2 * mesh.n_nodes)
-    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), f,
-                         coeff)
+    K = ws.scatter([[k[:, None, None] * ws.pattern for k in row]
+                    for row in ((coeff.k_tt, coeff.k_tf),
+                                (coeff.k_ft, coeff.k_ff))])
+    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), coeff)
 
 
 def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
@@ -441,8 +398,8 @@ def coefficient_derivatives(mesh: Mesh, state: FieldState, materials):
     return np.moveaxis(out[:8].reshape(2, 2, 2, -1), 0, 2), out[8:]
 
 
-def state_jacobian(mesh: Mesh, u, rate, derivatives) -> sp.csr_matrix:
-    """State dependence of the Crank-Nicolson residual at u, 2N x 2N csr.
+def state_jacobian(mesh: Mesh, u, rate, derivatives) -> SkeletonMatrix:
+    """State dependence of the Crank-Nicolson residual at u, on the skeleton.
 
     The part of dR/du beyond K(u)/2 + C(u)/dt: half the derivative of
     K(u) v at v = u, whose element block is (1/3) sum_b dk_ab/du_c
@@ -466,7 +423,7 @@ def state_jacobian(mesh: Mesh, u, rate, derivatives) -> sp.csr_matrix:
             * rate[a * n:(a + 1) * n][tris]
         data.append([np.broadcast_to(b[:, :, None], b.shape + (3,))
                      for b in blocks])
-    return ws.csr_scatter(data)
+    return ws.scatter(data)
 
 
 # ---------------------------------------------------------- constraints
@@ -476,10 +433,11 @@ class SystemPlan:
     """Ordering and gather map of one bordered-system pattern.
 
     The pattern is that of ConstraintMap.reduce_matrix: the stored
-    nonzero entries of a csr matrix A (given by its indptr, indices and
-    the mask `keep` of its nonzero entries) on the rows and columns that
-    stay in the system, and the border. The plan depends on nothing
-    else, so every matrix of one pattern is ordered and summed alike.
+    nonzero entries of a matrix A on a skeleton (given by the skeleton's
+    indptr and indices and the mask `keep` of A's nonzero entries) on
+    the rows and columns that stay in the system, and the border. The
+    plan depends on nothing else, so every matrix of one pattern is
+    ordered and summed alike.
 
     order[i] is the position, in the planned system, of row and column
     i of the map's numbering (ConstraintMap.rows). It is SuperLU's
@@ -598,39 +556,33 @@ class ConstraintMap:
         self._pattern_key = (self.size, self.rows.tobytes(),
                              G.row.tobytes(), G.col.tobytes())
 
-    def plan(self, A) -> SystemPlan:
+    def plan(self, A: SkeletonMatrix) -> SystemPlan:
         """The SystemPlan of A's pattern under these constraints.
 
-        A is a SkeletonMatrix or a sparse matrix. Stored zeros of A are
-        not part of the pattern. For a matrix on a mesh's skeleton the
-        plan is computed once and kept with the mesh's workspace; any
-        other matrix gets a fresh one, equal to what a cached plan of
-        the same pattern would be.
+        Stored zeros of A are not part of the pattern. The plan of a
+        pattern is computed once and kept with A's workspace.
         """
-        A = _stored(A)
         keep = A.data != 0
-        ws = skeleton_of(A)
-        if ws is None:
-            return SystemPlan(A.indptr, A.indices, keep, self)
+        ws = A.workspace
         key = (self._pattern_key, np.packbits(keep).tobytes())
         plan = ws.plans.get(key)
         if plan is None:
-            plan = ws.plans[key] = SystemPlan(A.indptr, A.indices, keep, self)
+            plan = ws.plans[key] = SystemPlan(ws.pair_indptr, ws.pair_indices,
+                                              keep, self)
         return plan
 
-    def reduce_matrix(self, A, weights=None, plan=None) -> sp.csc_matrix:
+    def reduce_matrix(self, A: SkeletonMatrix, weights=None,
+                      plan=None) -> sp.csc_matrix:
         """Bordered system matrix of A; `weights` scales the rows of P'AP.
 
-        A is a SkeletonMatrix or a sparse matrix. The result is CSC in
-        the order of `plan`, self.plan(A) unless the caller has it
-        already, gathered from A.data by one bincount; it is the one
-        scipy matrix a Newton system builds. Stored zeros of A are
-        skipped. The two-field skeleton keeps the
-        exact zeros of P1 stiffness on right-triangle grids, and so do
-        the Newton matrices built on it; carried into the bordered
-        matrix, they would only add entries and fill to its LU.
+        The result is CSC in the order of `plan`, self.plan(A) unless
+        the caller has it already, gathered from A.data by one bincount;
+        it is the one scipy matrix a Newton system builds. Stored zeros
+        of A are skipped. The two-field skeleton keeps the exact zeros
+        of P1 stiffness on right-triangle grids, and so do the Newton
+        matrices built on it; carried into the bordered matrix, they
+        would only add entries and fill to its LU.
         """
-        A = _stored(A)
         plan = self.plan(A) if plan is None else plan
         m, G = self.row_dofs.size, self.border
         weights = np.ones(m) if weights is None else weights
@@ -690,11 +642,6 @@ class ConstraintMap:
         plan = self.plan(J)
         return (self.reduce_matrix(J, self.newton_weights(C), plan),
                 plan.order[self.z_rows])
-
-
-def _stored(A):
-    """A as its stored entries: a SkeletonMatrix as it is, else csr."""
-    return A if isinstance(A, SkeletonMatrix) else A.tocsr()
 
 
 def dirichlet_map(n_dofs, values: dict) -> ConstraintMap:

@@ -15,11 +15,11 @@ p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
 the effective conductivity blocks and storage coefficients.
 
 Every cell state is evaluated once. A committed state carries its
-Crank-Nicolson old data (K u, f) once computed, so the rounds of a
-macro step and a retried half step reuse it, and a converged increment
-hands its new state the pair Newton evaluated there. The averages and
-the tangent reuse the coefficients, conductivity and storage of
-Newton's last, accepted evaluation.
+Crank-Nicolson old data K u once computed, so the rounds of a macro
+step and a retried half step reuse it, and a converged increment hands
+its new state the K u Newton evaluated there. The averages and the
+tangent reuse the coefficients, conductivity and storage of the
+evaluation crank_nicolson_step accepted.
 
 An increment always advances from a committed state: its time and old
 data. Newton starts from that state's fluctuation, or from a prediction
@@ -46,8 +46,7 @@ import scipy.sparse.linalg as spla
 from . import fem
 from .fem import FieldState, evaluate_coefficients, workspace
 from .mesh import Mesh, detect_periodic_pairs
-from .solver import (SolverConfig, SolverError, _assemble, crank_nicolson_step,
-                     old_data)
+from .solver import SolverConfig, SolverError, _assemble, crank_nicolson_step
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,8 @@ class MacroLoading:
 class MesoState:
     """Converged cell state: fluctuations plus the loading that made them.
 
-    old caches (K u, f) of the total field, the old data of every
-    increment from this state; None until an increment computes it.
+    old caches K u of the total field, the old data of every increment
+    from this state; None until an increment computes it.
     sensitivity, (n_free, 6), is dz/dp of the reduced fluctuation
     z = fluct[free_index] over the loading p, from the tangent round of
     the step attempt that reached this state; None otherwise. It
@@ -90,7 +89,7 @@ class MesoState:
     fluct: np.ndarray        # (2N,) field-major fluctuation vector
     loading: MacroLoading
     time: float = 0.0        # s, cell-local
-    old: tuple = field(default=None, repr=False)
+    old: np.ndarray = field(default=None, repr=False)
     sensitivity: np.ndarray = field(default=None, repr=False)
 
 
@@ -225,13 +224,13 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     not. `start` changes the iteration count and moves the result
     within Newton's tolerance. want_tangents solves for the tangent and
     keeps its dz/dp on the new state; otherwise the new state carries
-    the sensitivity of `start` on. The new state also carries the pair
-    of Newton's accepted evaluation, whose coefficients, K and C feed
-    the averages and the tangent: no state is evaluated twice.
+    the sensitivity of `start` on. The new state also carries K u of
+    Newton's accepted evaluation, whose coefficients, K and C feed the
+    averages and the tangent: no state is evaluated twice.
     """
     u_n = cell.total_vector(state)
     if state.old is None:
-        state.old = old_data(cell._assembler, u_n, state.time)
+        state.old = cell._assembler(u_n, state.time)[0] @ u_n
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
     # start from the carried-over fluctuation under the new affine part;
@@ -245,16 +244,9 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     if sensitivity is not None:
         z0 = z0 + sensitivity @ (_loading_vector(loading)
                                  - _loading_vector(start.loading))
-    last = {}
-
-    def assembler(u, t):
-        last["out"] = out = cell._assembler(u, t)
-        return out
-
-    u_new, _, old = crank_nicolson_step(assembler, u_n, state.time,
-                                        loading.dt, cmap, cell.config,
-                                        state.old, z0)
-    K, C, _, _, coeff = last["out"]
+    u_new, _, old, (K, C, _, coeff) = crank_nicolson_step(
+        cell._assembler, u_n, state.time, loading.dt, cmap, cell.config,
+        state.old, z0)
     affine = cell.affine_vector(loading)
     response = average_fields(cell, coeff, u_new, u_n, loading.dt)
     if want_tangents:
@@ -263,8 +255,8 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
         response = replace(response, tangent=tangent)
     new_state = MesoState(u_new - affine, loading, state.time + loading.dt,
                           sensitivity=sensitivity)
-    # the pair was evaluated at u_new; it serves the new state only if
-    # that state's total field reproduces u_new bit for bit
+    # K u was evaluated at u_new; it serves the new state only if that
+    # state's total field reproduces u_new bit for bit
     if np.array_equal(affine + new_state.fluct, u_new):
         new_state.old = old
     return new_state, response
@@ -299,7 +291,7 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     # both matrices lie on the mesh's two-field skeleton
     J.data += 0.5 * K.data
-    J.data[fem.newton_slots(J)[0]] += C / dt
+    J.data[ws.diagonal_slots[0]] += C / dt
     matrix, rows = cmap.newton_system(J, C)
     # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))

@@ -2,8 +2,7 @@
 
 The step solves
 
-    C(u) (u_{n+1} - u_n)/dt + 1/2 (K(u_{n+1}) u_{n+1} + K(u_n) u_n)
-        = 1/2 (f_{n+1} + f_n)
+    C(u) (u_{n+1} - u_n)/dt + 1/2 (K(u_{n+1}) u_{n+1} + K(u_n) u_n) = 0
 
 with the storage diagonal evaluated at the step's current iterate and a
 frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2. Linear
@@ -85,7 +84,7 @@ import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveError
 from .fem import (ConstraintMap, FieldState, assemble_system,
-                  capacity_jacobian_diagonals, dirichlet_map, newton_slots)
+                  capacity_jacobian_diagonals, dirichlet_map)
 
 log = logging.getLogger(__name__)
 
@@ -207,59 +206,51 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         f"(residual {trace[-1]:.3e}, target {target:.3e})", trace)
 
 
-def old_data(assembler, u, t):
-    """(K u, f) at the state u: the old data of a Crank-Nicolson step from it."""
-    out = assembler(u, t)
-    return out[0] @ u, out[2]
-
-
 def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None):
-    """Advance one step; returns (u_{n+1}, trace, old-data for the next step).
+    """Advance one step; returns (u_{n+1}, trace, old data, evaluation).
 
-    assembler(u, t) -> (K, C diagonal, f[, capacity, ...]) on the full
-    dof vector. K is a csr matrix or a fem.SkeletonMatrix that stores
-    its main diagonal and offset N, as the two-field skeleton of fem
-    does. capacity, when given, is a function that returns the
-    capacity derivatives; it runs only when the Newton matrix of that
-    evaluation is built. Entries past it are ignored here. The last
-    assembler call of a step that returns is the one at the accepted
-    state.
-    `old` carries (K_n u_n, f_n) when the caller already has them for
-    u_n (see old_data); the returned triple's third entry is the same
-    pair evaluated at the accepted new state. `z0` overrides the start
-    iterate in reduced coordinates (default: project u_n).
+    assembler(u, t) -> (K, C, capacity, coeff) on the full dof vector,
+    the evaluation at u: K a fem.SkeletonMatrix, C the storage
+    diagonal, capacity a function that returns the lumped capacity
+    derivatives (d c_tt / d phi, d c_ff / d phi), and coeff whatever the
+    caller reads off the evaluation (the coefficient set of _assemble);
+    capacity runs only when the Newton matrix of that evaluation is
+    built. The old data is K u of a state: `old` carries K_n u_n when
+    the caller already has it, and the returned old data is K u_{n+1}
+    of the returned evaluation, the one at the accepted new state. `z0`
+    overrides the start iterate in reduced coordinates (default:
+    project u_n).
     """
     if dt <= 0.0:
         raise SolverError("time step must be positive")
-    fint_n, f_n = old_data(assembler, u_n, t_n) if old is None else old
+    fint_n = assembler(u_n, t_n)[0] @ u_n if old is None else old
     t_new = t_n + dt
+    # the latest evaluation and its K u; Newton returns at the accepted one
     accepted = {}
 
     def residual_jacobian(z):
         u = cmap.expand(z)
-        K, C, f, *rest = assembler(u, t_new)
-        capacity = rest[0] if rest else None
+        evaluation = K, C, capacity, _ = assembler(u, t_new)
         fint = K @ u
-        R = C * (u - u_n) / dt + 0.5 * (fint + fint_n) - 0.5 * (f + f_n)
-        accepted["old"] = (fint, f)
+        R = C * (u - u_n) / dt + 0.5 * (fint + fint_n)
+        accepted.update(evaluation=evaluation, old=fint)
 
         def system():
-            # J = K/2 + C/dt on K's own pattern, so it stays on the
-            # skeleton and finds its plan there
+            # an iterate that is factored is not the accepted one
+            accepted.clear()
+            # J = K/2 + C/dt on K's own skeleton
             J = 0.5 * K
-            diag, offset = newton_slots(J)
+            diag, offset = J.workspace.diagonal_slots
             J.data[diag] += C / dt
-            if capacity is not None:
-                # storage coefficients depend on humidity: the
-                # derivative times the current rate enters the phi
-                # columns, on offset n in the theta rows and on the
-                # diagonal in the phi rows
-                gtt, gff = capacity()
-                n = gtt.size
-                rate = (u - u_n) / dt
-                J.data[diag[n:]] += gff * rate[n:]
-                J.data[offset] += gtt * rate[:n]
+            # storage coefficients depend on humidity: the derivative
+            # times the current rate enters the phi columns, on offset n
+            # in the theta rows and on the diagonal in the phi rows
+            gtt, gff = capacity()
+            n = gtt.size
+            rate = (u - u_n) / dt
+            J.data[diag[n:]] += gff * rate[n:]
+            J.data[offset] += gtt * rate[:n]
             return cmap.newton_system(J, C)
 
         return cmap.scaled_residual(R, C), system
@@ -267,7 +258,7 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
     z, trace = newton_solve(residual_jacobian, z0, config)
-    return cmap.expand(z), trace, accepted["old"]
+    return cmap.expand(z), trace, accepted["old"], accepted["evaluation"]
 
 
 @dataclass
@@ -302,13 +293,13 @@ class History:
 def _assemble(mesh, materials, u, t):
     """crank_nicolson_step's assembler(u, t) once mesh and materials are bound.
 
-    Returns (K, C, f, capacity, coefficient set at u): K a
+    Returns (K, C, capacity, coefficient set at u): K a
     fem.SkeletonMatrix, and capacity the deferred
     capacity_jacobian_diagonals at u.
     """
     state = FieldState.from_vector(u, t)
     sysm = assemble_system(mesh, state, materials)
-    return (sysm.conductivity, sysm.storage_diagonal(), sysm.f,
+    return (sysm.conductivity, sysm.storage_diagonal(),
             partial(capacity_jacobian_diagonals, mesh, state, materials),
             sysm.coeff)
 
@@ -367,10 +358,10 @@ def transient_solve(mesh, materials, schedule, initial: FieldState,
     old = None
 
     def step(u_n, t_n, dt, cmap):
-        # reuses (K_n u_n, f_n) of the last accepted state
+        # reuses K_n u_n of the last accepted state
         nonlocal old
-        u_new, trace, old = crank_nicolson_step(assembler, u_n, t_n, dt,
-                                                cmap, config, old)
+        u_new, trace, old, _ = crank_nicolson_step(assembler, u_n, t_n, dt,
+                                                   cmap, config, old)
         return u_new, len(trace) - 1
 
     return step_with_retry(step, mesh, schedule, initial, dt_hours,

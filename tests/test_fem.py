@@ -49,7 +49,7 @@ def internal_flux(system, u):
     """K u for the full field-major vector u, block by block."""
     n = system.c_tt.size
     th, ph = u[:n], u[n:]
-    K = system.K
+    K = system.conductivity.tocsr()
     return np.concatenate([K[:n, :n] @ th + K[:n, n:] @ ph,
                            K[n:, :n] @ th + K[n:, n:] @ ph])
 
@@ -97,11 +97,28 @@ def assert_same_csr(a, b):
 
 
 def without_zeros(A):
-    """A csr copy of A, a SkeletonMatrix or sparse matrix, without its
-    stored zeros."""
+    """A csr copy of A, a SkeletonMatrix, without its stored zeros."""
     A = A.tocsr().copy()
     A.eliminate_zeros()
     return A
+
+
+def on_skeleton(ws, A):
+    """The sparse matrix A, whose entries lie on the two-field skeleton of
+    ws, as a SkeletonMatrix; the skeleton's other entries are zero."""
+    skeleton = fem.SkeletonMatrix(ws, np.zeros(4 * ws.csr_nnz)).tocsr().tocoo()
+    return fem.SkeletonMatrix(
+        ws, np.asarray(A.tocsr()[skeleton.row, skeleton.col]).ravel())
+
+
+def newton_slots_oracle(A):
+    """Positions in A.data of the main diagonal and of offset N of the
+    2N x 2N csr matrix A, by a search over the column offsets of its
+    entries; the search Workspace.diagonal_slots replaced."""
+    n = A.shape[0]
+    offset = A.indices - np.repeat(np.arange(n, dtype=A.indices.dtype),
+                                   np.diff(A.indptr))
+    return np.flatnonzero(offset == 0), np.flatnonzero(offset == n // 2)
 
 
 def reduce_matrix_oracle(cmap, A, weights=None):
@@ -134,23 +151,23 @@ def in_map_order(matrix, plan):
     return out
 
 
-def reduce_system(cmap, A, b):
-    """Bordered system of A u = b, and the rows of its solution that hold z."""
+def reduce_system(cmap, A):
+    """Bordered system of A u = 0, and the rows of its solution that hold z."""
     plan = cmap.plan(A)
     rows = plan.order[cmap.z_rows]
     rhs = np.zeros(cmap.size)
-    rhs[rows] = cmap.reduce_vector(b - A @ cmap.g)
+    rhs[rows] = cmap.reduce_vector(-(A @ cmap.g))
     return cmap.reduce_matrix(A), rhs, rows
 
 
 def apply_dirichlet(system, values):
-    """Reduced steady operator (A_red, b_red, cmap, rows) for K u = f.
+    """Reduced steady operator (A_red, b_red, cmap, rows) for K u = 0.
 
     values maps full field-major dof indices to prescribed values; the
     solution's entries at rows are the reduced unknowns.
     """
     cmap = fem.dirichlet_map(2 * system.c_tt.size, values)
-    A_red, b_red, rows = reduce_system(cmap, system.stiffness(), system.f)
+    A_red, b_red, rows = reduce_system(cmap, system.conductivity)
     return A_red, b_red, cmap, rows
 
 
@@ -164,7 +181,7 @@ def apply_periodic_constraints(system, mesh, pairing, grad_theta, grad_phi,
     """
     red = fem.PeriodicReduction(mesh, pairing)
     cmap = red.map_for(value_theta, value_phi, grad_theta, grad_phi)
-    A_red, b_red, rows = reduce_system(cmap, system.stiffness(), system.f)
+    A_red, b_red, rows = reduce_system(cmap, system.conductivity)
     return A_red, b_red, cmap, rows
 
 
@@ -174,7 +191,7 @@ def dense_newton_system(cmap, J, C):
     The periodic T eliminates each mean constraint through an anchor
     dof, whose row of T couples every reduced unknown, so this matrix
     is dense. Reference for ConstraintMap.newton_system and
-    scaled_residual; J is a SkeletonMatrix or a sparse matrix.
+    scaled_residual; J is a SkeletonMatrix.
     """
     w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
     return (sp.diags(w) @ (cmap.T.T @ J.tocsr() @ cmap.T)).tocsr(), \
@@ -244,7 +261,7 @@ def test_assembly_matches_element_scatter_oracle():
         dofs = np.concatenate([tri, n + tri])
         K[np.ix_(dofs, dofs)] += ke
         C[dofs] += ce
-    assert np.allclose(sys.stiffness().toarray(), K, atol=1e-12)
+    assert np.allclose(sys.conductivity.tocsr().toarray(), K, atol=1e-12)
     assert np.allclose(sys.storage_diagonal(), C, atol=1e-12)
     assert np.allclose(sys.f, 0.0)
 
@@ -330,6 +347,16 @@ def test_periodic_map_offsets_and_anchor():
     assert abs(w @ fluct[n:]) < 1e-10 * w.sum()
     # reduction round trip
     assert np.allclose(cmap.initial_reduced(u), z, atol=1e-12)
+
+
+def test_workspace_rejects_a_node_outside_every_triangle():
+    # a mesh file may list a node that no triangle uses; its skeleton
+    # row would have no diagonal entry for the storage terms
+    m = msh.generate_rectangle_mesh(1.0, 1.0, 1, 1)
+    loose = msh.Mesh(np.vstack([m.nodes, [[2.0, 2.0]]]), m.triangles,
+                     m.phases, m.phase_names, {})
+    with pytest.raises(fem.FemError, match="no triangle"):
+        fem.workspace(loose)
 
 
 def test_periodic_steady_homogeneous_cell_fluctuation_free():
@@ -535,14 +562,16 @@ def test_consistent_jacobian_taylor_remainder():
     def residual(x):
         sysm = fem.assemble_system(mesh, fem.FieldState.from_vector(x),
                                    materials)
-        return sysm.storage_diagonal() * (x - u_n) / dt + 0.5 * (sysm.K @ x)
+        return (sysm.storage_diagonal() * (x - u_n) / dt
+                + 0.5 * (sysm.conductivity @ x))
 
     fields = fem.FieldState.from_vector(u)
     sysm = fem.assemble_system(mesh, fields, materials)
     S = fem.state_jacobian(mesh, u, rate,
-                           fem.coefficient_derivatives(mesh, fields, materials))
+                           fem.coefficient_derivatives(mesh, fields,
+                                                       materials)).tocsr()
     J = S.copy()
-    J.data += 0.5 * sysm.K.data
+    J.data += 0.5 * sysm.conductivity.data
     J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
     n = cell.mesh.n_nodes
     rng = np.random.default_rng(0)
@@ -562,7 +591,7 @@ def test_consistent_jacobian_taylor_remainder():
 def test_periodic_reduce_matrix_stays_sparse():
     cell = running_cell(4)
     state = fem.FieldState.uniform(cell.mesh.n_nodes, 20.0, 0.5)
-    K = fem.assemble_system(cell.mesh, state, cell.materials).stiffness()
+    K = fem.assemble_system(cell.mesh, state, cell.materials).conductivity
     cmap = cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0))
     # the dense congruence of this cell stores (n_free)^2 = 260,100 entries
     assert cmap.n_free ** 2 == 260_100
@@ -584,7 +613,9 @@ def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
     state = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
     sysm = fem.assemble_system(m, state, materials)
     C = sysm.storage_diagonal()
-    J = sp.diags(C / 3600.0) + 0.5 * sysm.stiffness()
+    # sp.diags(C / 3600) + K / 2, on the skeleton
+    J = 0.5 * sysm.conductivity
+    J.data[J.workspace.diagonal_slots[0]] += C / 3600.0
     matrix, rows = cmap.newton_system(J, C)
     plan = cmap.plan(J)
     assert np.array_equal(rows, plan.order[cmap.z_rows])
@@ -610,7 +641,7 @@ def test_two_field_stiffness_is_bmat_of_one_field_blocks_bit_for_bit(case):
         materials = {"solid": LinearMaterial("m", k_tt=2.0, k_ff=0.7, c_tt=5.0,
                                              c_ff=3.0, k_tf=0.0, k_ft=0.1)}
     state = varied_state(mesh)
-    K = fem.assemble_system(mesh, state, materials).stiffness()
+    K = fem.assemble_system(mesh, state, materials).conductivity.tocsr()
     ref = bmat_stiffness(mesh, state, materials)
     assert_same_csr(K, ref)
     # P1 stiffness on right-triangle grids stores exact zeros
@@ -645,24 +676,44 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
     solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
                                solver.SolverConfig())
     assert len(seen) > 2
-    for cmap, J, C, (u, (K, C_asm, _, capacity, _)) in seen:
+    for cmap, J, C, (u, (K, C_asm, capacity, _)) in seen:
         assert C is C_asm
         ref = diags_newton_matrix(K.tocsr(), C, capacity(), u, u_n, 3600.0)
         assert_same_csr(without_zeros(J), ref)
-        assert_same_csr(bordered(cmap, J, C)[0], bordered(cmap, ref, C)[0])
+        assert_same_csr(bordered(cmap, J, C)[0],
+                        bordered(cmap, on_skeleton(J.workspace, ref), C)[0])
+
+
+def assert_planned_is_oracle(cmap, A, weights, ref):
+    """The planned system of A, renumbered into the map's numbering, is
+    the csr matrix ref entry for entry. A Dirichlet system is bit for
+    bit. Periodic slaves sum duplicates in another order, and the
+    weights scale the sums rather than their terms: there each entry
+    may differ by 8 units in the last place of the sum of its terms'
+    magnitudes."""
+    got = in_map_order(cmap.reduce_matrix(A, weights), cmap.plan(A))
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    if cmap.border.shape[1] > 0:
+        scale = reduce_matrix_oracle(cmap, abs(A.tocsr()), weights)
+        assert np.all(np.abs(got.data - ref.data)
+                      <= 8 * np.finfo(float).eps * np.abs(scale.data))
+    else:
+        assert np.array_equal(got.data, ref.data)
 
 
 def test_reduce_matrix_skips_stored_zeros():
     cell = running_cell(2)
     K = fem.assemble_system(cell.mesh, varied_state(cell.mesh),
-                            cell.materials).stiffness()
+                            cell.materials).conductivity
     assert np.count_nonzero(K.data == 0.0) > 0
     for cmap in (cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0)),
                  fem.dirichlet_map(K.shape[0], {0: 1.0, 5: 2.0,
                                                 cell.mesh.n_nodes + 3: 0.5})):
         for weights in (None, np.linspace(1.0, 2.0, cmap.row_dofs.size)):
-            assert_same_csr(cmap.reduce_matrix(K, weights),
-                            cmap.reduce_matrix(without_zeros(K), weights))
+            assert_planned_is_oracle(
+                cmap, K, weights,
+                reduce_matrix_oracle(cmap, without_zeros(K), weights))
 
 
 # ------------------------------------------------------------ system plans
@@ -709,14 +760,14 @@ def macro_systems(monkeypatch):
     C = rng.uniform(1.0, 2.0, 2 * mesh.n_nodes)
     J = fe2._tensor_stiffness(ws, kg)
     J.data *= 0.5
-    J.data[fem.newton_slots(J)[0]] += C / 3600.0
+    J.data[ws.diagonal_slots[0]] += C / 3600.0
     J.data += (0.5 * fe2._value_coupling(ws, kg).data
                + fe2._tensor_stiffness(ws, mg).data
                + fe2._value_coupling(ws, mg).data)
     # a cell tangent can vanish in whole blocks (no k_tf, say): a few
     # stored zeros off the diagonal stand for them
-    rows = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr))
-    J.data[np.flatnonzero(J.indices != rows)[::5]] = 0.0
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(ws.pair_indptr))
+    J.data[np.flatnonzero(ws.pair_indices != rows)[::5]] = 0.0
     left = mesh.boundary_nodes("left")
     cmap = fem.dirichlet_map(2 * mesh.n_nodes,
                              {**{i: 5.0 for i in left},
@@ -730,44 +781,33 @@ SYSTEMS = {"dirichlet-wall": wall_systems, "periodic-cell": cell_systems,
 
 @pytest.mark.parametrize("case", list(SYSTEMS))
 def test_planned_matrix_is_the_coo_oracle_in_the_plan_order(case, monkeypatch):
-    # entry for entry, with and without row weights, from the skeleton
-    # matrix with its stored zeros and from a copy without them. A
-    # Dirichlet system is bit for bit the oracle. Periodic slaves sum
-    # duplicates in another order, and the weights scale the sums rather
-    # than their terms: there each entry may differ by 8 units in the
-    # last place of the sum of its terms' magnitudes
+    # entry for entry, with and without row weights, against the oracle
+    # of the skeleton matrix with its stored zeros and that of a copy
+    # without them (see assert_planned_is_oracle)
     systems = SYSTEMS[case](monkeypatch)
     assert any(np.count_nonzero(J.data == 0.0) for _, J, _ in systems)
-    eps = np.finfo(float).eps
     for cmap, J, C in systems:
-        assert fem.skeleton_of(J) is not None
+        assert isinstance(J, fem.SkeletonMatrix)
         periodic = cmap.border.shape[1] > 0
         assert periodic == (case == "periodic-cell")
         for weights in (None, 1.0 / C[cmap.row_dofs]):
-            ref = reduce_matrix_oracle(cmap, J, weights)
-            scale = reduce_matrix_oracle(cmap, abs(J.tocsr()), weights)
             for A in (J, without_zeros(J)):
-                plan = cmap.plan(A)
-                got = in_map_order(cmap.reduce_matrix(A, weights), plan)
-                assert np.array_equal(got.indptr, ref.indptr)
-                assert np.array_equal(got.indices, ref.indices)
-                if periodic:
-                    assert np.all(np.abs(got.data - ref.data)
-                                  <= 8 * eps * np.abs(scale.data))
-                else:
-                    assert np.array_equal(got.data, ref.data)
+                assert_planned_is_oracle(cmap, J, weights,
+                                         reduce_matrix_oracle(cmap, A, weights))
 
 
 @pytest.mark.parametrize("case", list(SYSTEMS))
 def test_plan_is_the_minimum_degree_order_of_its_pattern(case, monkeypatch):
-    # the cached plan of a skeleton matrix and the fresh one of the same
+    # the cached plan of a skeleton matrix and a fresh one of the same
     # matrix without its stored zeros agree, and both order the system
     # as splu's own minimum degree ordering of the oracle would; the
     # factors of the planned matrix are as large as that splu's
     for cmap, J, C in SYSTEMS[case](monkeypatch):
         plan = cmap.plan(J)
         assert cmap.plan(J) is plan
-        fresh = cmap.plan(without_zeros(J))
+        bare = without_zeros(J)
+        fresh = fem.SystemPlan(bare.indptr, bare.indices,
+                               np.ones(bare.nnz, dtype=bool), cmap)
         assert fresh is not plan
         for name in ("order", "indptr", "indices"):
             assert np.array_equal(getattr(fresh, name), getattr(plan, name))
@@ -823,9 +863,9 @@ def test_skeleton_products_match_the_csr_product_bit_for_bit(mesh):
     sysm = fem.assemble_system(mesh, state, default_materials())
     A = sysm.conductivity
     assert isinstance(A, fem.SkeletonMatrix)
-    K = sysm.K
+    K = A.tocsr()
     assert np.shares_memory(K.data, A.data)
-    assert fem.skeleton_of(K) is fem.skeleton_of(A) is not None
+    assert isinstance(sysm.stiffness(), fem.SkeletonMatrix)
     rng = np.random.default_rng(2)
     for x in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 6))):
         assert np.array_equal(A @ x, K @ x)
@@ -833,6 +873,19 @@ def test_skeleton_products_match_the_csr_product_bit_for_bit(mesh):
     assert isinstance(half, fem.SkeletonMatrix)
     assert np.array_equal(half.data, (0.5 * K).data)
     assert np.array_equal(A.diagonal(), K.diagonal())
+
+
+@pytest.mark.parametrize("mesh", [
+    running_cell(2).mesh,
+    msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2),
+    msh.generate_rectangle_mesh(1.2, 0.6, 4, 2)], ids=["cell", "wall", "macro"])
+def test_diagonal_slots_equal_the_offset_search(mesh):
+    ws = fem.workspace(mesh)
+    diag, offset = newton_slots_oracle(
+        fem.SkeletonMatrix(ws, np.zeros(4 * ws.csr_nnz)).tocsr())
+    assert diag.size == 2 * mesh.n_nodes and offset.size == mesh.n_nodes
+    assert np.array_equal(ws.diagonal_slots[0], diag)
+    assert np.array_equal(ws.diagonal_slots[1], offset)
 
 
 def test_shared_periodic_map_equals_a_fresh_map_bit_for_bit():

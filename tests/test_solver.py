@@ -46,11 +46,32 @@ FROZEN = {
 }
 
 
+# one triangle: the mesh of the toy Crank-Nicolson problems, whose
+# matrices are SkeletonMatrix values on its skeleton
+TRIANGLE = meshmod.Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                        np.array([[0, 1, 2]]), np.array([0]), ("solid",), {})
+
+
+def triangle_matrix(tt, ff):
+    """SkeletonMatrix on TRIANGLE with the (3, 3) theta and phi blocks
+    tt and ff and no coupling between the fields."""
+    zero = np.zeros((1, 3, 3))
+    return fem.workspace(TRIANGLE).scatter([[tt[None], zero],
+                                            [zero, ff[None]]])
+
+
+def constant_capacity():
+    """Capacity derivatives of the toy problems' constant storage."""
+    return np.zeros(3), np.zeros(3)
+
+
 def scalar_decay_assembler(u, t):
-    return sp.csr_matrix([[1.0]]), np.array([1.0]), np.array([0.0])
+    # du/dt = -u in each of the six dofs
+    return (triangle_matrix(np.eye(3), np.eye(3)), np.ones(6),
+            constant_capacity, None)
 
 
-IDENTITY_1DOF = fem.dirichlet_map(1, {})
+IDENTITY_6DOF = fem.dirichlet_map(6, {})
 
 
 class UnitWallSchedule:
@@ -67,9 +88,9 @@ class UnitWallSchedule:
 
 
 def test_cn_scalar_decay_frozen():
-    u, trace, _ = solver.crank_nicolson_step(
-        scalar_decay_assembler, np.array([1.0]), 0.0, 1.0,
-        IDENTITY_1DOF, solver.SolverConfig())
+    u, trace, _, _ = solver.crank_nicolson_step(
+        scalar_decay_assembler, np.ones(6), 0.0, 1.0,
+        IDENTITY_6DOF, solver.SolverConfig())
     assert abs(u[0] - FROZEN["cn_decay_step"]) < 1e-14
     assert len(trace) - 1 == 1  # linear problem converges in one update
 
@@ -269,11 +290,11 @@ def test_factorize_does_not_keep_a_tiny_diagonal_pivot():
 def test_cn_temporal_order_two():
     errs = []
     for dt in (0.25, 0.125, 0.0625):
-        u = np.array([1.0])
+        u = np.ones(6)
         t, old = 0.0, None
         for _ in range(int(round(1.0 / dt))):
-            u, _, old = solver.crank_nicolson_step(
-                scalar_decay_assembler, u, t, dt, IDENTITY_1DOF,
+            u, _, old, _ = solver.crank_nicolson_step(
+                scalar_decay_assembler, u, t, dt, IDENTITY_6DOF,
                 solver.SolverConfig(), old)
             t += dt
         errs.append(abs(u[0] - np.exp(-1.0)))
@@ -324,18 +345,26 @@ def test_transient_history_layout():
 
 def stiff_exponential_assembler(u, t):
     # conductivity exp(u/2) makes the frozen-coefficient iteration
-    # diverge at dt = 1 but converge at dt = 1/2; both dofs of the one
-    # node obey the same decoupled equation
-    return sp.diags(np.exp(0.5 * u)).tocsr(), np.ones(2), np.full(2, 10.0)
+    # diverge at dt = 1 but converge at dt = 1/2; both dofs of node 0
+    # obey the same decoupled equation. Its source 10 enters through
+    # the entry -10 that couples each of them to its field's dof at
+    # node 1, which StiffPins holds at 1
+    tt, ff = np.diag(np.exp(0.5 * u[:3])), np.diag(np.exp(0.5 * u[3:]))
+    tt[0, 1] = ff[0, 1] = -10.0
+    return triangle_matrix(tt, ff), np.ones(6), constant_capacity, None
 
 
-class OneNode:
-    """The node of the stiff test problem, without boundary data."""
+STIFF_PINS = {1: 1.0, 2: 0.0, 4: 1.0, 5: 0.0}
+# node 0 starts at 0, the pinned nodes at their values
+STIFF_START = fem.FieldState(np.array([0.0, 1.0, 0.0]),
+                             np.array([0.0, 1.0, 0.0]))
 
-    n_nodes = 1
+
+class StiffPins:
+    """Nodes 1 and 2 of TRIANGLE held at 1 and 0 in both fields."""
 
     def dirichlet_values(self, mesh, t):
-        return {}
+        return STIFF_PINS
 
 
 def stiff_step(cfg, log):
@@ -345,7 +374,7 @@ def stiff_step(cfg, log):
     def step(u_n, t_n, dt, cmap):
         nonlocal old
         log.append(dt)
-        u, trace, old = solver.crank_nicolson_step(
+        u, trace, old, _ = solver.crank_nicolson_step(
             stiff_exponential_assembler, u_n, t_n, dt, cmap, cfg, old)
         return u, len(trace) - 1
 
@@ -354,17 +383,17 @@ def stiff_step(cfg, log):
 
 def stiff_solve(cfg, log):
     """One step of one second from u = 0 through step_with_retry."""
-    one = OneNode()
-    return solver.step_with_retry(stiff_step(cfg, log), one, one,
-                                  fem.FieldState.uniform(1, 0.0, 0.0),
-                                  1.0 / 3600.0, 1.0 / 3600.0, cfg)
+    return solver.step_with_retry(stiff_step(cfg, log), TRIANGLE, StiffPins(),
+                                  STIFF_START, 1.0 / 3600.0, 1.0 / 3600.0,
+                                  cfg)
 
 
 def test_step_retry_halves_once():
     cfg = solver.SolverConfig(max_iterations=60)
     with pytest.raises(solver.SolverError):
-        solver.crank_nicolson_step(stiff_exponential_assembler, np.zeros(2),
-                                   0.0, 1.0, fem.dirichlet_map(2, {}), cfg)
+        solver.crank_nicolson_step(stiff_exponential_assembler,
+                                   STIFF_START.vector(), 0.0, 1.0,
+                                   fem.dirichlet_map(6, STIFF_PINS), cfg)
     log = []
     hist = stiff_solve(cfg, log)
     assert log == [1.0, 0.5, 0.5]
@@ -402,10 +431,8 @@ def test_step_retry_leaves_other_errors_alone():
         calls.append(dt)
         raise RuntimeError("pool is gone")
 
-    one = OneNode()
     with pytest.raises(RuntimeError):
-        solver.step_with_retry(step, one, one,
-                               fem.FieldState.uniform(1, 0.0, 0.0),
+        solver.step_with_retry(step, TRIANGLE, StiffPins(), STIFF_START,
                                1.0, 1.0, solver.SolverConfig())
     assert calls == [3600.0]
 
@@ -424,7 +451,7 @@ def test_coupled_system_is_dissipative():
     m = meshmod.generate_rectangle_mesh(0.2, 0.1, 4, 2)
     state = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
     sysm = fem.assemble_system(m, state, {"solid": constitutive.KunzelMaterial(constitutive.BRICK)})
-    K = sysm.stiffness().toarray()
+    K = sysm.conductivity.tocsr().toarray()
     C = np.diag(sysm.storage_diagonal())
     lam = sla.eig(K, C, right=False)
     assert np.min(lam.real) > -1e-10
@@ -439,10 +466,12 @@ def test_coupled_system_is_dissipative():
        u0=st.floats(min_value=-10.0, max_value=10.0))
 def test_cn_step_never_amplifies_decay(lam, dt, u0):
     def assembler(u, t):
-        return sp.csr_matrix([[lam]]), np.array([1.0]), np.array([0.0])
+        return (triangle_matrix(lam * np.eye(3), lam * np.eye(3)), np.ones(6),
+                constant_capacity, None)
 
-    u, _, _ = solver.crank_nicolson_step(assembler, np.array([u0]), 0.0, dt,
-                                         IDENTITY_1DOF, solver.SolverConfig())
+    u, _, _, _ = solver.crank_nicolson_step(assembler, np.full(6, u0), 0.0,
+                                            dt, IDENTITY_6DOF,
+                                            solver.SolverConfig())
     assert abs(u[0]) <= abs(u0) + 1e-12
 
 
@@ -465,14 +494,19 @@ def spy_newton_work(monkeypatch):
     return counts
 
 
-def cell_increment_with_tangent():
-    cell = hom.CellProblem(
+def running_cell_r2():
+    return hom.CellProblem(
         meshmod.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
                                       resolution=2),
         constitutive.default_materials())
-    loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
-                               dt=3600.0)
-    hom.solve_rve_increment(cell, cell.initial_state(loading), loading,
+
+
+LOADING = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0), dt=3600.0)
+
+
+def cell_increment_with_tangent():
+    cell = running_cell_r2()
+    hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING,
                             want_tangents=True)
 
 
@@ -494,10 +528,7 @@ def test_increment_at_its_root_builds_no_system(monkeypatch):
     # a uniform cell state under its own loading and no gradient is
     # already the solution of its increment
     counts = spy_newton_work(monkeypatch)
-    cell = hom.CellProblem(
-        meshmod.generate_masonry_cell(0.29, 0.14, 0.01, bond="running",
-                                      resolution=2),
-        constitutive.default_materials())
+    cell = running_cell_r2()
     loading = hom.MacroLoading(15.0, 0.6, (0.0, 0.0), (0.0, 0.0), dt=3600.0)
     traces = []
     newton = solver.newton_solve
@@ -514,22 +545,41 @@ def test_increment_at_its_root_builds_no_system(monkeypatch):
     assert counts == {"reduce": 0, "capacity": 0, "factor": 0}
 
 
-def test_factored_evaluation_is_dropped_before_its_factorization(monkeypatch):
-    # the K of every evaluation, the one whose system is factored
-    # included, is gone once SuperLU runs: only the bordered matrix
-    # stays alive through a factorization of a large wall
+def wall_step_with(wrap):
+    """One step of a small Dirichlet wall; wrap(assembler) is stepped."""
     m = meshmod.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
     left = np.unique(m.boundary["left"])
     cmap = fem.dirichlet_map(2 * m.n_nodes,
                              {**{i: 5.0 for i in left},
                               **{m.n_nodes + i: 0.8 for i in left}})
-    materials = constitutive.default_materials()
+    u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
+    assembler = partial(solver._assemble, m, constitutive.default_materials())
+    solver.crank_nicolson_step(wrap(assembler), u_n, 0.0, 3600.0, cmap,
+                               solver.SolverConfig())
+
+
+def cell_increment_with(wrap):
+    """One increment of an r=2 running-bond cell, its assembler wrapped."""
+    cell = running_cell_r2()
+    cell._assembler = wrap(cell._assembler)
+    hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
+
+
+@pytest.mark.parametrize("run", [wall_step_with, cell_increment_with],
+                         ids=["wall", "cell"])
+def test_factored_evaluation_is_dropped_before_its_factorization(run,
+                                                                 monkeypatch):
+    # the K of every evaluation, the one whose system is factored
+    # included, is gone once SuperLU runs: only the bordered matrix
+    # stays alive through a factorization, of a large wall as of a cell
     refs, alive = [], []
 
-    def assembler(u, t):
-        out = solver._assemble(m, materials, u, t)
-        refs.append(weakref.ref(out[0]))
-        return out
+    def wrap(assemble):
+        def assembler(u, t):
+            out = assemble(u, t)
+            refs.append(weakref.ref(out[0]))
+            return out
+        return assembler
 
     factorize = solver.factorize
 
@@ -538,8 +588,31 @@ def test_factored_evaluation_is_dropped_before_its_factorization(monkeypatch):
         return factorize(matrix)
 
     monkeypatch.setattr(solver, "factorize", spy)
-    u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
-    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
-                               solver.SolverConfig())
+    run(wrap)
     assert len(alive) >= 2
     assert alive == [0] * len(alive)
+
+
+def test_crank_nicolson_step_returns_the_accepted_evaluation():
+    # the returned evaluation is the one at the returned state: its K u
+    # is the returned old data, its coefficients and storage are those
+    # of a fresh evaluation there, bit for bit
+    cell = running_cell_r2()
+    u_n = cell.total_vector(cell.initial_state(LOADING))
+    cmap = cell.reduction.map_for(LOADING.theta, LOADING.phi,
+                                  LOADING.grad_theta, LOADING.grad_phi)
+    u_new, trace, old, (K, C, capacity, coeff) = solver.crank_nicolson_step(
+        cell._assembler, u_n, 0.0, LOADING.dt, cmap, cell.config)
+    assert len(trace) > 2
+    assert np.array_equal(K @ u_new, old)
+    state = fem.FieldState.from_vector(u_new)
+    ref = fem.evaluate_coefficients(cell.mesh, state, cell.materials)
+    for name in ("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff"):
+        assert np.array_equal(getattr(coeff, name), getattr(ref, name)), name
+    assert np.array_equal(
+        C, fem.assemble_system(cell.mesh, state,
+                               cell.materials).storage_diagonal())
+    gtt, gff = capacity()
+    ref_tt, ref_ff = fem.capacity_jacobian_diagonals(cell.mesh, state,
+                                                     cell.materials)
+    assert np.array_equal(gtt, ref_tt) and np.array_equal(gff, ref_ff)
