@@ -15,12 +15,22 @@ validity window. An evaluation of a material (KunzelMaterial's
 coefficients, storage_derivatives and conduction_derivatives) checks
 the state once and computes every shared intermediate, p_sat, its
 derivative, w, dw/dphi, h_v and delta_p, once, with the same
-floating-point expressions as those functions.
+floating-point expressions as those functions. A check reads one
+min() and one max() of its array: theta must lie in the open window
+(THETA_MIN, THETA_MAX), phi in the closed band [-PHI_SLACK,
+1 + PHI_SLACK], and NaN and +-inf fail both.
+
+The kernels are elementwise in the material constants as in the state,
+so one evaluation covers every Kunzel phase of a mesh:
+KunzelMaterial.over_elements gathers each constant, b included, per
+element from a table of the phases, and every element gets the bits its
+own phase's scalar constants give it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -106,8 +116,9 @@ class CoefficientSet:
 
 def _check_theta(theta):
     th = np.asarray(theta, dtype=float)
-    # one reduction; NaN and +-inf fail both comparisons
-    if not np.all((th > THETA_MIN) & (th < THETA_MAX)):
+    # NaN propagates through min and max and fails both comparisons
+    if not (th.min(initial=np.inf) > THETA_MIN
+            and th.max(initial=-np.inf) < THETA_MAX):
         raise ConstitutiveError(
             f"temperature outside validity window ({THETA_MIN}, {THETA_MAX}) degC"
         )
@@ -116,8 +127,11 @@ def _check_theta(theta):
 
 def _check_phi(phi):
     ph = np.asarray(phi, dtype=float)
-    if not np.all((ph >= -PHI_SLACK) & (ph <= 1.0 + PHI_SLACK)):
-        raise ConstitutiveError("relative humidity outside the admissible band [0, 1]")
+    if not (ph.min(initial=np.inf) >= -PHI_SLACK
+            and ph.max(initial=-np.inf) <= 1.0 + PHI_SLACK):
+        raise ConstitutiveError(
+            "relative humidity outside the admissible band "
+            f"[{-PHI_SLACK}, {1.0 + PHI_SLACK}]")
     return ph
 
 
@@ -295,6 +309,10 @@ def transport_coefficients(params: MaterialParams, theta, phi,
     )
 
 
+_CONSTANTS = tuple(f.name for f in fields(MaterialParams) if f.name != "name")
+_NO_PHASE = np.full(len(_CONSTANTS) + 1, np.nan)
+
+
 class KunzelMaterial:
     """A material phase with its derived approximation factor cached.
 
@@ -305,6 +323,32 @@ class KunzelMaterial:
     def __init__(self, params: MaterialParams):
         self.params = params
         self.b = derive_approximation_factor(params.w_f, params.w_80)
+        # the constants and b: this phase's column of over_elements' table
+        self._column = np.array([*(getattr(params, f) for f in _CONSTANTS),
+                                 self.b])
+
+    @classmethod
+    def over_elements(cls, phases, phase_of):
+        """One material for elements of several phases, evaluated at once.
+
+        phases[k] is the KunzelMaterial of phase k, None for a phase no
+        element of phase_of has; phase_of gives every element's phase.
+        Each constant of MaterialParams, and b, becomes the array of its
+        elements' values, gathered through phase_of from a table of the
+        phases; fem builds one such material per evaluation and keeps
+        none.
+        """
+        table = np.array([_NO_PHASE if m is None else m._column
+                          for m in phases]).T
+        # one contiguous row per constant; table[:, phase_of] would give
+        # rows strided across the constants
+        columns = np.take(table, phase_of, axis=1)
+        material = cls.__new__(cls)
+        material.params = SimpleNamespace(
+            name="+".join(m.name for m in phases if m is not None),
+            **dict(zip(_CONSTANTS, columns)))
+        material.b = columns[-1]
+        return material
 
     @property
     def name(self):

@@ -14,6 +14,13 @@ storage terms are added in place on the main diagonal and on offset N.
 The pattern keeps the exact zeros that P1 stiffness has on
 right-triangle grids.
 
+Materials are evaluated at the element centroids, all KunzelMaterial
+phases of a mesh in one call. The workspace keeps element operators
+over its precomputed geometry: K's four blocks are one product of the
+stiffness operator (one-field slots x elements) with the (M, 4)
+conductivities, and the cell tangent takes the element means and
+gradients of its sensitivities from the element operator.
+
 The index arrays of a skeleton, its diagonal slots and the plans of its
 bordered systems live with the mesh's workspace, and the values of a
 matrix on it in a SkeletonMatrix, the one matrix type on a mesh, which
@@ -44,12 +51,13 @@ from __future__ import annotations
 import copy
 import weakref
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .constitutive import CoefficientSet
+from .constitutive import CoefficientSet, KunzelMaterial
 from .mesh import Mesh, PeriodicPairing, triangle_areas
 
 
@@ -139,6 +147,15 @@ class Workspace:
     theta row: the storage and capacity terms of a Newton matrix are
     added there. plans holds the SystemPlan of every bordered-system
     pattern met on that skeleton (see ConstraintMap.plan).
+
+    Two element operators act on the geometry. stiffness_operator is
+    the csc matrix (one-field slots x elements) whose column m holds
+    element m's scalar stiffness on its slots; its data is pattern and
+    its indices csr_pos, both shared. Times the (M, 4) conductivities
+    it sums the four blocks of K over their slots in scatter's order.
+    element_operator (3M x N, built on first use, as only cell tangents
+    need it) maps a nodal field to its element means and x and y
+    gradients.
     """
 
     def __init__(self, mesh: Mesh):
@@ -177,9 +194,15 @@ class Workspace:
         fresh[1:] = (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])
         slots = np.cumsum(fresh) - 1
         self.csr_nnz = int(slots[-1]) + 1
-        pos = np.empty(order.size, dtype=np.int64)
+        # int32, as scipy keeps the index arrays the operator shares
+        pos = np.empty(order.size, dtype=np.int32)
         pos[order] = slots
         self.csr_pos = pos
+        m = mesh.n_triangles
+        self.stiffness_operator = sp.csc_matrix(
+            (self.pattern.reshape(-1), pos,
+             np.arange(0, 9 * m + 1, 9, dtype=np.int32)),
+            shape=(self.csr_nnz, m))
         self.csr_indices = c_s[fresh].astype(np.int32)
         counts = np.bincount(r_s[fresh], minlength=mesh.n_nodes)
         self.csr_indptr = np.concatenate(
@@ -232,6 +255,19 @@ class Workspace:
             summed[slots] = np.bincount(self.csr_pos, weights=np.ravel(block),
                                         minlength=nnz)
         return SkeletonMatrix(self, summed)
+
+    @cached_property
+    def element_operator(self):
+        """csr (3M x N): rows m, M + m and 2M + m give the mean, x and y
+        gradient of a nodal field on element m."""
+        m, tris = self.mesh.n_triangles, self.mesh.triangles
+        data = np.concatenate([np.full(3 * m, 1.0 / 3.0),
+                               self.grads[:, :, 0].ravel(),
+                               self.grads[:, :, 1].ravel()])
+        return sp.csr_matrix(
+            (data, np.tile(tris.ravel(), 3).astype(np.int32),
+             np.arange(0, 9 * m + 1, 3, dtype=np.int32)),
+            shape=(3 * m, self.mesh.n_nodes))
 
     def lumped(self, vals):
         """Row-sum lumped nodal diagonal of per-element densities, (N,)."""
@@ -311,18 +347,35 @@ def workspace(mesh: Mesh) -> Workspace:
 
 def _per_phase(mesh: Mesh, state: FieldState, materials, evaluate, n_out):
     """n_out per-element arrays of evaluate(material, theta_c, phi_c) at
-    centroid states, one call per phase."""
+    centroid states: one call for all KunzelMaterial phases together
+    (KunzelMaterial.over_elements), one for each other phase."""
     ws = workspace(mesh)
     th_c = ws.element_mean(state.theta)
     ph_c = ws.element_mean(state.phi)
-    out = [np.empty(mesh.n_triangles) for _ in range(n_out)]
+    kunzel = [None] * len(mesh.phase_names)
+    groups = []
     for pid, name in enumerate(mesh.phase_names):
         idx = ws.phase_elements[pid]
         if idx.size == 0:
             continue
         if name not in materials:
             raise FemError(f"mesh phase '{name}' missing from the material set")
-        for arr, vals in zip(out, evaluate(materials[name], th_c[idx], ph_c[idx])):
+        if isinstance(materials[name], KunzelMaterial):
+            kunzel[pid] = materials[name]
+        else:
+            groups.append((materials[name], idx))
+    if not groups:
+        # every element is Kunzel: evaluate in element order, no scatter
+        return list(evaluate(KunzelMaterial.over_elements(kunzel, mesh.phases),
+                             th_c, ph_c))
+    if any(m is not None for m in kunzel):
+        idx = np.concatenate([ws.phase_elements[pid]
+                              for pid, m in enumerate(kunzel) if m is not None])
+        groups.append((KunzelMaterial.over_elements(kunzel, mesh.phases[idx]),
+                       idx))
+    out = [np.empty(mesh.n_triangles) for _ in range(n_out)]
+    for material, idx in groups:
+        for arr, vals in zip(out, evaluate(material, th_c[idx], ph_c[idx])):
             arr[idx] = vals
     return out
 
@@ -331,7 +384,7 @@ _COEFFICIENTS = tuple(f.name for f in fields(CoefficientSet))
 
 
 def evaluate_coefficients(mesh: Mesh, state: FieldState, materials) -> CoefficientSet:
-    """Per-element CoefficientSet at centroid states, phase by phase."""
+    """Per-element CoefficientSet at centroid states (see _per_phase)."""
 
     def evaluate(material, theta, phi):
         c = material.coefficients(theta, phi)
@@ -355,12 +408,19 @@ def assemble_system(mesh: Mesh, state: FieldState,
 
 
 def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
-    """Conductivity and lumped storage of given per-element coefficients."""
+    """Conductivity and lumped storage of given per-element coefficients.
+
+    The four blocks of K are one product of the workspace's
+    stiffness_operator with the (M, 4) conductivities, the bits of
+    scatter on k_ab times the scalar stiffness.
+    """
     ws = workspace(mesh)
-    K = ws.scatter([[k[:, None, None] * ws.pattern for k in row]
-                    for row in ((coeff.k_tt, coeff.k_tf),
-                                (coeff.k_ft, coeff.k_ff))])
-    return CoupledSystem(K, ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), coeff)
+    blocks = ws.stiffness_operator @ np.array(
+        [coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff]).T
+    K = np.empty(4 * ws.csr_nnz)
+    K[ws.pair_slots] = blocks.T
+    return CoupledSystem(SkeletonMatrix(ws, K), ws.lumped(coeff.c_tt),
+                         ws.lumped(coeff.c_ff), coeff)
 
 
 def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
@@ -710,13 +770,15 @@ class PeriodicReduction:
             (np.concatenate([gw, gw]),
              (np.arange(2 * m), np.repeat([0, 1], m))), shape=(2 * m, 2))
         self.x0 = mesh.center()
+        # node positions relative to x0, the gradient part of dg/dp
+        self.offsets = mesh.nodes - self.x0
         # every loading's map shares T, T' and the plan key of this one
         self._map = ConstraintMap(self.T, np.zeros(2 * n), self.free_index,
                                   self.rows, self.row_dofs, self.border)
 
     def affine(self, value_theta, value_phi, grad_theta, grad_phi):
         """Nodal field-major vector of the macro (affine) part."""
-        rel = self.mesh.nodes - self.x0
+        rel = self.offsets
         return np.concatenate([value_theta + rel @ np.asarray(grad_theta, dtype=float),
                                value_phi + rel @ np.asarray(grad_phi, dtype=float)])
 

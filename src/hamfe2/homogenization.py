@@ -247,7 +247,8 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     u_new, _, old, (K, C, _, coeff) = crank_nicolson_step(
         cell._assembler, u_n, state.time, loading.dt, cmap, cell.config,
         state.old, z0)
-    affine = cell.affine_vector(loading)
+    # the affine part of the loading, as map_for stored it
+    affine = cmap.g
     response = average_fields(cell, coeff, u_new, u_n, loading.dt)
     if want_tangents:
         tangent, sensitivity = effective_tangent(cell, cmap, coeff, K, C,
@@ -276,7 +277,11 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
     factorization of its bordered system serves all six directions,
     du/dp = T dz/dp + dg/dp, and the averages of average_fields are
-    differentiated along them in closed form. Returns (TangentBlocks,
+    differentiated along them in closed form. The workspace's
+    element_operator gives the element means and gradients of du/dp,
+    u_new and the rate in one product; every derivative average is
+    linear in those, so one matrix of per-element weights maps them to
+    all of kg, mg and the storage rates. Returns (TangentBlocks,
     dz/dp), the latter (n_free, 6) over the reduced unknowns of cmap,
     which the next rounds' predicted starts use. The columns of every
     returned array follow p.
@@ -284,7 +289,6 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     mesh = cell.mesh
     n = mesh.n_nodes
     ws = workspace(mesh)
-    tris = mesh.triangles
     rate = (u_new - u_old) / dt
     dk, dc = fem.coefficient_derivatives(mesh, FieldState.from_vector(u_new),
                                          cell.materials)
@@ -296,7 +300,7 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))
     dg[:n, 0] = dg[n:, 1] = 1.0
-    dg[:n, 2:4] = dg[n:, 4:6] = mesh.nodes - cell.reduction.x0
+    dg[:n, 2:4] = dg[n:, 4:6] = cell.reduction.offsets
     # the right-hand sides in the system's own order: the reduced
     # unknowns sit at `rows` of its plan, the others take zero. The six
     # columns of T'J dg/dp are reduced in one product and scaled as
@@ -325,25 +329,28 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
         raise SolverError("singular cell tangent system")
     du = cmap.T @ dz + dg
 
-    # centroid values and gradients along the six directions, (M, [2,] 6)
-    d_nodal = [du[:n][tris], du[n:][tris]]
-    d_mean = [d.mean(axis=1) for d in d_nodal]
-    d_grad = [np.einsum("mid,mik->mdk", ws.grads, d) for d in d_nodal]
-    grad = [ws.element_gradient(u_new[:n]), ws.element_gradient(u_new[n:])]
-    k = ((coeff.k_tt, coeff.k_tf), (coeff.k_ft, coeff.k_ff))
+    # F[q, m, f, j]: the element mean (q = 0) and x and y gradients of
+    # field f of du's six directions (j < 6), of u_new (6) and of the rate
+    X = np.column_stack([du, u_new, rate])
+    M = mesh.n_triangles
+    F = (ws.element_operator @ np.hstack([X[:n], X[n:]])).reshape(3, M, 2, 8)
+    # weights L[a, row, q, m, f] of the averages of row a over F, rows
+    # d <k grad u>_a (x, y), d m_a (x, y) and d s_a; for the flux, the
+    # derivatives of k_ab, sum_b dk_abc grad u_b, weigh the means of
+    # field c, and k_ab the gradients of field b
     w = ws.areas / cell.area
+    L = np.zeros((2, 5, 3, M, 2))
+    L[:, :2, 0] = np.einsum("abcm,dmb->admc", dk, F[1:, :, :, 6]) * w[:, None]
+    kw = np.array([[coeff.k_tt, coeff.k_tf], [coeff.k_ft, coeff.k_ff]]) * w
+    L[:, 0, 1] = L[:, 1, 2] = kw.transpose(0, 2, 1)
+    # d (c_aa rate_a) = dc_a rate_a dphi + c_aa d rate_a, with d rate_a =
+    # d u_a / dt; its moments add the weight x - x0
+    store = L[:, 4, 0]
+    store[:, :, 1] = dc * F[0, :, :, 7].T * w
+    store[0, :, 0] += coeff.c_tt * w / dt
+    store[1, :, 1] += coeff.c_ff * w / dt
     xc = ws.centroids - cell.reduction.x0
-    kg, m, s = [], [], []
-    for a, (c, r) in enumerate(((coeff.c_tt, ws.element_mean(rate[:n])),
-                                (coeff.c_ff, ws.element_mean(rate[n:])))):
-        # d <k_ab grad u_b>, summed over b, and d (c_aa rate_a) per element
-        flux = sum((dk[a, b, 0][:, None] * d_mean[0]
-                    + dk[a, b, 1][:, None] * d_mean[1])[:, None, :]
-                   * grad[b][:, :, None] + k[a][b][:, None, None] * d_grad[b]
-                   for b in (0, 1))
-        store = (dc[a] * r)[:, None] * d_mean[1] + c[:, None] * d_mean[a] / dt
-        kg.append(np.einsum("m,mdk->dk", w, flux))
-        m.append(np.einsum("m,md,mk->dk", w, xc, store))
-        s.append(w @ store)
-    return TangentBlocks(np.array(kg), np.array(m),
-                         np.array([s[0][0] * dt, s[1][1] * dt])), dz
+    L[:, 2:4, 0] = store[:, None] * xc.T[:, :, None]
+    out = (L.reshape(10, 6 * M) @ F.reshape(6 * M, 8)[:, :6]).reshape(2, 5, 6)
+    return TangentBlocks(out[:, :2], out[:, 2:4],
+                         np.array([out[0, 4, 0] * dt, out[1, 4, 1] * dt])), dz

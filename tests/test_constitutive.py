@@ -258,6 +258,13 @@ def test_one_state_check_keeps_the_window_edges(method):
                 evaluate(*args)
 
 
+def test_state_errors_name_the_admissible_band():
+    with pytest.raises(con.ConstitutiveError, match=r"\[-0\.01, 1\.01\]"):
+        con.KunzelMaterial(con.BRICK).coefficients(20.0, 1.02)
+    with pytest.raises(con.ConstitutiveError, match=r"\(-40\.0, 80\.0\)"):
+        con.KunzelMaterial(con.BRICK).coefficients(80.0, 0.5)
+
+
 def test_public_functions_keep_their_own_checks():
     for f in (con.saturation_pressure, con.saturation_pressure_derivative,
               con.latent_heat, con.vapor_diffusion):

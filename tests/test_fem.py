@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from hamfe2 import fe2, fem, homogenization as hom, mesh as msh, solver
-from hamfe2.constitutive import CoefficientSet, LinearMaterial, default_materials
+from hamfe2.constitutive import (BRICK, CoefficientSet, KunzelMaterial,
+                                 LinearMaterial, default_materials)
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -913,3 +914,113 @@ def test_shared_periodic_map_equals_a_fresh_map_bit_for_bit():
     z = R[:shared.n_free]
     assert np.array_equal(shared.expand(z), fresh.expand(z))
     assert np.array_equal(shared.reduce_vector(R), fresh.reduce_vector(R))
+
+
+# ------------------------------------------------- one Kunzel evaluation
+
+
+def per_phase_oracle(mesh, state, materials, evaluate, n_out):
+    """n_out per-element arrays of evaluate(material, theta_c, phi_c) at
+    centroid states, one call per phase: the loop that one call over all
+    Kunzel phases replaced."""
+    ws = fem.workspace(mesh)
+    th_c = ws.element_mean(state.theta)
+    ph_c = ws.element_mean(state.phi)
+    out = [np.empty(mesh.n_triangles) for _ in range(n_out)]
+    for pid, name in enumerate(mesh.phase_names):
+        idx = np.nonzero(mesh.phases == pid)[0]
+        if idx.size:
+            for arr, vals in zip(out, evaluate(materials[name], th_c[idx],
+                                               ph_c[idx])):
+                arr[idx] = vals
+    return out
+
+
+def oracle_coefficients(material, theta, phi):
+    c = material.coefficients(theta, phi)
+    return [c.k_tt, c.k_tf, c.k_ft, c.k_ff, c.c_tt, c.c_ff]
+
+
+def oracle_derivatives(material, theta, phi):
+    d_theta, d_phi = material.conduction_derivatives(theta, phi)
+    return [*d_theta, *d_phi, *material.storage_derivatives(theta, phi)]
+
+
+def kunzel_and_linear_cell():
+    """The r=2 running-bond cell with Kunzel brick and a linear mortar."""
+    mortar = LinearMaterial("mortar", k_tt=0.9, k_ff=3e-9, c_tt=1.6e6,
+                            c_ff=40.0, k_tf=2e-4, k_ft=1e-10)
+    return (running_cell(2).mesh,
+            {"brick": KunzelMaterial(BRICK), "mortar": mortar})
+
+
+def evaluation_cases():
+    return [(running_cell(2).mesh, default_materials()),
+            (msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2),
+             default_materials()),
+            kunzel_and_linear_cell()]
+
+
+def freezing_state(mesh):
+    """A state across the 0 degC branch switch of p_sat, phi 0.3 to 1."""
+    x, y = (mesh.nodes / mesh.nodes.max(axis=0)).T
+    return fem.FieldState(-5.0 + 30.0 * x - 8.0 * y, 0.3 + 0.5 * x + 0.2 * y)
+
+
+@pytest.mark.parametrize("mesh, materials", evaluation_cases(),
+                         ids=["cell", "wall", "kunzel-and-linear"])
+def test_one_kunzel_call_equals_the_per_phase_oracle_bit_for_bit(mesh,
+                                                                materials):
+    state = freezing_state(mesh)
+    assert state.theta.min() < 0.0 < state.theta.max()
+    coeff = fem.evaluate_coefficients(mesh, state, materials)
+    ref = per_phase_oracle(mesh, state, materials, oracle_coefficients, 6)
+    for name, r in zip(("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff"), ref):
+        assert np.array_equal(getattr(coeff, name), r), name
+    ws = fem.workspace(mesh)
+    dtt, dff = per_phase_oracle(
+        mesh, state, materials,
+        lambda m, t, p: m.storage_derivatives(t, p), 2)
+    gtt, gff = fem.capacity_jacobian_diagonals(mesh, state, materials)
+    assert np.array_equal(gtt, ws.lumped(dtt))
+    assert np.array_equal(gff, ws.lumped(dff))
+    dk, dc = fem.coefficient_derivatives(mesh, state, materials)
+    ref = np.array(per_phase_oracle(mesh, state, materials,
+                                    oracle_derivatives, 10))
+    assert np.array_equal(dk, np.moveaxis(ref[:8].reshape(2, 2, 2, -1), 0, 2))
+    assert np.array_equal(dc, ref[8:])
+
+
+def test_an_assembly_makes_one_kunzel_call_for_both_phases(monkeypatch):
+    cell = running_cell(2)
+    mesh = cell.mesh
+    assert len(mesh.phase_names) == 2
+    calls = []
+    real = KunzelMaterial.coefficients
+
+    def coefficients(material, theta, phi):
+        calls.append(np.size(theta))
+        return real(material, theta, phi)
+
+    monkeypatch.setattr(KunzelMaterial, "coefficients", coefficients)
+    u = freezing_state(mesh).vector()
+    solver._assemble(mesh, cell.materials, u, 0.0)
+    assert calls == [mesh.n_triangles]
+
+
+@pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
+def test_stiffness_operator_product_is_the_bincount_scatter_bit_for_bit(mesh):
+    ws = fem.workspace(mesh)
+    op = ws.stiffness_operator
+    assert np.shares_memory(op.data, ws.pattern)
+    assert np.shares_memory(op.indices, ws.csr_pos)
+    coeff = fem.evaluate_coefficients(mesh, freezing_state(mesh),
+                                      default_materials())
+    K = fem.coupled_system(mesh, coeff).conductivity
+    ref = np.empty(4 * ws.csr_nnz)
+    for slots, k in zip(ws.pair_slots,
+                        (coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff)):
+        ref[slots] = np.bincount(ws.csr_pos,
+                                 weights=(k[:, None, None] * ws.pattern).ravel(),
+                                 minlength=ws.csr_nnz)
+    assert np.array_equal(K.data, ref)
