@@ -19,8 +19,9 @@ element id. The macro residual uses
     with the cell storage moment rates (the finite-cell-size coupling).
 
 Cell tangents are refreshed on the first Newton iteration of each step
-and reused within it; they only precondition the iteration and set the
-effective capacities. The macro Jacobian is the chain rule through each
+and reused within it. Their effective capacities form the storage term
+C (u - u_n)/dt of the macro residual, so they shape the solution, not
+only the iteration. The macro Jacobian is the chain rule through each
 point's tangent arrays over its cell's loading p = (Theta, Phi,
 grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y). Cell states commit
 when the macro step is accepted, so a rejected or retried step never
@@ -136,7 +137,7 @@ class FE2Driver:
 
     # ------------------------------------------------------------ stepping
 
-    def step(self, u_n, t_n, dt, cmap):
+    def step(self, u_n, dt, cmap):
         """One macro CN step from u_n; commits meso states on success.
 
         Returns (u_new, newton_iterations). Raises SolverError on macro

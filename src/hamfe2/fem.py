@@ -15,7 +15,9 @@ The pattern keeps the exact zeros that P1 stiffness has on
 right-triangle grids.
 
 Materials are evaluated at the element centroids, all KunzelMaterial
-phases of a mesh in one call. The workspace keeps element operators
+phases of a mesh in one call, once per state: a CoupledSystem keeps its
+CentroidMaterials, which the capacity terms and the coefficient
+derivatives of that state read. The workspace keeps element operators
 over its precomputed geometry: K's four blocks are one product of the
 stiffness operator (one-field slots x elements) with the (M, 4)
 conductivities, and the cell tangent takes the element means and
@@ -100,18 +102,20 @@ class FieldState:
 
 @dataclass
 class CoupledSystem:
-    """Assembled operators of the coupled system.
+    """Assembled operators of the coupled system at one state.
 
     conductivity holds the values of the field-major conductivity on
     the mesh's two-field skeleton, a SkeletonMatrix; the solvers
     multiply and reduce it as it is. c_tt/c_ff are the lumped storage
-    diagonals, coeff the per-element coefficients they were built from.
+    diagonals, coeff the per-element coefficients of materials, the
+    CentroidMaterials they were built from.
     """
 
     conductivity: "SkeletonMatrix"
     c_tt: np.ndarray
     c_ff: np.ndarray
     coeff: CoefficientSet = None
+    materials: "CentroidMaterials" = None
 
     def stiffness(self) -> "SkeletonMatrix":
         """The conductivity, for the benchmark's residual check; the
@@ -345,53 +349,62 @@ def workspace(mesh: Mesh) -> Workspace:
 # ------------------------------------------------------------ assembly
 
 
-def _per_phase(mesh: Mesh, state: FieldState, materials, evaluate, n_out):
-    """n_out per-element arrays of evaluate(material, theta_c, phi_c) at
-    centroid states: one call for all KunzelMaterial phases together
-    (KunzelMaterial.over_elements), one for each other phase."""
-    ws = workspace(mesh)
-    th_c = ws.element_mean(state.theta)
-    ph_c = ws.element_mean(state.phi)
-    kunzel = [None] * len(mesh.phase_names)
-    groups = []
-    for pid, name in enumerate(mesh.phase_names):
-        idx = ws.phase_elements[pid]
-        if idx.size == 0:
-            continue
-        if name not in materials:
-            raise FemError(f"mesh phase '{name}' missing from the material set")
-        if isinstance(materials[name], KunzelMaterial):
-            kunzel[pid] = materials[name]
-        else:
-            groups.append((materials[name], idx))
-    if not groups:
-        # every element is Kunzel: evaluate in element order, no scatter
-        return list(evaluate(KunzelMaterial.over_elements(kunzel, mesh.phases),
-                             th_c, ph_c))
-    if any(m is not None for m in kunzel):
-        idx = np.concatenate([ws.phase_elements[pid]
-                              for pid, m in enumerate(kunzel) if m is not None])
-        groups.append((KunzelMaterial.over_elements(kunzel, mesh.phases[idx]),
-                       idx))
-    out = [np.empty(mesh.n_triangles) for _ in range(n_out)]
-    for material, idx in groups:
-        for arr, vals in zip(out, evaluate(material, th_c[idx], ph_c[idx])):
-            arr[idx] = vals
-    return out
+class CentroidMaterials:
+    """The materials of a mesh at the element centroids of one state.
 
+    theta and phi are the element means of the nodal fields. groups
+    pairs each material with its elements: all KunzelMaterial phases
+    form one material, gathered once by KunzelMaterial.over_elements
+    (over every element in order when no other phase has any), and each
+    other phase is its own. Each kernel runs once per group (_each).
+    """
 
-_COEFFICIENTS = tuple(f.name for f in fields(CoefficientSet))
+    def __init__(self, mesh: Mesh, theta, phi, materials):
+        ws = workspace(mesh)
+        self.theta, self.phi = ws.element_mean(theta), ws.element_mean(phi)
+        kunzel = [None] * len(mesh.phase_names)
+        self.groups = []
+        for pid, name in enumerate(mesh.phase_names):
+            idx = ws.phase_elements[pid]
+            if idx.size == 0:
+                continue
+            if name not in materials:
+                raise FemError(f"mesh phase '{name}' missing from the material set")
+            if isinstance(materials[name], KunzelMaterial):
+                kunzel[pid] = materials[name]
+            else:
+                self.groups.append((materials[name], idx))
+        if any(m is not None for m in kunzel):
+            # alone, the Kunzel group covers every element in order
+            idx = slice(None) if not self.groups else np.concatenate(
+                [ws.phase_elements[pid] for pid, m in enumerate(kunzel)
+                 if m is not None])
+            self.groups.append(
+                (KunzelMaterial.over_elements(kunzel, mesh.phases[idx]), idx))
 
+    def _each(self, kernel):
+        """What every group's material.<kernel>(theta, phi) returns."""
+        return [getattr(m, kernel)(self.theta[idx], self.phi[idx])
+                for m, idx in self.groups]
 
-def evaluate_coefficients(mesh: Mesh, state: FieldState, materials) -> CoefficientSet:
-    """Per-element CoefficientSet at centroid states (see _per_phase)."""
+    def _join(self, per_group):
+        """Per-element arrays from the arrays of each group, in order."""
+        if isinstance(self.groups[0][1], slice):
+            return list(per_group[0])
+        out = [np.empty(self.theta.size) for _ in per_group[0]]
+        for (_, idx), arrays in zip(self.groups, per_group):
+            for arr, vals in zip(out, arrays):
+                arr[idx] = vals
+        return out
 
-    def evaluate(material, theta, phi):
-        c = material.coefficients(theta, phi)
-        return [getattr(c, name) for name in _COEFFICIENTS]
+    def coefficients(self) -> CoefficientSet:
+        return CoefficientSet(*self._join(
+            [[getattr(c, f.name) for f in fields(c)]
+             for c in self._each("coefficients")]))
 
-    return CoefficientSet(*_per_phase(mesh, state, materials, evaluate,
-                                      len(_COEFFICIENTS)))
+    def storage_derivatives(self):
+        """[d c_tt / d phi, d c_ff / d phi] per element."""
+        return self._join(self._each("storage_derivatives"))
 
 
 def assemble_system(mesh: Mesh, state: FieldState,
@@ -399,32 +412,26 @@ def assemble_system(mesh: Mesh, state: FieldState,
     """Conductivity blocks and lumped storage at the given state.
 
     materials maps phase names to objects with coefficients(theta, phi).
-    No external flux is assembled: boundary data enter as Dirichlet
-    values through the constraint map.
+    K's four blocks are one product of the workspace's stiffness_operator
+    with the (M, 4) conductivities, the bits of scatter on k_ab times the
+    scalar stiffness. No external flux is assembled: boundary data enter
+    as Dirichlet values through the constraint map.
     """
     if state.n_nodes != mesh.n_nodes:
         raise FemError("state length does not match the mesh")
-    return coupled_system(mesh, evaluate_coefficients(mesh, state, materials))
-
-
-def coupled_system(mesh: Mesh, coeff: CoefficientSet) -> CoupledSystem:
-    """Conductivity and lumped storage of given per-element coefficients.
-
-    The four blocks of K are one product of the workspace's
-    stiffness_operator with the (M, 4) conductivities, the bits of
-    scatter on k_ab times the scalar stiffness.
-    """
     ws = workspace(mesh)
+    at = CentroidMaterials(mesh, state.theta, state.phi, materials)
+    coeff = at.coefficients()
     blocks = ws.stiffness_operator @ np.array(
         [coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff]).T
     K = np.empty(4 * ws.csr_nnz)
     K[ws.pair_slots] = blocks.T
     return CoupledSystem(SkeletonMatrix(ws, K), ws.lumped(coeff.c_tt),
-                         ws.lumped(coeff.c_ff), coeff)
+                         ws.lumped(coeff.c_ff), coeff, at)
 
 
-def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
-    """Lumped humidity derivatives of the two storage diagonals.
+def capacity_jacobian_diagonals(sysm: CoupledSystem):
+    """Lumped humidity derivatives of the two storage diagonals of sysm.
 
     Returns nodal arrays (d c_tt / d phi, d c_ff / d phi) lumped like
     the storage itself. They feed the Newton Jacobian of the transient
@@ -435,27 +442,22 @@ def capacity_jacobian_diagonals(mesh: Mesh, state: FieldState, materials):
     of the skeleton, and on a large wall the bigger factors cost more
     time than the few Newton iterations they save.
     """
-    dtt, dff = _per_phase(
-        mesh, state, materials,
-        lambda material, theta, phi: material.storage_derivatives(theta, phi), 2)
-    ws = workspace(mesh)
-    return ws.lumped(dtt), ws.lumped(dff)
+    lumped = sysm.conductivity.workspace.lumped
+    return tuple(lumped(d) for d in sysm.materials.storage_derivatives())
 
 
-def coefficient_derivatives(mesh: Mesh, state: FieldState, materials):
-    """Per-element state derivatives of the coefficients at centroid states.
+def coefficient_derivatives(sysm: CoupledSystem):
+    """Per-element state derivatives of the coefficients of sysm.
 
     Returns (dk, dc): dk[a, b, c] = d k_ab / d u_c, shape (2, 2, 2, M),
     and dc[a] = d c_aa / d phi, shape (2, M), for the fields a, b, c of
     (theta, phi).
     """
-
-    def evaluate(material, theta, phi):
-        d_theta, d_phi = material.conduction_derivatives(theta, phi)
-        return [*d_theta, *d_phi, *material.storage_derivatives(theta, phi)]
-
-    out = np.array(_per_phase(mesh, state, materials, evaluate, 10))
-    return np.moveaxis(out[:8].reshape(2, 2, 2, -1), 0, 2), out[8:]
+    at = sysm.materials
+    dk = np.array(at._join([[*d_theta, *d_phi] for d_theta, d_phi
+                            in at._each("conduction_derivatives")]))
+    return (np.moveaxis(dk.reshape(2, 2, 2, -1), 0, 2),
+            np.array(at.storage_derivatives()))
 
 
 def state_jacobian(mesh: Mesh, u, rate, derivatives) -> SkeletonMatrix:
@@ -467,7 +469,7 @@ def state_jacobian(mesh: Mesh, u, rate, derivatives) -> SkeletonMatrix:
     element-consistent dC(u)/du rate, A_e/9 dc_aa/dphi rate_a,i in the
     phi columns. The coefficients live at the element centroids, so
     every block is constant along j. `derivatives` is (dk, dc) of
-    coefficient_derivatives at u.
+    coefficient_derivatives of the system at u.
     """
     ws = workspace(mesh)
     tris = mesh.triangles

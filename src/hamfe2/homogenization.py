@@ -14,16 +14,16 @@ yields the sensitivities of those averages to the loading
 p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
 the effective conductivity blocks and storage coefficients.
 
-Every cell state is evaluated once. A committed state carries its
-Crank-Nicolson old data K u once computed, so the rounds of a macro
-step and a retried half step reuse it, and a converged increment hands
-its new state the K u Newton evaluated there. The averages and the
-tangent reuse the coefficients, conductivity and storage of the
-evaluation crank_nicolson_step accepted.
+Every cell state is evaluated once, into its fem.CoupledSystem. A
+committed state carries its Crank-Nicolson old data K u once computed,
+so the rounds of a macro step and a retried half step reuse it, and a
+converged increment hands its new state the K u Newton evaluated
+there. The averages and the tangent, its coefficient derivatives too,
+read the system crank_nicolson_step accepted.
 
-An increment always advances from a committed state: its time and old
-data. Newton starts from that state's fluctuation, or from a prediction
-off an optional start state: a later round of a macro step passes the
+An increment always advances from a committed state and its old data.
+Newton starts from that state's fluctuation, or from a prediction off
+an optional start state: a later round of a macro step passes the
 state the same point converged to one round earlier. The tangent round,
 the first of a step attempt, solves for the sensitivity dz/dp of the
 converged reduced fluctuation and keeps it on its new state, and every
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .fem import FieldState, evaluate_coefficients, workspace
+from .fem import CentroidMaterials, workspace
 from .mesh import Mesh, detect_periodic_pairs
 from .solver import SolverConfig, SolverError, _assemble, crank_nicolson_step
 
@@ -88,7 +88,6 @@ class MesoState:
 
     fluct: np.ndarray        # (2N,) field-major fluctuation vector
     loading: MacroLoading
-    time: float = 0.0        # s, cell-local
     old: np.ndarray = field(default=None, repr=False)
     sensitivity: np.ndarray = field(default=None, repr=False)
 
@@ -151,7 +150,7 @@ class CellProblem:
         return self.affine_vector(state.loading) + state.fluct
 
     def initial_state(self, loading: MacroLoading) -> MesoState:
-        return MesoState(np.zeros(2 * self.mesh.n_nodes), loading, 0.0)
+        return MesoState(np.zeros(2 * self.mesh.n_nodes), loading)
 
 
 def _mean_conduction(ws, coeff, w, u):
@@ -203,8 +202,9 @@ def initial_response(cell: CellProblem, loading: MacroLoading):
     """Zero-rate response of the fresh affine state, no solve involved."""
     state = cell.initial_state(loading)
     u0 = cell.total_vector(state)
-    coeff = evaluate_coefficients(cell.mesh, FieldState.from_vector(u0),
-                                  cell.materials)
+    n = cell.mesh.n_nodes
+    coeff = CentroidMaterials(cell.mesh, u0[:n], u0[n:],
+                              cell.materials).coefficients()
     return state, average_fields(cell, coeff, u0, u0, None)
 
 
@@ -213,8 +213,8 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                         start: MesoState = None):
     """Advance the cell by loading.dt and average the converged state.
 
-    Returns (new state, response). The increment runs from `state`: its
-    time and Crank-Nicolson old data. The old data of `state` is
+    Returns (new state, response). The increment runs from `state` and
+    its Crank-Nicolson old data. The old data of `state` is
     computed on its first increment and kept on it. Newton starts from
     the fluctuation of `state` when `start` is None. A later round of a
     macro step passes as `start` the state the same point converged to
@@ -225,12 +225,12 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     within Newton's tolerance. want_tangents solves for the tangent and
     keeps its dz/dp on the new state; otherwise the new state carries
     the sensitivity of `start` on. The new state also carries K u of
-    Newton's accepted evaluation, whose coefficients, K and C feed the
-    averages and the tangent: no state is evaluated twice.
+    Newton's accepted evaluation, whose system feeds the averages and
+    the tangent: no state is evaluated twice.
     """
     u_n = cell.total_vector(state)
     if state.old is None:
-        state.old = cell._assembler(u_n, state.time)[0] @ u_n
+        state.old = cell._assembler(u_n).conductivity @ u_n
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
     # start from the carried-over fluctuation under the new affine part;
@@ -244,18 +244,16 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     if sensitivity is not None:
         z0 = z0 + sensitivity @ (_loading_vector(loading)
                                  - _loading_vector(start.loading))
-    u_new, _, old, (K, C, _, coeff) = crank_nicolson_step(
-        cell._assembler, u_n, state.time, loading.dt, cmap, cell.config,
-        state.old, z0)
+    u_new, _, old, sysm = crank_nicolson_step(
+        cell._assembler, u_n, loading.dt, cmap, cell.config, state.old, z0)
     # the affine part of the loading, as map_for stored it
     affine = cmap.g
-    response = average_fields(cell, coeff, u_new, u_n, loading.dt)
+    response = average_fields(cell, sysm.coeff, u_new, u_n, loading.dt)
     if want_tangents:
-        tangent, sensitivity = effective_tangent(cell, cmap, coeff, K, C,
-                                                 u_new, u_n, loading.dt)
+        tangent, sensitivity = effective_tangent(cell, cmap, sysm, u_new, u_n,
+                                                 loading.dt)
         response = replace(response, tangent=tangent)
-    new_state = MesoState(u_new - affine, loading, state.time + loading.dt,
-                          sensitivity=sensitivity)
+    new_state = MesoState(u_new - affine, loading, sensitivity=sensitivity)
     # K u was evaluated at u_new; it serves the new state only if that
     # state's total field reproduces u_new bit for bit
     if np.array_equal(affine + new_state.fluct, u_new):
@@ -263,15 +261,15 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     return new_state, response
 
 
-def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
-                      dt):
+def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     """Sensitivities of the averaged increment answer at the converged u_new.
 
     The converged fluctuation solves T'R(T z + g(p)) = 0 under the
     constraint map cmap of the loading p = (Theta, Phi, grad_Theta_x,
     grad_Theta_y, grad_Phi_x, grad_Phi_y), with the old state u_old
-    fixed; coeff, K and C are the coefficients, conductivity and
-    storage diagonal at u_new, as Newton last evaluated them.
+    fixed; sysm is the fem.CoupledSystem of u_new that Newton accepted,
+    whose coefficients, conductivity, storage diagonal and coefficient
+    derivatives enter.
     Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
     consistent Jacobian K/2 + C/dt + fem.state_jacobian of the
     Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
@@ -290,8 +288,8 @@ def effective_tangent(cell: CellProblem, cmap, coeff, K, C, u_new, u_old,
     n = mesh.n_nodes
     ws = workspace(mesh)
     rate = (u_new - u_old) / dt
-    dk, dc = fem.coefficient_derivatives(mesh, FieldState.from_vector(u_new),
-                                         cell.materials)
+    K, C, coeff = sysm.conductivity, sysm.storage_diagonal(), sysm.coeff
+    dk, dc = fem.coefficient_derivatives(sysm)
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     # both matrices lie on the mesh's two-field skeleton
     J.data += 0.5 * K.data

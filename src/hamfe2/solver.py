@@ -15,8 +15,9 @@ builds the matrix; Newton calls it only for an iterate whose update it
 solves for, right before it factors the matrix, and drops the system
 first. An evaluation that converges, and a trial step that is
 rejected, build no matrix. For the Crank-Nicolson step, system()
-evaluates the capacity derivatives, adds the storage terms to K/2 and
-reduces the result onto the planned bordered system; the FE2 macro
+reads the capacity derivatives off the fem.CoupledSystem of the
+iterate, the one evaluation of its state, adds the storage terms to K/2
+and reduces the result onto the planned bordered system; the FE2 macro
 step returns the system it reduced once for the whole step.
 
 Every Newton system, fine, cell or macro, is factored by `factorize`.
@@ -131,8 +132,8 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations, and a start with
     a non-finite residual raises, since no target can be set from it.
-    Updates are halved (at most 8 times) until the trial iterate
-    evaluates and does not grow the residual beyond 1.5 times the last.
+    Updates are halved (at most 8 times) until the trial iterate is
+    finite, evaluates and keeps the residual within 1.5 times the last.
     Raises SolverError with the residual trace on breakdown: when no
     trial evaluates, and when every trial that evaluates grows the
     residual, a stall at round-off or on a steep part of the material
@@ -142,6 +143,8 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     trace = []
 
     def evaluate(zk):
+        if not np.all(np.isfinite(zk)):
+            raise SolverError("non-finite iterate", trace)
         try:
             return residual_jacobian(zk)
         except ConstitutiveError as exc:
@@ -172,13 +175,14 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
             raise SolverError(f"linear solve failed: {exc}", trace) from exc
         if not np.all(np.isfinite(dz)):
             raise SolverError("non-finite Newton update", trace)
-        # damped update: halve the step while the trial iterate leaves
-        # the admissible state range, gives a non-finite residual, or
-        # grows the residual well beyond the previous one (the moisture
+        # damped update: halve the step while the trial iterate overflows,
+        # leaves the admissible state range, gives a non-finite residual,
+        # or grows the residual well beyond the previous one (the moisture
         # capacity softens steeply and full steps can run away)
         step, evaluated = 1.0, False
         for _halving in range(9):
-            z_try = z + step * dz
+            with np.errstate(over="ignore"):
+                z_try = z + step * dz
             try:
                 r, system = evaluate(z_try)
                 nrm = float(np.linalg.norm(r))
@@ -196,7 +200,8 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
                     "evaluated grew the residual", trace)
             raise SolverError(
                 "damped Newton made no progress: every trial left the "
-                "admissible range or gave a non-finite residual", trace)
+                "admissible range, overflowed or gave a non-finite "
+                "residual", trace)
         z = z_try
         trace.append(nrm)
         if nrm <= target:
@@ -206,47 +211,46 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         f"(residual {trace[-1]:.3e}, target {target:.3e})", trace)
 
 
-def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
+def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None):
-    """Advance one step; returns (u_{n+1}, trace, old data, evaluation).
+    """Advance one step; returns (u_{n+1}, trace, old data, system).
 
-    assembler(u, t) -> (K, C, capacity, coeff) on the full dof vector,
-    the evaluation at u: K a fem.SkeletonMatrix, C the storage
-    diagonal, capacity a function that returns the lumped capacity
-    derivatives (d c_tt / d phi, d c_ff / d phi), and coeff whatever the
-    caller reads off the evaluation (the coefficient set of _assemble);
-    capacity runs only when the Newton matrix of that evaluation is
-    built. The old data is K u of a state: `old` carries K_n u_n when
-    the caller already has it, and the returned old data is K u_{n+1}
-    of the returned evaluation, the one at the accepted new state. `z0`
-    overrides the start iterate in reduced coordinates (default:
-    project u_n).
+    assembler(u) returns the fem.CoupledSystem of the full dof vector u,
+    whose capacity_jacobian_diagonals run only when the Newton matrix
+    of that evaluation is built. The returned system is the one at the
+    accepted new state. The old data is K u of a state: `old` carries
+    K_n u_n when the caller already has it, and the returned old data
+    is K u_{n+1} of the returned system. `z0` overrides the start
+    iterate in reduced coordinates (default: project u_n).
     """
     if dt <= 0.0:
         raise SolverError("time step must be positive")
-    fint_n = assembler(u_n, t_n)[0] @ u_n if old is None else old
-    t_new = t_n + dt
+    fint_n = assembler(u_n).conductivity @ u_n if old is None else old
     # the latest evaluation and its K u; Newton returns at the accepted one
     accepted = {}
 
     def residual_jacobian(z):
         u = cmap.expand(z)
-        evaluation = K, C, capacity, _ = assembler(u, t_new)
-        fint = K @ u
+        sysm = assembler(u)
+        C = sysm.storage_diagonal()
+        fint = sysm.conductivity @ u
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n)
-        accepted.update(evaluation=evaluation, old=fint)
+        accepted.update(system=sysm, old=fint)
 
         def system():
-            # an iterate that is factored is not the accepted one
+            # an iterate that is factored is not the accepted one: its
+            # evaluation goes once the capacity terms are read
+            nonlocal sysm
             accepted.clear()
             # J = K/2 + C/dt on K's own skeleton
-            J = 0.5 * K
+            J = 0.5 * sysm.conductivity
             diag, offset = J.workspace.diagonal_slots
             J.data[diag] += C / dt
             # storage coefficients depend on humidity: the derivative
             # times the current rate enters the phi columns, on offset n
             # in the theta rows and on the diagonal in the phi rows
-            gtt, gff = capacity()
+            gtt, gff = capacity_jacobian_diagonals(sysm)
+            sysm = None
             n = gtt.size
             rate = (u - u_n) / dt
             J.data[diag[n:]] += gff * rate[n:]
@@ -258,7 +262,7 @@ def crank_nicolson_step(assembler, u_n, t_n, dt, cmap: ConstraintMap,
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
     z, trace = newton_solve(residual_jacobian, z0, config)
-    return cmap.expand(z), trace, accepted["old"], accepted["evaluation"]
+    return cmap.expand(z), trace, accepted["old"], accepted["system"]
 
 
 @dataclass
@@ -290,27 +294,20 @@ class History:
         return np.asarray(self.times) / 3600.0
 
 
-def _assemble(mesh, materials, u, t):
-    """crank_nicolson_step's assembler(u, t) once mesh and materials are bound.
-
-    Returns (K, C, capacity, coefficient set at u): K a
-    fem.SkeletonMatrix, and capacity the deferred
-    capacity_jacobian_diagonals at u.
-    """
-    state = FieldState.from_vector(u, t)
-    sysm = assemble_system(mesh, state, materials)
-    return (sysm.conductivity, sysm.storage_diagonal(),
-            partial(capacity_jacobian_diagonals, mesh, state, materials),
-            sysm.coeff)
+def _assemble(mesh, materials, u):
+    """crank_nicolson_step's assembler(u) once mesh and materials are
+    bound; the FieldState of u views its halves, it copies nothing."""
+    n = u.size // 2
+    return assemble_system(mesh, FieldState(u[:n], u[n:]), materials)
 
 
 def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
                     t_end_hours, config: SolverConfig) -> History:
     """History of steps of size dt up to t_end, each retried once on failure.
 
-    step(u_n, t_n, dt, cmap) returns (u_{n+1}, newton iterations) under
-    the Dirichlet map of schedule at t_n + dt, or raises SolverError. A
-    failed step is retried as two half steps; a second failure, and
+    step(u_n, dt, cmap) returns (u_{n+1}, newton iterations) under the
+    Dirichlet map of schedule at the step's end, or raises SolverError.
+    A failed step is retried as two half steps; a second failure, and
     every error other than SolverError, propagates.
     """
     dt = float(dt_hours) * 3600.0
@@ -329,15 +326,15 @@ def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
         tic = _time.perf_counter()
         t_n = (k - 1) * dt
         try:
-            u, iters = step(u, t_n, dt, cmap_for(t_n + dt))
+            u, iters = step(u, dt, cmap_for(t_n + dt))
         except SolverError as exc:
             if not config.retry_halving:
                 raise
             log.warning("step at t=%.0f s failed (%s); retrying with dt/2",
                         t_n, exc)
             half = 0.5 * dt
-            u_mid, it1 = step(u, t_n, half, cmap_for(t_n + half))
-            u, it2 = step(u_mid, t_n + half, half, cmap_for(t_n + dt))
+            u_mid, it1 = step(u, half, cmap_for(t_n + half))
+            u, it2 = step(u_mid, half, cmap_for(t_n + dt))
             iters = it1 + it2
         wall = _time.perf_counter() - tic
         history.append(FieldState.from_vector(u, k * dt), iters, wall)
@@ -357,11 +354,11 @@ def transient_solve(mesh, materials, schedule, initial: FieldState,
     assembler = partial(_assemble, mesh, materials)
     old = None
 
-    def step(u_n, t_n, dt, cmap):
+    def step(u_n, dt, cmap):
         # reuses K_n u_n of the last accepted state
         nonlocal old
-        u_new, trace, old, _ = crank_nicolson_step(assembler, u_n, t_n, dt,
-                                                   cmap, config, old)
+        u_new, trace, old, _ = crank_nicolson_step(assembler, u_n, dt, cmap,
+                                                   config, old)
         return u_new, len(trace) - 1
 
     return step_with_retry(step, mesh, schedule, initial, dt_hours,

@@ -277,7 +277,7 @@ def test_macro_jacobian_matches_bmat_construction(masonry, cprime):
             return responses
 
         driver.pool.run_round = spy_round
-        driver.step(initial.vector(), 0.0, dt, cmap)
+        driver.step(initial.vector(), dt, cmap)
     (J, C), = systems
     responses, = tangent_rounds
     ref = bmat_macro_jacobian(
@@ -329,12 +329,12 @@ def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
                    config=SolverConfig(max_iterations=1)) as driver:
         with pytest.raises(SolverError):
-            driver.step(u_n, 0.0, dt, cmap)
+            driver.step(u_n, dt, cmap)
         driver.config = SolverConfig()
-        u_retry, _ = driver.step(u_n, 0.0, dt, cmap)
+        u_retry, _ = driver.step(u_n, dt, cmap)
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)},
                    initial) as fresh:
-        u_fresh, _ = fresh.step(u_n, 0.0, dt, cmap)
+        u_fresh, _ = fresh.step(u_n, dt, cmap)
     assert np.array_equal(u_retry, u_fresh)
 
 

@@ -69,7 +69,8 @@ def bmat_stiffness(mesh, state, materials):
     Reference for the two-field skeleton of fem.assemble_system.
     """
     ws = fem.workspace(mesh)
-    coeff = fem.evaluate_coefficients(mesh, state, materials)
+    coeff = fem.CentroidMaterials(mesh, state.theta, state.phi,
+                                  materials).coefficients()
 
     def kblock(vals):
         return one_field_scatter(ws, (vals[:, None, None] * ws.pattern).ravel())
@@ -566,11 +567,9 @@ def test_consistent_jacobian_taylor_remainder():
         return (sysm.storage_diagonal() * (x - u_n) / dt
                 + 0.5 * (sysm.conductivity @ x))
 
-    fields = fem.FieldState.from_vector(u)
-    sysm = fem.assemble_system(mesh, fields, materials)
+    sysm = fem.assemble_system(mesh, fem.FieldState.from_vector(u), materials)
     S = fem.state_jacobian(mesh, u, rate,
-                           fem.coefficient_derivatives(mesh, fields,
-                                                       materials)).tocsr()
+                           fem.coefficient_derivatives(sysm)).tocsr()
     J = S.copy()
     J.data += 0.5 * sysm.conductivity.data
     J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
@@ -669,17 +668,19 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
         mesh, materials, cmap = dirichlet_wall()
         u_n = fem.FieldState.uniform(mesh.n_nodes, 20.0, 0.5).vector()
 
-    def assembler(u, t):
-        out = solver._assemble(mesh, materials, u, t)
+    def assembler(u):
+        out = solver._assemble(mesh, materials, u)
         assembled.append((u, out))
         return out
 
-    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
+    solver.crank_nicolson_step(assembler, u_n, 3600.0, cmap,
                                solver.SolverConfig())
     assert len(seen) > 2
-    for cmap, J, C, (u, (K, C_asm, capacity, _)) in seen:
-        assert C is C_asm
-        ref = diags_newton_matrix(K.tocsr(), C, capacity(), u, u_n, 3600.0)
+    for cmap, J, C, (u, sysm) in seen:
+        assert np.array_equal(C, sysm.storage_diagonal())
+        ref = diags_newton_matrix(sysm.conductivity.tocsr(), C,
+                                  fem.capacity_jacobian_diagonals(sysm), u,
+                                  u_n, 3600.0)
         assert_same_csr(without_zeros(J), ref)
         assert_same_csr(bordered(cmap, J, C)[0],
                         bordered(cmap, on_skeleton(J.workspace, ref), C)[0])
@@ -740,7 +741,7 @@ def wall_systems(monkeypatch):
     mesh, materials, cmap = dirichlet_wall()
     u_n = fem.FieldState.uniform(mesh.n_nodes, 20.0, 0.5).vector()
     return spied_newton_systems(monkeypatch, lambda: solver.crank_nicolson_step(
-        partial(solver._assemble, mesh, materials), u_n, 0.0, 3600.0, cmap,
+        partial(solver._assemble, mesh, materials), u_n, 3600.0, cmap,
         solver.SolverConfig()))
 
 
@@ -971,24 +972,34 @@ def freezing_state(mesh):
                          ids=["cell", "wall", "kunzel-and-linear"])
 def test_one_kunzel_call_equals_the_per_phase_oracle_bit_for_bit(mesh,
                                                                 materials):
+    # the coefficients, and the capacity terms and coefficient
+    # derivatives read from the system of assemble_system and from that
+    # of the solvers' one-argument assembler
     state = freezing_state(mesh)
     assert state.theta.min() < 0.0 < state.theta.max()
-    coeff = fem.evaluate_coefficients(mesh, state, materials)
+    systems = [fem.assemble_system(mesh, state, materials),
+               solver._assemble(mesh, materials, state.vector())]
     ref = per_phase_oracle(mesh, state, materials, oracle_coefficients, 6)
-    for name, r in zip(("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff"), ref):
-        assert np.array_equal(getattr(coeff, name), r), name
+    for coeff in [fem.CentroidMaterials(mesh, state.theta, state.phi,
+                                        materials).coefficients()] \
+            + [sysm.coeff for sysm in systems]:
+        for name, r in zip(("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff"),
+                           ref):
+            assert np.array_equal(getattr(coeff, name), r), name
     ws = fem.workspace(mesh)
     dtt, dff = per_phase_oracle(
         mesh, state, materials,
         lambda m, t, p: m.storage_derivatives(t, p), 2)
-    gtt, gff = fem.capacity_jacobian_diagonals(mesh, state, materials)
-    assert np.array_equal(gtt, ws.lumped(dtt))
-    assert np.array_equal(gff, ws.lumped(dff))
-    dk, dc = fem.coefficient_derivatives(mesh, state, materials)
     ref = np.array(per_phase_oracle(mesh, state, materials,
                                     oracle_derivatives, 10))
-    assert np.array_equal(dk, np.moveaxis(ref[:8].reshape(2, 2, 2, -1), 0, 2))
-    assert np.array_equal(dc, ref[8:])
+    for sysm in systems:
+        gtt, gff = fem.capacity_jacobian_diagonals(sysm)
+        assert np.array_equal(gtt, ws.lumped(dtt))
+        assert np.array_equal(gff, ws.lumped(dff))
+        dk, dc = fem.coefficient_derivatives(sysm)
+        assert np.array_equal(dk, np.moveaxis(ref[:8].reshape(2, 2, 2, -1),
+                                              0, 2))
+        assert np.array_equal(dc, ref[8:])
 
 
 def test_an_assembly_makes_one_kunzel_call_for_both_phases(monkeypatch):
@@ -1004,7 +1015,7 @@ def test_an_assembly_makes_one_kunzel_call_for_both_phases(monkeypatch):
 
     monkeypatch.setattr(KunzelMaterial, "coefficients", coefficients)
     u = freezing_state(mesh).vector()
-    solver._assemble(mesh, cell.materials, u, 0.0)
+    solver._assemble(mesh, cell.materials, u)
     assert calls == [mesh.n_triangles]
 
 
@@ -1014,9 +1025,9 @@ def test_stiffness_operator_product_is_the_bincount_scatter_bit_for_bit(mesh):
     op = ws.stiffness_operator
     assert np.shares_memory(op.data, ws.pattern)
     assert np.shares_memory(op.indices, ws.csr_pos)
-    coeff = fem.evaluate_coefficients(mesh, freezing_state(mesh),
-                                      default_materials())
-    K = fem.coupled_system(mesh, coeff).conductivity
+    sysm = fem.assemble_system(mesh, freezing_state(mesh),
+                               default_materials())
+    coeff, K = sysm.coeff, sysm.conductivity
     ref = np.empty(4 * ws.csr_nnz)
     for slots, k in zip(ws.pair_slots,
                         (coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff)):

@@ -64,9 +64,9 @@ def steady_linear_homogenize(mesh, materials, theta=20.0, phi=0.5):
     """
     red = fem.PeriodicReduction(mesh, meshmod.detect_periodic_pairs(mesh))
     ws = fem.workspace(mesh)
-    coeff = fem.evaluate_coefficients(
+    sysm = fem.assemble_system(
         mesh, fem.FieldState.uniform(mesh.n_nodes, theta, phi), materials)
-    K = fem.coupled_system(mesh, coeff).conductivity
+    coeff, K = sysm.coeff, sysm.conductivity
     w = ws.areas / ws.areas.sum()
     kg = np.zeros((2, 2, 6))
     # one unit gradient (grad_Theta, grad_Phi) per gradient column of p
@@ -330,16 +330,18 @@ def test_tangent_system_solve_matches_dense(monkeypatch, resolution, loading):
     assert error <= 1e-11 * np.abs(dense[rows]).max()
 
 
-def einsum_tangent(cell, cmap, coeff, K, C, u_new, u_old, dt):
+def einsum_tangent(cell, cmap, sysm, u_new, u_old, dt):
     """effective_tangent with its averages taken by per-element gathers
-    and einsums: the oracle of the element-operator averaging."""
+    and einsums: the oracle of the element-operator averaging. Its
+    coefficient derivatives come from a fresh evaluation at u_new."""
     mesh = cell.mesh
     n = mesh.n_nodes
     ws = fem.workspace(mesh)
     tris = mesh.triangles
     rate = (u_new - u_old) / dt
-    dk, dc = fem.coefficient_derivatives(mesh, fem.FieldState.from_vector(u_new),
-                                         cell.materials)
+    K, C, coeff = sysm.conductivity, sysm.storage_diagonal(), sysm.coeff
+    dk, dc = fem.coefficient_derivatives(fem.assemble_system(
+        mesh, fem.FieldState.from_vector(u_new), cell.materials))
     J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
     J.data += 0.5 * K.data
     J.data[ws.diagonal_slots[0]] += C / dt
@@ -647,8 +649,7 @@ def test_increments_evaluate_each_cell_state_once(monkeypatch):
     # the later round reuses it and evaluates the converged state no more
     second, n_calls, n_evals = counted_increment(committed, rounds[1])
     assert n_calls == n_evals
-    fresh = hom.MesoState(committed.fluct.copy(), committed.loading,
-                          committed.time)
+    fresh = hom.MesoState(committed.fluct.copy(), committed.loading)
     assert_same_increment(second, counted_increment(fresh, rounds[1])[0])
     # a converged state carries the pair Newton evaluated there
     new_state = second[0]
@@ -656,9 +657,44 @@ def test_increments_evaluate_each_cell_state_once(monkeypatch):
     step = hom.MacroLoading(16.0, 0.56, [4.0, -2.0], [0.3, 0.2], dt=3600.0)
     carried, n_calls, n_evals = counted_increment(new_state, step)
     assert n_calls == n_evals
-    fresh = hom.MesoState(new_state.fluct.copy(), new_state.loading,
-                          new_state.time)
+    fresh = hom.MesoState(new_state.fluct.copy(), new_state.loading)
     assert_same_increment(carried, counted_increment(fresh, step)[0])
+
+
+def test_an_increment_gathers_the_materials_once_per_state(monkeypatch):
+    # an r=2 increment with tangent: the capacity terms of every Newton
+    # matrix and the tangent's coefficient derivatives read the system
+    # of their state, so the Kunzel constants are gathered once per
+    # evaluated state, the old data's included
+    cell = running_bond_cell(2)
+    gathers, states, factors = [], [], []
+    over_elements = cst.KunzelMaterial.over_elements.__func__
+    assembler = cell._assembler
+    factorize = solver.factorize
+
+    def gather(cls, phases, phase_of):
+        gathers.append(phase_of.size)
+        return over_elements(cls, phases, phase_of)
+
+    def evaluate(u):
+        states.append(u)
+        return assembler(u)
+
+    def counted_factorize(matrix):
+        factors.append(matrix.shape)
+        return factorize(matrix)
+
+    monkeypatch.setattr(cst.KunzelMaterial, "over_elements",
+                        classmethod(gather))
+    monkeypatch.setattr(solver, "factorize", counted_factorize)
+    cell._assembler = evaluate
+    loading = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0],
+                               dt=3600.0)
+    _, response = hom.solve_rve_increment(cell, cell.initial_state(loading),
+                                          loading, want_tangents=True)
+    assert response.tangent is not None and len(factors) >= 2
+    assert len(gathers) == len(states)
+    assert gathers == [cell.mesh.n_triangles] * len(states)
 
 
 def test_cell_increment_builds_scipy_matrices_only_to_factor_them(monkeypatch):

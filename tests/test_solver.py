@@ -60,15 +60,23 @@ def triangle_matrix(tt, ff):
                                             [zero, ff[None]]])
 
 
-def constant_capacity():
-    """Capacity derivatives of the toy problems' constant storage."""
-    return np.zeros(3), np.zeros(3)
+# a constant material: the toy problems' storage has zero capacity
+# derivatives
+CONSTANT = constitutive.LinearMaterial("solid", k_tt=1.0, k_ff=1.0,
+                                       c_tt=1.0, c_ff=1.0)
 
 
-def scalar_decay_assembler(u, t):
+def toy_system(K, u):
+    """CoupledSystem at u on TRIANGLE with conductivity K and unit storage."""
+    return fem.CoupledSystem(
+        K, np.ones(3), np.ones(3),
+        materials=fem.CentroidMaterials(TRIANGLE, u[:3], u[3:],
+                                        {"solid": CONSTANT}))
+
+
+def scalar_decay_assembler(u):
     # du/dt = -u in each of the six dofs
-    return (triangle_matrix(np.eye(3), np.eye(3)), np.ones(6),
-            constant_capacity, None)
+    return toy_system(triangle_matrix(np.eye(3), np.eye(3)), u)
 
 
 IDENTITY_6DOF = fem.dirichlet_map(6, {})
@@ -89,7 +97,7 @@ class UnitWallSchedule:
 
 def test_cn_scalar_decay_frozen():
     u, trace, _, _ = solver.crank_nicolson_step(
-        scalar_decay_assembler, np.ones(6), 0.0, 1.0,
+        scalar_decay_assembler, np.ones(6), 1.0,
         IDENTITY_6DOF, solver.SolverConfig())
     assert abs(u[0] - FROZEN["cn_decay_step"]) < 1e-14
     assert len(trace) - 1 == 1  # linear problem converges in one update
@@ -234,7 +242,7 @@ def wall_step():
                               **{m.n_nodes + i: 0.8 for i in left}})
     u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
     assembler = partial(solver._assemble, m, constitutive.default_materials())
-    solver.crank_nicolson_step(assembler, u_n, 0.0, 3600.0, cmap,
+    solver.crank_nicolson_step(assembler, u_n, 3600.0, cmap,
                                solver.SolverConfig())
 
 
@@ -287,16 +295,37 @@ def test_factorize_does_not_keep_a_tiny_diagonal_pivot():
     assert abs(at_zero[0] - 1.0) > 0.5
 
 
+def test_overflowing_trial_step_is_halved():
+    # the first Newton matrix has a quarter of the true slope, so the
+    # full update overflows z; that trial counts as failed and is not
+    # evaluated, and the half update lands past the root, in range. The
+    # residual builds a FieldState of its iterate, as the Crank-Nicolson
+    # assembler does, which raises FemError on a non-finite entry
+    root, scale = 1.2e308, 1e-300
+    seen = []
+
+    def residual_jacobian(z):
+        fem.FieldState(z, z)
+        seen.append(float(z[0]))
+        slope = 0.25 * scale if len(seen) == 1 else scale
+        return (np.array([(z[0] - root) * scale]),
+                lambda: (sp.csr_matrix([[slope]]), [0]))
+
+    z, trace = solver.newton_solve(residual_jacobian, np.array([1.0e308]),
+                                   solver.SolverConfig())
+    assert len(seen) == 3 and len(trace) == 3
+    assert seen[0] < root < seen[1] < np.finfo(float).max
+    assert abs(z[0] - root) <= 1e-15 * root
+
+
 def test_cn_temporal_order_two():
     errs = []
     for dt in (0.25, 0.125, 0.0625):
-        u = np.ones(6)
-        t, old = 0.0, None
+        u, old = np.ones(6), None
         for _ in range(int(round(1.0 / dt))):
             u, _, old, _ = solver.crank_nicolson_step(
-                scalar_decay_assembler, u, t, dt, IDENTITY_6DOF,
+                scalar_decay_assembler, u, dt, IDENTITY_6DOF,
                 solver.SolverConfig(), old)
-            t += dt
         errs.append(abs(u[0] - np.exp(-1.0)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.9)
@@ -343,7 +372,7 @@ def test_transient_history_layout():
     assert hist.final is hist.states[-1]
 
 
-def stiff_exponential_assembler(u, t):
+def stiff_exponential_assembler(u):
     # conductivity exp(u/2) makes the frozen-coefficient iteration
     # diverge at dt = 1 but converge at dt = 1/2; both dofs of node 0
     # obey the same decoupled equation. Its source 10 enters through
@@ -351,7 +380,7 @@ def stiff_exponential_assembler(u, t):
     # node 1, which StiffPins holds at 1
     tt, ff = np.diag(np.exp(0.5 * u[:3])), np.diag(np.exp(0.5 * u[3:]))
     tt[0, 1] = ff[0, 1] = -10.0
-    return triangle_matrix(tt, ff), np.ones(6), constant_capacity, None
+    return toy_system(triangle_matrix(tt, ff), u)
 
 
 STIFF_PINS = {1: 1.0, 2: 0.0, 4: 1.0, 5: 0.0}
@@ -371,11 +400,11 @@ def stiff_step(cfg, log):
     """step callable of step_with_retry that records its step sizes."""
     old = None
 
-    def step(u_n, t_n, dt, cmap):
+    def step(u_n, dt, cmap):
         nonlocal old
         log.append(dt)
         u, trace, old, _ = solver.crank_nicolson_step(
-            stiff_exponential_assembler, u_n, t_n, dt, cmap, cfg, old)
+            stiff_exponential_assembler, u_n, dt, cmap, cfg, old)
         return u, len(trace) - 1
 
     return step
@@ -392,7 +421,7 @@ def test_step_retry_halves_once():
     cfg = solver.SolverConfig(max_iterations=60)
     with pytest.raises(solver.SolverError):
         solver.crank_nicolson_step(stiff_exponential_assembler,
-                                   STIFF_START.vector(), 0.0, 1.0,
+                                   STIFF_START.vector(), 1.0,
                                    fem.dirichlet_map(6, STIFF_PINS), cfg)
     log = []
     hist = stiff_solve(cfg, log)
@@ -427,7 +456,7 @@ def test_step_retry_leaves_other_errors_alone():
     # worker pool, ends the run at once
     calls = []
 
-    def step(u_n, t_n, dt, cmap):
+    def step(u_n, dt, cmap):
         calls.append(dt)
         raise RuntimeError("pool is gone")
 
@@ -465,12 +494,11 @@ def test_coupled_system_is_dissipative():
        dt=st.floats(min_value=1e-3, max_value=1e3),
        u0=st.floats(min_value=-10.0, max_value=10.0))
 def test_cn_step_never_amplifies_decay(lam, dt, u0):
-    def assembler(u, t):
-        return (triangle_matrix(lam * np.eye(3), lam * np.eye(3)), np.ones(6),
-                constant_capacity, None)
+    def assembler(u):
+        return toy_system(triangle_matrix(lam * np.eye(3), lam * np.eye(3)), u)
 
-    u, _, _, _ = solver.crank_nicolson_step(assembler, np.full(6, u0), 0.0,
-                                            dt, IDENTITY_6DOF,
+    u, _, _, _ = solver.crank_nicolson_step(assembler, np.full(6, u0), dt,
+                                            IDENTITY_6DOF,
                                             solver.SolverConfig())
     assert abs(u[0]) <= abs(u0) + 1e-12
 
@@ -554,7 +582,7 @@ def wall_step_with(wrap):
                               **{m.n_nodes + i: 0.8 for i in left}})
     u_n = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5).vector()
     assembler = partial(solver._assemble, m, constitutive.default_materials())
-    solver.crank_nicolson_step(wrap(assembler), u_n, 0.0, 3600.0, cmap,
+    solver.crank_nicolson_step(wrap(assembler), u_n, 3600.0, cmap,
                                solver.SolverConfig())
 
 
@@ -569,15 +597,17 @@ def cell_increment_with(wrap):
                          ids=["wall", "cell"])
 def test_factored_evaluation_is_dropped_before_its_factorization(run,
                                                                  monkeypatch):
-    # the K of every evaluation, the one whose system is factored
-    # included, is gone once SuperLU runs: only the bordered matrix
-    # stays alive through a factorization, of a large wall as of a cell
+    # the system of every evaluation, its K and its materials included,
+    # the one whose Newton system is factored too, is gone once SuperLU
+    # runs: only the bordered matrix stays alive through a
+    # factorization, of a large wall as of a cell
     refs, alive = [], []
 
     def wrap(assemble):
-        def assembler(u, t):
-            out = assemble(u, t)
-            refs.append(weakref.ref(out[0]))
+        def assembler(u):
+            out = assemble(u)
+            refs.extend([weakref.ref(out), weakref.ref(out.conductivity),
+                         weakref.ref(out.materials)])
             return out
         return assembler
 
@@ -594,25 +624,25 @@ def test_factored_evaluation_is_dropped_before_its_factorization(run,
 
 
 def test_crank_nicolson_step_returns_the_accepted_evaluation():
-    # the returned evaluation is the one at the returned state: its K u
-    # is the returned old data, its coefficients and storage are those
-    # of a fresh evaluation there, bit for bit
+    # the returned system is the one at the returned state: its K u is
+    # the returned old data, its coefficients, storage and capacity
+    # terms are those of a fresh evaluation there, bit for bit
     cell = running_cell_r2()
     u_n = cell.total_vector(cell.initial_state(LOADING))
     cmap = cell.reduction.map_for(LOADING.theta, LOADING.phi,
                                   LOADING.grad_theta, LOADING.grad_phi)
-    u_new, trace, old, (K, C, capacity, coeff) = solver.crank_nicolson_step(
-        cell._assembler, u_n, 0.0, LOADING.dt, cmap, cell.config)
+    u_new, trace, old, sysm = solver.crank_nicolson_step(
+        cell._assembler, u_n, LOADING.dt, cmap, cell.config)
     assert len(trace) > 2
-    assert np.array_equal(K @ u_new, old)
+    assert np.array_equal(sysm.conductivity @ u_new, old)
     state = fem.FieldState.from_vector(u_new)
-    ref = fem.evaluate_coefficients(cell.mesh, state, cell.materials)
+    ref = fem.CentroidMaterials(cell.mesh, state.theta, state.phi,
+                                cell.materials).coefficients()
     for name in ("k_tt", "k_tf", "k_ft", "k_ff", "c_tt", "c_ff"):
-        assert np.array_equal(getattr(coeff, name), getattr(ref, name)), name
-    assert np.array_equal(
-        C, fem.assemble_system(cell.mesh, state,
-                               cell.materials).storage_diagonal())
-    gtt, gff = capacity()
-    ref_tt, ref_ff = fem.capacity_jacobian_diagonals(cell.mesh, state,
-                                                     cell.materials)
+        assert np.array_equal(getattr(sysm.coeff, name),
+                              getattr(ref, name)), name
+    fresh = fem.assemble_system(cell.mesh, state, cell.materials)
+    assert np.array_equal(sysm.storage_diagonal(), fresh.storage_diagonal())
+    gtt, gff = fem.capacity_jacobian_diagonals(sysm)
+    ref_tt, ref_ff = fem.capacity_jacobian_diagonals(fresh)
     assert np.array_equal(gtt, ref_tt) and np.array_equal(gff, ref_ff)
