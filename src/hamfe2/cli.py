@@ -154,7 +154,9 @@ def _cmd_solve_fine(config: ScenarioConfig):
     write_results(history, settings.format, outdir, mesh=mesh)
     write_step_log(history, os.path.join(outdir, "steps.csv"))
     print(f"solve-fine: {len(history.times) - 1} steps on {mesh.n_nodes} "
-          f"nodes, results in {outdir}")
+          f"nodes, {sum(history.newton_iterations)} Newton iterations, "
+          f"{sum(history.factorizations)} factorizations, results in "
+          f"{outdir}")
     return 0
 
 

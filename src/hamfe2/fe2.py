@@ -140,9 +140,11 @@ class FE2Driver:
     def step(self, u_n, dt, cmap):
         """One macro CN step from u_n; commits meso states on success.
 
-        Returns (u_new, newton_iterations). Raises SolverError on macro
-        breakdown and when the meso increments refuse an iterate (their
-        SchedulerError arrives wrapped); both are retryable by halving.
+        Returns (u_new, newton_iterations, factorizations); the macro
+        Newton holds no factors, so it factors once per iteration.
+        Raises SolverError on macro breakdown and when the meso
+        increments refuse an iterate (their SchedulerError arrives
+        wrapped); both are retryable by halving.
         A SchedulerError from a failed pool, such as a dead worker,
         propagates as it is and is not retried.
         """
@@ -217,7 +219,7 @@ class FE2Driver:
         u_new = cmap.expand(z)
         entries.update(last)
         self.pool.commit()
-        return u_new, len(trace) - 1
+        return u_new, len(trace) - 1, len(trace) - 1
 
     def solve(self, schedule, initial: FieldState, dt_hours,
               t_end_hours) -> History:

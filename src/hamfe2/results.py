@@ -138,12 +138,14 @@ def write_results(history: History, fmt, path, mesh: Mesh = None):
 
 
 def write_step_log(history: History, path):
-    """Per-step table: step, t_hours, newton iterations, wall seconds."""
-    lines = ["step,t_hours,iterations,wall_s"]
+    """Per-step table: step, t_hours, Newton iterations, Newton
+    factorizations, wall seconds."""
+    lines = ["step,t_hours,iterations,factorizations,wall_s"]
     for k, t in enumerate(history.times):
-        lines.append("%d,%s,%d,%s" % (k, _fmt(t / 3600.0),
-                                      history.newton_iterations[k],
-                                      _fmt(history.step_seconds[k])))
+        lines.append("%d,%s,%d,%d,%s" % (k, _fmt(t / 3600.0),
+                                         history.newton_iterations[k],
+                                         history.factorizations[k],
+                                         _fmt(history.step_seconds[k])))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,14 +11,47 @@ for a fixed input, there is no iterative solver noise.
 
 A residual evaluation defers its Newton system. newton_solve takes
 residual_jacobian(z) -> (r, system), and system() -> (matrix, rows)
-builds the matrix; Newton calls it only for an iterate whose update it
-solves for, right before it factors the matrix, and drops the system
-first. An evaluation that converges, and a trial step that is
-rejected, build no matrix. For the Crank-Nicolson step, system()
-reads the capacity derivatives off the fem.CoupledSystem of the
-iterate, the one evaluation of its state, adds the storage terms to K/2
-and reduces the result onto the planned bordered system; the FE2 macro
-step returns the system it reduced once for the whole step.
+builds the matrix; Newton calls it only when it refactors, for the
+iterate whose update it solves for, right before it factors the matrix,
+and drops the system first. An evaluation that converges, a trial step
+that is rejected, and an iterate that held factors serve build no
+matrix. For the Crank-Nicolson step, system() reads the capacity
+derivatives off the fem.CoupledSystem of the iterate, the one
+evaluation of its state, adds the storage terms to K/2 and reduces the
+result onto the planned bordered system; the FE2 macro step returns the
+system it reduced once for the whole step.
+
+The fine solve keeps its factors (HeldFactors): a chord Newton (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
+transient_solve carries one holder from step to step, and Newton
+refactors only when the held factors stop contracting the residual:
+an update made with them must cut ||r|| to at most CHORD_CONTRACTION
+times the last. The matrix is already a frozen-coefficient one, so a
+fresh factorization at every iterate buys little. Factors serve one
+constraint pattern and one dt; the dt/2 retry factors afresh. Cell
+increments and the macro step pass no holder and factor at every
+iteration. Probes with the climate's temperature and humidity on the
+exterior face of a 6 x 6-cell wall, four elements across a joint, eight
+one-hour steps, seeds 0, 1 and 2 (the perfbench fine wall factors once
+in its three steps for every value):
+
+    CHORD_CONTRACTION    factorizations      iterations    largest step
+    no holder            108/120/110     108/120/110        20
+    0.1                  102/116/104     108/120/111        20
+    0.2                   94/108/ 93     108/120/111        20
+    0.3                   55/ 80/ 62     110/120/111        20
+    0.4                   31/ 43/ 26     113/124/118        20
+    0.45                  20/ 35/ 18     117/127/117        21
+    0.5                   13/ 31/ 14     119/136/118        21
+    0.6                   11/ 21/ 10     123/133/123        21
+
+The frozen-coefficient Newton itself contracts by about 0.3 per
+iteration there, so values below that save nothing. 0.4 is the largest
+value probed that keeps the longest step at 20; in two interleaved runs
+per tree on a 2-CPU host, its solves took 3.9-5.7 s against 10.9-12.3 s
+without a holder. It also bounds a chord that keeps its factors:
+0.4^21 < 1e-8, so the default newton_tol is met within 21 of the 25
+iterations max_iterations allows.
 
 Every Newton system, fine, cell or macro, is factored by `factorize`.
 Its matrices have a symmetric pattern, so they are ordered by minimum
@@ -99,6 +132,12 @@ class SolverConfig:
     retry_halving: bool = True    # one automatic dt/2 retry per step
 
 
+# held factors serve the next iteration while the update made with them
+# cut the residual norm to at most this fraction of the last one; see
+# the module notes for how it was chosen
+CHORD_CONTRACTION = 0.4
+
+
 class SolverError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -117,7 +156,31 @@ def factorize(A):
                      panel_size=1)
 
 
-def newton_solve(residual_jacobian, z0, config: SolverConfig):
+class HeldFactors:
+    """Factors of one Newton matrix that newton_solve keeps across its
+    iterations and its calls: the chord Newton of the module notes.
+
+    `key` names the systems the factors serve; `serve(key)` drops them
+    when it changes. `weights` are the row weights of z's rows in the
+    factored matrix, and `factorizations` counts the factorizations made
+    with this holder.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.factorizations = 0
+        self.drop()
+
+    def drop(self):
+        self.lu = self.rows = self.weights = None
+
+    def serve(self, key):
+        if key != self.key:
+            self.drop()
+            self.key = key
+
+
+def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
     """Newton iteration on the reduced unknowns.
 
     residual_jacobian(z) returns the reduced residual r and its
@@ -128,7 +191,7 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     take a zero right-hand side and are left out of the update. system
     is called at most once, for an iterate that is not yet converged,
     right before its matrix is factored; the evaluation behind it is
-    dropped before the factorization.
+    dropped before the factorization, and before every later evaluation.
     Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations, and a start with
     a non-finite residual raises, since no target can be set from it.
@@ -138,6 +201,18 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     trial evaluates, and when every trial that evaluates grows the
     residual, a stall at round-off or on a steep part of the material
     curves.
+
+    `held`, a HeldFactors, makes it a chord Newton. residual_jacobian
+    then also returns the row weights w of r (r = w T'R). An iteration
+    with held factors solves J_held dz = -T'R, its right-hand side
+    -r w_held / w on the held rows, and builds no system. The factors
+    stay held while every update made with them, fresh ones included,
+    cuts the residual to at most CHORD_CONTRACTION times the last;
+    otherwise they are dropped, and the next iteration factors afresh.
+    A held-factor update that does not reduce the residual at all is
+    discarded without halving: Newton evaluates the iterate again and
+    takes a fresh Newton iteration from it. Without a holder every
+    iteration factors its own system.
     """
     z = np.array(z0, dtype=float)
     trace = []
@@ -146,12 +221,13 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         if not np.all(np.isfinite(zk)):
             raise SolverError("non-finite iterate", trace)
         try:
-            return residual_jacobian(zk)
+            r, system, *w = residual_jacobian(zk)
         except ConstitutiveError as exc:
             raise SolverError(f"iterate left the admissible state range: {exc}",
                               trace) from exc
+        return r, system, (w[0] if w else None)
 
-    r, system = evaluate(z)
+    r, system, w = evaluate(z)
     norm0 = float(np.linalg.norm(r))
     trace.append(norm0)
     if not np.isfinite(norm0):
@@ -160,19 +236,51 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
     if norm0 <= target:
         return z, trace
     for _ in range(config.max_iterations):
+        if held is not None and held.lu is not None:
+            # chord update; the held rows are scaled by the weights of
+            # the iterate they were factored at
+            rhs = np.zeros(held.lu.shape[0])
+            rhs[held.rows] = -r * (held.weights / w)
+            dz = held.lu.solve(rhs)[held.rows]
+            system = None
+            with np.errstate(over="ignore", invalid="ignore"):
+                z_try = z + dz
+            try:
+                r_try, system, w_try = evaluate(z_try)
+                nrm = float(np.linalg.norm(r_try))
+            except SolverError:
+                nrm = np.inf
+            if nrm < trace[-1]:
+                if nrm > CHORD_CONTRACTION * trace[-1]:
+                    held.drop()
+                z, r, w = z_try, r_try, w_try
+                trace.append(nrm)
+                if nrm <= target:
+                    return z, trace
+                continue
+            # the held factors no longer reduce the residual: they go,
+            # and a fresh Newton iteration starts from the same iterate
+            held.drop()
+            system = None
+            r, system, w = evaluate(z)
         try:
             matrix, rows = system()
             # the evaluation behind the system is dropped before the
-            # factorization, and the matrix and its factors once they
-            # have solved: neither the factorization nor the trial
-            # evaluations run while the others are still held
+            # factorization, and the matrix once it is factored: neither
+            # the factorization nor the trial evaluations run while the
+            # others are still held
             system = None
             rhs = np.zeros(matrix.shape[0])
             rhs[rows] = -r
-            dz = factorize(matrix).solve(rhs)[rows]
+            lu = factorize(matrix)
             del matrix
+            dz = lu.solve(rhs)[rows]
         except RuntimeError as exc:
             raise SolverError(f"linear solve failed: {exc}", trace) from exc
+        if held is not None:
+            held.lu, held.rows, held.weights = lu, rows, w
+            held.factorizations += 1
+        del lu
         if not np.all(np.isfinite(dz)):
             raise SolverError("non-finite Newton update", trace)
         # damped update: halve the step while the trial iterate overflows,
@@ -183,8 +291,9 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
         for _halving in range(9):
             with np.errstate(over="ignore"):
                 z_try = z + step * dz
+            system = None
             try:
-                r, system = evaluate(z_try)
+                r, system, w = evaluate(z_try)
                 nrm = float(np.linalg.norm(r))
             except SolverError:
                 nrm = np.inf
@@ -202,6 +311,9 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
                 "damped Newton made no progress: every trial left the "
                 "admissible range, overflowed or gave a non-finite "
                 "residual", trace)
+        if held is not None and (step < 1.0
+                                 or nrm > CHORD_CONTRACTION * trace[-1]):
+            held.drop()
         z = z_try
         trace.append(nrm)
         if nrm <= target:
@@ -212,7 +324,7 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig):
 
 
 def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
-                        config: SolverConfig, old=None, z0=None):
+                        config: SolverConfig, old=None, z0=None, held=None):
     """Advance one step; returns (u_{n+1}, trace, old data, system).
 
     assembler(u) returns the fem.CoupledSystem of the full dof vector u,
@@ -221,16 +333,22 @@ def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
     accepted new state. The old data is K u of a state: `old` carries
     K_n u_n when the caller already has it, and the returned old data
     is K u_{n+1} of the returned system. `z0` overrides the start
-    iterate in reduced coordinates (default: project u_n).
+    iterate in reduced coordinates (default: project u_n). `held`, a
+    HeldFactors, lends Newton factors of an earlier step with the same
+    constraint pattern and dt, and keeps this step's for the next.
     """
     if dt <= 0.0:
         raise SolverError("time step must be positive")
+    if held is not None:
+        held.serve((cmap._pattern_key, dt))
     fint_n = assembler(u_n).conductivity @ u_n if old is None else old
     # the latest evaluation and its K u; Newton returns at the accepted one
     accepted = {}
 
     def residual_jacobian(z):
         u = cmap.expand(z)
+        # the last evaluation goes before the next one is assembled
+        accepted.clear()
         sysm = assembler(u)
         C = sysm.storage_diagonal()
         fint = sysm.conductivity @ u
@@ -257,11 +375,15 @@ def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
             J.data[offset] += gtt * rate[:n]
             return cmap.newton_system(J, C)
 
-        return cmap.scaled_residual(R, C), system
+        if held is None:
+            return cmap.scaled_residual(R, C), system
+        # scaled_residual's product, with the weights a holder rescales by
+        w = cmap.newton_weights(C)[cmap.z_rows]
+        return w * cmap.reduce_vector(R), system, w
 
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)
-    z, trace = newton_solve(residual_jacobian, z0, config)
+    z, trace = newton_solve(residual_jacobian, z0, config, held)
     return cmap.expand(z), trace, accepted["old"], accepted["system"]
 
 
@@ -273,12 +395,15 @@ class History:
     states: list = field(default_factory=list)       # FieldState
     newton_iterations: list = field(default_factory=list)
     step_seconds: list = field(default_factory=list)  # wall time per step
+    factorizations: list = field(default_factory=list)  # Newton LUs per step
 
-    def append(self, state: FieldState, iterations=0, wall=0.0):
+    def append(self, state: FieldState, iterations=0, wall=0.0,
+               factorizations=0):
         self.times.append(state.time)
         self.states.append(state)
         self.newton_iterations.append(int(iterations))
         self.step_seconds.append(float(wall))
+        self.factorizations.append(int(factorizations))
 
     @property
     def final(self) -> FieldState:
@@ -305,8 +430,9 @@ def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
                     t_end_hours, config: SolverConfig) -> History:
     """History of steps of size dt up to t_end, each retried once on failure.
 
-    step(u_n, dt, cmap) returns (u_{n+1}, newton iterations) under the
-    Dirichlet map of schedule at the step's end, or raises SolverError.
+    step(u_n, dt, cmap) returns (u_{n+1}, newton iterations, Newton
+    factorizations) under the Dirichlet map of schedule at the step's
+    end, or raises SolverError.
     A failed step is retried as two half steps; a second failure, and
     every error other than SolverError, propagates.
     """
@@ -326,20 +452,27 @@ def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
         tic = _time.perf_counter()
         t_n = (k - 1) * dt
         try:
-            u, iters = step(u, dt, cmap_for(t_n + dt))
+            done = step(u, dt, cmap_for(t_n + dt))
         except SolverError as exc:
             if not config.retry_halving:
                 raise
+            # a log record that keeps the error would keep the frames
+            # of the failed attempt, and their evaluations, alive
             log.warning("step at t=%.0f s failed (%s); retrying with dt/2",
-                        t_n, exc)
+                        t_n, str(exc))
+            done = None
+        # the retry runs once the error and those frames are gone
+        if done is None:
             half = 0.5 * dt
-            u_mid, it1 = step(u, half, cmap_for(t_n + half))
-            u, it2 = step(u_mid, half, cmap_for(t_n + dt))
-            iters = it1 + it2
+            u_mid, it1, lu1 = step(u, half, cmap_for(t_n + half))
+            u, it2, lu2 = step(u_mid, half, cmap_for(t_n + dt))
+            iters, lus = it1 + it2, lu1 + lu2
+        else:
+            u, iters, lus = done
         wall = _time.perf_counter() - tic
-        history.append(FieldState.from_vector(u, k * dt), iters, wall)
-        log.info("step=%d t_hours=%.3f iterations=%d wall=%.3f",
-                 k, k * dt / 3600.0, iters, wall)
+        history.append(FieldState.from_vector(u, k * dt), iters, wall, lus)
+        log.info("step=%d t_hours=%.3f iterations=%d factorizations=%d "
+                 "wall=%.3f", k, k * dt / 3600.0, iters, lus, wall)
     return history
 
 
@@ -349,17 +482,21 @@ def transient_solve(mesh, materials, schedule, initial: FieldState,
 
     schedule.dirichlet_values(mesh, t_seconds) supplies the constrained
     field-major dofs at a given time; see step_with_retry for retries.
+    Newton's factors are held from step to step while they contract
+    (HeldFactors), and live no longer than this call.
     """
     config = config or SolverConfig()
     assembler = partial(_assemble, mesh, materials)
     old = None
+    held = HeldFactors()
 
     def step(u_n, dt, cmap):
-        # reuses K_n u_n of the last accepted state
+        # reuses K_n u_n of the last accepted state, and its factors
         nonlocal old
+        before = held.factorizations
         u_new, trace, old, _ = crank_nicolson_step(assembler, u_n, dt, cmap,
-                                                   config, old)
-        return u_new, len(trace) - 1
+                                                   config, old, held=held)
+        return u_new, len(trace) - 1, held.factorizations - before
 
     return step_with_retry(step, mesh, schedule, initial, dt_hours,
                            t_end_hours, config)

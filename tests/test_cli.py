@@ -128,7 +128,7 @@ out = taken
 
 class TestSolveFine:
 
-    def test_writes_history_and_step_log(self, tmp_path):
+    def test_writes_history_and_step_log(self, tmp_path, capsys):
         cfg = fine_scenario(tmp_path)
         assert main(["solve-fine", "--config", cfg]) == 0
         out = tmp_path / "out"
@@ -137,6 +137,13 @@ class TestSolveFine:
         assert history.times[-1] == pytest.approx(2 * 3600.0)
         steps = (out / "steps.csv").read_text().splitlines()
         assert len(steps) == 6
+        # the material is linear: each step takes one Newton update, and
+        # the factors of the first serve all four
+        assert steps[0] == "step,t_hours,iterations,factorizations,wall_s"
+        assert [row.split(",")[2:4] for row in steps[1:]] == \
+            [["0", "0"]] + [["1", "1"]] + [["1", "0"]] * 3
+        assert ("4 Newton iterations, 1 factorizations"
+                in capsys.readouterr().out)
         # Dirichlet values are reproduced exactly at the boundary nodes
         mesh = load_mesh(str(tmp_path / "square.msh"))
         theta = history.final.theta

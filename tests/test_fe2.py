@@ -222,6 +222,8 @@ def test_worker_counts_bit_identical(masonry):
     for a, b in zip(runs[0].history.states, runs[1].history.states):
         assert np.array_equal(a.vector(), b.vector())
     assert runs[0].history.newton_iterations == runs[1].history.newton_iterations
+    # the macro Newton holds no factors: one factorization per iteration
+    assert runs[1].history.factorizations == runs[1].history.newton_iterations
     assert sorted(len(a) for a in runs[1].partition.assignments) == [4, 4]
     assert runs[1].rounds and all(r.points in (4, 8) for r in runs[1].rounds)
 
@@ -331,10 +333,10 @@ def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):
         with pytest.raises(SolverError):
             driver.step(u_n, dt, cmap)
         driver.config = SolverConfig()
-        u_retry, _ = driver.step(u_n, dt, cmap)
+        u_retry, _, _ = driver.step(u_n, dt, cmap)
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)},
                    initial) as fresh:
-        u_fresh, _ = fresh.step(u_n, dt, cmap)
+        u_fresh, _, _ = fresh.step(u_n, dt, cmap)
     assert np.array_equal(u_retry, u_fresh)
 
 

@@ -19,7 +19,8 @@ def small_history(n_nodes, n_times=2, seed=0):
     for k in range(n_times):
         state = FieldState(rng.uniform(0, 30, n_nodes),
                            rng.uniform(0.1, 0.9, n_nodes), time=k * 1800.0)
-        history.append(state, iterations=k + 1, wall=0.25 * (k + 1))
+        history.append(state, iterations=k + 1, wall=0.25 * (k + 1),
+                       factorizations=k)
     return history
 
 
@@ -116,9 +117,10 @@ class TestLogs:
         path = tmp_path / "steps.csv"
         write_step_log(history, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,t_hours,iterations,wall_s"
+        assert lines[0] == "step,t_hours,iterations,factorizations,wall_s"
         assert len(lines) == 4
-        assert lines[2].startswith("1,0.5,2,")
+        assert lines[2].startswith("1,0.5,2,1,")
+        assert [ln.split(",")[3] for ln in lines[1:]] == ["0", "1", "2"]
 
     def test_round_log_round_trips_records(self, tmp_path):
         records = [RoundRecord(0, 0, 12, 0.5), RoundRecord(0, 1, 13, 0.6)]

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from hamfe2 import constitutive, fem, solver
 from hamfe2 import homogenization as hom
 from hamfe2 import mesh as meshmod
+from hamfe2.climate import synthetic_annual_climate
+from hamfe2.config import BoundaryRule, BoundarySchedule
 
 
 def oracle_newton_sqrt(u0, n):
@@ -405,7 +407,8 @@ def stiff_step(cfg, log):
         log.append(dt)
         u, trace, old, _ = solver.crank_nicolson_step(
             stiff_exponential_assembler, u_n, dt, cmap, cfg, old)
-        return u, len(trace) - 1
+        # no holder: one factorization per iteration
+        return u, len(trace) - 1, len(trace) - 1
 
     return step
 
@@ -593,18 +596,76 @@ def cell_increment_with(wrap):
     hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
 
 
-@pytest.mark.parametrize("run", [wall_step_with, cell_increment_with],
-                         ids=["wall", "cell"])
+def wall_solve_with(wrap):
+    """Four steps of a small Dirichlet wall by transient_solve, which holds
+    Newton factors across them; wrap(assembler) is the assembler."""
+    m = meshmod.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
+    mats = constitutive.default_materials()
+    real = solver._assemble
+    assembler = wrap(partial(real, m, mats))
+    solver._assemble = lambda mesh, materials, u: assembler(u)
+    try:
+        hist = solver.transient_solve(
+            m, mats, ColdWetLeft(),
+            fem.FieldState.uniform(m.n_nodes, 20.0, 0.5), 1.0, 4.0)
+    finally:
+        solver._assemble = real
+    assert sum(hist.factorizations) < sum(hist.newton_iterations)
+
+
+def stiff_retry_with(wrap):
+    """The stiff toy step through step_with_retry, wrap(assembler) stepped:
+    the full step halves rejected trials and fails, two half steps pass."""
+    cfg = solver.SolverConfig(max_iterations=60)
+    assembler = wrap(stiff_exponential_assembler)
+
+    def step(u_n, dt, cmap):
+        u, trace, _, _ = solver.crank_nicolson_step(assembler, u_n, dt, cmap,
+                                                    cfg)
+        return u, len(trace) - 1, len(trace) - 1
+
+    solver.step_with_retry(step, TRIANGLE, StiffPins(), STIFF_START,
+                           1.0 / 3600.0, 1.0 / 3600.0, cfg)
+
+
+class ColdWetLeft:
+    """The left face held at 5 C and phi 0.8."""
+
+    def dirichlet_values(self, mesh, t):
+        left = np.unique(mesh.boundary["left"])
+        return {**{int(i): 5.0 for i in left},
+                **{mesh.n_nodes + int(i): 0.8 for i in left}}
+
+
+class SpiedFactors:
+    """SuperLU factors behind a proxy that a weak reference can follow."""
+
+    def __init__(self, lu):
+        self.lu, self.shape = lu, lu.shape
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("run", [wall_step_with, cell_increment_with,
+                                 wall_solve_with, stiff_retry_with],
+                         ids=["wall", "cell", "held-wall", "halved-toy"])
 def test_factored_evaluation_is_dropped_before_its_factorization(run,
                                                                  monkeypatch):
     # the system of every evaluation, its K and its materials included,
     # the one whose Newton system is factored too, is gone once SuperLU
     # runs: only the bordered matrix stays alive through a
-    # factorization, of a large wall as of a cell
-    refs, alive = [], []
+    # factorization, of a large wall as of a cell. No evaluation lives
+    # on into the next one either, and held factors are dropped before
+    # new ones are made
+    refs, alive, alive_at_eval, factors, held = [], [], [], [], []
+
+    def count(refs):
+        return sum(ref() is not None for ref in refs)
 
     def wrap(assemble):
         def assembler(u):
+            alive_at_eval.append(count(refs))
             out = assemble(u)
             refs.extend([weakref.ref(out), weakref.ref(out.conductivity),
                          weakref.ref(out.materials)])
@@ -614,13 +675,18 @@ def test_factored_evaluation_is_dropped_before_its_factorization(run,
     factorize = solver.factorize
 
     def spy(matrix):
-        alive.append(sum(ref() is not None for ref in refs))
-        return factorize(matrix)
+        alive.append(count(refs))
+        held.append(count(factors))
+        lu = SpiedFactors(factorize(matrix))
+        factors.append(weakref.ref(lu))
+        return lu
 
     monkeypatch.setattr(solver, "factorize", spy)
     run(wrap)
-    assert len(alive) >= 2
+    assert len(alive) >= 2 and len(alive_at_eval) > len(alive)
     assert alive == [0] * len(alive)
+    assert alive_at_eval == [0] * len(alive_at_eval)
+    assert held == [0] * len(held)
 
 
 def test_crank_nicolson_step_returns_the_accepted_evaluation():
@@ -646,3 +712,196 @@ def test_crank_nicolson_step_returns_the_accepted_evaluation():
     gtt, gff = fem.capacity_jacobian_diagonals(sysm)
     ref_tt, ref_ff = fem.capacity_jacobian_diagonals(fresh)
     assert np.array_equal(gtt, ref_tt) and np.array_equal(gff, ref_ff)
+
+
+# --------------------------------------------------------- held factors
+
+
+def linear_residual(A, b, weights=lambda z: np.ones(z.size), seen=None):
+    """residual_jacobian of w(z) (A z - b), rows scaled by w(z), with the
+    weights a holder needs; `seen` collects every evaluated iterate."""
+
+    def residual_jacobian(z):
+        if seen is not None:
+            seen.append(z.copy())
+        w = weights(z)
+        return (w * (A @ z - b),
+                lambda: (sp.csc_matrix(sp.diags(w) @ A), np.arange(z.size)),
+                w)
+
+    return residual_jacobian
+
+
+def counted_factorize(monkeypatch):
+    calls = []
+    factorize = solver.factorize
+
+    def spy(matrix):
+        calls.append(matrix.shape)
+        return factorize(matrix)
+
+    monkeypatch.setattr(solver, "factorize", spy)
+    return calls
+
+
+A3 = sp.csc_matrix(np.array([[4.0, -1.0, 0.0],
+                             [-1.0, 4.0, -1.0],
+                             [0.0, -1.0, 3.0]]))
+
+
+def test_exact_held_factors_are_not_refactored(monkeypatch):
+    # the residual is linear, so the held factors are its exact Jacobian:
+    # one factorization serves every later call, each in one update
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    cfg = solver.SolverConfig()
+    for k in range(4):
+        b = np.array([1.0, -2.0, 0.5]) * (k + 1)
+        z, trace = solver.newton_solve(linear_residual(A3, b), np.zeros(3),
+                                       cfg, held)
+        assert len(trace) == 2 and trace[-1] <= cfg.newton_tol * trace[0]
+        assert np.allclose(A3 @ z, b, rtol=0.0, atol=1e-13)
+    assert len(calls) == held.factorizations == 1
+
+
+def test_factors_that_no_longer_reduce_are_refactored_in_place(monkeypatch):
+    # held factors of slope 1 give an update 2.25 times too long for a
+    # slope of 2.25: the trial grows the residual by 1.25, which a fresh
+    # update's damping would accept. A held-factor trial must reduce it,
+    # so this one is discarded, not halved, and a fresh factorization at
+    # the same iterate lands on the root
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    cfg = solver.SolverConfig()
+    one = sp.csc_matrix([[1.0]])
+    solver.newton_solve(linear_residual(one, np.array([2.0])),
+                        np.zeros(1), cfg, held)
+    assert held.factorizations == 1 and held.lu is not None
+    seen = []
+    z, trace = solver.newton_solve(
+        linear_residual(2.25 * one, np.array([2.25]), seen=seen),
+        np.zeros(1), cfg, held)
+    assert [float(v[0]) for v in seen] == [0.0, 2.25, 0.0, 1.0]
+    assert held.factorizations == 2 and len(calls) == 2
+    # the discarded trial is no iteration: one update from the start,
+    # whose residual set the target
+    assert trace == [2.25, 0.0] and z[0] == 1.0
+
+
+def test_held_factors_rescale_the_residual_to_their_rows(monkeypatch):
+    # the rows are scaled by weights that change with the iterate: the
+    # held factors, built at z = 0, solve A dz = -(A z - b) only when the
+    # residual is moved into their rows' scaling; then a linear residual
+    # converges in one held update from any start
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    cfg = solver.SolverConfig(newton_tol=1e-12)
+
+    def weights(z):
+        return 1.0 / (1.0 + z * z)
+
+    solver.newton_solve(linear_residual(A3, np.ones(3), weights),
+                        np.zeros(3), cfg, held)
+    assert np.array_equal(held.weights, np.ones(3))
+    b = np.array([3.0, -1.0, 2.0])
+    seen = []
+    z, trace = solver.newton_solve(linear_residual(A3, b, weights, seen),
+                                   np.array([2.0, 1.0, -3.0]), cfg, held)
+    assert len(calls) == 1 and len(seen) == 2 and len(trace) == 2
+    ref = spla.spsolve(A3, b)
+    assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_factors_held_for_another_step_size_are_dropped(monkeypatch):
+    # the Crank-Nicolson matrix K/2 + C/dt changes with dt: a holder
+    # serves one step size, and a new one factors afresh. The decay is
+    # linear, so steps of one size share one factorization, and every
+    # step equals the step without a holder bit for bit
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    u, ref = np.ones(6), np.ones(6)
+    for dt, new in [(1.0, 1), (1.0, 0), (0.5, 1), (0.5, 0), (1.0, 1)]:
+        before = len(calls)
+        u, trace, _, _ = solver.crank_nicolson_step(
+            scalar_decay_assembler, u, dt, IDENTITY_6DOF,
+            solver.SolverConfig(), held=held)
+        assert len(calls) - before == new and len(trace) == 2
+        ref, _, _, _ = solver.crank_nicolson_step(
+            scalar_decay_assembler, ref, dt, IDENTITY_6DOF,
+            solver.SolverConfig())
+        assert np.array_equal(u, ref)
+    assert held.factorizations == 3
+
+
+@pytest.mark.parametrize("run", [
+    lambda: solver.newton_solve(
+        lambda z: (np.array([z[0] ** 2 - 4.0]),
+                   lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0])),
+        np.array([3.0]), solver.SolverConfig(newton_tol=1e-13))[1],
+    lambda: solver.crank_nicolson_step(
+        stiff_exponential_assembler, STIFF_START.vector(), 0.5,
+        fem.dirichlet_map(6, STIFF_PINS),
+        solver.SolverConfig(max_iterations=60))[1]],
+    ids=["sqrt", "stiff-cn"])
+def test_without_a_holder_every_iteration_factors(run, monkeypatch):
+    calls = counted_factorize(monkeypatch)
+    trace = run()
+    assert len(trace) > 3 and len(calls) == len(trace) - 1
+
+
+def humid_climate_schedule(seed):
+    """The seed's synthetic climate, temperature and humidity, on the
+    left face; the right face held at 20 C and phi 0.5."""
+    climate = synthetic_annual_climate(seed)
+    return BoundarySchedule(
+        {"left": BoundaryRule("theta", series=climate),
+         "right": BoundaryRule("theta", constant=20.0)},
+        {"left": BoundaryRule("phi", series=climate),
+         "right": BoundaryRule("phi", constant=0.5)})
+
+
+def test_fine_solve_with_held_factors_meets_every_newton_target(caplog):
+    # six hours of a 2 x 2-cell r=2 wall under the climate's temperature
+    # and humidity: the held factors serve most iterations, every step
+    # meets Newton's target by a recomputation of ||w T'R||, none is
+    # retried, and the final state agrees with steps of fresh Newton
+    m = meshmod.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
+    mats = constitutive.default_materials()
+    schedule = humid_climate_schedule(0)
+    initial = fem.FieldState.uniform(m.n_nodes, 20.0, 0.5)
+    cfg = solver.SolverConfig()
+    caplog.set_level("WARNING", logger="hamfe2.solver")
+    hist = solver.transient_solve(m, mats, schedule, initial, 1.0, 6.0, cfg)
+    assert not caplog.records
+    assert sum(hist.factorizations) < sum(hist.newton_iterations)
+    assert hist.factorizations[0] == 0 and min(hist.factorizations[1:]) >= 0
+
+    dt = 3600.0
+
+    def parts(u):
+        sysm = fem.assemble_system(m, fem.FieldState.from_vector(u), mats)
+        return sysm.conductivity @ u, sysm.storage_diagonal()
+
+    assembler = partial(solver._assemble, m, mats)
+    u_ref = initial.vector()
+    for k in range(1, len(hist.states)):
+        u0, u1 = hist.states[k - 1].vector(), hist.states[k].vector()
+        cmap = fem.dirichlet_map(2 * m.n_nodes,
+                                 schedule.dirichlet_values(m, k * dt))
+        fint0, _ = parts(u0)
+
+        def scaled_norm(u):
+            fint, C = parts(u)
+            R = C * (u - u0) / dt + 0.5 * (fint + fint0)
+            w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
+            return np.linalg.norm(w * (cmap.T.T @ R))
+
+        start = cmap.expand(cmap.initial_reduced(u0))
+        assert scaled_norm(u1) <= max(cfg.newton_tol * scaled_norm(start),
+                                      cfg.newton_floor), k
+        u_ref, _, _, _ = solver.crank_nicolson_step(assembler, u_ref, dt,
+                                                    cmap, cfg)
+    final = hist.final
+    n = m.n_nodes
+    assert np.abs(final.theta - u_ref[:n]).max() <= 1e-6
+    assert np.abs(final.phi - u_ref[n:]).max() <= 1e-6
