@@ -200,10 +200,11 @@ def _cmd_solve_fe2(config: ScenarioConfig):
     write_results(result.history, settings.format, outdir, mesh=mesh)
     write_step_log(result.history, os.path.join(outdir, "steps.csv"))
     write_round_log(result.rounds, os.path.join(outdir, "rounds.csv"))
-    iters = sum(result.history.newton_iterations)
-    print(f"solve-fe2: {len(result.history.times) - 1} steps, {iters} macro "
-          f"Newton iterations, {settings.workers} workers, results in "
-          f"{outdir}")
+    history = result.history
+    print(f"solve-fe2: {len(history.times) - 1} steps, "
+          f"{sum(history.newton_iterations)} macro Newton iterations, "
+          f"{sum(history.factorizations)} factorizations, "
+          f"{settings.workers} workers, results in {outdir}")
     return 0
 
 

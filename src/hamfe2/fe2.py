@@ -212,7 +212,8 @@ class FE2Driver:
             if self.cprime:
                 R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
                 R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
-            return cmap.scaled_residual(R, C), cache["system"]
+            r, w = cmap.scaled_residual(R, C)
+            return r, cache["system"], w
 
         z0 = cmap.initial_reduced(u_n)
         z, trace = newton_solve(residual_jacobian, z0, self.config)

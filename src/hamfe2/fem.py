@@ -689,15 +689,18 @@ class ConstraintMap:
         return 1.0 / np.maximum(C[self.row_dofs], 1e-300)
 
     def scaled_residual(self, R, C):
-        """w * T'R: the reduced residual in the Newton rows' scaling."""
-        return self.newton_weights(C)[self.z_rows] * self.reduce_vector(R)
+        """(w T'R, w): the reduced residual in the Newton rows' scaling,
+        and the weights w of z's rows. R may be a block of columns, each
+        reduced and scaled as one residual."""
+        w = self.newton_weights(C)[self.z_rows]
+        return (w * self.reduce_vector(R).T).T, w
 
     def newton_system(self, J, C):
         """Storage-scaled Newton matrix of J, and where z sits in it.
 
         Returns (matrix, rows): the planned system of J with its rows
         scaled by newton_weights(C), and the positions of the reduced
-        unknowns in the matrix's order. With scaled_residual(R, C) as
+        unknowns in the matrix's order. With scaled_residual(R, C)[0] as
         its right-hand side on those rows, and zero on the others, it
         solves for the Newton update of z.
         """

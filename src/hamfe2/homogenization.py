@@ -301,11 +301,10 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     dg[:n, 2:4] = dg[n:, 4:6] = cell.reduction.offsets
     # the right-hand sides in the system's own order: the reduced
     # unknowns sit at `rows` of its plan, the others take zero. The six
-    # columns of T'J dg/dp are reduced in one product and scaled as
-    # the Newton rows are
-    w = cmap.newton_weights(C)[cmap.z_rows]
+    # columns of J dg/dp are reduced in one product and scaled as the
+    # Newton rows are
     rhs = np.zeros((matrix.shape[0], 6))
-    rhs[rows] = -(w[:, None] * (cmap.Tt @ (J @ dg)))
+    rhs[rows] = -cmap.scaled_residual(J @ dg, C)[0]
     # one SuperLU factorization serves the six right-hand sides; spsolve
     # rather than splu, whose calls perfbench counts as Newton iterations,
     # until the benchmark counts factorizations by caller. The system is

@@ -10,8 +10,9 @@ systems use a direct sparse factorization; everything is deterministic
 for a fixed input, there is no iterative solver noise.
 
 A residual evaluation defers its Newton system. newton_solve takes
-residual_jacobian(z) -> (r, system), and system() -> (matrix, rows)
-builds the matrix; Newton calls it only when it refactors, for the
+residual_jacobian(z) -> (r, system, w): r is the reduced residual in
+the Newton rows' scaling, w those row weights, and system() -> (matrix,
+rows) builds the matrix; Newton calls it only when it factors, for the
 iterate whose update it solves for, right before it factors the matrix,
 and drops the system first. An evaluation that converges, a trial step
 that is rejected, and an iterate that held factors serve build no
@@ -21,19 +22,22 @@ evaluation of its state, adds the storage terms to K/2 and reduces the
 result onto the planned bordered system; the FE2 macro step returns the
 system it reduced once for the whole step.
 
-The fine solve keeps its factors (HeldFactors): a chord Newton (Kelley,
-Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
-transient_solve carries one holder from step to step, and Newton
-refactors only when the held factors stop contracting the residual:
-an update made with them must cut ||r|| to at most CHORD_CONTRACTION
-times the last. The matrix is already a frozen-coefficient one, so a
-fresh factorization at every iterate buys little. Factors serve one
-constraint pattern and one dt; the dt/2 retry factors afresh. Cell
-increments and the macro step pass no holder and factor at every
-iteration. Probes with the climate's temperature and humidity on the
-exterior face of a 6 x 6-cell wall, four elements across a joint, eight
-one-hour steps, seeds 0, 1 and 2 (the perfbench fine wall factors once
-in its three steps for every value):
+Every Newton update solves with the factors at hand, a HeldFactors: a
+fresh factorization of the iterate's system when there are none. A
+caller that passes a holder keeps them while they contract, a chord
+Newton (Kelley, Iterative Methods for Linear and Nonlinear Equations,
+SIAM 1995): an update made with them must cut ||r|| to at most
+CHORD_CONTRACTION times the last, or Newton factors afresh at the next
+iteration. transient_solve carries one holder from step to step; the
+matrix is already a frozen-coefficient one, so a fresh factorization at
+every iterate buys little. Factors serve one constraint pattern and one
+dt; the dt/2 retry factors afresh. Cell increments and the macro step
+pass no holder: their factors are dropped right after their update is
+solved, so they factor at every iteration. Probes with the climate's
+temperature and humidity on the exterior face of a 6 x 6-cell wall,
+four elements across a joint, eight one-hour steps, seeds 0, 1 and 2
+(the perfbench fine wall factors once in its three steps for every
+value):
 
     CHORD_CONTRACTION    factorizations      iterations    largest step
     no holder            108/120/110     108/120/110        20
@@ -157,8 +161,9 @@ def factorize(A):
 
 
 class HeldFactors:
-    """Factors of one Newton matrix that newton_solve keeps across its
-    iterations and its calls: the chord Newton of the module notes.
+    """The factors at hand for newton_solve's updates: those of one
+    Newton matrix, kept across iterations and calls while they contract
+    (the chord Newton of the module notes).
 
     `key` names the systems the factors serve; `serve(key)` drops them
     when it changes. `weights` are the row weights of z's rows in the
@@ -183,37 +188,41 @@ class HeldFactors:
 def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
     """Newton iteration on the reduced unknowns.
 
-    residual_jacobian(z) returns the reduced residual r and its
-    deferred Newton system, a function: system() returns the sparse
-    matrix of the Newton system and `rows`, the position of each entry
-    of z among the system's unknowns. The system may be larger than z,
-    as the bordered systems of ConstraintMap are: its other unknowns
-    take a zero right-hand side and are left out of the update. system
-    is called at most once, for an iterate that is not yet converged,
-    right before its matrix is factored; the evaluation behind it is
-    dropped before the factorization, and before every later evaluation.
+    residual_jacobian(z) returns (r, system, w): the reduced residual r,
+    its deferred Newton system, and the row weights w of r (r = w T'R).
+    system() returns the sparse matrix of the Newton system and `rows`,
+    the position of each entry of z among the system's unknowns. The
+    system may be larger than z, as the bordered systems of
+    ConstraintMap are: its other unknowns take a zero right-hand side
+    and are left out of the update. system is called at most once, for
+    an iterate that is not yet converged, right before its matrix is
+    factored; the evaluation behind it is dropped before the
+    factorization, and before every later evaluation.
     Converges when ||r|| <= max(tol * ||r0||, floor);
     a start at the root returns after zero iterations, and a start with
     a non-finite residual raises, since no target can be set from it.
-    Updates are halved (at most 8 times) until the trial iterate is
-    finite, evaluates and keeps the residual within 1.5 times the last.
+
+    Every update solves with the factors at hand, those `held` keeps,
+    a HeldFactors, or else fresh ones of the iterate's system. Their
+    rows carry the weights w_f of the iterate they were factored at, so
+    the right-hand side on them is -r w_f / w (-r for fresh factors).
+    A fresh update is halved (at most 8 times) until the trial iterate
+    is finite, evaluates and keeps the residual within 1.5 times the
+    last. A held update gets one full trial, which must reduce the
+    residual; otherwise the factors are dropped, and Newton evaluates
+    the iterate again and updates it with fresh factors, without
+    counting an iteration. Factors stay held while every update made
+    with them is taken in full and cuts the residual to at most
+    CHORD_CONTRACTION times the last. Without a caller's holder, the
+    factors are dropped as soon as their update is solved, so every
+    iteration factors its own system.
     Raises SolverError with the residual trace on breakdown: when no
     trial evaluates, and when every trial that evaluates grows the
     residual, a stall at round-off or on a steep part of the material
     curves.
-
-    `held`, a HeldFactors, makes it a chord Newton. residual_jacobian
-    then also returns the row weights w of r (r = w T'R). An iteration
-    with held factors solves J_held dz = -T'R, its right-hand side
-    -r w_held / w on the held rows, and builds no system. The factors
-    stay held while every update made with them, fresh ones included,
-    cuts the residual to at most CHORD_CONTRACTION times the last;
-    otherwise they are dropped, and the next iteration factors afresh.
-    A held-factor update that does not reduce the residual at all is
-    discarded without halving: Newton evaluates the iterate again and
-    takes a fresh Newton iteration from it. Without a holder every
-    iteration factors its own system.
     """
+    keep = held is not None
+    held = held if keep else HeldFactors()
     z = np.array(z0, dtype=float)
     trace = []
 
@@ -221,11 +230,10 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
         if not np.all(np.isfinite(zk)):
             raise SolverError("non-finite iterate", trace)
         try:
-            r, system, *w = residual_jacobian(zk)
+            return residual_jacobian(zk)
         except ConstitutiveError as exc:
             raise SolverError(f"iterate left the admissible state range: {exc}",
                               trace) from exc
-        return r, system, (w[0] if w else None)
 
     r, system, w = evaluate(z)
     norm0 = float(np.linalg.norm(r))
@@ -235,73 +243,56 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
     target = max(config.newton_tol * norm0, config.newton_floor)
     if norm0 <= target:
         return z, trace
-    for _ in range(config.max_iterations):
-        if held is not None and held.lu is not None:
-            # chord update; the held rows are scaled by the weights of
-            # the iterate they were factored at
+    # every pass that appends to the trace is one iteration
+    while len(trace) <= config.max_iterations:
+        chord = held.lu is not None
+        try:
+            if not chord:
+                matrix, rows = system()
+                # the evaluation behind the system is dropped before the
+                # factorization, and the matrix once it is factored:
+                # neither the factorization nor the trial evaluations run
+                # while the others are still held
+                system = None
+                held.lu, held.rows, held.weights = factorize(matrix), rows, w
+                held.factorizations += 1
+                del matrix
             rhs = np.zeros(held.lu.shape[0])
             rhs[held.rows] = -r * (held.weights / w)
             dz = held.lu.solve(rhs)[held.rows]
-            system = None
-            with np.errstate(over="ignore", invalid="ignore"):
+        except RuntimeError as exc:
+            raise SolverError(f"linear solve failed: {exc}", trace) from exc
+        if not keep:
+            held.drop()
+        if not (chord or np.all(np.isfinite(dz))):
+            raise SolverError("non-finite Newton update", trace)
+        # damped update: halve a fresh step while the trial iterate
+        # overflows, leaves the admissible state range, gives a
+        # non-finite residual, or grows the residual well beyond the
+        # previous one (the moisture capacity softens steeply and full
+        # steps can run away)
+        evaluated = False
+        for halvings in range(1 if chord else 9):
+            with np.errstate(over="ignore"):
                 z_try = z + dz
+            system = None
             try:
                 r_try, system, w_try = evaluate(z_try)
                 nrm = float(np.linalg.norm(r_try))
             except SolverError:
                 nrm = np.inf
-            if nrm < trace[-1]:
-                if nrm > CHORD_CONTRACTION * trace[-1]:
-                    held.drop()
-                z, r, w = z_try, r_try, w_try
-                trace.append(nrm)
-                if nrm <= target:
-                    return z, trace
-                continue
-            # the held factors no longer reduce the residual: they go,
-            # and a fresh Newton iteration starts from the same iterate
-            held.drop()
-            system = None
-            r, system, w = evaluate(z)
-        try:
-            matrix, rows = system()
-            # the evaluation behind the system is dropped before the
-            # factorization, and the matrix once it is factored: neither
-            # the factorization nor the trial evaluations run while the
-            # others are still held
-            system = None
-            rhs = np.zeros(matrix.shape[0])
-            rhs[rows] = -r
-            lu = factorize(matrix)
-            del matrix
-            dz = lu.solve(rhs)[rows]
-        except RuntimeError as exc:
-            raise SolverError(f"linear solve failed: {exc}", trace) from exc
-        if held is not None:
-            held.lu, held.rows, held.weights = lu, rows, w
-            held.factorizations += 1
-        del lu
-        if not np.all(np.isfinite(dz)):
-            raise SolverError("non-finite Newton update", trace)
-        # damped update: halve the step while the trial iterate overflows,
-        # leaves the admissible state range, gives a non-finite residual,
-        # or grows the residual well beyond the previous one (the moisture
-        # capacity softens steeply and full steps can run away)
-        step, evaluated = 1.0, False
-        for _halving in range(9):
-            with np.errstate(over="ignore"):
-                z_try = z + step * dz
-            system = None
-            try:
-                r, system, w = evaluate(z_try)
-                nrm = float(np.linalg.norm(r))
-            except SolverError:
-                nrm = np.inf
             evaluated = evaluated or np.isfinite(nrm)
-            if np.isfinite(nrm) and nrm <= 1.5 * trace[-1]:
+            if (nrm < trace[-1]) if chord else (nrm <= 1.5 * trace[-1]):
                 break
-            step *= 0.5
+            dz *= 0.5
         else:
+            if chord:
+                # the held factors no longer reduce the residual: they
+                # go, and fresh ones update the same iterate
+                held.drop()
+                system = None
+                r, system, w = evaluate(z)
+                continue
             if evaluated:
                 raise SolverError(
                     f"damped Newton stalled at residual {trace[-1]:.3e} "
@@ -311,10 +302,9 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
                 "damped Newton made no progress: every trial left the "
                 "admissible range, overflowed or gave a non-finite "
                 "residual", trace)
-        if held is not None and (step < 1.0
-                                 or nrm > CHORD_CONTRACTION * trace[-1]):
+        if halvings or nrm > CHORD_CONTRACTION * trace[-1]:
             held.drop()
-        z = z_try
+        z, r, w = z_try, r_try, w_try
         trace.append(nrm)
         if nrm <= target:
             return z, trace
@@ -375,11 +365,8 @@ def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
             J.data[offset] += gtt * rate[:n]
             return cmap.newton_system(J, C)
 
-        if held is None:
-            return cmap.scaled_residual(R, C), system
-        # scaled_residual's product, with the weights a holder rescales by
-        w = cmap.newton_weights(C)[cmap.z_rows]
-        return w * cmap.reduce_vector(R), system, w
+        r, w = cmap.scaled_residual(R, C)
+        return r, system, w
 
     if z0 is None:
         z0 = cmap.initial_reduced(u_n)

@@ -317,7 +317,7 @@ left = 30
 left = 0.7
 """)
 
-    def test_writes_history_and_both_logs(self, tmp_path):
+    def test_writes_history_and_both_logs(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path)
         assert main(["solve-fe2", "--config", cfg]) == 0
         out = tmp_path / "out"
@@ -326,7 +326,13 @@ left = 0.7
         rounds = (out / "rounds.csv").read_text().splitlines()
         assert rounds[0] == "round,worker,points,seconds"
         assert len(rounds) > 1
-        assert (out / "steps.csv").exists()
+        steps = (out / "steps.csv").read_text().splitlines()
+        assert steps[0] == "step,t_hours,iterations,factorizations,wall_s"
+        # the macro step holds no factors: it factors at every iteration
+        iters = sum(int(row.split(",")[2]) for row in steps[1:])
+        assert iters > 0
+        assert (f"{iters} macro Newton iterations, {iters} factorizations"
+                in capsys.readouterr().out)
 
     def test_region_and_material_mismatches_reported(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path)

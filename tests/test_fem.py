@@ -197,7 +197,7 @@ def dense_newton_system(cmap, J, C):
     """
     w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
     return (sp.diags(w) @ (cmap.T.T @ J.tocsr() @ cmap.T)).tocsr(), \
-        lambda R: w * cmap.reduce_vector(R)
+        lambda R: (w * cmap.reduce_vector(R), w)
 
 
 class DenseCongruenceMap(fem.ConstraintMap):
@@ -425,7 +425,7 @@ def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
     assert len(seen) > 2
     for cmap, J, C, R in seen:
         matrix, rows = bordered(cmap, J, C)
-        r = scaled(cmap, R, C)
+        r, w = scaled(cmap, R, C)
         rhs = np.zeros(matrix.shape[0])
         rhs[rows] = -r
         dz_newton = solver.factorize(matrix).solve(rhs)[rows]
@@ -436,7 +436,8 @@ def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
         dz = spla.splu(in_map_order(matrix, cmap.plan(J)).tocsc()).solve(
             rhs)[cmap.z_rows]
         dense, reduce_dense = dense_newton_system(cmap, J, C)
-        assert np.array_equal(reduce_dense(R), r)
+        r_ref, w_ref = reduce_dense(R)
+        assert np.array_equal(r_ref, r) and np.array_equal(w_ref, w)
         dz_ref = spla.splu(dense.tocsc()).solve(-r)
         assert np.abs(dz - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
         assert np.abs(dz_newton - dz_ref).max() <= 1e-10 * np.abs(dz_ref).max()
@@ -623,7 +624,29 @@ def test_dirichlet_newton_system_is_the_congruence_bit_for_bit():
     assert_same_csr(sp.csc_matrix(in_map_order(matrix, plan)),
                     sp.csc_matrix(dense))
     R = np.random.default_rng(3).normal(size=2 * m.n_nodes)
-    assert np.array_equal(cmap.scaled_residual(R, C), scaled_ref(R))
+    r, w = cmap.scaled_residual(R, C)
+    r_ref, w_ref = scaled_ref(R)
+    assert np.array_equal(r, r_ref) and np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("case", ["dirichlet-wall", "periodic-cell"])
+def test_scaled_residual_of_a_block_is_column_by_column_bit_for_bit(case):
+    # the cell tangent scales its six right-hand sides in one call
+    if case == "dirichlet-wall":
+        m, materials, cmap = dirichlet_wall()
+    else:
+        cell = running_cell(2)
+        m, materials = cell.mesh, cell.materials
+        cmap = cell.reduction.map_for(LOADING.theta, LOADING.phi,
+                                      LOADING.grad_theta, LOADING.grad_phi)
+    C = fem.assemble_system(m, fem.FieldState.uniform(m.n_nodes, 20.0, 0.5),
+                            materials).storage_diagonal()
+    R = np.random.default_rng(5).normal(size=(2 * m.n_nodes, 6))
+    block, w = cmap.scaled_residual(R, C)
+    assert block.shape == (cmap.n_free, 6)
+    for k in range(6):
+        r, w_k = cmap.scaled_residual(R[:, k], C)
+        assert np.array_equal(block[:, k], r) and np.array_equal(w, w_k), k
 
 
 def varied_state(mesh):

@@ -349,7 +349,7 @@ def einsum_tangent(cell, cmap, sysm, u_new, u_old, dt):
     dg = np.zeros((2 * n, 6))
     dg[:n, 0] = dg[n:, 1] = 1.0
     dg[:n, 2:4] = dg[n:, 4:6] = mesh.nodes - cell.reduction.x0
-    w = cmap.newton_weights(C)[cmap.z_rows]
+    w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
     rhs = np.zeros((matrix.shape[0], 6))
     rhs[rows] = -(w[:, None] * (cmap.Tt @ (J @ dg)))
     dz = hom.spla.spsolve(matrix, rhs, permc_spec="NATURAL")[rows]

@@ -97,6 +97,12 @@ class UnitWallSchedule:
         return vals
 
 
+def unit_weights(r, system):
+    """A toy residual_jacobian's answer (r, system, w): r in rows of
+    unit weight."""
+    return r, system, np.ones(len(r))
+
+
 def test_cn_scalar_decay_frozen():
     u, trace, _, _ = solver.crank_nicolson_step(
         scalar_decay_assembler, np.ones(6), 1.0,
@@ -114,8 +120,8 @@ def test_newton_iterates_match_oracle():
 
     def residual_jacobian(z):
         seen.append(float(z[0]))
-        return (np.array([z[0] ** 2 - 4.0]),
-                lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
+        return unit_weights(np.array([z[0] ** 2 - 4.0]),
+                            lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([3.0]),
                                    solver.SolverConfig(newton_tol=1e-13))
@@ -136,7 +142,7 @@ def test_newton_zero_iterations_at_root():
             built.append(1)
             return sp.csr_matrix([[2.0 * z[0]]]), [0]
 
-        return np.array([z[0] ** 2 - 4.0]), system
+        return unit_weights(np.array([z[0] ** 2 - 4.0]), system)
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([2.0]),
                                    solver.SolverConfig())
@@ -150,8 +156,8 @@ def test_newton_non_finite_start_residual_raises(bad):
     # an infinite start residual would set an infinite target and pass
     # as converged after zero iterations
     def residual_jacobian(z):
-        return (np.array([bad, 1.0]),
-                lambda: (sp.identity(2, format="csr"), [0, 1]))
+        return unit_weights(np.array([bad, 1.0]),
+                            lambda: (sp.identity(2, format="csr"), [0, 1]))
 
     with pytest.raises(solver.SolverError, match="start iterate") as err:
         solver.newton_solve(residual_jacobian, np.zeros(2),
@@ -161,8 +167,8 @@ def test_newton_non_finite_start_residual_raises(bad):
 
 def test_newton_failure_reports_trace():
     def residual_jacobian(z):
-        return (np.array([z[0] ** 2 + 1.0]),
-                lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
+        return unit_weights(np.array([z[0] ** 2 + 1.0]),
+                            lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0]))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.array([0.5]),
@@ -179,7 +185,8 @@ def test_newton_singular_bordered_system_raises_solver_error():
                          [1.0, 0.0, 1.0]])
 
     def residual_jacobian(z):
-        return np.array([1.0, -2.0]), lambda: (jac, np.array([0, 1]))
+        return unit_weights(np.array([1.0, -2.0]),
+                            lambda: (jac, np.array([0, 1])))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.zeros(2),
@@ -192,8 +199,8 @@ def test_newton_stall_reports_residual_and_target():
     # every trial step evaluates, and every one grows the residual: the
     # iterate is not pinned anywhere, Newton stalls where it stands
     def residual_jacobian(z):
-        return (np.array([1.0 + 1000.0 * abs(z[0])]),
-                lambda: (sp.csr_matrix([[1.0]]), [0]))
+        return unit_weights(np.array([1.0 + 1000.0 * abs(z[0])]),
+                            lambda: (sp.csr_matrix([[1.0]]), [0]))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.zeros(1),
@@ -209,7 +216,8 @@ def test_newton_inadmissible_trials_report_the_admissible_range():
     def residual_jacobian(z):
         if z[0] != 0.0:
             raise constitutive.ConstitutiveError("phi outside [0, 1]")
-        return np.array([1.0]), lambda: (sp.csr_matrix([[1.0]]), [0])
+        return unit_weights(np.array([1.0]),
+                            lambda: (sp.csr_matrix([[1.0]]), [0]))
 
     with pytest.raises(solver.SolverError) as err:
         solver.newton_solve(residual_jacobian, np.zeros(1),
@@ -310,8 +318,8 @@ def test_overflowing_trial_step_is_halved():
         fem.FieldState(z, z)
         seen.append(float(z[0]))
         slope = 0.25 * scale if len(seen) == 1 else scale
-        return (np.array([(z[0] - root) * scale]),
-                lambda: (sp.csr_matrix([[slope]]), [0]))
+        return unit_weights(np.array([(z[0] - root) * scale]),
+                            lambda: (sp.csr_matrix([[slope]]), [0]))
 
     z, trace = solver.newton_solve(residual_jacobian, np.array([1.0e308]),
                                    solver.SolverConfig())
@@ -812,6 +820,38 @@ def test_held_factors_rescale_the_residual_to_their_rows(monkeypatch):
     assert np.abs(z - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_a_discarded_held_update_is_no_iteration_of_the_budget(monkeypatch):
+    # the held factors' trial grows the residual and is discarded; the
+    # fresh update that follows lands on the root. With a budget of one
+    # iteration, that update is the one iteration
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    one = sp.csc_matrix([[1.0]])
+    solver.newton_solve(linear_residual(one, np.array([2.0])), np.zeros(1),
+                        solver.SolverConfig(), held)
+    z, trace = solver.newton_solve(
+        linear_residual(2.25 * one, np.array([2.25])), np.zeros(1),
+        solver.SolverConfig(max_iterations=1), held)
+    assert trace == [2.25, 0.0] and z[0] == 1.0
+    assert len(calls) == held.factorizations == 2
+
+
+def test_a_held_update_is_one_iteration_of_the_budget(monkeypatch):
+    # exact held factors converge in one update, which a budget of one
+    # iteration allows, and factor nothing
+    calls = counted_factorize(monkeypatch)
+    held = solver.HeldFactors()
+    b = np.array([1.0, -2.0, 0.5])
+    solver.newton_solve(linear_residual(A3, b), np.zeros(3),
+                        solver.SolverConfig(), held)
+    cfg = solver.SolverConfig(max_iterations=1)
+    z, trace = solver.newton_solve(linear_residual(A3, 2.0 * b), np.zeros(3),
+                                   cfg, held)
+    assert len(trace) == 2 and trace[-1] <= cfg.newton_tol * trace[0]
+    assert np.allclose(A3 @ z, 2.0 * b, rtol=0.0, atol=1e-13)
+    assert len(calls) == held.factorizations == 1
+
+
 def test_factors_held_for_another_step_size_are_dropped(monkeypatch):
     # the Crank-Nicolson matrix K/2 + C/dt changes with dt: a holder
     # serves one step size, and a new one factors afresh. The decay is
@@ -835,8 +875,8 @@ def test_factors_held_for_another_step_size_are_dropped(monkeypatch):
 
 @pytest.mark.parametrize("run", [
     lambda: solver.newton_solve(
-        lambda z: (np.array([z[0] ** 2 - 4.0]),
-                   lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0])),
+        lambda z: unit_weights(np.array([z[0] ** 2 - 4.0]),
+                               lambda: (sp.csr_matrix([[2.0 * z[0]]]), [0])),
         np.array([3.0]), solver.SolverConfig(newton_tol=1e-13))[1],
     lambda: solver.crank_nicolson_step(
         stiff_exponential_assembler, STIFF_START.vector(), 0.5,
