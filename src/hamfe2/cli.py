@@ -8,11 +8,11 @@ Subcommands
     compare      cell-averaged discrepancy between two saved histories
 
 All subcommands read one INI scenario file (--config). The flags
---workers, --dt-hours, --t-end-hours, --output-dir, --cprime and --seed
-override the [scenario] section; environment variables with the
-HAMFE2_ prefix (HAMFE2_WORKERS, HAMFE2_DT_HOURS, HAMFE2_T_END_HOURS,
-HAMFE2_OUTPUT_DIR, HAMFE2_CPRIME, HAMFE2_SEED, HAMFE2_CONFIG) sit
-between the two: flags beat environment beats file.
+--workers, --dt-hours, --t-end-hours, --output-dir and --seed override
+the [scenario] section; environment variables with the HAMFE2_ prefix
+(HAMFE2_WORKERS, HAMFE2_DT_HOURS, HAMFE2_T_END_HOURS, HAMFE2_OUTPUT_DIR,
+HAMFE2_SEED, HAMFE2_CONFIG) sit between the two: flags beat environment
+beats file.
 
 Exit status: 0 on success, 1 for configuration errors (every offending
 key is listed), 2 when a solve aborts or input data is inconsistent.
@@ -49,7 +49,7 @@ SUBCOMMANDS = ("solve-fine", "solve-rve", "solve-fe2", "gen-mesh", "compare")
 # flag/env name -> [scenario] key
 OVERRIDE_KEYS = {"workers": "workers", "dt_hours": "dt_hours",
                  "t_end_hours": "t_end_hours", "output_dir": "output_dir",
-                 "cprime": "cprime", "seed": "seed"}
+                 "seed": "seed"}
 
 
 def env_overrides(environ=None):
@@ -195,7 +195,7 @@ def _cmd_solve_fe2(config: ScenarioConfig):
     initial = FieldState.uniform(mesh.n_nodes, theta0, phi0)
     result = fe2_solve(mesh, cells, schedule, initial, settings.dt_hours,
                        settings.t_end_hours, solver_cfg,
-                       n_workers=settings.workers, cprime=settings.cprime)
+                       n_workers=settings.workers)
     outdir = _outdir(settings)
     write_results(result.history, settings.format, outdir, mesh=mesh)
     write_step_log(result.history, os.path.join(outdir, "steps.csv"))
@@ -378,7 +378,6 @@ def build_argparser():
         p.add_argument("--dt-hours", dest="dt_hours", type=float)
         p.add_argument("--t-end-hours", dest="t_end_hours", type=float)
         p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--cprime", choices=("on", "off"))
         p.add_argument("--seed", type=int)
     return parser
 

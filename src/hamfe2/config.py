@@ -7,8 +7,8 @@ ConfigError so a bad file needs only one round trip to fix.
 
 Sections used by the subcommands:
 
-  [scenario]        dt_hours, t_end_hours, workers, cprime, seed,
-                    output_dir, format, materials
+  [scenario]        dt_hours, t_end_hours, workers, seed, output_dir,
+                    format, materials
   [macro]           mesh
   [regions]         macro region name -> unit-cell mesh path
   [initial]         theta, phi
@@ -367,7 +367,6 @@ class ScenarioSettings:
     dt_hours: float = 1.0
     t_end_hours: float = None
     workers: int = 1
-    cprime: bool = True
     seed: int = 0
     output_dir: str = "out"
     format: str = "csv"
@@ -382,7 +381,6 @@ def scenario_settings(config: ScenarioConfig, problems, need_materials=True,
         t_end_hours=reader.get_float("t_end_hours", required=need_time,
                                      minimum=1e-12),
         workers=reader.get_int("workers", 1, minimum=1),
-        cprime=reader.get_flag("cprime", True),
         seed=reader.get_int("seed", 0, minimum=0),
         output_dir=reader.get_path("output_dir", config.resolve("out")),
         format=reader.get_str("format", "csv", choices=("csv", "vtk")),

@@ -4,19 +4,17 @@ Every macro element carries one integration point bound to a transient
 periodic cell problem. A macro Crank-Nicolson step iterates Newton on
 the macro unknowns; each iteration sends the current element values and
 gradients to the scheduler pool, which advances every cell from its
-committed state and returns averaged fluxes, storage rates and storage
-moments. A cell's Newton starts from its committed fluctuation on the
-first iteration of a step attempt. After that it starts from the
-fluctuation it reached on the previous iteration, moved along the
-change of its loading by the sensitivity its cell tangent computed on
-the first iteration. The points are dealt to the workers cyclically by
-element id. The macro residual uses
+committed state and returns averaged fluxes and storage rates. A cell's
+Newton starts from its committed fluctuation on the first iteration of
+a step attempt. After that it starts from the fluctuation it reached on
+the previous iteration, moved along the change of its loading by the
+sensitivity its cell tangent computed on the first iteration. The
+points are dealt to the workers cyclically by element id. The macro
+residual is that of classical first-order homogenization:
 
   * effective capacities (from the cell tangents) times nodal rates,
   * the Crank-Nicolson average of the cell flux averages against
-    gradient test functions,
-  * optionally the moment storage term: gradient test functions dotted
-    with the cell storage moment rates (the finite-cell-size coupling).
+    gradient test functions.
 
 Cell tangents are refreshed on the first Newton iteration of each step
 and reused within it. Their effective capacities form the storage term
@@ -98,16 +96,14 @@ class FE2Driver:
 
     init_dt is the dt of the initial loadings, which no increment
     reads; the benchmark passes it, and the benchmark's change of
-    ROADMAP item 1 deletes it.
+    ROADMAP item 9 deletes it.
     """
 
     def __init__(self, mesh: Mesh, cells, initial: FieldState,
-                 config: SolverConfig = None, n_workers=1, cprime=True,
-                 init_dt=3600.0):
+                 config: SolverConfig = None, n_workers=1, init_dt=3600.0):
         self.mesh = mesh
         self.ws = fem.workspace(mesh)
         self.config = config or SolverConfig()
-        self.cprime = bool(cprime)
         # one meso problem per macro element (single integration point),
         # bound to its region's cell; checked before any worker forks
         regions = [mesh.phase_names[k] for k in mesh.phases]
@@ -140,8 +136,9 @@ class FE2Driver:
     def step(self, u_n, dt, cmap):
         """One macro CN step from u_n; commits meso states on success.
 
-        Returns (u_new, newton_iterations, factorizations); the macro
-        Newton holds no factors, so it factors once per iteration.
+        Returns (u_new, newton_iterations, factorizations). The macro
+        Newton holds no factors: every call of the step's system() is
+        followed by one factorization, and those calls are counted.
         Raises SolverError on macro breakdown and when the meso
         increments refuse an iterate (their SchedulerError arrives
         wrapped); both are retryable by halving.
@@ -153,6 +150,7 @@ class FE2Driver:
         pids = range(mesh.n_triangles)
         cache = {}
         last = {}
+        factorizations = 0
 
         def stacked(per_point, name):
             """Attribute `name` of every point's object, stacked by point."""
@@ -174,18 +172,16 @@ class FE2Driver:
             # saturation-pressure coupling degrades Newton to a slow
             # linear rate
             J.data += 0.5 * _value_coupling(ws, kg).data
-            if self.cprime:
-                # storage moments respond mostly to gradient rates, at
-                # capacity <x~ x~> / dt scale; these blocks dominate the
-                # conductive ones for hour-long steps
-                mg = stacked(tan, "mg")
-                J.data += (_tensor_stiffness(ws, mg).data
-                           + _value_coupling(ws, mg).data)
             # the frozen Jacobian is reduced and scaled once per step,
             # and every evaluation of the step returns that system
             system = cmap.newton_system(J, C)
             cache["C"] = C
-            cache["system"] = lambda: system
+
+            def counted():
+                nonlocal factorizations
+                factorizations += 1
+                return system
+            cache["system"] = counted
 
         def residual_jacobian(z):
             u = cmap.expand(z)
@@ -209,9 +205,6 @@ class FE2Driver:
                 -0.5 * (stacked(responses, "q_heat") + q_old_t))
             R[n:] += ws.scatter_gradient_pairing(
                 -0.5 * (stacked(responses, "q_moist") + q_old_f))
-            if self.cprime:
-                R[:n] += ws.scatter_gradient_pairing(stacked(responses, "m_t"))
-                R[n:] += ws.scatter_gradient_pairing(stacked(responses, "m_f"))
             r, w = cmap.scaled_residual(R, C)
             return r, cache["system"], w
 
@@ -220,7 +213,7 @@ class FE2Driver:
         u_new = cmap.expand(z)
         entries.update(last)
         self.pool.commit()
-        return u_new, len(trace) - 1, len(trace) - 1
+        return u_new, len(trace) - 1, factorizations
 
     def solve(self, schedule, initial: FieldState, dt_hours,
               t_end_hours) -> History:
@@ -229,8 +222,8 @@ class FE2Driver:
 
 
 def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
-              t_end_hours, config: SolverConfig = None, n_workers=1,
-              cprime=True) -> FE2Result:
+              t_end_hours, config: SolverConfig = None,
+              n_workers=1) -> FE2Result:
     """Nested two-scale transient solution.
 
     cells maps macro region names to CellProblem instances; schedule
@@ -238,7 +231,7 @@ def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
     history together with the partition and per-round scheduler
     timings.
     """
-    with FE2Driver(mesh, cells, initial, config, n_workers, cprime,
+    with FE2Driver(mesh, cells, initial, config, n_workers,
                    init_dt=float(dt_hours) * 3600.0) as driver:
         history = driver.solve(schedule, initial, dt_hours, t_end_hours)
         rounds = list(driver.pool.timings)

@@ -119,14 +119,14 @@ class CoupledSystem:
 
     def stiffness(self) -> "SkeletonMatrix":
         """The conductivity, for the benchmark's residual check; the
-        benchmark's change of ROADMAP item 1 deletes it."""
+        benchmark's change of ROADMAP item 9 deletes it."""
         return self.conductivity
 
     @property
     def f(self):
         """A zero external flux vector of length 2N (see the module
         notes), for the benchmark's residual check; the benchmark's
-        change of ROADMAP item 1 deletes it."""
+        change of ROADMAP item 9 deletes it."""
         return np.zeros(2 * self.c_tt.size)
 
     def storage_diagonal(self):
@@ -178,7 +178,6 @@ class Workspace:
                        p[:, 0, 0] - p[:, 2, 0],
                        p[:, 1, 0] - p[:, 0, 0]], axis=1) * inv2a[:, None]
         self.grads = np.stack([gx, gy], axis=2)    # (M, 3, 2)
-        self.centroids = p.mean(axis=1)            # (M, 2)
         # scalar stiffness pattern S_mij = area * grad N_i . grad N_j
         self.pattern = np.einsum("mid,mjd->mij", self.grads, self.grads) \
             * self.areas[:, None, None]

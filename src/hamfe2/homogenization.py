@@ -8,9 +8,10 @@ The cell carries the fields
 
 with periodic fluctuations theta~ constrained to zero weighted mean, and
 advances them by one Crank-Nicolson step. Volume averaging of the
-converged state returns the homogenized fluxes, storage rates and first
-moments. One consistent linearization of the converged cell equations
-yields the sensitivities of those averages to the loading
+converged state returns the homogenized fluxes and storage rates, as
+classical first-order homogenization does. One consistent
+linearization of the converged cell equations yields the
+sensitivities of those averages to the loading
 p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
 the effective conductivity blocks and storage coefficients.
 
@@ -101,13 +102,11 @@ class TangentBlocks:
     kg[a] = d <k grad u>_a / dp holds the effective conductivity blocks
     K_ab = kg[a][:, 2+2b:4+2b], q_a = -(K_a0 grad_Theta + K_a1 grad_Phi),
     and the mean-flux sensitivity -kg[a][:, :2] to the values, sizeable
-    through the saturation pressure. mg[a] = d m_a / dp, the
-    storage-moment sensitivities, of capacity <x~ (x) x~> / dt scale.
-    c = (c_t, c_f) = dt d s_a / d value_a, the effective capacities.
+    through the saturation pressure. c = (c_t, c_f) = dt d s_a / d value_a,
+    the effective capacities.
     """
 
     kg: np.ndarray           # (2, 2, 6) W/(m K) in the grad_Theta columns
-    mg: np.ndarray = None    # (2, 2, 6)
     c: np.ndarray = None     # (2,)
 
 
@@ -119,8 +118,6 @@ class EffectiveResponse:
     q_moist: np.ndarray      # (2,) kg/(m^2 s)
     s_t: float               # W/m^3, averaged heat storage rate
     s_f: float               # kg/(m^3 s)
-    m_t: np.ndarray          # (2,) first moment of the heat storage rate
-    m_f: np.ndarray          # (2,)
     tangent: TangentBlocks = None
 
 
@@ -166,7 +163,7 @@ def _mean_conduction(ws, coeff, w, u):
 
 def average_fields(cell: CellProblem, coeff, u_new, u_old,
                    dt) -> EffectiveResponse:
-    """Volume averages of flux, storage rate and storage moment.
+    """Volume averages of flux and storage rate.
 
     coeff holds the coefficients at u_new. dt = None averages a static
     state: fluxes only, zero rates.
@@ -177,19 +174,11 @@ def average_fields(cell: CellProblem, coeff, u_new, u_old,
     kg_heat, kg_moist = _mean_conduction(ws, coeff, w, u_new)
     q_heat, q_moist = -kg_heat, -kg_moist
     if dt is None:
-        zero = np.zeros(2)
-        return EffectiveResponse(q_heat, q_moist, 0.0, 0.0, zero, zero.copy())
+        return EffectiveResponse(q_heat, q_moist, 0.0, 0.0)
     rate = (u_new - u_old) / dt
-    rt = ws.element_mean(rate[:n])
-    rf = ws.element_mean(rate[n:])
-    xc = ws.centroids - cell.reduction.x0
-    s_t = float(w @ (coeff.c_tt * rt))
-    s_f = float(w @ (coeff.c_ff * rf))
-    m_t = np.array([w @ (coeff.c_tt * rt * xc[:, 0]),
-                    w @ (coeff.c_tt * rt * xc[:, 1])])
-    m_f = np.array([w @ (coeff.c_ff * rf * xc[:, 0]),
-                    w @ (coeff.c_ff * rf * xc[:, 1])])
-    return EffectiveResponse(q_heat, q_moist, s_t, s_f, m_t, m_f)
+    s_t = float(w @ (coeff.c_tt * ws.element_mean(rate[:n])))
+    s_f = float(w @ (coeff.c_ff * ws.element_mean(rate[n:])))
+    return EffectiveResponse(q_heat, q_moist, s_t, s_f)
 
 
 def _loading_vector(loading: MacroLoading):
@@ -279,9 +268,9 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     element_operator gives the element means and gradients of du/dp,
     u_new and the rate in one product; every derivative average is
     linear in those, so one matrix of per-element weights maps them to
-    all of kg, mg and the storage rates. Returns (TangentBlocks,
-    dz/dp), the latter (n_free, 6) over the reduced unknowns of cmap,
-    which the next rounds' predicted starts use. The columns of every
+    kg and the storage rates. Returns (TangentBlocks, dz/dp), the
+    latter (n_free, 6) over the reduced unknowns of cmap, which the
+    next rounds' predicted starts use. The columns of every
     returned array follow p.
     """
     mesh = cell.mesh
@@ -332,22 +321,20 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     M = mesh.n_triangles
     F = (ws.element_operator @ np.hstack([X[:n], X[n:]])).reshape(3, M, 2, 8)
     # weights L[a, row, q, m, f] of the averages of row a over F, rows
-    # d <k grad u>_a (x, y), d m_a (x, y) and d s_a; for the flux, the
-    # derivatives of k_ab, sum_b dk_abc grad u_b, weigh the means of
-    # field c, and k_ab the gradients of field b
+    # d <k grad u>_a (x, y) and d s_a; for the flux, the derivatives of
+    # k_ab, sum_b dk_abc grad u_b, weigh the means of field c, and k_ab
+    # the gradients of field b
     w = ws.areas / cell.area
-    L = np.zeros((2, 5, 3, M, 2))
+    L = np.zeros((2, 3, 3, M, 2))
     L[:, :2, 0] = np.einsum("abcm,dmb->admc", dk, F[1:, :, :, 6]) * w[:, None]
     kw = np.array([[coeff.k_tt, coeff.k_tf], [coeff.k_ft, coeff.k_ff]]) * w
     L[:, 0, 1] = L[:, 1, 2] = kw.transpose(0, 2, 1)
     # d (c_aa rate_a) = dc_a rate_a dphi + c_aa d rate_a, with d rate_a =
-    # d u_a / dt; its moments add the weight x - x0
-    store = L[:, 4, 0]
+    # d u_a / dt
+    store = L[:, 2, 0]
     store[:, :, 1] = dc * F[0, :, :, 7].T * w
     store[0, :, 0] += coeff.c_tt * w / dt
     store[1, :, 1] += coeff.c_ff * w / dt
-    xc = ws.centroids - cell.reduction.x0
-    L[:, 2:4, 0] = store[:, None] * xc.T[:, :, None]
-    out = (L.reshape(10, 6 * M) @ F.reshape(6 * M, 8)[:, :6]).reshape(2, 5, 6)
-    return TangentBlocks(out[:, :2], out[:, 2:4],
-                         np.array([out[0, 4, 0] * dt, out[1, 4, 1] * dt])), dz
+    out = (L.reshape(6, 6 * M) @ F.reshape(6 * M, 8)[:, :6]).reshape(2, 3, 6)
+    return TangentBlocks(out[:, :2],
+                         np.array([out[0, 2, 0] * dt, out[1, 2, 1] * dt])), dz

@@ -178,11 +178,10 @@ def write_response_table(rows, path):
 
     rows: iterable of (t_hours, EffectiveResponse).
     """
-    lines = ["t_hours,q_heat_x,q_heat_y,q_moist_x,q_moist_y,"
-             "s_t,s_f,m_t_x,m_t_y,m_f_x,m_f_y"]
+    lines = ["t_hours,q_heat_x,q_heat_y,q_moist_x,q_moist_y,s_t,s_f"]
     for t_h, r in rows:
         vals = [t_h, r.q_heat[0], r.q_heat[1], r.q_moist[0], r.q_moist[1],
-                r.s_t, r.s_f, r.m_t[0], r.m_t[1], r.m_f[0], r.m_f[1]]
+                r.s_t, r.s_f]
         lines.append(",".join(_fmt(v) for v in vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -296,7 +296,6 @@ class TestSolveFe2:
 [scenario]
 dt_hours = 0.5
 t_end_hours = 1
-cprime = off
 materials = mats.ini
 output_dir = out
 {extra}
@@ -333,6 +332,15 @@ left = 0.7
         assert iters > 0
         assert (f"{iters} macro Newton iterations, {iters} factorizations"
                 in capsys.readouterr().out)
+
+    def test_removed_cprime_option_is_rejected(self, tmp_path, capsys):
+        cfg = self.scenario(tmp_path, extra="cprime = off\n")
+        assert main(["solve-fe2", "--config", cfg]) == 1
+        assert "scenario.cprime: unknown key" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-fe2", "--config", cfg, "--cprime", "off"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cprime" in capsys.readouterr().err
 
     def test_region_and_material_mismatches_reported(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path)

@@ -42,7 +42,7 @@ class TestScenarioRoundTrip:
 dt_hours = 0.5
 t_end_hours = 4
 workers = 2
-cprime = off
+seed = 3
 materials = mats.ini
 
 [macro]
@@ -252,7 +252,7 @@ class TestSettings:
         s = scenario_settings(cfg, problems)
         assert not problems
         assert s.dt_hours == 1.0 and s.t_end_hours == 24.0
-        assert s.workers == 1 and s.cprime is True and s.seed == 0
+        assert s.workers == 1 and s.seed == 0
         assert s.format == "csv"
         assert s.materials_path == str(tmp_path / "m.ini")
 
@@ -260,15 +260,19 @@ class TestSettings:
         cfg = parse_scenario("[scenario]\n"
                              "dt_hours = -1\n"
                              "workers = none\n"
-                             "cprime = sometimes\n"
                              "format = hdf5\n"
-                             "surprise = 1\n")
+                             "surprise = 1\n"
+                             "[solver]\n"
+                             "retry_halving = sometimes\n")
         problems = []
         scenario_settings(cfg, problems, need_materials=False,
                           need_time=False)
+        solver_config_from(cfg, problems)
         joined = "\n".join(problems)
-        for key in ("dt_hours", "workers", "cprime", "format", "surprise"):
-            assert f"scenario.{key}" in joined
+        for key in ("scenario.dt_hours", "scenario.workers", "scenario.format",
+                    "scenario.surprise", "solver.retry_halving"):
+            assert key in joined
+        assert "solver.retry_halving: 'sometimes' is not on|off" in joined
 
     def test_solver_section_maps_to_solver_config(self):
         cfg = parse_scenario("[solver]\n"

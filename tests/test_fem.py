@@ -444,12 +444,11 @@ def test_bordered_newton_step_matches_dense_congruence(resolution, monkeypatch):
 
 
 # tangent entries grouped by the averaged quantity they differentiate,
-# (array, row): the heat or moisture row of kg and mg over all of p, and
-# each capacity. Entries of one group share its scale, and a weak block
-# such as the moisture row's grad_Theta columns carries less signal
-# than the solver tolerance on that quantity
-TANGENT_GROUPS = (("kg", 0), ("kg", 1), ("mg", 0), ("mg", 1), ("c", 0),
-                  ("c", 1))
+# (array, row): the heat or moisture row of kg over all of p, and each
+# capacity. Entries of one group share its scale, and a weak block such
+# as the moisture row's grad_Theta columns carries less signal than the
+# solver tolerance on that quantity
+TANGENT_GROUPS = (("kg", 0), ("kg", 1), ("c", 0), ("c", 1))
 
 
 @pytest.mark.parametrize("resolution", [2, 4])
@@ -486,7 +485,7 @@ def test_rve_increment_matches_dense_congruence(resolution, monkeypatch):
         return np.abs(a - b).max() <= rel * np.abs(b).max()
 
     assert close(state.fluct, state_ref.fluct, 1e-10)
-    for name in ("q_heat", "q_moist", "s_t", "s_f", "m_t", "m_f"):
+    for name in ("q_heat", "q_moist", "s_t", "s_f"):
         assert close(getattr(response, name), getattr(response_ref, name),
                      1e-10), name
     for name, a in TANGENT_GROUPS:
@@ -509,17 +508,15 @@ def forward_difference_tangent(cell, state, loading, base, h=1e-6):
             e[j] = h
             changes.append({name: getattr(loading, name) + e})
     kg = np.empty((2, 2, 6))
-    mg = np.empty((2, 2, 6))
     c = np.empty(2)
     for col, change in enumerate(changes):
         r = hom.solve_rve_increment(cell, state, replace(loading, **change))[1]
         kg[:, :, col] = -np.array([r.q_heat - base.q_heat,
                                    r.q_moist - base.q_moist]) / h
-        mg[:, :, col] = np.array([r.m_t - base.m_t, r.m_f - base.m_f]) / h
         if col < 2:
             c[col] = ((r.s_t - base.s_t, r.s_f - base.s_f)[col]
                       * loading.dt / h)
-    return hom.TangentBlocks(kg, mg, c)
+    return hom.TangentBlocks(kg, c)
 
 
 def running_increment(resolution, theta):
@@ -781,14 +778,12 @@ def macro_systems(monkeypatch):
     mesh = msh.generate_rectangle_mesh(1.2, 0.6, 4, 2)
     ws = fem.workspace(mesh)
     rng = np.random.default_rng(5)
-    kg, mg = rng.normal(size=(2, mesh.n_triangles, 2, 2, 6))
+    kg = rng.normal(size=(mesh.n_triangles, 2, 2, 6))
     C = rng.uniform(1.0, 2.0, 2 * mesh.n_nodes)
     J = fe2._tensor_stiffness(ws, kg)
     J.data *= 0.5
     J.data[ws.diagonal_slots[0]] += C / 3600.0
-    J.data += (0.5 * fe2._value_coupling(ws, kg).data
-               + fe2._tensor_stiffness(ws, mg).data
-               + fe2._value_coupling(ws, mg).data)
+    J.data += 0.5 * fe2._value_coupling(ws, kg).data
     # a cell tangent can vanish in whole blocks (no k_tf, say): a few
     # stored zeros off the diagonal stand for them
     rows = np.repeat(np.arange(J.shape[0]), np.diff(ws.pair_indptr))

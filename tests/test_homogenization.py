@@ -35,15 +35,6 @@ def layered_cell():
     return m, mats
 
 
-def quad_areas_centroids(mesh):
-    """Independent one-point quadrature data from the raw arrays."""
-    pts = mesh.nodes[mesh.triangles]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    return areas, pts.mean(axis=1)
-
-
 def scale_mesh(mesh, factor):
     """Geometrically similar mesh, coordinates multiplied by factor."""
     if factor <= 0:
@@ -158,7 +149,6 @@ def test_zero_loading_zero_response():
     state, r = hom.solve_rve_increment(cell, state, l0)
     assert np.all(state.fluct == 0.0)
     assert r.s_t == 0.0 and r.s_f == 0.0
-    assert np.all(r.m_t == 0.0) and np.all(r.m_f == 0.0)
 
 
 def test_uniform_value_step_exact_storage():
@@ -171,7 +161,6 @@ def test_uniform_value_step_exact_storage():
     assert r.s_t == pytest.approx(2e6 * 1.0 / dt, rel=1e-12)
     assert r.s_f == pytest.approx(40.0 * 0.05 / dt, rel=1e-12)
     assert np.linalg.norm(st1.fluct) < 1e-10
-    assert np.abs(r.m_t).max() < 1e-9 and np.abs(r.m_f).max() < 1e-12
 
 
 def test_initial_response_flux_from_affine_gradients():
@@ -181,41 +170,6 @@ def test_initial_response_flux_from_affine_gradients():
     assert np.allclose(r.q_heat, -0.5 * np.array([3.0, -1.0]), rtol=1e-12)
     assert np.allclose(r.q_moist, -0.2 * np.array([0.2, 0.1]), rtol=1e-12)
     assert r.s_t == 0.0 and r.s_f == 0.0
-
-
-def test_gradient_step_moment_quasi_static():
-    """dt far above the cell diffusion time: the storage moment equals
-    the one-point quadrature of c (x - x0) (x - x0) dgrad/dt."""
-    cell = homogeneous_cell()
-    # the residual fluctuation decays like tau/dt with the cell
-    # diffusion time tau ~ 3.7e4 s, so dt = 1e8 leaves ~4e-4 of it
-    dt = 1e8
-    gx = 4.0
-    st0, _ = hom.initial_response(cell, hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=dt))
-    _, r = hom.solve_rve_increment(
-        cell, st0, hom.MacroLoading(20.0, 0.5, [gx, 0.0], [0, 0], dt=dt))
-    areas, cents = quad_areas_centroids(cell.mesh)
-    x_rel = cents - cell.mesh.center()
-    # both components of the quadrature second moment; the off-diagonal
-    # h^2/36 term is a property of the split direction, not an error
-    j_x = np.array([(areas * x_rel[:, 0] ** 2).sum(),
-                    (areas * x_rel[:, 0] * x_rel[:, 1]).sum()]) / areas.sum()
-    pred = 2e6 * gx / dt * j_x
-    assert r.m_t[0] == pytest.approx(pred[0], rel=1e-3)
-    assert r.m_t[1] == pytest.approx(pred[1], rel=1e-2, abs=1e-3 * abs(pred[0]))
-    # within a few percent of the exact second moment lx^2/12
-    assert r.m_t[0] == pytest.approx(2e6 * gx / dt * 0.3 ** 2 / 12.0, rel=0.05)
-
-
-def test_gradient_step_moment_lags_at_finite_dt():
-    cell = homogeneous_cell()
-    dt = 600.0
-    gx = 4.0
-    st0, _ = hom.initial_response(cell, hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=dt))
-    _, r = hom.solve_rve_increment(
-        cell, st0, hom.MacroLoading(20.0, 0.5, [gx, 0.0], [0, 0], dt=dt))
-    quasi = 2e6 * gx / dt * 0.3 ** 2 / 12.0
-    assert 0.0 < r.m_t[0] < quasi
 
 
 def test_homogeneous_tangent_recovers_material():
@@ -360,8 +314,7 @@ def einsum_tangent(cell, cmap, sysm, u_new, u_old, dt):
     grad = [ws.element_gradient(u_new[:n]), ws.element_gradient(u_new[n:])]
     k = ((coeff.k_tt, coeff.k_tf), (coeff.k_ft, coeff.k_ff))
     w = ws.areas / cell.area
-    xc = ws.centroids - cell.reduction.x0
-    kg, m, s = [], [], []
+    kg, s = [], []
     for a, (c, r) in enumerate(((coeff.c_tt, ws.element_mean(rate[:n])),
                                 (coeff.c_ff, ws.element_mean(rate[n:])))):
         flux = sum((dk[a, b, 0][:, None] * d_mean[0]
@@ -370,9 +323,8 @@ def einsum_tangent(cell, cmap, sysm, u_new, u_old, dt):
                    for b in (0, 1))
         store = (dc[a] * r)[:, None] * d_mean[1] + c[:, None] * d_mean[a] / dt
         kg.append(np.einsum("m,mdk->dk", w, flux))
-        m.append(np.einsum("m,md,mk->dk", w, xc, store))
         s.append(w @ store)
-    return hom.TangentBlocks(np.array(kg), np.array(m),
+    return hom.TangentBlocks(np.array(kg),
                              np.array([s[0][0] * dt, s[1][1] * dt])), dz
 
 
@@ -394,8 +346,7 @@ def test_tangent_averages_match_the_einsum_oracle(monkeypatch, resolution,
     hom.solve_rve_increment(cell, state, loading, want_tangents=True)
     (args, (blocks, dz)), = seen
     ref, ref_dz = einsum_tangent(*args)
-    for new, old in ((blocks.kg, ref.kg), (blocks.mg, ref.mg),
-                     (blocks.c, ref.c), (dz, ref_dz)):
+    for new, old in ((blocks.kg, ref.kg), (blocks.c, ref.c), (dz, ref_dz)):
         assert new.shape == old.shape
         assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
 
@@ -602,10 +553,10 @@ def assert_same_increment(a, b):
     (state_a, resp_a), (state_b, resp_b) = a, b
     assert np.array_equal(state_a.fluct, state_b.fluct)
     assert np.array_equal(state_a.old, state_b.old)
-    for name in ("q_heat", "q_moist", "m_t", "m_f"):
+    for name in ("q_heat", "q_moist"):
         assert np.array_equal(getattr(resp_a, name), getattr(resp_b, name))
     assert resp_a.s_t == resp_b.s_t and resp_a.s_f == resp_b.s_f
-    for name in ("kg", "mg", "c"):
+    for name in ("kg", "c"):
         assert np.array_equal(getattr(resp_a.tangent, name),
                               getattr(resp_b.tangent, name))
 

@@ -130,17 +130,17 @@ class TestLogs:
         assert lines[0] == "round,worker,points,seconds"
         assert lines[1] == "0,0,12,0.5"
 
-    def test_response_table_has_eleven_columns(self, tmp_path):
+    def test_response_table_has_seven_columns(self, tmp_path):
         response = EffectiveResponse(q_heat=np.array([1.0, 2.0]),
                                      q_moist=np.array([3e-7, 4e-7]),
-                                     s_t=5.0, s_f=6e-6,
-                                     m_t=np.array([0.1, 0.2]),
-                                     m_f=np.array([0.3, 0.4]))
+                                     s_t=5.0, s_f=6e-6)
         path = tmp_path / "table.csv"
         write_response_table([(1.0, response), (2.0, response)], str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == 3
-        assert all(len(ln.split(",")) == 11 for ln in lines)
+        assert lines[0] == ("t_hours,q_heat_x,q_heat_y,q_moist_x,q_moist_y,"
+                            "s_t,s_f")
+        assert all(len(ln.split(",")) == 7 for ln in lines)
         row = lines[1].split(",")
         assert float(row[0]) == 1.0 and float(row[1]) == 1.0
         assert float(row[4]) == 4e-7
