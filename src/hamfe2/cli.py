@@ -7,12 +7,11 @@ Subcommands
     gen-mesh     write a rectangle, unit-cell or resolved-wall mesh
     compare      cell-averaged discrepancy between two saved histories
 
-All subcommands read one INI scenario file (--config). The flags
---workers, --dt-hours, --t-end-hours, --output-dir and --seed override
-the [scenario] section; environment variables with the HAMFE2_ prefix
-(HAMFE2_WORKERS, HAMFE2_DT_HOURS, HAMFE2_T_END_HOURS, HAMFE2_OUTPUT_DIR,
-HAMFE2_SEED, HAMFE2_CONFIG) sit between the two: flags beat environment
-beats file.
+All subcommands read one INI scenario file, named by --config. The
+flags --workers, --dt-hours, --t-end-hours, --output-dir and --seed
+override the [scenario] keys of the same names: a flag beats the file.
+The file and the flags are the whole input of a run; no environment
+variable is read.
 
 Exit status: 0 on success, 1 for configuration errors (every offending
 key is listed), 2 when a solve aborts or input data is inconsistent.
@@ -43,24 +42,8 @@ from .solver import SolverError, transient_solve
 
 log = logging.getLogger("hamfe2.cli")
 
-ENV_PREFIX = "HAMFE2_"
-SUBCOMMANDS = ("solve-fine", "solve-rve", "solve-fe2", "gen-mesh", "compare")
-
-# flag/env name -> [scenario] key
-OVERRIDE_KEYS = {"workers": "workers", "dt_hours": "dt_hours",
-                 "t_end_hours": "t_end_hours", "output_dir": "output_dir",
-                 "seed": "seed"}
-
-
-def env_overrides(environ=None):
-    """Overrides taken from HAMFE2_* environment variables."""
-    environ = os.environ if environ is None else environ
-    found = {}
-    for name in OVERRIDE_KEYS:
-        value = environ.get(ENV_PREFIX + name.upper())
-        if value is not None:
-            found[name] = value
-    return found
+# flag names, each the [scenario] key it overrides
+OVERRIDE_KEYS = ("workers", "dt_hours", "t_end_hours", "output_dir", "seed")
 
 
 def apply_overrides(config: ScenarioConfig, overrides):
@@ -69,7 +52,7 @@ def apply_overrides(config: ScenarioConfig, overrides):
             continue
         if name == "output_dir":
             value = os.path.abspath(value)
-        config.set("scenario", OVERRIDE_KEYS[name], value)
+        config.set("scenario", name, value)
 
 
 # --------------------------------------------------------- plan builders
@@ -335,13 +318,14 @@ def _cmd_compare(config: ScenarioConfig):
     return 0
 
 
-_DISPATCH = {"solve-fine": _cmd_solve_fine, "solve-fe2": _cmd_solve_fe2,
-             "solve-rve": _cmd_solve_rve, "gen-mesh": _cmd_gen_mesh,
+# subcommand -> handler, in the order of the module notes and --help
+_DISPATCH = {"solve-fine": _cmd_solve_fine, "solve-rve": _cmd_solve_rve,
+             "solve-fe2": _cmd_solve_fe2, "gen-mesh": _cmd_gen_mesh,
              "compare": _cmd_compare}
 
 
-def run_scenario(config, subcommand, overrides=None) -> int:
-    """Execute one subcommand against a scenario file or parsed config.
+def run_scenario(path, subcommand, overrides=None) -> int:
+    """Execute one subcommand against the scenario file at path.
 
     Returns the process exit status; artifacts land in the configured
     output directory. Configuration defects are all reported at once.
@@ -350,8 +334,7 @@ def run_scenario(config, subcommand, overrides=None) -> int:
         print(f"unknown subcommand '{subcommand}'", file=sys.stderr)
         return 1
     try:
-        if not isinstance(config, ScenarioConfig):
-            config = load_scenario(config)
+        config = load_scenario(path)
         apply_overrides(config, overrides or {})
         return _DISPATCH[subcommand](config)
     except ConfigError as exc:
@@ -371,7 +354,7 @@ def build_argparser():
         description="Coupled heat and moisture transport in masonry, "
                     "single-scale or FE2 two-scale.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", help="scenario INI file")
         p.add_argument("--workers", type=int)
@@ -386,17 +369,11 @@ def main(argv=None) -> int:
     args = build_argparser().parse_args(argv)
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    overrides = env_overrides()
-    for name in OVERRIDE_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    config_path = args.config or os.environ.get(ENV_PREFIX + "CONFIG")
-    if config_path is None:
-        print("no scenario file: pass --config or set HAMFE2_CONFIG",
-              file=sys.stderr)
+    if args.config is None:
+        print("no scenario file: pass --config", file=sys.stderr)
         return 1
-    return run_scenario(config_path, args.subcommand, overrides)
+    overrides = {name: getattr(args, name) for name in OVERRIDE_KEYS}
+    return run_scenario(args.config, args.subcommand, overrides)
 
 
 if __name__ == "__main__":

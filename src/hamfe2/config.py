@@ -14,14 +14,17 @@ Sections used by the subcommands:
   [initial]         theta, phi
   [boundary:theta]  boundary set -> constant or climate:<path>[:<policy>]
   [boundary:phi]    same for relative humidity
-  [solver]          newton_tol, newton_floor, max_iterations, retry_halving
+  [solver]          newton_tol, newton_floor, max_iterations
   [rve]             mesh, theta, phi, grad_theta_x/y, grad_phi_x/y, steps
   [compare]         fine_mesh, coarse_mesh, fine_results, coarse_results,
                     nx, ny
   [mesh]            kind plus generator parameters, out
 
 The special climate reference ``climate:synthetic`` uses the bundled
-annual generator with the scenario seed.
+annual generator with the scenario seed. A node in two boundary sets of
+one field, such as the corner of ``bottom`` and ``left``, takes the
+value of the set whose name sorts last (here ``left``), whatever the
+order of the keys in the file.
 """
 
 from __future__ import annotations
@@ -165,18 +168,6 @@ class SectionReader:
             self.problems.append(f"{self.name}.{key}: must be >= {minimum}")
         return value
 
-    def get_flag(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("on", "true", "yes", "1"):
-            return True
-        if low in ("off", "false", "no", "0"):
-            return False
-        self.problems.append(f"{self.name}.{key}: '{raw}' is not on|off")
-        return default
-
     def get_path(self, key, default=None, required=False, must_exist=False):
         raw = self._raw(key, None, required)
         if raw is None:
@@ -273,7 +264,10 @@ class BoundarySchedule:
     """Named boundary sets mapped to constant or climate-driven values.
 
     dirichlet_values(mesh, t) returns the constrained field-major dofs
-    (theta at node i -> dof i, phi -> n + i) for the solver.
+    (theta at node i -> dof i, phi -> n + i) for the solver. The sets of
+    a field are visited in sorted name order, so a node shared by two
+    sets takes the value of the set whose name sorts last: the corner of
+    ``bottom`` and ``left`` takes the ``left`` value.
     """
 
     def __init__(self, theta_rules=None, phi_rules=None):
@@ -353,9 +347,7 @@ def solver_config_from(config: ScenarioConfig, problems) -> SolverConfig:
         newton_floor=reader.get_float("newton_floor", defaults.newton_floor,
                                       minimum=0.0),
         max_iterations=reader.get_int("max_iterations",
-                                      defaults.max_iterations, minimum=1),
-        retry_halving=reader.get_flag("retry_halving",
-                                      defaults.retry_halving))
+                                      defaults.max_iterations, minimum=1))
     reader.reject_unknown()
     return cfg
 

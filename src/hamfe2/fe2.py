@@ -218,7 +218,7 @@ class FE2Driver:
     def solve(self, schedule, initial: FieldState, dt_hours,
               t_end_hours) -> History:
         return step_with_retry(self.step, self.mesh, schedule, initial,
-                               dt_hours, t_end_hours, self.config)
+                               dt_hours, t_end_hours)
 
 
 def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,

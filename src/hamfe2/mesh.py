@@ -39,7 +39,7 @@ class Mesh:
     phases: np.ndarray               # (M,) int, index into phase_names
     phase_names: tuple
     boundary: dict                   # name -> (K, 2) int edge array
-    bbox: tuple = field(default=None)  # (lx, ly) side lengths
+    bbox: tuple = field(init=False)  # (lx, ly) extent of the nodes
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
@@ -52,12 +52,9 @@ class Mesh:
         bnd = {k: np.ascontiguousarray(np.asarray(v, dtype=np.int64)).reshape(-1, 2)
                for k, v in self.boundary.items()}
         object.__setattr__(self, "boundary", bnd)
-        if self.bbox is None:
-            lo = nodes.min(axis=0)
-            hi = nodes.max(axis=0)
-            object.__setattr__(self, "bbox", (float(hi[0] - lo[0]), float(hi[1] - lo[1])))
-        else:
-            object.__setattr__(self, "bbox", (float(self.bbox[0]), float(self.bbox[1])))
+        lo = nodes.min(axis=0)
+        hi = nodes.max(axis=0)
+        object.__setattr__(self, "bbox", (float(hi[0] - lo[0]), float(hi[1] - lo[1])))
         for arr in (nodes, tris, phases, *bnd.values()):
             arr.flags.writeable = False
 
@@ -183,8 +180,7 @@ def _grid_mesh(xs, ys, phase_fn, phase_names):
 
     boundary = {"left": edges(nid[:, 0]), "right": edges(nid[:, nx]),
                 "bottom": edges(nid[0]), "top": edges(nid[ny])}
-    return Mesh(nodes, tris, phases, phase_names, boundary,
-                bbox=(float(xs[-1] - xs[0]), float(ys[-1] - ys[0])))
+    return Mesh(nodes, tris, phases, phase_names, boundary)
 
 
 def generate_rectangle_mesh(lx, ly, nx, ny, phase="solid"):
@@ -294,7 +290,7 @@ def with_phases(mesh: Mesh, phase_names, labeler):
     cent = mesh.nodes[mesh.triangles].mean(axis=1)
     phases = np.asarray(labeler(cent[:, 0], cent[:, 1]), dtype=np.int64)
     return Mesh(mesh.nodes, mesh.triangles, phases, phase_names,
-                dict(mesh.boundary), bbox=mesh.bbox)
+                dict(mesh.boundary))
 
 
 def detect_periodic_pairs(mesh: Mesh, tol=1e-9):

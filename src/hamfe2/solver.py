@@ -133,7 +133,6 @@ class SolverConfig:
     newton_floor: float = 1e-10   # absolute residual floor; near-steady
     # steps start almost converged and must not chase roundoff
     max_iterations: int = 25
-    retry_halving: bool = True    # one automatic dt/2 retry per step
 
 
 # held factors serve the next iteration while the update made with them
@@ -414,7 +413,7 @@ def _assemble(mesh, materials, u):
 
 
 def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
-                    t_end_hours, config: SolverConfig) -> History:
+                    t_end_hours) -> History:
     """History of steps of size dt up to t_end, each retried once on failure.
 
     step(u_n, dt, cmap) returns (u_{n+1}, newton iterations, Newton
@@ -441,8 +440,6 @@ def step_with_retry(step, mesh, schedule, initial: FieldState, dt_hours,
         try:
             done = step(u, dt, cmap_for(t_n + dt))
         except SolverError as exc:
-            if not config.retry_halving:
-                raise
             # a log record that keeps the error would keep the frames
             # of the failed attempt, and their evaluations, alive
             log.warning("step at t=%.0f s failed (%s); retrying with dt/2",
@@ -486,4 +483,4 @@ def transient_solve(mesh, materials, schedule, initial: FieldState,
         return u_new, len(trace) - 1, held.factorizations - before
 
     return step_with_retry(step, mesh, schedule, initial, dt_hours,
-                           t_end_hours, config)
+                           t_end_hours)

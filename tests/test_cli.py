@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hamfe2.cli import env_overrides, main, run_scenario
+from hamfe2.cli import main, run_scenario
 from hamfe2.constitutive import default_materials
 from hamfe2.mesh import load_mesh
 from hamfe2.results import read_history_csv
@@ -181,7 +181,6 @@ left = 0.98
 
 [solver]
 max_iterations = 1
-retry_halving = off
 """)
         assert main(["solve-fine", "--config", cfg]) == 2
         assert "did not converge" in capsys.readouterr().err
@@ -238,6 +237,13 @@ north = 20
                      "scenario.workers", "scenario.materials", "initial.phi",
                      "boundary:theta.north"):
             assert frag in err
+
+    def test_removed_retry_switch_is_an_unknown_key(self, tmp_path, capsys):
+        # a failed step is always retried once at dt/2; the old switch
+        # is reported, not ignored
+        cfg = fine_scenario(tmp_path, solver="[solver]\nretry_halving = off\n")
+        assert main(["solve-fine", "--config", cfg]) == 1
+        assert "solver.retry_halving: unknown key" in capsys.readouterr().err
 
 
 class TestSolveRve:
@@ -352,15 +358,10 @@ left = 0.7
         assert "regions.render" in err      # not a macro region
         assert "regions.solid" in err       # macro region with no cell
 
-    def test_workers_flag_beats_env_beats_config(self, tmp_path, capsys,
-                                                 monkeypatch):
+    def test_workers_flag_beats_config(self, tmp_path, capsys):
         cfg = self.scenario(tmp_path, extra="workers = 1\n")
-        monkeypatch.setenv("HAMFE2_WORKERS", "4")
         assert main(["solve-fe2", "--config", cfg, "--workers", "2"]) == 0
         assert "2 workers" in capsys.readouterr().out
-        assert main(["solve-fe2", "--config", cfg]) == 0
-        assert "4 workers" in capsys.readouterr().out
-        monkeypatch.delenv("HAMFE2_WORKERS")
         assert main(["solve-fe2", "--config", cfg]) == 0
         assert "1 workers" in capsys.readouterr().out
 
@@ -460,8 +461,15 @@ ny = 2
 
 class TestPlumbing:
 
-    def test_env_config_supplies_the_scenario_path(self, tmp_path,
-                                                   monkeypatch):
+    def test_no_config_anywhere_fails_cleanly(self, capsys):
+        assert main(["gen-mesh"]) == 1
+        assert ("no scenario file: pass --config"
+                in capsys.readouterr().err)
+
+    def test_environment_names_no_scenario_file(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the file and the flags are the whole input of a run: a valid
+        # scenario named by an environment variable is not read
         cfg = write(tmp_path / "g.ini", """\
 [mesh]
 kind = rectangle
@@ -472,13 +480,9 @@ ny = 1
 out = tiny.msh
 """)
         monkeypatch.setenv("HAMFE2_CONFIG", cfg)
-        assert main(["gen-mesh"]) == 0
-        assert load_mesh(str(tmp_path / "tiny.msh")).n_nodes == 4
-
-    def test_no_config_anywhere_fails_cleanly(self, capsys, monkeypatch):
-        monkeypatch.delenv("HAMFE2_CONFIG", raising=False)
         assert main(["gen-mesh"]) == 1
-        assert "HAMFE2_CONFIG" in capsys.readouterr().err
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "tiny.msh").exists()
 
     def test_output_dir_and_dt_flags_take_effect(self, tmp_path):
         cfg = fine_scenario(tmp_path)
@@ -487,12 +491,6 @@ out = tiny.msh
                      str(other), "--dt-hours", "1.0"]) == 0
         steps = (other / "steps.csv").read_text().splitlines()
         assert len(steps) == 4                  # header, t=0, two steps
-
-    def test_env_overrides_report_only_known_names(self, monkeypatch):
-        monkeypatch.setenv("HAMFE2_DT_HOURS", "0.25")
-        monkeypatch.setenv("HAMFE2_UNRELATED", "zzz")
-        found = env_overrides()
-        assert found == {"dt_hours": "0.25"}
 
     def test_run_scenario_rejects_unknown_subcommand(self, tmp_path, capsys):
         assert run_scenario(str(tmp_path / "x.ini"), "frobnicate") == 1

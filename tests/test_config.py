@@ -90,20 +90,13 @@ class TestSectionReader:
         reader, problems = self.read("[s]\na = fast\nb = -3\nc = maybe\n")
         reader.get_float("a")
         reader.get_int("b", minimum=1)
-        reader.get_flag("c")
+        reader.get_str("c", choices=("yes", "no"))
         reader.get_str("d", required=True)
         assert len(problems) == 4
         assert any("s.a" in p for p in problems)
         assert any("s.b" in p for p in problems)
         assert any("s.c" in p for p in problems)
         assert any("s.d" in p and "missing" in p for p in problems)
-
-    def test_flag_accepts_on_off_synonyms(self):
-        reader, problems = self.read("[s]\na = on\nb = FALSE\nc = 1\n")
-        assert reader.get_flag("a") is True
-        assert reader.get_flag("b") is False
-        assert reader.get_flag("c") is True
-        assert not problems
 
     def test_choices_are_enforced(self):
         reader, problems = self.read("[s]\nfmt = hdf5\n")
@@ -187,6 +180,23 @@ class TestBoundarySchedule:
                    for i in mesh.boundary_nodes("right"))
         assert len(values) == 3 * len(left)
 
+    def test_shared_node_takes_the_set_whose_name_sorts_last(self):
+        # the corner of bottom and left lies in both sets: "left" sorts
+        # after "bottom", so its value wins, in whatever order the rules
+        # were given
+        mesh = generate_rectangle_mesh(1.0, 1.0, 2, 2)
+        bottom = BoundaryRule("theta", constant=10.0)
+        left = BoundaryRule("theta", constant=30.0)
+        corner = int(np.flatnonzero((mesh.nodes == 0.0).all(axis=1))[0])
+        for rules in ({"bottom": bottom, "left": left},
+                      {"left": left, "bottom": bottom}):
+            values = BoundarySchedule(theta_rules=rules).dirichlet_values(
+                mesh, 0.0)
+            assert values[corner] == 30.0
+            assert all(values[i] == 30.0 for i in mesh.boundary_nodes("left"))
+            assert all(values[i] == 10.0
+                       for i in mesh.boundary_nodes("bottom") if i != corner)
+
     def test_climate_rules_sample_in_hours(self):
         series = ClimateSeries([0.0, 2.0], [10.0, 14.0], [0.4, 0.8])
         rule_t = BoundaryRule("theta", series=series)
@@ -263,28 +273,26 @@ class TestSettings:
                              "format = hdf5\n"
                              "surprise = 1\n"
                              "[solver]\n"
-                             "retry_halving = sometimes\n")
+                             "max_iterations = many\n")
         problems = []
         scenario_settings(cfg, problems, need_materials=False,
                           need_time=False)
         solver_config_from(cfg, problems)
         joined = "\n".join(problems)
         for key in ("scenario.dt_hours", "scenario.workers", "scenario.format",
-                    "scenario.surprise", "solver.retry_halving"):
+                    "scenario.surprise", "solver.max_iterations"):
             assert key in joined
-        assert "solver.retry_halving: 'sometimes' is not on|off" in joined
+        assert "solver.max_iterations: 'many' is not an integer" in joined
 
     def test_solver_section_maps_to_solver_config(self):
         cfg = parse_scenario("[solver]\n"
                              "newton_tol = 1e-6\n"
-                             "max_iterations = 7\n"
-                             "retry_halving = off\n")
+                             "max_iterations = 7\n")
         problems = []
         sc = solver_config_from(cfg, problems)
         assert not problems
         assert sc.newton_tol == 1e-6
         assert sc.max_iterations == 7
-        assert sc.retry_halving is False
 
     def test_initial_values_are_validated(self):
         problems = []

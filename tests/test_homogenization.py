@@ -40,8 +40,7 @@ def scale_mesh(mesh, factor):
     if factor <= 0:
         raise meshmod.MeshError("scale factor must be positive")
     return meshmod.Mesh(mesh.nodes * factor, mesh.triangles, mesh.phases,
-                        mesh.phase_names, dict(mesh.boundary),
-                        bbox=(mesh.bbox[0] * factor, mesh.bbox[1] * factor))
+                        mesh.phase_names, dict(mesh.boundary))
 
 
 def steady_linear_homogenize(mesh, materials, theta=20.0, phi=0.5):
@@ -442,8 +441,7 @@ def test_tangent_increment_ignores_a_carried_sensitivity():
 
 def test_failed_increment_raises_solver_error():
     cell = hom.CellProblem(masonry_mesh(), cst.default_materials(),
-                           solver.SolverConfig(max_iterations=1,
-                                               retry_halving=False))
+                           solver.SolverConfig(max_iterations=1))
     st0, _ = hom.initial_response(cell, hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=3600.0))
     hard = hom.MacroLoading(32.0, 0.85, [40.0, 0.0], [0.3, 0.0], dt=3600.0)
     with pytest.raises(solver.SolverError):

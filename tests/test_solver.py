@@ -424,8 +424,7 @@ def stiff_step(cfg, log):
 def stiff_solve(cfg, log):
     """One step of one second from u = 0 through step_with_retry."""
     return solver.step_with_retry(stiff_step(cfg, log), TRIANGLE, StiffPins(),
-                                  STIFF_START, 1.0 / 3600.0, 1.0 / 3600.0,
-                                  cfg)
+                                  STIFF_START, 1.0 / 3600.0, 1.0 / 3600.0)
 
 
 def test_step_retry_halves_once():
@@ -454,14 +453,6 @@ def test_step_retry_double_failure_aborts():
     assert log == [1.0, 0.5]
 
 
-def test_step_retry_disabled_propagates():
-    log = []
-    with pytest.raises(solver.SolverError):
-        stiff_solve(solver.SolverConfig(max_iterations=60,
-                                        retry_halving=False), log)
-    assert log == [1.0]
-
-
 def test_step_retry_leaves_other_errors_alone():
     # only SolverError is retried; any other failure, such as a dead
     # worker pool, ends the run at once
@@ -473,7 +464,7 @@ def test_step_retry_leaves_other_errors_alone():
 
     with pytest.raises(RuntimeError):
         solver.step_with_retry(step, TRIANGLE, StiffPins(), STIFF_START,
-                               1.0, 1.0, solver.SolverConfig())
+                               1.0, 1.0)
     assert calls == [3600.0]
 
 
@@ -633,7 +624,7 @@ def stiff_retry_with(wrap):
         return u, len(trace) - 1, len(trace) - 1
 
     solver.step_with_retry(step, TRIANGLE, StiffPins(), STIFF_START,
-                           1.0 / 3600.0, 1.0 / 3600.0, cfg)
+                           1.0 / 3600.0, 1.0 / 3600.0)
 
 
 class ColdWetLeft:
