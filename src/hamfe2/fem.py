@@ -7,20 +7,23 @@ storage is lumped row-sum, i.e. area/3 per node and field.
 
 Every coupled operator on a mesh, the conductivity K of the fine and
 cell solves, the consistent cell Jacobian and the macro Jacobian of
-FE2, is assembled into one fixed 2N x 2N skeleton per mesh: the four
-blocks [[tt, tf], [ft, ff]] each carry the one-field P1 pattern, and
-every node's own entry is stored in all four, so the Crank-Nicolson
-storage terms are added in place on the main diagonal and on offset N.
-The pattern keeps the exact zeros that P1 stiffness has on
-right-triangle grids.
+FE2, is stored on one fixed skeleton per mesh: the one-field P1 csr
+pattern, whose every slot holds a 2 x 2 node block [[tt, tf], [ft, ff]]
+coupling the two fields of its row node to those of its column node.
+Every node's own block is stored, so the Crank-Nicolson storage terms
+are added in place on the main diagonal and on offset N. The pattern
+keeps the exact zeros that P1 stiffness has on right-triangle grids.
+The blocks are a block-sparse (bsr) matrix in node-interleaved order;
+vectors and the solvers' dof numbering stay field-major.
 
 Materials are evaluated at the element centroids, all KunzelMaterial
 phases of a mesh in one call, once per state: a CoupledSystem keeps its
 CentroidMaterials, which the capacity terms and the coefficient
 derivatives of that state read. The workspace keeps element operators
-over its precomputed geometry: K's four blocks are one product of the
+over its precomputed geometry: K's node blocks are one product of the
 stiffness operator (one-field slots x elements) with the (M, 4)
-conductivities, and the cell tangent takes the element means and
+conductivities, element means and lumped storage are one product each
+with a 0/1 operator, and the cell tangent takes the element means and
 gradients of its sensitivities from the element operator.
 
 The index arrays of a skeleton, its diagonal slots and the plans of its
@@ -28,8 +31,9 @@ bordered systems live with the mesh's workspace, and the values of a
 matrix on it in a SkeletonMatrix, the one matrix type on a mesh, which
 is no scipy object. The Newton solvers assemble and multiply such
 matrices on every residual evaluation and reduce them for every
-factorization: a product runs scipy's compiled csr product on the
-workspace's own csr matrix of the skeleton, and a reduction gathers the
+factorization: the stiffness product writes K's blocks in the
+skeleton's order, a product runs scipy's compiled bsr product on the
+workspace's own bsr matrix of the skeleton, and a reduction gathers the
 values straight into the planned bordered system. The one scipy matrix
 built per Newton system is that bordered system, the input of its
 factorization.
@@ -104,8 +108,8 @@ class FieldState:
 class CoupledSystem:
     """Assembled operators of the coupled system at one state.
 
-    conductivity holds the values of the field-major conductivity on
-    the mesh's two-field skeleton, a SkeletonMatrix; the solvers
+    conductivity holds the node blocks of the conductivity on the
+    mesh's skeleton, a SkeletonMatrix; the solvers
     multiply and reduce it as it is. c_tt/c_ff are the lumped storage
     diagonals, coeff the per-element coefficients of materials, the
     CentroidMaterials they were built from.
@@ -139,27 +143,29 @@ _WORKSPACES: "weakref.WeakKeyDictionary[Mesh, Workspace]" = weakref.WeakKeyDicti
 
 
 class Workspace:
-    """Geometry factors and scatter indices precomputed once per mesh.
+    """Geometry factors and the one-field pattern, precomputed once per mesh.
 
     csr_pos maps every element entry to its slot in the one-field csr
-    pattern (csr_indices, csr_indptr, csr_nnz slots). Each row of the
-    two-field skeleton (pair_indices, pair_indptr) holds the one-field
-    row of its left block, then that of its right block; pair_slots[b]
-    places the slots of block b = 2 * row field + column field there.
-    diagonal_slots holds the skeleton's slots of the main diagonal, for
-    every row in order, and of offset N, the (i, N + i) entry of every
-    theta row: the storage and capacity terms of a Newton matrix are
-    added there. plans holds the SystemPlan of every bordered-system
-    pattern met on that skeleton (see ConstraintMap.plan).
+    pattern (csr_indices, csr_indptr, csr_nnz slots). The same pattern
+    holds every two-field matrix on the mesh as 2 x 2 node blocks (see
+    SkeletonMatrix): entry 4 s + 2 a + b couples field a of slot s's row
+    node to field b of its column node. diagonal_slots holds the entries
+    of the main diagonal, for every field-major row in order, and of
+    offset N, the (i, N + i) entry of every theta row: the storage and
+    capacity terms of a Newton matrix are added there. plans holds the
+    SystemPlan of every bordered-system pattern met on that skeleton
+    (see ConstraintMap.plan).
 
-    Two element operators act on the geometry. stiffness_operator is
-    the csc matrix (one-field slots x elements) whose column m holds
-    element m's scalar stiffness on its slots; its data is pattern and
-    its indices csr_pos, both shared. Times the (M, 4) conductivities
-    it sums the four blocks of K over their slots in scatter's order.
-    element_operator (3M x N, built on first use, as only cell tangents
-    need it) maps a nodal field to its element means and x and y
-    gradients.
+    Element operators act on the geometry. stiffness_operator is the csr
+    matrix (one-field slots x elements) whose row s holds, in element
+    order, the scalar stiffness of every element on slot s. Times the
+    (M, 4) conductivities it sums the four entries of every node block
+    of K in scatter's order, and its (csr_nnz, 4) result is K's data as
+    it stands. Two 0/1 operators sum a nodal field over each element's
+    nodes (element_mean) and per-element values over each node's
+    elements (lumped). element_operator (3M x N, built on first use, as
+    only cell tangents need it) maps a nodal field to its element means
+    and x and y gradients.
     """
 
     def __init__(self, mesh: Mesh):
@@ -179,66 +185,68 @@ class Workspace:
                        p[:, 1, 0] - p[:, 0, 0]], axis=1) * inv2a[:, None]
         self.grads = np.stack([gx, gy], axis=2)    # (M, 3, 2)
         # scalar stiffness pattern S_mij = area * grad N_i . grad N_j
-        self.pattern = np.einsum("mid,mjd->mij", self.grads, self.grads) \
+        self.pattern = (gx[:, :, None] * gx[:, None, :]
+                        + gy[:, :, None] * gy[:, None, :]) \
             * self.areas[:, None, None]
-        self.rows = np.repeat(tris, 3, axis=1).ravel()
-        self.cols = np.tile(tris, (1, 3)).ravel()
+        del p, gx, gy
+        # 0/1 csr operators of the sums over each element's nodes (M x N,
+        # in the triangles' node order) and over each node's elements
+        # (N x M, in element order)
+        m = mesh.n_triangles
+        self._element_sums = sp.csr_matrix(
+            (np.ones(3 * m), tris.ravel().astype(np.int32),
+             np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
+            shape=(m, mesh.n_nodes))
+        self._node_sums = self._element_sums.T.tocsr()
         # lumped nodal areas (row-sum mass with unit density)
-        self.node_areas = self.lumped(np.ones(mesh.n_triangles))
+        self.node_areas = self.lumped(np.ones(m))
         # per-phase element index lists, fixed order
         self.phase_elements = [np.nonzero(mesh.phases == k)[0]
                                for k in range(len(mesh.phase_names))]
-        # fixed csr skeleton of the stiffness pattern: every assembly
-        # reuses it, turning the coo sort/dedup into one bincount
-        order = np.lexsort((self.cols, self.rows))
-        r_s, c_s = self.rows[order], self.cols[order]
+        # fixed csr pattern of the stiffness: every assembly reuses it,
+        # turning the coo sort/dedup into one product. lexsort is
+        # stable, so order lists each slot's element entries in
+        # element order
+        tris32 = tris.astype(np.int32)
+        rows = np.repeat(tris32, 3, axis=1).ravel()
+        cols = np.tile(tris32, (1, 3)).ravel()
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
         fresh = np.empty(order.size, dtype=bool)
         fresh[0] = True
-        fresh[1:] = (r_s[1:] != r_s[:-1]) | (c_s[1:] != c_s[:-1])
-        slots = np.cumsum(fresh) - 1
-        self.csr_nnz = int(slots[-1]) + 1
-        # int32, as scipy keeps the index arrays the operator shares
+        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        slot_rows, self.csr_indices = rows[fresh], cols[fresh]
+        del rows, cols
+        self.csr_nnz = nnz = slot_rows.size
+        # int32, as the pattern's other index arrays
         pos = np.empty(order.size, dtype=np.int32)
-        pos[order] = slots
+        pos[order] = np.cumsum(fresh, dtype=np.int32) - 1
         self.csr_pos = pos
-        m = mesh.n_triangles
-        self.stiffness_operator = sp.csc_matrix(
-            (self.pattern.reshape(-1), pos,
-             np.arange(0, 9 * m + 1, 9, dtype=np.int32)),
-            shape=(self.csr_nnz, m))
-        self.csr_indices = c_s[fresh].astype(np.int32)
-        counts = np.bincount(r_s[fresh], minlength=mesh.n_nodes)
+        self.stiffness_operator = sp.csr_matrix(
+            (self.pattern.reshape(-1)[order], (order // 9).astype(np.int32),
+             np.append(np.flatnonzero(fresh), order.size).astype(np.int32)),
+            shape=(nnz, m))
+        del order, fresh
         self.csr_indptr = np.concatenate(
-            [[0], np.cumsum(counts)]).astype(np.int32)
-        # two-field skeleton: one-field slot s of node row i lands at
-        # s + indptr[i] (left block) or s + indptr[i + 1] (right block),
-        # 2 nnz further on in the phi rows
-        nnz = self.csr_nnz
-        left = np.arange(nnz) + np.repeat(self.csr_indptr[:-1], counts)
-        right = left + np.repeat(counts, counts)
-        self.pair_slots = np.stack([left, right, left + 2 * nnz,
-                                    right + 2 * nnz]).astype(np.int32)
-        self.pair_indices = np.empty(4 * nnz, dtype=np.int32)
-        self.pair_indices[self.pair_slots] = \
-            [self.csr_indices, self.csr_indices + mesh.n_nodes] * 2
-        self.pair_indptr = np.concatenate(
-            [2 * self.csr_indptr, 2 * nnz + 2 * self.csr_indptr[1:]])
-        # each node's own one-field slot, in its tt, ff and tf blocks
+            [[0], np.cumsum(np.bincount(slot_rows, minlength=mesh.n_nodes))]
+        ).astype(np.int32)
+        # each node's own slot, whose tt, tf and ff entries are 4 own,
+        # 4 own + 1 and 4 own + 3
         own = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        on_diagonal = self.rows == self.cols
-        own[self.rows[on_diagonal]] = pos[on_diagonal]
+        on_diagonal = np.flatnonzero(slot_rows == self.csr_indices)
+        own[slot_rows[on_diagonal]] = on_diagonal
+        del slot_rows, on_diagonal
         if np.any(own < 0):
             raise FemError("mesh has nodes that belong to no triangle")
-        self.diagonal_slots = (np.concatenate([self.pair_slots[0][own],
-                                               self.pair_slots[3][own]]),
-                               self.pair_slots[1][own])
+        self.diagonal_slots = (np.concatenate([4 * own, 4 * own + 3]),
+                               4 * own + 1)
         self.plans = {}
-        # the csr matrix that multiplies every SkeletonMatrix of this
-        # skeleton; it holds values only during a product and is never
-        # handed out
+        # the bsr matrix that multiplies every SkeletonMatrix of this
+        # mesh, in node-interleaved order; it holds values only during a
+        # product and is never handed out
         n = 2 * mesh.n_nodes
-        self._product = sp.csr_matrix(
-            (np.zeros(4 * nnz), self.pair_indices, self.pair_indptr),
+        self._product = sp.bsr_matrix(
+            (np.zeros((nnz, 2, 2)), self.csr_indices, self.csr_indptr),
             shape=(n, n))
         self._product.data = None
 
@@ -249,15 +257,15 @@ class Workspace:
         m to field b at its j-th node; a 2 x 2 nested list of (M, 3, 3)
         blocks spares a large system one array four blocks in size.
         Each block is summed over its one-field slots by one bincount
-        and placed into the skeleton, so every matrix of a mesh shares
-        the order of its values.
+        into column 2 a + b of the (csr_nnz, 4) node blocks, so every
+        matrix of a mesh shares the order of its values.
         """
         nnz = self.csr_nnz
-        summed = np.empty(4 * nnz)
-        for slots, block in zip(self.pair_slots, [b for r in data for b in r]):
-            summed[slots] = np.bincount(self.csr_pos, weights=np.ravel(block),
-                                        minlength=nnz)
-        return SkeletonMatrix(self, summed)
+        summed = np.empty((nnz, 4))
+        for k, block in enumerate([b for r in data for b in r]):
+            summed[:, k] = np.bincount(self.csr_pos, weights=np.ravel(block),
+                                       minlength=nnz)
+        return SkeletonMatrix(self, summed.reshape(-1))
 
     @cached_property
     def element_operator(self):
@@ -274,19 +282,18 @@ class Workspace:
 
     def lumped(self, vals):
         """Row-sum lumped nodal diagonal of per-element densities, (N,)."""
-        # bincount adds each node's terms in index order, so the sums
-        # are those of np.add.at bit for bit
-        return np.bincount(self.mesh.triangles.ravel(),
-                           weights=np.repeat(vals * self.areas / 3.0, 3),
-                           minlength=self.mesh.n_nodes)
+        # each node sums its elements' terms in element order, so the
+        # sums are those of np.add.at bit for bit
+        return self._node_sums @ (vals * self.areas / 3.0)
 
     def element_gradient(self, nodal):
         """Constant per-element gradient of a nodal field, (M, 2)."""
         return np.einsum("mid,mi->md", self.grads, nodal[self.mesh.triangles])
 
     def element_mean(self, nodal):
-        # what .mean(axis=1) computes, without its Python wrapper
-        return nodal[self.mesh.triangles].sum(axis=1) / 3.0
+        # what .mean(axis=1) computes: the sum of the three nodal
+        # values in the triangle's order, divided by 3
+        return self._element_sums @ nodal / 3.0
 
     def scatter_gradient_pairing(self, vec):
         """Nodal vector b with b_i = sum_e A_e grad N_i . vec_e."""
@@ -297,15 +304,19 @@ class Workspace:
 
 
 class SkeletonMatrix:
-    """The values of a 2N x 2N matrix on a mesh's two-field skeleton.
+    """The values of a 2N x 2N matrix on a mesh's one-field pattern, as
+    2 x 2 node blocks.
 
-    data follows the slots of the skeleton, whose index arrays the
-    workspace holds; a SkeletonMatrix is not a scipy matrix and builds
-    none. `A @ x` runs scipy's csr product on the workspace's own csr
-    matrix of the skeleton, `s * A` scales the values into a new
+    data follows the slots of the workspace's csr pattern, four entries
+    a slot: entry 4 s + 2 a + b couples field a of slot s's row node to
+    field b of its column node, so data is the data of a block-sparse
+    (bsr) matrix in node-interleaved order. A SkeletonMatrix is not a
+    scipy matrix and builds none. `A @ x` takes a field-major x, a
+    vector or a block of columns, and runs scipy's bsr product on the
+    workspace's own bsr matrix; `s * A` scales the values into a new
     SkeletonMatrix, and ConstraintMap plans and reduces it. tocsr()
-    builds the csr matrix of the skeleton, sharing data and the index
-    arrays, for a caller that compares against scipy.
+    builds the field-major csr matrix of the blocks, for a caller that
+    compares against scipy.
     """
 
     def __init__(self, workspace: "Workspace", data):
@@ -318,12 +329,16 @@ class SkeletonMatrix:
         return n, n
 
     def __matmul__(self, x):
+        # field-major x to node-interleaved, and the product back
+        n = self.workspace.mesh.n_nodes
+        tail = x.shape[1:]
         A = self.workspace._product
-        A.data = self.data
+        A.data = self.data.reshape(-1, 2, 2)
         try:
-            return A @ x
+            y = A @ x.reshape((2, n) + tail).swapaxes(0, 1).reshape(x.shape)
         finally:
             A.data = None
+        return y.reshape((n, 2) + tail).swapaxes(0, 1).reshape(x.shape)
 
     def __rmul__(self, scalar):
         return SkeletonMatrix(self.workspace, scalar * self.data)
@@ -332,9 +347,26 @@ class SkeletonMatrix:
         return self.data[self.workspace.diagonal_slots[0]]
 
     def tocsr(self) -> sp.csr_matrix:
-        ws = self.workspace
-        return sp.csr_matrix((self.data, ws.pair_indices, ws.pair_indptr),
-                             shape=self.shape)
+        """The field-major csr matrix of the blocks, stored zeros kept,
+        every row's columns in order."""
+        rows, cols = _entry_dofs(self.workspace)
+        order = np.lexsort((cols, rows))
+        n = self.shape[0]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return sp.csr_matrix((self.data[order], cols[order],
+                              indptr.astype(np.int32)), shape=self.shape)
+
+
+def _entry_dofs(ws: Workspace):
+    """Field-major (row, column) dofs of every entry of the data of a
+    SkeletonMatrix on ws, int32 arrays of 4 csr_nnz."""
+    n = ws.mesh.n_nodes
+    node_rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(ws.csr_indptr))
+    shape = (ws.csr_nnz, 2, 2)
+    field = np.array([0, n], dtype=np.int32)
+    rows = np.broadcast_to((node_rows[:, None] + field)[:, :, None], shape)
+    cols = np.broadcast_to((ws.csr_indices[:, None] + field)[:, None, :], shape)
+    return rows.reshape(-1), cols.reshape(-1)
 
 
 def workspace(mesh: Mesh) -> Workspace:
@@ -411,7 +443,7 @@ def assemble_system(mesh: Mesh, state: FieldState,
     """Conductivity blocks and lumped storage at the given state.
 
     materials maps phase names to objects with coefficients(theta, phi).
-    K's four blocks are one product of the workspace's stiffness_operator
+    K's node blocks are one product of the workspace's stiffness_operator
     with the (M, 4) conductivities, the bits of scatter on k_ab times the
     scalar stiffness. No external flux is assembled: boundary data enter
     as Dirichlet values through the constraint map.
@@ -421,12 +453,11 @@ def assemble_system(mesh: Mesh, state: FieldState,
     ws = workspace(mesh)
     at = CentroidMaterials(mesh, state.theta, state.phi, materials)
     coeff = at.coefficients()
-    blocks = ws.stiffness_operator @ np.array(
-        [coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff]).T
-    K = np.empty(4 * ws.csr_nnz)
-    K[ws.pair_slots] = blocks.T
-    return CoupledSystem(SkeletonMatrix(ws, K), ws.lumped(coeff.c_tt),
-                         ws.lumped(coeff.c_ff), coeff, at)
+    K = ws.stiffness_operator @ np.stack(
+        [coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff], axis=1)
+    return CoupledSystem(SkeletonMatrix(ws, K.reshape(-1)),
+                         ws.lumped(coeff.c_tt), ws.lumped(coeff.c_ff), coeff,
+                         at)
 
 
 def capacity_jacobian_diagonals(sysm: CoupledSystem):
@@ -494,11 +525,11 @@ class SystemPlan:
     """Ordering and gather map of one bordered-system pattern.
 
     The pattern is that of ConstraintMap.reduce_matrix: the stored
-    nonzero entries of a matrix A on a skeleton (given by the skeleton's
-    indptr and indices and the mask `keep` of A's nonzero entries) on
-    the rows and columns that stay in the system, and the border. The
-    plan depends on nothing else, so every matrix of one pattern is
-    ordered and summed alike.
+    nonzero entries of a matrix A (given by the field-major row and
+    column dofs of every entry of A's data and the mask `keep` of A's
+    nonzero entries) on the rows and columns that stay in the system,
+    and the border. The plan depends on nothing else, so every matrix
+    of one pattern is ordered and summed alike.
 
     order[i] is the position, in the planned system, of row and column
     i of the map's numbering (ConstraintMap.rows). It is SuperLU's
@@ -515,11 +546,9 @@ class SystemPlan:
     border's entries in the constraint columns and rows.
     """
 
-    def __init__(self, indptr, indices, keep, cmap: "ConstraintMap"):
+    def __init__(self, rows, cols, keep, cmap: "ConstraintMap"):
         n, m, G = cmap.size, cmap.row_dofs.size, cmap.border
-        r = cmap.rows[np.repeat(np.arange(indptr.size - 1, dtype=np.int32),
-                                np.diff(indptr))]
-        c = cmap.rows[indices]
+        r, c = cmap.rows[rows], cmap.rows[cols]
         keep = keep & (r >= 0) & (c >= 0)
         k = (m + G.col).astype(np.int32)
         r = np.concatenate([r[keep], G.row, k])
@@ -628,8 +657,7 @@ class ConstraintMap:
         key = (self._pattern_key, np.packbits(keep).tobytes())
         plan = ws.plans.get(key)
         if plan is None:
-            plan = ws.plans[key] = SystemPlan(ws.pair_indptr, ws.pair_indices,
-                                              keep, self)
+            plan = ws.plans[key] = SystemPlan(*_entry_dofs(ws), keep, self)
         return plan
 
     def reduce_matrix(self, A: SkeletonMatrix, weights=None,

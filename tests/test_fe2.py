@@ -93,10 +93,16 @@ def bmat_macro_jacobian(ws, tangents, C, dt):
 
 def on_skeleton(ws, A):
     """The sparse matrix A, whose entries lie on the two-field skeleton of
-    ws, as a SkeletonMatrix; the skeleton's other entries are zero."""
-    skeleton = fem.SkeletonMatrix(ws, np.zeros(4 * ws.csr_nnz)).tocsr().tocoo()
-    return fem.SkeletonMatrix(
-        ws, np.asarray(A.tocsr()[skeleton.row, skeleton.col]).ravel())
+    ws, as a SkeletonMatrix; the skeleton's other entries are zero. tocsr()
+    of the data that numbers the skeleton's entries tells where in the
+    data each entry of A goes."""
+    skeleton = fem.SkeletonMatrix(
+        ws, np.arange(4 * ws.csr_nnz, dtype=float)).tocsr().tocoo()
+    assert skeleton.nnz == 4 * ws.csr_nnz
+    data = np.empty(4 * ws.csr_nnz)
+    data[skeleton.data.astype(np.int64)] = np.asarray(
+        A.tocsr()[skeleton.row, skeleton.col]).ravel()
+    return fem.SkeletonMatrix(ws, data)
 
 
 def assert_same_csr(a, b):

@@ -105,12 +105,25 @@ def without_zeros(A):
     return A
 
 
+def skeleton_positions(ws):
+    """The field-major csr matrix of the skeleton of ws whose every entry
+    is the position of that entry in a SkeletonMatrix's data: tocsr() of
+    the data that numbers its entries."""
+    labels = fem.SkeletonMatrix(
+        ws, np.arange(4 * ws.csr_nnz, dtype=float)).tocsr()
+    assert labels.nnz == 4 * ws.csr_nnz
+    labels.data = labels.data.astype(np.int64)
+    return labels
+
+
 def on_skeleton(ws, A):
     """The sparse matrix A, whose entries lie on the two-field skeleton of
     ws, as a SkeletonMatrix; the skeleton's other entries are zero."""
-    skeleton = fem.SkeletonMatrix(ws, np.zeros(4 * ws.csr_nnz)).tocsr().tocoo()
-    return fem.SkeletonMatrix(
-        ws, np.asarray(A.tocsr()[skeleton.row, skeleton.col]).ravel())
+    skeleton = skeleton_positions(ws).tocoo()
+    data = np.empty(4 * ws.csr_nnz)
+    data[skeleton.data] = np.asarray(
+        A.tocsr()[skeleton.row, skeleton.col]).ravel()
+    return fem.SkeletonMatrix(ws, data)
 
 
 def newton_slots_oracle(A):
@@ -569,7 +582,7 @@ def test_consistent_jacobian_taylor_remainder():
     S = fem.state_jacobian(mesh, u, rate,
                            fem.coefficient_derivatives(sysm)).tocsr()
     J = S.copy()
-    J.data += 0.5 * sysm.conductivity.data
+    J.data += 0.5 * sysm.conductivity.tocsr().data
     J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
     n = cell.mesh.n_nodes
     rng = np.random.default_rng(0)
@@ -786,8 +799,9 @@ def macro_systems(monkeypatch):
     J.data += 0.5 * fe2._value_coupling(ws, kg).data
     # a cell tangent can vanish in whole blocks (no k_tf, say): a few
     # stored zeros off the diagonal stand for them
-    rows = np.repeat(np.arange(J.shape[0]), np.diff(ws.pair_indptr))
-    J.data[np.flatnonzero(ws.pair_indices != rows)[::5]] = 0.0
+    skeleton = skeleton_positions(ws)
+    rows = np.repeat(np.arange(J.shape[0]), np.diff(skeleton.indptr))
+    J.data[skeleton.data[np.flatnonzero(skeleton.indices != rows)[::5]]] = 0.0
     left = mesh.boundary_nodes("left")
     cmap = fem.dirichlet_map(2 * mesh.n_nodes,
                              {**{i: 5.0 for i in left},
@@ -825,8 +839,8 @@ def test_plan_is_the_minimum_degree_order_of_its_pattern(case, monkeypatch):
     for cmap, J, C in SYSTEMS[case](monkeypatch):
         plan = cmap.plan(J)
         assert cmap.plan(J) is plan
-        bare = without_zeros(J)
-        fresh = fem.SystemPlan(bare.indptr, bare.indices,
+        bare = without_zeros(J).tocoo()
+        fresh = fem.SystemPlan(bare.row, bare.col,
                                np.ones(bare.nnz, dtype=bool), cmap)
         assert fresh is not plan
         for name in ("order", "indptr", "indices"):
@@ -857,8 +871,24 @@ def kernel_meshes():
             msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)]
 
 
-@pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
+def element_mean_oracle(ws, nodal):
+    """Element means by the gather that element_mean replaced."""
+    return nodal[ws.mesh.triangles].sum(axis=1) / 3.0
+
+
+def lumped_oracle(ws, vals):
+    """Lumped nodal sums by the bincount that lumped replaced."""
+    return np.bincount(ws.mesh.triangles.ravel(),
+                       weights=np.repeat(vals * ws.areas / 3.0, 3),
+                       minlength=ws.mesh.n_nodes)
+
+
+@pytest.mark.parametrize("mesh", kernel_meshes()
+                         + [msh.generate_rectangle_mesh(1.2, 0.6, 4, 2)],
+                         ids=["cell", "wall", "macro"])
 def test_nodal_sums_and_means_match_their_numpy_oracles_bit_for_bit(mesh):
+    # and the 0/1 operators of element_mean and lumped match the gather
+    # and bincount forms they replaced
     ws = fem.workspace(mesh)
     tris = mesh.triangles.ravel()
     rng = np.random.default_rng(11)
@@ -866,6 +896,10 @@ def test_nodal_sums_and_means_match_their_numpy_oracles_bit_for_bit(mesh):
     ref = np.zeros(mesh.n_nodes)
     np.add.at(ref, tris, np.repeat(vals * ws.areas / 3.0, 3))
     assert np.array_equal(ws.lumped(vals), ref)
+    for vals in (vals, rng.normal(size=mesh.n_triangles)):
+        assert np.array_equal(ws.lumped(vals), lumped_oracle(ws, vals))
+    assert np.array_equal(ws.node_areas,
+                          lumped_oracle(ws, np.ones(mesh.n_triangles)))
     vec = rng.normal(size=(mesh.n_triangles, 2))
     contrib = np.einsum("mid,md->mi", ws.grads, vec) * ws.areas[:, None]
     ref = np.zeros(mesh.n_nodes)
@@ -874,24 +908,60 @@ def test_nodal_sums_and_means_match_their_numpy_oracles_bit_for_bit(mesh):
     nodal = rng.normal(size=mesh.n_nodes)
     assert np.array_equal(ws.element_mean(nodal),
                           nodal[mesh.triangles].mean(axis=1))
+    for nodal in (nodal, rng.uniform(-5.0, 40.0, mesh.n_nodes)):
+        assert np.array_equal(ws.element_mean(nodal),
+                              element_mean_oracle(ws, nodal))
+    # the broadcast stiffness pattern is the einsum form
+    assert np.array_equal(ws.pattern,
+                          np.einsum("mid,mjd->mij", ws.grads, ws.grads)
+                          * ws.areas[:, None, None])
 
 
-@pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
-def test_skeleton_products_match_the_csr_product_bit_for_bit(mesh):
+def product_cases():
+    linear = {"solid": LinearMaterial("m", k_tt=2.0, k_ff=0.7, c_tt=5.0,
+                                      c_ff=3.0, k_tf=0.3, k_ft=0.1)}
+    return [(running_cell(2).mesh, default_materials()),
+            (msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2),
+             default_materials()),
+            (msh.generate_rectangle_mesh(1.2, 0.6, 4, 2), linear)]
+
+
+@pytest.mark.parametrize("mesh, materials", product_cases(),
+                         ids=["cell", "wall", "macro"])
+def test_skeleton_products_match_the_bsr_product_bit_for_bit(mesh, materials):
+    # A @ x is scipy's own bsr product of A's node blocks in
+    # node-interleaved order, for a vector and for a (2N, 6) block, the
+    # tangent's J @ dg, whose columns are the products of each column
+    # alone. The field-major csr product sums a row's k terms in another
+    # order: both lie within (k - 1) u of the sum of the terms'
+    # magnitudes from the exact sum (u = eps / 2), so within (k - 1) eps
+    # of each other
     x, y = (mesh.nodes / mesh.nodes.max(axis=0)).T
     state = fem.FieldState(15.0 + 10.0 * x - 8.0 * y, 0.4 + 0.3 * x + 0.2 * y)
-    sysm = fem.assemble_system(mesh, state, default_materials())
+    sysm = fem.assemble_system(mesh, state, materials)
     A = sysm.conductivity
     assert isinstance(A, fem.SkeletonMatrix)
-    K = A.tocsr()
-    assert np.shares_memory(K.data, A.data)
     assert isinstance(sysm.stiffness(), fem.SkeletonMatrix)
+    K = A.tocsr()
+    n = mesh.n_nodes
+    # interleaved[2 i + a] is the field-major dof of field a at node i
+    interleaved = np.arange(2 * n).reshape(2, n).T.ravel()
+    B = K[interleaved][:, interleaved].tobsr(blocksize=(2, 2))
+    assert np.array_equal(B.data.reshape(-1), A.data)
+    bound = (np.diff(K.indptr) - 1) * np.finfo(float).eps
     rng = np.random.default_rng(2)
-    for x in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 6))):
-        assert np.array_equal(A @ x, K @ x)
+    for x in (rng.normal(size=2 * n), rng.normal(size=(2 * n, 6))):
+        got = A @ x
+        assert got.shape == x.shape
+        assert np.array_equal(got[interleaved], B @ x[interleaved])
+        assert np.all(np.abs(got - K @ x)
+                      <= (bound * (abs(K) @ abs(x)).T).T)
+        if x.ndim == 2:
+            for j in range(x.shape[1]):
+                assert np.array_equal(got[:, j], A @ x[:, j]), j
     half = 0.5 * A
     assert isinstance(half, fem.SkeletonMatrix)
-    assert np.array_equal(half.data, (0.5 * K).data)
+    assert_same_csr(half.tocsr(), 0.5 * K)
     assert np.array_equal(A.diagonal(), K.diagonal())
 
 
@@ -901,11 +971,11 @@ def test_skeleton_products_match_the_csr_product_bit_for_bit(mesh):
     msh.generate_rectangle_mesh(1.2, 0.6, 4, 2)], ids=["cell", "wall", "macro"])
 def test_diagonal_slots_equal_the_offset_search(mesh):
     ws = fem.workspace(mesh)
-    diag, offset = newton_slots_oracle(
-        fem.SkeletonMatrix(ws, np.zeros(4 * ws.csr_nnz)).tocsr())
+    skeleton = skeleton_positions(ws)
+    diag, offset = newton_slots_oracle(skeleton)
     assert diag.size == 2 * mesh.n_nodes and offset.size == mesh.n_nodes
-    assert np.array_equal(ws.diagonal_slots[0], diag)
-    assert np.array_equal(ws.diagonal_slots[1], offset)
+    assert np.array_equal(ws.diagonal_slots[0], skeleton.data[diag])
+    assert np.array_equal(ws.diagonal_slots[1], skeleton.data[offset])
 
 
 def test_shared_periodic_map_equals_a_fresh_map_bit_for_bit():
@@ -1039,17 +1109,21 @@ def test_an_assembly_makes_one_kunzel_call_for_both_phases(monkeypatch):
 
 @pytest.mark.parametrize("mesh", kernel_meshes(), ids=["cell", "wall"])
 def test_stiffness_operator_product_is_the_bincount_scatter_bit_for_bit(mesh):
+    # the operator is the csc matrix whose column m holds element m's
+    # pattern on its slots, stored by slot, each slot's elements in order
     ws = fem.workspace(mesh)
-    op = ws.stiffness_operator
-    assert np.shares_memory(op.data, ws.pattern)
-    assert np.shares_memory(op.indices, ws.csr_pos)
+    m = mesh.n_triangles
+    by_element = sp.csc_matrix(
+        (ws.pattern.reshape(-1), ws.csr_pos,
+         np.arange(0, 9 * m + 1, 9, dtype=np.int32)), shape=(ws.csr_nnz, m))
+    assert_same_csr(ws.stiffness_operator, by_element.tocsr())
     sysm = fem.assemble_system(mesh, freezing_state(mesh),
                                default_materials())
     coeff, K = sysm.coeff, sysm.conductivity
-    ref = np.empty(4 * ws.csr_nnz)
-    for slots, k in zip(ws.pair_slots,
-                        (coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff)):
-        ref[slots] = np.bincount(ws.csr_pos,
-                                 weights=(k[:, None, None] * ws.pattern).ravel(),
-                                 minlength=ws.csr_nnz)
-    assert np.array_equal(K.data, ref)
+    # column 2 a + b of the node blocks holds block (a, b)
+    ref = np.empty((ws.csr_nnz, 4))
+    for col, k in enumerate((coeff.k_tt, coeff.k_tf, coeff.k_ft, coeff.k_ff)):
+        ref[:, col] = np.bincount(
+            ws.csr_pos, weights=(k[:, None, None] * ws.pattern).ravel(),
+            minlength=ws.csr_nnz)
+    assert np.array_equal(K.data, ref.reshape(-1))
