@@ -6,19 +6,16 @@ coupled heat and moisture balance equations. Relative humidity phi [-]
 and temperature theta [deg C] are the state variables; moisture content
 w is in kg m^-3.
 
-All evaluation functions accept scalars or numpy arrays of matching
-shape and broadcast elementwise, so assembly loops can evaluate whole
-element batches at once.
-
-Each public per-quantity function checks its own argument against the
-validity window. An evaluation of a material (KunzelMaterial's
-coefficients, storage_derivatives and conduction_derivatives) checks
-the state once and computes every shared intermediate, p_sat, its
-derivative, w, dw/dphi, h_v and delta_p, once, with the same
-floating-point expressions as those functions. A check reads one
-min() and one max() of its array: theta must lie in the open window
-(THETA_MIN, THETA_MAX), phi in the closed band [-PHI_SLACK,
-1 + PHI_SLACK], and NaN and +-inf fail both.
+KunzelMaterial is the model's one entry. Its three methods,
+coefficients, storage_derivatives and conduction_derivatives, accept
+scalars or numpy arrays of matching shape and broadcast elementwise, so
+assembly loops can evaluate whole element batches at once. Each checks
+the state once and builds on the shared private kernels, which compute
+p_sat and its derivative, h_v, delta, w, dw/dphi, d^2w/dphi^2 and D_w
+from checked arrays. A check reads one min() and one max() of its
+array: theta must lie in the open window (THETA_MIN, THETA_MAX), phi in
+the closed band [-PHI_SLACK, 1 + PHI_SLACK], and NaN and +-inf fail
+both.
 
 The kernels are elementwise in the material constants as in the state,
 so one evaluation covers every Kunzel phase of a mesh:
@@ -135,13 +132,8 @@ def _check_phi(phi):
     return ph
 
 
-def _scalar(x):
-    return x if np.ndim(x) else float(x)
-
-
-# Unchecked kernels of checked arrays. The public per-quantity functions
-# below check their argument and call one kernel; the material methods
-# check the state once and share each kernel's result.
+# Unchecked kernels of checked arrays: the material methods check the
+# state once and share each kernel's result.
 
 
 def _saturation_branch(th):
@@ -152,23 +144,31 @@ def _saturation_branch(th):
 
 
 def _saturation(th):
-    """(p_sat, d p_sat / d theta) on the branch of _saturation_branch."""
+    """(p_sat, d p_sat / d theta) [Pa, Pa K^-1] at theta [deg C]: the fit
+    611 exp(a theta / (theta_0 + theta)). Both branches meet at 611 Pa,
+    but their slopes do not (50.33 Pa/K below, 44.56 Pa/K above), so the
+    vapor transport coefficients have a kink at 0 deg C."""
     a, t0 = _saturation_branch(th)
     p = 611.0 * np.exp(a * th / (t0 + th))
     return p, p * a * t0 / (t0 + th) ** 2
 
 
 def _latent_heat(th):
+    """Latent heat of evaporation h_v [J kg^-1] at theta [deg C]:
+    2.5008e6 (273.15 / T)^(0.167 + 3.67e-4 T), T in kelvin."""
     t_abs = th + T_ZERO
     return 2.5008e6 * (T_ZERO / t_abs) ** (0.167 + 3.67e-4 * t_abs)
 
 
-def _vapor_diffusion(th, p):
+def _vapor_diffusion(th):
+    """Vapor diffusion coefficient in air, delta [kg m^-1 s^-1 Pa^-1]:
+    2.306e-5 p_a / (R_v T p) (T / 273.15)^1.81, T in kelvin, p = p_a."""
     t_abs = th + T_ZERO
-    return 2.306e-5 * P_ATM / (R_VAPOR * t_abs * p) * (t_abs / T_ZERO) ** 1.81
+    return 2.306e-5 * P_ATM / (R_VAPOR * t_abs * P_ATM) * (t_abs / T_ZERO) ** 1.81
 
 
 def _water_content(params, b, ph):
+    """Sorption isotherm w(phi) = w_f (b - 1) phi / (b - phi) [kg m^-3]."""
     return params.w_f * (b - 1.0) * ph / (b - ph)
 
 
@@ -182,33 +182,7 @@ def _moisture_capacity_derivative(params, b, ph):
 
 def _capillary_transport(params, w):
     """D_w(w) = 3.8 (A / w_f)^2 1000^(w / w_f - 1) [m^2 s^-1]."""
-    return (3.8 * (params.A / params.w_f) ** 2
-            * 1000.0 ** (np.asarray(w) / params.w_f - 1.0))
-
-
-def saturation_pressure(theta):
-    """Water vapor saturation pressure [Pa] at theta [deg C].
-
-    Empirical fit 611 exp(a theta / (theta_0 + theta)) with coefficient
-    pairs switching at the freezing point. Both branches meet at 611 Pa,
-    but their slopes do not (50.33 Pa/K below, 44.56 Pa/K above), so the
-    vapor transport coefficients have a kink at 0 deg C.
-    """
-    return _scalar(_saturation(_check_theta(theta))[0])
-
-
-def saturation_pressure_derivative(theta):
-    """d p_sat / d theta [Pa K^-1], piecewise like the pressure itself."""
-    return _scalar(_saturation(_check_theta(theta))[1])
-
-
-def latent_heat(theta):
-    """Latent heat of evaporation h_v [J kg^-1] at theta [deg C].
-
-    The underlying correlation takes absolute temperature,
-    h_v = 2.5008e6 (273.15 / T)^(0.167 + 3.67e-4 T).
-    """
-    return _scalar(_latent_heat(_check_theta(theta)))
+    return 3.8 * (params.A / params.w_f) ** 2 * 1000.0 ** (w / params.w_f - 1.0)
 
 
 def derive_approximation_factor(w_f, w_80):
@@ -217,96 +191,17 @@ def derive_approximation_factor(w_f, w_80):
     Solves w(0.8) = w_80 for the one-parameter isotherm
     w(phi) = w_f (b - 1) phi / (b - phi); the closed form is
     b = 0.8 (w_f - w_80) / (0.8 w_f - w_80), valid for w_80 < 0.8 w_f.
+    A w_80 so small against w_f that b rounds to 1 is rejected too.
     """
     if not 0.0 < w_80 < 0.8 * w_f:
         raise ConstitutiveError(
             f"w_80 = {w_80} outside (0, 0.8 w_f) for w_f = {w_f}; b undefined"
         )
     b = 0.8 * (w_f - w_80) / (0.8 * w_f - w_80)
-    assert b > 1.0
+    if not b > 1.0:
+        raise ConstitutiveError(
+            f"w_80 = {w_80} too small against w_f = {w_f}: b = {b!r} is not above 1")
     return b
-
-
-def _factor(params, b):
-    return derive_approximation_factor(params.w_f, params.w_80) if b is None else b
-
-
-def water_content(params: MaterialParams, phi, b: float | None = None):
-    """Equilibrium water content w(phi) [kg m^-3] of the sorption isotherm."""
-    return _scalar(_water_content(params, _factor(params, b), _check_phi(phi)))
-
-
-def moisture_capacity(params: MaterialParams, phi, b: float | None = None):
-    """Moisture storage capacity dw/dphi [kg m^-3] (always positive)."""
-    return _scalar(_moisture_capacity(params, _factor(params, b), _check_phi(phi)))
-
-
-def moisture_capacity_derivative(params: MaterialParams, phi,
-                                 b: float | None = None):
-    """Second derivative of the sorption isotherm, d^2 w / d phi^2."""
-    return _scalar(_moisture_capacity_derivative(params, _factor(params, b),
-                                                 _check_phi(phi)))
-
-
-def vapor_diffusion(theta, p=P_ATM):
-    """Vapor diffusion coefficient in air, delta [kg m^-1 s^-1 Pa^-1].
-
-    delta = 2.306e-5 p_a / (R_v T p) (T / 273.15)^1.81 with T in kelvin.
-    """
-    return _scalar(_vapor_diffusion(_check_theta(theta), p))
-
-
-def vapor_permeability(params: MaterialParams, theta, p=P_ATM):
-    """Vapor permeability of the porous material, delta_p = delta / mu."""
-    return vapor_diffusion(theta, p) / params.mu
-
-
-def liquid_conduction(params: MaterialParams, phi, b: float | None = None):
-    """Liquid conduction coefficient D_phi [kg m^-1 s^-1].
-
-    D_phi = D_w(w) dw/dphi with the capillary transport coefficient
-    D_w = 3.8 (A / w_f)^2 1000^(w / w_f - 1)  [m^2 s^-1].
-    """
-    b = _factor(params, b)
-    ph = _check_phi(phi)
-    out = (_capillary_transport(params, _water_content(params, b, ph))
-           * _moisture_capacity(params, b, ph))
-    return _scalar(out)
-
-
-def thermal_conductivity(params: MaterialParams, w):
-    """Moisture dependent thermal conductivity [W m^-1 K^-1].
-
-    lambda = lambda_0 (1 + b_tcs w / rho_s), linear in the water content.
-    """
-    lam = params.lambda_0 * (1.0 + params.b_tcs * np.asarray(w, dtype=float) / params.rho_s)
-    return _scalar(lam)
-
-
-def transport_coefficients(params: MaterialParams, theta, phi,
-                           b: float | None = None) -> CoefficientSet:
-    """Full coupled CoefficientSet at state (theta [deg C], phi [-]).
-
-    All entries are positive inside the validity window; c_tt is bounded
-    below by the dry heat capacity rho_s c_s. The state is checked once,
-    and every intermediate is computed once.
-    """
-    th = _check_theta(theta)
-    ph = _check_phi(phi)
-    b = _factor(params, b)
-    w = _water_content(params, b, ph)
-    dw = _moisture_capacity(params, b, ph)
-    dp = _vapor_diffusion(th, P_ATM) / params.mu
-    psat, dpsat = _saturation(th)
-    hv = _latent_heat(th)
-    return CoefficientSet(
-        k_tt=thermal_conductivity(params, w) + hv * dp * ph * dpsat,
-        k_tf=hv * dp * psat,
-        k_ft=dp * ph * dpsat,
-        k_ff=_capillary_transport(params, w) * dw + dp * psat,
-        c_tt=params.rho_s * params.c_s + C_WATER * np.asarray(w),
-        c_ff=_scalar(dw),
-    )
 
 
 _CONSTANTS = tuple(f.name for f in fields(MaterialParams) if f.name != "name")
@@ -355,7 +250,29 @@ class KunzelMaterial:
         return self.params.name
 
     def coefficients(self, theta, phi) -> CoefficientSet:
-        return transport_coefficients(self.params, theta, phi, self.b)
+        """Full coupled CoefficientSet at state (theta [deg C], phi [-]).
+
+        All entries are positive inside the validity window; c_tt is
+        bounded below by the dry heat capacity rho_s c_s. The thermal
+        conductivity is lambda = lambda_0 (1 + b_tcs w / rho_s), and the
+        liquid conduction coefficient D_phi = D_w(w) dw/dphi.
+        """
+        p, b = self.params, self.b
+        th = _check_theta(theta)
+        ph = _check_phi(phi)
+        w = _water_content(p, b, ph)
+        dw = _moisture_capacity(p, b, ph)
+        dp = _vapor_diffusion(th) / p.mu
+        psat, dpsat = _saturation(th)
+        hv = _latent_heat(th)
+        return CoefficientSet(
+            k_tt=p.lambda_0 * (1.0 + p.b_tcs * w / p.rho_s) + hv * dp * ph * dpsat,
+            k_tf=hv * dp * psat,
+            k_ft=dp * ph * dpsat,
+            k_ff=_capillary_transport(p, w) * dw + dp * psat,
+            c_tt=p.rho_s * p.c_s + C_WATER * w,
+            c_ff=dw,
+        )
 
     def storage_derivatives(self, theta, phi):
         """(d c_tt / d phi, d c_ff / d phi) for Jacobian assembly.
@@ -383,7 +300,7 @@ class KunzelMaterial:
         th = _check_theta(theta)
         ph = _check_phi(phi)
         t_abs = th + T_ZERO
-        dp = _vapor_diffusion(th, P_ATM) / p.mu
+        dp = _vapor_diffusion(th) / p.mu
         ddp = 0.81 * dp / t_abs
         a, t0 = _saturation_branch(th)
         psat, dpsat = _saturation(th)

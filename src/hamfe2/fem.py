@@ -261,9 +261,13 @@ class Workspace:
         matrix of a mesh shares the order of its values.
         """
         nnz = self.csr_nnz
+        # bincount casts its indices to intp: cast once for the four
+        # blocks, per call, since the fine wall never scatters and a copy
+        # kept on the workspace would only add to its memory
+        pos = self.csr_pos.astype(np.intp)
         summed = np.empty((nnz, 4))
         for k, block in enumerate([b for r in data for b in r]):
-            summed[:, k] = np.bincount(self.csr_pos, weights=np.ravel(block),
+            summed[:, k] = np.bincount(pos, weights=np.ravel(block),
                                        minlength=nnz)
         return SkeletonMatrix(self, summed.reshape(-1))
 

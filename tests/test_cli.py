@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hamfe2.cli import main, run_scenario
+from hamfe2.config import ConfigError, load_materials
 from hamfe2.constitutive import default_materials
 from hamfe2.mesh import load_mesh
 from hamfe2.results import read_history_csv
@@ -202,6 +203,21 @@ max_iterations = 1
         assert main(["solve-fine", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "solid:" in err and "k_tt" in err and "c_tt" in err
+        assert not (tmp_path / "out" / "theta.csv").exists()
+
+    def test_degenerate_kunzel_isotherm_exits_one(self, tmp_path, capsys):
+        # w_80 passes MaterialParams, but the approximation factor b
+        # rounds to exactly 1
+        cfg = fine_scenario(tmp_path)
+        mats = write(tmp_path / "mats.ini",
+                     BRICK_MATS.replace("w_80 = 141.68", "w_80 = 1e-300"))
+        with pytest.raises(ConfigError) as exc:
+            load_materials(mats)
+        assert any(p.startswith("brick:") and "not above 1" in p
+                   for p in exc.value.problems)
+        assert run_scenario(cfg, "solve-fine") == 1
+        err = capsys.readouterr().err
+        assert "configuration invalid:" in err and "not above 1" in err
         assert not (tmp_path / "out" / "theta.csv").exists()
 
     @pytest.mark.parametrize("row", ["1 zero", "0.5"])
