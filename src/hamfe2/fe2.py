@@ -1,29 +1,31 @@
 """Nested macro-meso driver and the fine-scale comparison harness.
 
 Every macro element carries one integration point bound to a transient
-periodic cell problem. A macro Crank-Nicolson step iterates Newton on
-the macro unknowns; each iteration sends the current element values and
-gradients to the scheduler pool, which advances every cell from its
-committed state and returns averaged fluxes and storage rates. A cell's
-Newton starts from its committed fluctuation on the first iteration of
-a step attempt. After that it starts from the fluctuation it reached on
-the previous iteration, moved along the change of its loading by the
-sensitivity its cell tangent computed on the first iteration. The
-points are dealt to the workers cyclically by element id. The macro
-residual is that of classical first-order homogenization:
+periodic cell problem. A macro step is solver.crank_nicolson_step, the
+Crank-Nicolson residual of the fine solve, over macro evaluations: each
+Newton iteration sends the current element values and gradients to the
+scheduler pool, which advances every cell from its committed state and
+returns averaged fluxes and storage rates. A cell's Newton starts from
+its committed fluctuation on the first iteration of a step attempt.
+After that it starts from the fluctuation it reached on the previous
+iteration, moved along the change of its loading by the sensitivity its
+cell tangent computed on the first iteration. The points are dealt to
+the workers cyclically by element id. The macro residual is that of
+classical first-order homogenization:
 
   * effective capacities (from the cell tangents) times nodal rates,
-  * the Crank-Nicolson average of the cell flux averages against
-    gradient test functions.
+  * the Crank-Nicolson average of the conduction term, the pairing of
+    the cell flux averages with gradient test functions; the driver
+    carries that term of the last accepted state.
 
 Cell tangents are refreshed on the first Newton iteration of each step
 and reused within it. Their effective capacities form the storage term
-C (u - u_n)/dt of the macro residual, so they shape the solution, not
-only the iteration. The macro Jacobian is the chain rule through each
-point's tangent arrays over its cell's loading p = (Theta, Phi,
-grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y). Cell states commit
-when the macro step is accepted, so a rejected or retried step never
-pollutes the meso memory.
+of the macro residual, so they shape the solution, not only the
+iteration. The macro Jacobian is the chain rule through each point's
+tangent arrays over its cell's loading p = (Theta, Phi, grad_Theta_x,
+grad_Theta_y, grad_Phi_x, grad_Phi_y). Cell states commit when the
+macro step is accepted, so a rejected or retried step never pollutes
+the meso memory.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .homogenization import MacroLoading, initial_response
 from .mesh import Mesh
 from .scheduler import (SchedulerError, make_pool, partition_points,
                         slice_registry)
-from .solver import History, SolverConfig, newton_solve, step_with_retry
+from .solver import (History, SolverConfig, crank_nicolson_step,
+                     step_with_retry)
 
 
 class FE2Error(RuntimeError):
@@ -83,6 +86,69 @@ def _value_coupling(ws, g):
             (m, 3, 3)) for b in (0, 1)] for a in (0, 1)])
 
 
+def _stacked(points, name):
+    """Attribute `name` of every point's object, stacked by point id."""
+    return np.stack([getattr(points[e], name) for e in range(len(points))])
+
+
+def _conduction(ws, responses):
+    """The macro conduction term of the points' responses: the pairing of
+    each field's mean fluxes -q with the gradient test functions."""
+    return np.concatenate([ws.scatter_gradient_pairing(-_stacked(responses, q))
+                           for q in ("q_heat", "q_moist")])
+
+
+class _MacroRound:
+    """crank_nicolson_step's assembler for one macro step attempt.
+
+    At an iterate it runs one pool round and returns itself as the
+    evaluation: the conduction term of that round, read before the next
+    round, and the storage and Newton matrix that the first round's
+    tangents froze. Each matrix handed out is factored once, and counted."""
+
+    def __init__(self, driver, dt):
+        self.driver, self.dt = driver, dt
+        self.J, self.factorizations = None, 0
+
+    def __call__(self, u):
+        ws, dt = self.driver.ws, self.dt
+        try:
+            responses = self.driver.pool.run_round(
+                element_loadings(self.driver.mesh, u, dt),
+                want_tangents=self.J is None)
+        except SchedulerError as exc:
+            if exc.failures:
+                raise ConstitutiveError(
+                    "meso increments refused the macro iterate "
+                    f"(points {[p for p, _ in exc.failures]})") from exc
+            raise
+        if self.J is None:
+            tan = {e: r.tangent for e, r in responses.items()}
+            kg, c = _stacked(tan, "kg"), _stacked(tan, "c")
+            self.C = np.concatenate([ws.lumped(c[:, 0]), ws.lumped(c[:, 1])])
+            # every term lies on the mesh's two-field skeleton, so the
+            # terms add on their .data arrays
+            self.J = _tensor_stiffness(ws, kg)
+            self.J.data *= 0.5
+            self.J.data[ws.diagonal_slots[0]] += self.C / dt
+            # mean-flux sensitivity to the macro values; without it the
+            # saturation-pressure coupling degrades Newton to a slow
+            # linear rate
+            self.J.data += 0.5 * _value_coupling(ws, kg).data
+        self.flux = _conduction(ws, responses)
+        return self
+
+    def storage_diagonal(self):
+        return self.C
+
+    def conduction(self, u):
+        return self.flux
+
+    def newton_matrix(self, dt, rate):
+        self.factorizations += 1
+        return self.J
+
+
 @dataclass
 class FE2Result:
     history: History
@@ -91,8 +157,8 @@ class FE2Result:
 
 
 class FE2Driver:
-    """Owns the macro mesh, each point's last accepted response and the
-    worker pool that holds the cell problems and meso states.
+    """Owns the macro mesh, the conduction term of its last accepted state
+    and the worker pool that holds the cell problems and meso states.
 
     init_dt is the dt of the initial loadings, which no increment
     reads; the benchmark passes it, and the benchmark's change of
@@ -111,13 +177,13 @@ class FE2Driver:
         if missing:
             raise FE2Error(f"regions without a cell problem: {missing}")
         loadings = element_loadings(mesh, initial.vector(), init_dt)
-        # the macro assembly needs only each point's last accepted
-        # response; the meso states live with the workers
-        self.entries, registry = {}, {}
+        # the macro step reads only the conduction term of the last
+        # accepted state; the meso states live with the workers
+        responses, registry = {}, {}
         for e, region in enumerate(regions):
-            state, self.entries[e] = initial_response(cells[region],
-                                                      loadings[e])
+            state, responses[e] = initial_response(cells[region], loadings[e])
             registry[e] = (cells[region], state)
+        self.old = _conduction(self.ws, responses)
         self.partition = partition_points(registry, n_workers)
         self.pool = make_pool(slice_registry(self.partition, registry))
 
@@ -137,83 +203,19 @@ class FE2Driver:
         """One macro CN step from u_n; commits meso states on success.
 
         Returns (u_new, newton_iterations, factorizations). The macro
-        Newton holds no factors: every call of the step's system() is
-        followed by one factorization, and those calls are counted.
+        Newton holds no factors: every Newton matrix the step's rounds
+        hand out is factored once, and those are counted.
         Raises SolverError on macro breakdown and when the meso
         increments refuse an iterate (their SchedulerError arrives
         wrapped); both are retryable by halving.
         A SchedulerError from a failed pool, such as a dead worker,
         propagates as it is and is not retried.
         """
-        mesh, ws, entries = self.mesh, self.ws, self.entries
-        n = mesh.n_nodes
-        pids = range(mesh.n_triangles)
-        cache = {}
-        last = {}
-        factorizations = 0
-
-        def stacked(per_point, name):
-            """Attribute `name` of every point's object, stacked by point."""
-            return np.stack([getattr(per_point[e], name) for e in pids])
-
-        q_old_t = stacked(entries, "q_heat")
-        q_old_f = stacked(entries, "q_moist")
-
-        def refresh_tangents(responses):
-            tan = {e: responses[e].tangent for e in pids}
-            kg, c = stacked(tan, "kg"), stacked(tan, "c")
-            C = np.concatenate([ws.lumped(c[:, 0]), ws.lumped(c[:, 1])])
-            # every term lies on the mesh's two-field skeleton, so the
-            # terms add on their .data arrays
-            J = _tensor_stiffness(ws, kg)
-            J.data *= 0.5
-            J.data[ws.diagonal_slots[0]] += C / dt
-            # mean-flux sensitivity to the macro values; without it the
-            # saturation-pressure coupling degrades Newton to a slow
-            # linear rate
-            J.data += 0.5 * _value_coupling(ws, kg).data
-            # the frozen Jacobian is reduced and scaled once per step,
-            # and every evaluation of the step returns that system
-            system = cmap.newton_system(J, C)
-            cache["C"] = C
-
-            def counted():
-                nonlocal factorizations
-                factorizations += 1
-                return system
-            cache["system"] = counted
-
-        def residual_jacobian(z):
-            u = cmap.expand(z)
-            loadings = element_loadings(mesh, u, dt)
-            try:
-                responses = self.pool.run_round(
-                    loadings, want_tangents=not cache)
-            except SchedulerError as exc:
-                if exc.failures:
-                    raise ConstitutiveError(
-                        "meso increments refused the macro iterate "
-                        f"(points {[p for p, _ in exc.failures]})") from exc
-                raise
-            if not cache:
-                refresh_tangents(responses)
-            last.clear()
-            last.update(responses)
-            C = cache["C"]
-            R = C * (u - u_n) / dt
-            R[:n] += ws.scatter_gradient_pairing(
-                -0.5 * (stacked(responses, "q_heat") + q_old_t))
-            R[n:] += ws.scatter_gradient_pairing(
-                -0.5 * (stacked(responses, "q_moist") + q_old_f))
-            r, w = cmap.scaled_residual(R, C)
-            return r, cache["system"], w
-
-        z0 = cmap.initial_reduced(u_n)
-        z, trace = newton_solve(residual_jacobian, z0, self.config)
-        u_new = cmap.expand(z)
-        entries.update(last)
+        rounds = _MacroRound(self, dt)
+        u_new, trace, self.old, _ = crank_nicolson_step(
+            rounds, u_n, dt, cmap, self.config, self.old)
         self.pool.commit()
-        return u_new, len(trace) - 1, factorizations
+        return u_new, len(trace) - 1, rounds.factorizations
 
     def solve(self, schedule, initial: FieldState, dt_hours,
               t_end_hours) -> History:

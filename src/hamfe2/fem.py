@@ -136,6 +136,23 @@ class CoupledSystem:
     def storage_diagonal(self):
         return np.concatenate([self.c_tt, self.c_ff])
 
+    def conduction(self, u):
+        """The conduction term K u of the Crank-Nicolson residual at u."""
+        return self.conductivity @ u
+
+    def newton_matrix(self, dt, rate):
+        """K/2 + C/dt on K's skeleton; the humidity derivatives of C
+        times `rate` enter the phi columns, on offset N in the theta
+        rows and on the diagonal in the phi rows."""
+        J = 0.5 * self.conductivity
+        diag, offset = J.workspace.diagonal_slots
+        J.data[diag] += self.storage_diagonal() / dt
+        gtt, gff = capacity_jacobian_diagonals(self)
+        n = gtt.size
+        J.data[diag[n:]] += gff * rate[n:]
+        J.data[offset] += gtt * rate[:n]
+        return J
+
 
 # ------------------------------------------------- per-mesh workspace
 
@@ -318,9 +335,7 @@ class SkeletonMatrix:
     scipy matrix and builds none. `A @ x` takes a field-major x, a
     vector or a block of columns, and runs scipy's bsr product on the
     workspace's own bsr matrix; `s * A` scales the values into a new
-    SkeletonMatrix, and ConstraintMap plans and reduces it. tocsr()
-    builds the field-major csr matrix of the blocks, for a caller that
-    compares against scipy.
+    SkeletonMatrix, and ConstraintMap plans and reduces it.
     """
 
     def __init__(self, workspace: "Workspace", data):
@@ -349,16 +364,6 @@ class SkeletonMatrix:
 
     def diagonal(self):
         return self.data[self.workspace.diagonal_slots[0]]
-
-    def tocsr(self) -> sp.csr_matrix:
-        """The field-major csr matrix of the blocks, stored zeros kept,
-        every row's columns in order."""
-        rows, cols = _entry_dofs(self.workspace)
-        order = np.lexsort((cols, rows))
-        n = self.shape[0]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return sp.csr_matrix((self.data[order], cols[order],
-                              indptr.astype(np.int32)), shape=self.shape)
 
 
 def _entry_dofs(ws: Workspace):

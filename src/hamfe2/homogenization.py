@@ -219,7 +219,7 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     """
     u_n = cell.total_vector(state)
     if state.old is None:
-        state.old = cell._assembler(u_n).conductivity @ u_n
+        state.old = cell._assembler(u_n).conduction(u_n)
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
     # start from the carried-over fluctuation under the new affine part;

@@ -122,6 +122,9 @@ def validate_mesh(mesh: Mesh):
         raise MeshError("nodes must be (N, 2)")
     if mesh.triangles.min(initial=0) < 0 or mesh.triangles.max(initial=-1) >= mesh.n_nodes:
         raise MeshError("triangle refers to a node out of range")
+    used = np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes) > 0
+    if not used.all():
+        raise MeshError(f"node {int(np.argmin(used))} belongs to no triangle")
     areas = triangle_areas(mesh)
     if np.any(areas <= 0.0):
         bad = int(np.argmin(areas))

@@ -2,12 +2,15 @@
 
 The step solves
 
-    C(u) (u_{n+1} - u_n)/dt + 1/2 (K(u_{n+1}) u_{n+1} + K(u_n) u_n) = 0
+    C(u) (u_{n+1} - u_n)/dt + 1/2 (f(u_{n+1}) + f(u_n)) = 0
 
 with the storage diagonal evaluated at the step's current iterate and a
-frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2. Linear
-systems use a direct sparse factorization; everything is deterministic
-for a fixed input, there is no iterative solver noise.
+frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2: one
+residual for the fine solve and the cell increments, whose conduction
+term is f(u) = K(u) u, and for the FE2 macro step, whose f pairs the
+cells' mean fluxes with the gradient test functions. Linear systems use
+a direct sparse factorization; everything is deterministic for a fixed
+input, there is no iterative solver noise.
 
 A residual evaluation defers its Newton system. newton_solve takes
 residual_jacobian(z) -> (r, system, w): r is the reduced residual in
@@ -16,11 +19,9 @@ rows) builds the matrix; Newton calls it only when it factors, for the
 iterate whose update it solves for, right before it factors the matrix,
 and drops the system first. An evaluation that converges, a trial step
 that is rejected, and an iterate that held factors serve build no
-matrix. For the Crank-Nicolson step, system() reads the capacity
-derivatives off the fem.CoupledSystem of the iterate, the one
-evaluation of its state, adds the storage terms to K/2 and reduces the
-result onto the planned bordered system; the FE2 macro step returns the
-system it reduced once for the whole step.
+matrix. For the Crank-Nicolson step, system() takes the Newton matrix
+of the iterate's evaluation, drops the evaluation and reduces the
+matrix onto the planned bordered system.
 
 Every Newton update solves with the factors at hand, a HeldFactors: a
 fresh factorization of the iterate's system when there are none. A
@@ -121,8 +122,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .constitutive import ConstitutiveError
-from .fem import (ConstraintMap, FieldState, assemble_system,
-                  capacity_jacobian_diagonals, dirichlet_map)
+from .fem import ConstraintMap, FieldState, assemble_system, dirichlet_map
 
 log = logging.getLogger(__name__)
 
@@ -314,24 +314,26 @@ def newton_solve(residual_jacobian, z0, config: SolverConfig, held=None):
 
 def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
                         config: SolverConfig, old=None, z0=None, held=None):
-    """Advance one step; returns (u_{n+1}, trace, old data, system).
+    """Advance one step; returns (u_{n+1}, trace, old data, evaluation).
 
-    assembler(u) returns the fem.CoupledSystem of the full dof vector u,
-    whose capacity_jacobian_diagonals run only when the Newton matrix
-    of that evaluation is built. The returned system is the one at the
-    accepted new state. The old data is K u of a state: `old` carries
-    K_n u_n when the caller already has it, and the returned old data
-    is K u_{n+1} of the returned system. `z0` overrides the start
-    iterate in reduced coordinates (default: project u_n). `held`, a
-    HeldFactors, lends Newton factors of an earlier step with the same
-    constraint pattern and dt, and keeps this step's for the next.
+    assembler(u) returns the evaluation of the full dof vector u: a
+    fem.CoupledSystem, or a round of FE2 cells. The step reads its
+    storage_diagonal() and conduction term conduction(u), and only to
+    factor at u its Newton matrix newton_matrix(dt, (u - u_n)/dt). The
+    returned evaluation is the one at the accepted new state. The old
+    data is the conduction term of a state: `old` carries that of u_n
+    when the caller already has it, and the returned old data is that
+    of u_{n+1}. `z0` overrides the start iterate in reduced coordinates
+    (default: project u_n). `held`, a HeldFactors, lends Newton factors
+    of an earlier step with the same constraint pattern and dt, and
+    keeps this step's for the next.
     """
     if dt <= 0.0:
         raise SolverError("time step must be positive")
     if held is not None:
         held.serve((cmap._pattern_key, dt))
-    fint_n = assembler(u_n).conductivity @ u_n if old is None else old
-    # the latest evaluation and its K u; Newton returns at the accepted one
+    fint_n = assembler(u_n).conduction(u_n) if old is None else old
+    # the latest evaluation and its conduction term; at return, the accepted
     accepted = {}
 
     def residual_jacobian(z):
@@ -340,35 +342,23 @@ def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
         accepted.clear()
         sysm = assembler(u)
         C = sysm.storage_diagonal()
-        fint = sysm.conductivity @ u
+        fint = sysm.conduction(u)
         R = C * (u - u_n) / dt + 0.5 * (fint + fint_n)
         accepted.update(system=sysm, old=fint)
 
         def system():
             # an iterate that is factored is not the accepted one: its
-            # evaluation goes once the capacity terms are read
+            # evaluation goes once its Newton matrix is built
             nonlocal sysm
             accepted.clear()
-            # J = K/2 + C/dt on K's own skeleton
-            J = 0.5 * sysm.conductivity
-            diag, offset = J.workspace.diagonal_slots
-            J.data[diag] += C / dt
-            # storage coefficients depend on humidity: the derivative
-            # times the current rate enters the phi columns, on offset n
-            # in the theta rows and on the diagonal in the phi rows
-            gtt, gff = capacity_jacobian_diagonals(sysm)
+            J = sysm.newton_matrix(dt, (u - u_n) / dt)
             sysm = None
-            n = gtt.size
-            rate = (u - u_n) / dt
-            J.data[diag[n:]] += gff * rate[n:]
-            J.data[offset] += gtt * rate[:n]
             return cmap.newton_system(J, C)
 
         r, w = cmap.scaled_residual(R, C)
         return r, system, w
 
-    if z0 is None:
-        z0 = cmap.initial_reduced(u_n)
+    z0 = cmap.initial_reduced(u_n) if z0 is None else z0
     z, trace = newton_solve(residual_jacobian, z0, config, held)
     return cmap.expand(z), trace, accepted["old"], accepted["system"]
 

@@ -220,6 +220,23 @@ max_iterations = 1
         assert "configuration invalid:" in err and "not above 1" in err
         assert not (tmp_path / "out" / "theta.csv").exists()
 
+    def test_mesh_node_outside_every_triangle_exits_one(self, tmp_path,
+                                                        capsys):
+        # a node no triangle uses is a configuration error, listed with
+        # the others, not a traceback from the solver's workspace
+        cfg = fine_scenario(tmp_path)
+        mesh_file = tmp_path / "square.msh"
+        lines = mesh_file.read_text().splitlines()
+        n = int(lines[0].split()[1])
+        lines[0] = f"nodes {n + 1}"
+        lines.insert(n + 1, "2 2")
+        mesh_file.write_text("\n".join(lines) + "\n")
+        assert run_scenario(cfg, "solve-fine") == 1
+        err = capsys.readouterr().err
+        assert "configuration invalid:" in err
+        assert f"macro.mesh: node {n} belongs to no triangle" in err
+        assert not (tmp_path / "out" / "theta.csv").exists()
+
     @pytest.mark.parametrize("row", ["1 zero", "0.5"])
     def test_malformed_mesh_row_exits_one(self, tmp_path, capsys, row):
         cfg = fine_scenario(tmp_path)

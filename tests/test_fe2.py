@@ -23,6 +23,7 @@ from hamfe2.mesh import (generate_masonry_cell, generate_masonry_wall,
                          generate_rectangle_mesh, with_phases)
 from hamfe2.scheduler import SchedulerError
 from hamfe2.solver import History, SolverConfig, SolverError, transient_solve
+from skeleton_csr import skeleton_csr
 
 LIN = LinearMaterial("solid", k_tt=0.5, k_ff=2e-7, c_tt=2e6, c_ff=40.0)
 
@@ -93,11 +94,11 @@ def bmat_macro_jacobian(ws, tangents, C, dt):
 
 def on_skeleton(ws, A):
     """The sparse matrix A, whose entries lie on the two-field skeleton of
-    ws, as a SkeletonMatrix; the skeleton's other entries are zero. tocsr()
-    of the data that numbers the skeleton's entries tells where in the
-    data each entry of A goes."""
-    skeleton = fem.SkeletonMatrix(
-        ws, np.arange(4 * ws.csr_nnz, dtype=float)).tocsr().tocoo()
+    ws, as a SkeletonMatrix; the skeleton's other entries are zero. The
+    csr matrix of the data that numbers the skeleton's entries tells
+    where in the data each entry of A goes."""
+    skeleton = skeleton_csr(fem.SkeletonMatrix(
+        ws, np.arange(4 * ws.csr_nnz, dtype=float))).tocoo()
     assert skeleton.nnz == 4 * ws.csr_nnz
     data = np.empty(4 * ws.csr_nnz)
     data[skeleton.data.astype(np.int64)] = np.asarray(
@@ -290,7 +291,7 @@ def test_macro_jacobian_matches_bmat_construction(masonry):
     ref = bmat_macro_jacobian(
         fem.workspace(macro),
         [responses[e].tangent for e in range(macro.n_triangles)], C, dt)
-    bare = J.tocsr().copy()
+    bare = skeleton_csr(J)
     bare.eliminate_zeros()
     assert_same_csr(bare, ref)
     assert_same_csr(newton_system(J, C)[0],
@@ -324,27 +325,34 @@ def test_workers_without_points_get_no_process():
 
 def test_failed_macro_step_leaves_meso_states_uncommitted(masonry):
     # a macro attempt that dies after meso rounds must not advance the
-    # cell memories: the retried step has to match a fresh driver bit
-    # for bit. The step converges in one iteration at the default
-    # tolerances, so the failing attempt asks for more than one
+    # cell memories or the macro's old data: the retried step, and the
+    # step after it, which reads the old data the retry left, have to
+    # match a fresh driver bit for bit. The step converges in one
+    # iteration at the default tolerances, so the failing attempt asks
+    # for more than one
     mesh, mats = masonry
     macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
     dt = 3600.0
-    cmap = dirichlet_map(2 * macro.n_nodes, sched.dirichlet_values(macro, dt))
+    cmaps = [dirichlet_map(2 * macro.n_nodes,
+                           sched.dirichlet_values(macro, k * dt))
+             for k in (1, 2)]
     u_n = initial.vector()
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
                    config=SolverConfig(max_iterations=1, newton_tol=1e-14,
                                        newton_floor=0.0)) as driver:
         with pytest.raises(SolverError):
-            driver.step(u_n, dt, cmap)
+            driver.step(u_n, dt, cmaps[0])
         driver.config = SolverConfig()
-        u_retry, _, _ = driver.step(u_n, dt, cmap)
+        u_retry, _, _ = driver.step(u_n, dt, cmaps[0])
+        u_retry2, _, _ = driver.step(u_retry, dt, cmaps[1])
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)},
                    initial) as fresh:
-        u_fresh, _, _ = fresh.step(u_n, dt, cmap)
+        u_fresh, _, _ = fresh.step(u_n, dt, cmaps[0])
+        u_fresh2, _, _ = fresh.step(u_fresh, dt, cmaps[1])
     assert np.array_equal(u_retry, u_fresh)
+    assert np.array_equal(u_retry2, u_fresh2)
 
 
 def test_unsolvable_meso_aborts_after_retry(masonry, caplog):

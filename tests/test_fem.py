@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hamfe2 import fe2, fem, homogenization as hom, mesh as msh, solver
 from hamfe2.constitutive import (BRICK, CoefficientSet, KunzelMaterial,
                                  LinearMaterial, default_materials)
+from skeleton_csr import skeleton_csr
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -50,7 +51,7 @@ def internal_flux(system, u):
     """K u for the full field-major vector u, block by block."""
     n = system.c_tt.size
     th, ph = u[:n], u[n:]
-    K = system.conductivity.tocsr()
+    K = skeleton_csr(system.conductivity)
     return np.concatenate([K[:n, :n] @ th + K[:n, n:] @ ph,
                            K[n:, :n] @ th + K[n:, n:] @ ph])
 
@@ -100,17 +101,17 @@ def assert_same_csr(a, b):
 
 def without_zeros(A):
     """A csr copy of A, a SkeletonMatrix, without its stored zeros."""
-    A = A.tocsr().copy()
+    A = skeleton_csr(A)
     A.eliminate_zeros()
     return A
 
 
 def skeleton_positions(ws):
     """The field-major csr matrix of the skeleton of ws whose every entry
-    is the position of that entry in a SkeletonMatrix's data: tocsr() of
+    is the position of that entry in a SkeletonMatrix's data: the csr of
     the data that numbers its entries."""
-    labels = fem.SkeletonMatrix(
-        ws, np.arange(4 * ws.csr_nnz, dtype=float)).tocsr()
+    labels = skeleton_csr(fem.SkeletonMatrix(
+        ws, np.arange(4 * ws.csr_nnz, dtype=float)))
     assert labels.nnz == 4 * ws.csr_nnz
     labels.data = labels.data.astype(np.int64)
     return labels
@@ -142,7 +143,7 @@ def reduce_matrix_oracle(cmap, A, weights=None):
     The body ConstraintMap.reduce_matrix had before its plans: the
     reference the planned matrices are checked against.
     """
-    A = A.tocsr()
+    A = skeleton_csr(A) if isinstance(A, fem.SkeletonMatrix) else A.tocsr()
     m, G = cmap.row_dofs.size, cmap.border
     weights = np.ones(m) if weights is None else weights
     diag = np.abs(A.diagonal()[cmap.row_dofs] * weights)
@@ -209,7 +210,7 @@ def dense_newton_system(cmap, J, C):
     scaled_residual; J is a SkeletonMatrix.
     """
     w = 1.0 / np.maximum(C[cmap.free_index], 1e-300)
-    return (sp.diags(w) @ (cmap.T.T @ J.tocsr() @ cmap.T)).tocsr(), \
+    return (sp.diags(w) @ (cmap.T.T @ skeleton_csr(J) @ cmap.T)).tocsr(), \
         lambda R: (w * cmap.reduce_vector(R), w)
 
 
@@ -276,7 +277,7 @@ def test_assembly_matches_element_scatter_oracle():
         dofs = np.concatenate([tri, n + tri])
         K[np.ix_(dofs, dofs)] += ke
         C[dofs] += ce
-    assert np.allclose(sys.conductivity.tocsr().toarray(), K, atol=1e-12)
+    assert np.allclose(skeleton_csr(sys.conductivity).toarray(), K, atol=1e-12)
     assert np.allclose(sys.storage_diagonal(), C, atol=1e-12)
     assert np.allclose(sys.f, 0.0)
 
@@ -365,8 +366,9 @@ def test_periodic_map_offsets_and_anchor():
 
 
 def test_workspace_rejects_a_node_outside_every_triangle():
-    # a mesh file may list a node that no triangle uses; its skeleton
-    # row would have no diagonal entry for the storage terms
+    # a mesh built in code may list a node that no triangle uses (a
+    # mesh file that does fails validate_mesh); its skeleton row would
+    # have no diagonal entry for the storage terms
     m = msh.generate_rectangle_mesh(1.0, 1.0, 1, 1)
     loose = msh.Mesh(np.vstack([m.nodes, [[2.0, 2.0]]]), m.triangles,
                      m.phases, m.phase_names, {})
@@ -579,10 +581,10 @@ def test_consistent_jacobian_taylor_remainder():
                 + 0.5 * (sysm.conductivity @ x))
 
     sysm = fem.assemble_system(mesh, fem.FieldState.from_vector(u), materials)
-    S = fem.state_jacobian(mesh, u, rate,
-                           fem.coefficient_derivatives(sysm)).tocsr()
+    S = skeleton_csr(fem.state_jacobian(mesh, u, rate,
+                                        fem.coefficient_derivatives(sysm)))
     J = S.copy()
-    J.data += 0.5 * sysm.conductivity.tocsr().data
+    J.data += 0.5 * skeleton_csr(sysm.conductivity).data
     J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
     n = cell.mesh.n_nodes
     rng = np.random.default_rng(0)
@@ -674,7 +676,8 @@ def test_two_field_stiffness_is_bmat_of_one_field_blocks_bit_for_bit(case):
         materials = {"solid": LinearMaterial("m", k_tt=2.0, k_ff=0.7, c_tt=5.0,
                                              c_ff=3.0, k_tf=0.0, k_ft=0.1)}
     state = varied_state(mesh)
-    K = fem.assemble_system(mesh, state, materials).conductivity.tocsr()
+    K = skeleton_csr(
+        fem.assemble_system(mesh, state, materials).conductivity)
     ref = bmat_stiffness(mesh, state, materials)
     assert_same_csr(K, ref)
     # P1 stiffness on right-triangle grids stores exact zeros
@@ -711,7 +714,7 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
     assert len(seen) > 2
     for cmap, J, C, (u, sysm) in seen:
         assert np.array_equal(C, sysm.storage_diagonal())
-        ref = diags_newton_matrix(sysm.conductivity.tocsr(), C,
+        ref = diags_newton_matrix(skeleton_csr(sysm.conductivity), C,
                                   fem.capacity_jacobian_diagonals(sysm), u,
                                   u_n, 3600.0)
         assert_same_csr(without_zeros(J), ref)
@@ -730,7 +733,7 @@ def assert_planned_is_oracle(cmap, A, weights, ref):
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     if cmap.border.shape[1] > 0:
-        scale = reduce_matrix_oracle(cmap, abs(A.tocsr()), weights)
+        scale = reduce_matrix_oracle(cmap, abs(skeleton_csr(A)), weights)
         assert np.all(np.abs(got.data - ref.data)
                       <= 8 * np.finfo(float).eps * np.abs(scale.data))
     else:
@@ -942,7 +945,7 @@ def test_skeleton_products_match_the_bsr_product_bit_for_bit(mesh, materials):
     A = sysm.conductivity
     assert isinstance(A, fem.SkeletonMatrix)
     assert isinstance(sysm.stiffness(), fem.SkeletonMatrix)
-    K = A.tocsr()
+    K = skeleton_csr(A)
     n = mesh.n_nodes
     # interleaved[2 i + a] is the field-major dof of field a at node i
     interleaved = np.arange(2 * n).reshape(2, n).T.ravel()
@@ -961,7 +964,7 @@ def test_skeleton_products_match_the_bsr_product_bit_for_bit(mesh, materials):
                 assert np.array_equal(got[:, j], A @ x[:, j]), j
     half = 0.5 * A
     assert isinstance(half, fem.SkeletonMatrix)
-    assert_same_csr(half.tocsr(), 0.5 * K)
+    assert_same_csr(skeleton_csr(half), 0.5 * K)
     assert np.array_equal(A.diagonal(), K.diagonal())
 
 

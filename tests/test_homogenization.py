@@ -224,6 +224,47 @@ def test_linear_masonry_steady_limit_matches_blocks():
         assert reuss - 1e-9 < d < voigt + 1e-9
 
 
+# brick and mortar with constant coefficients and both cross couplings
+COUPLED_LINEAR = {
+    "brick": cst.LinearMaterial("brick", k_tt=0.25, k_ff=1e-5, c_tt=1.4e6,
+                                c_ff=30.0, k_tf=0.02, k_ft=1e-7),
+    "mortar": cst.LinearMaterial("mortar", k_tt=0.45, k_ff=4e-5, c_tt=1.7e6,
+                                 c_ff=90.0, k_tf=0.05, k_ft=3e-7),
+}
+
+
+def test_tiled_cells_answer_like_one_cell_with_linear_materials():
+    # with constant coefficients the fluctuation is periodic on every
+    # tiling of the period, so 2 x 1 and 1 x 2 tilings of the running
+    # cell answer like the cell itself: the periodic map, the lumped-area
+    # anchoring, the offsets and the averages must not see the tiling.
+    # The cell loadings: a first increment with a tangent from a fresh
+    # state, then a second from its state
+    first = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0], dt=3600.0)
+    second = hom.MacroLoading(12.3, 0.602, [31.0, -10.5], [0.52, 1.0],
+                              dt=3600.0)
+    answers = []
+    for nx, ny in ((1, 1), (2, 1), (1, 2)):
+        cell = hom.CellProblem(
+            meshmod.generate_masonry_wall(0.29, 0.14, 0.01, nx, ny,
+                                          "running", 2), COUPLED_LINEAR)
+        committed, _ = hom.initial_response(
+            cell, hom.MacroLoading(20.0, 0.5, [0, 0], [0, 0], dt=3600.0))
+        state, r1 = hom.solve_rve_increment(cell, committed, first,
+                                            want_tangents=True)
+        _, r2 = hom.solve_rve_increment(cell, state, second)
+        answers.append({"kg": r1.tangent.kg, "c": r1.tangent.c,
+                        **{f"{name}_{k}": getattr(r, name)
+                           for k, r in enumerate((r1, r2))
+                           for name in ("q_heat", "q_moist", "s_t", "s_f")}})
+    one, *tiled = answers
+    for name, ref in one.items():
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0, name
+        for other in tiled:
+            assert np.max(np.abs(other[name] - ref)) <= 1e-12 * scale, name
+
+
 def test_nonlinear_masonry_tangent_sane():
     cell = hom.CellProblem(masonry_mesh(), cst.default_materials())
     dt = 3600.0

@@ -53,6 +53,20 @@ def test_validate_rejects_duplicate_nodes():
         msh.validate_mesh(msh.Mesh(nodes, tris, [0, 0], ("a",), {}))
 
 
+def test_load_rejects_a_node_outside_every_triangle(tmp_path):
+    # the fifth node belongs to no triangle: the file fails validation
+    # with the node's number, before any solver sees the mesh
+    m = msh.generate_rectangle_mesh(1.0, 1.0, 1, 1)
+    loose = msh.Mesh(np.vstack([m.nodes, [[2.0, 2.0]]]), m.triangles,
+                     m.phases, m.phase_names, m.boundary)
+    with pytest.raises(msh.MeshError, match="node 4 belongs to no triangle"):
+        msh.validate_mesh(loose)
+    path = tmp_path / "loose.mesh"
+    msh.save_mesh(path, loose)
+    with pytest.raises(msh.MeshError, match="node 4 belongs to no triangle"):
+        msh.load_mesh(path)
+
+
 def grid_triangles_loop(nx, ny):
     """Triangles and boundary edges of the (nx+1) x (ny+1) node grid,
     one quad at a time. Reference for the generators' arrays."""
