@@ -140,13 +140,25 @@ class CoupledSystem:
         """The conduction term K u of the Crank-Nicolson residual at u."""
         return self.conductivity @ u
 
+    def crank_nicolson_matrix(self, dt, terms=None):
+        """K/2 + C/dt on K's skeleton, the Crank-Nicolson Jacobian at
+        frozen coefficients. `terms`, a SkeletonMatrix of further
+        Jacobian terms, takes K/2 and then C/dt in place; without it the
+        sum starts from K/2."""
+        if terms is None:
+            J = 0.5 * self.conductivity
+        else:
+            J = terms
+            J.data += 0.5 * self.conductivity.data
+        J.data[J.workspace.diagonal_slots[0]] += self.storage_diagonal() / dt
+        return J
+
     def newton_matrix(self, dt, rate):
         """K/2 + C/dt on K's skeleton; the humidity derivatives of C
         times `rate` enter the phi columns, on offset N in the theta
         rows and on the diagonal in the phi rows."""
-        J = 0.5 * self.conductivity
+        J = self.crank_nicolson_matrix(dt)
         diag, offset = J.workspace.diagonal_slots
-        J.data[diag] += self.storage_diagonal() / dt
         gtt, gff = capacity_jacobian_diagonals(self)
         n = gtt.size
         J.data[diag[n:]] += gff * rate[n:]

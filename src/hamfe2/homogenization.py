@@ -20,7 +20,12 @@ committed state carries its Crank-Nicolson old data K u once computed,
 so the rounds of a macro step and a retried half step reuse it, and a
 converged increment hands its new state the K u Newton evaluated
 there. The averages and the tangent, its coefficient derivatives too,
-read the system crank_nicolson_step accepted.
+read the system crank_nicolson_step accepted. A fresh affine state is
+evaluated by initial_response: that one system gives its zero-rate
+averages and its old data, so the first increment from it evaluates
+nothing more. Its old data is read-only, so that every macro point
+whose cell and loading values are bitwise those of another can share
+the one evaluation (see fe2.FE2Driver).
 
 An increment always advances from a committed state and its old data.
 Newton starts from that state's fluctuation, or from a prediction off
@@ -45,7 +50,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import fem
-from .fem import CentroidMaterials, workspace
+from .fem import workspace
 from .mesh import Mesh, detect_periodic_pairs
 from .solver import SolverConfig, SolverError, _assemble, crank_nicolson_step
 
@@ -79,7 +84,11 @@ class MesoState:
     """Converged cell state: fluctuations plus the loading that made them.
 
     old caches K u of the total field, the old data of every increment
-    from this state; None until an increment computes it.
+    from this state. initial_response sets it, read-only, and a
+    converged increment sets it on its new state; on a state built
+    otherwise it is None until the first increment computes it. States
+    that start alike may share one read-only old array: no increment
+    writes to it.
     sensitivity, (n_free, 6), is dz/dp of the reduced fluctuation
     z = fluct[free_index] over the loading p, from the tangent round of
     the step attempt that reached this state; None otherwise. It
@@ -188,13 +197,21 @@ def _loading_vector(loading: MacroLoading):
 
 
 def initial_response(cell: CellProblem, loading: MacroLoading):
-    """Zero-rate response of the fresh affine state, no solve involved."""
+    """The fresh affine state and its zero-rate response, no solve involved.
+
+    The state u0 is evaluated once, by cell._assembler: that system's
+    coefficients give the averages, and its K u0, marked read-only,
+    becomes the state's old data, so the first increment from the state
+    evaluates it no more. The response and the old data depend only on
+    the cell and on the loading's values and gradients, not on its dt;
+    fe2.FE2Driver hands them to every point that starts alike.
+    """
     state = cell.initial_state(loading)
     u0 = cell.total_vector(state)
-    n = cell.mesh.n_nodes
-    coeff = CentroidMaterials(cell.mesh, u0[:n], u0[n:],
-                              cell.materials).coefficients()
-    return state, average_fields(cell, coeff, u0, u0, None)
+    sysm = cell._assembler(u0)
+    state.old = sysm.conduction(u0)
+    state.old.flags.writeable = False
+    return state, average_fields(cell, sysm.coeff, u0, u0, None)
 
 
 def solve_rve_increment(cell: CellProblem, state: MesoState,
@@ -203,9 +220,9 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
     """Advance the cell by loading.dt and average the converged state.
 
     Returns (new state, response). The increment runs from `state` and
-    its Crank-Nicolson old data. The old data of `state` is
-    computed on its first increment and kept on it. Newton starts from
-    the fluctuation of `state` when `start` is None. A later round of a
+    its Crank-Nicolson old data. A `state` that carries no old data has
+    it computed on its first increment and kept on it. Newton starts
+    from the fluctuation of `state` when `start` is None. A later round of a
     macro step passes as `start` the state the same point converged to
     one round earlier, from the same `state` and under the same dt;
     Newton then starts from the prediction z_start + dz/dp (p - p_start)
@@ -260,8 +277,9 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     whose coefficients, conductivity, storage diagonal and coefficient
     derivatives enter.
     Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
-    consistent Jacobian K/2 + C/dt + fem.state_jacobian of the
-    Crank-Nicolson residual at u_new, not the frozen Newton matrix. One
+    consistent Jacobian fem.state_jacobian + K/2 + C/dt of the
+    Crank-Nicolson residual at u_new (sysm.crank_nicolson_matrix adds
+    the last two), not the frozen Newton matrix. One
     factorization of its bordered system serves all six directions,
     du/dp = T dz/dp + dg/dp, and the averages of average_fields are
     differentiated along them in closed form. The workspace's
@@ -277,12 +295,10 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     n = mesh.n_nodes
     ws = workspace(mesh)
     rate = (u_new - u_old) / dt
-    K, C, coeff = sysm.conductivity, sysm.storage_diagonal(), sysm.coeff
+    C, coeff = sysm.storage_diagonal(), sysm.coeff
     dk, dc = fem.coefficient_derivatives(sysm)
-    J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
-    # both matrices lie on the mesh's two-field skeleton
-    J.data += 0.5 * K.data
-    J.data[ws.diagonal_slots[0]] += C / dt
+    J = sysm.crank_nicolson_matrix(
+        dt, fem.state_jacobian(mesh, u_new, rate, (dk, dc)))
     matrix, rows = cmap.newton_system(J, C)
     # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hamfe2 import fem, solver
+from hamfe2 import fe2, fem, solver
 from hamfe2.climate import synthetic_annual_climate
 from hamfe2.config import BoundaryRule, BoundarySchedule
 from hamfe2.constitutive import LinearMaterial, default_materials
 from hamfe2.fe2 import (FE2Driver, FE2Error, build_grid_cell_map,
                         compare_fields, element_loadings, fe2_solve)
 from hamfe2.fem import FieldState, dirichlet_map
-from hamfe2.homogenization import CellProblem
+from hamfe2.homogenization import CellProblem, initial_response
 from hamfe2.mesh import (generate_masonry_cell, generate_masonry_wall,
                          generate_rectangle_mesh, with_phases)
 from hamfe2.scheduler import SchedulerError
@@ -144,6 +144,103 @@ def test_registry_requires_cells_for_all_regions():
     # the check runs before the pool forks its workers
     with pytest.raises(FE2Error, match="core"):
         FE2Driver(macro, {"render": linear_cell()}, initial, n_workers=2)
+
+
+def counted_cells(cells):
+    """The cells with their evaluations counted, per cell object, in
+    the returned dict; a cell named twice is counted once."""
+    counts = {}
+    for cell in cells.values():
+        if id(cell) in counts:
+            continue
+        counts[id(cell)] = 0
+
+        def counted(u, cell=cell, assembler=cell._assembler):
+            counts[id(cell)] += 1
+            return assembler(u)
+
+        cell._assembler = counted
+    return counts
+
+
+def two_regions():
+    return with_phases(generate_rectangle_mesh(1.2, 0.6, 2, 2),
+                       ("facing", "fill"),
+                       lambda xc, yc: (xc > 0.6).astype(int))
+
+
+def test_driver_start_evaluates_each_distinct_cell_state_once(masonry):
+    # a uniform start evaluates one state per cell object, whatever the
+    # regions or point ids; a linear field gives every element its own
+    # mean, so every point is evaluated
+    mesh, mats = masonry
+    macro = two_regions()
+    uniform = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    x, y = macro.nodes.T
+    linear = FieldState(18.0 + 3.0 * x + 2.0 * y, 0.5 + 0.1 * x - 0.05 * y)
+    facing, fill = CellProblem(mesh, mats), linear_cell()
+    one = linear_cell()
+    for cells, initial, expected in (
+            ({"facing": facing, "fill": fill}, uniform, [1, 1]),
+            ({"facing": one, "fill": one}, uniform, [1]),
+            ({"facing": facing, "fill": fill}, linear,
+             [int(np.sum(macro.phases == k)) for k in (0, 1)])):
+        counts = counted_cells(cells)
+        with FE2Driver(macro, cells, initial):
+            pass
+        assert list(counts.values()) == expected
+
+
+def test_driver_start_shares_old_data_not_states(masonry):
+    mesh, mats = masonry
+    macro = two_regions()
+    cells = {"facing": CellProblem(mesh, mats), "fill": linear_cell()}
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    regions = [macro.phase_names[k] for k in macro.phases]
+    loadings = element_loadings(macro, initial.vector(), 3600.0)
+    with FE2Driver(macro, cells, initial, init_dt=3600.0) as driver:
+        resident, = driver.pool._residents
+        registry = resident.committed
+        assert sorted(registry) == list(range(macro.n_triangles))
+        states = [registry[e][1] for e in range(macro.n_triangles)]
+        # every point holds its own state and fluctuation
+        assert len({id(st) for st in states}) == len(states)
+        assert not any(np.shares_memory(a.fluct, b.fluct)
+                       for i, a in enumerate(states) for b in states[i + 1:])
+        olds = {}
+        for e, (state, region) in enumerate(zip(states, regions)):
+            cell = cells[region]
+            assert registry[e][0] is cell
+            assert state.loading.theta == loadings[e].theta
+            assert np.array_equal(state.loading.grad_theta,
+                                  loadings[e].grad_theta)
+            u0 = cell.total_vector(state)
+            assert np.array_equal(state.old,
+                                  cell._assembler(u0).conduction(u0))
+            assert not state.old.flags.writeable
+            olds.setdefault(region, state.old)
+            assert state.old is olds[region]
+        assert olds["facing"] is not olds["fill"]
+        # the macro old data of one initial_response per point
+        responses = {e: initial_response(cells[region], loadings[e])[1]
+                     for e, region in enumerate(regions)}
+        assert np.array_equal(driver.old,
+                              fe2._conduction(driver.ws, responses))
+
+
+def test_solve_runs_once_from_the_driver_start():
+    macro = generate_rectangle_mesh(0.6, 0.3, 2, 1)
+    sched = WallSchedule({"left": (21.0, 0.5)})
+    initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+    warmer = FieldState.uniform(macro.n_nodes, 21.0, 0.5)
+    with FE2Driver(macro, {"solid": linear_cell()}, initial) as driver:
+        with pytest.raises(FE2Error, match="built from"):
+            driver.solve(sched, warmer, dt_hours=1.0, t_end_hours=1.0)
+        history = driver.solve(sched, initial, dt_hours=1.0,
+                               t_end_hours=1.0)
+        assert len(history.states) == 2
+        with pytest.raises(FE2Error, match="committed"):
+            driver.solve(sched, initial, dt_hours=1.0, t_end_hours=1.0)
 
 
 # ----------------------------------------------------------- stepping

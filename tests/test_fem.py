@@ -722,6 +722,33 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
                         bordered(cmap, on_skeleton(J.workspace, ref), C)[0])
 
 
+def test_crank_nicolson_matrix_adds_half_k_then_storage():
+    # the frozen Crank-Nicolson Jacobian of the Newton matrix (from K/2)
+    # and of the cell tangent (onto the state Jacobian): the adds of the
+    # hand-built sums, in their order, bit for bit; K is left as it was
+    cell = running_cell(2)
+    ws = fem.workspace(cell.mesh)
+    state = varied_state(cell.mesh)
+    sysm = fem.assemble_system(cell.mesh, state, cell.materials)
+    K = sysm.conductivity.data.copy()
+    diag, dt = ws.diagonal_slots[0], 3600.0
+    C = sysm.storage_diagonal()
+    ref = 0.5 * K
+    ref[diag] += C / dt
+    J = sysm.crank_nicolson_matrix(dt)
+    assert J.workspace is ws and np.array_equal(J.data, ref)
+    u = state.vector()
+    rate = np.linspace(-1e-4, 1e-4, u.size)
+    terms = fem.state_jacobian(cell.mesh, u, rate,
+                               fem.coefficient_derivatives(sysm))
+    ref = terms.data.copy()
+    ref += 0.5 * K
+    ref[diag] += C / dt
+    assert sysm.crank_nicolson_matrix(dt, terms) is terms
+    assert np.array_equal(terms.data, ref)
+    assert np.array_equal(sysm.conductivity.data, K)
+
+
 def assert_planned_is_oracle(cmap, A, weights, ref):
     """The planned system of A, renumbered into the map's numbering, is
     the csr matrix ref entry for entry. A Dirichlet system is bit for

@@ -171,6 +171,38 @@ def test_initial_response_flux_from_affine_gradients():
     assert r.s_t == 0.0 and r.s_f == 0.0
 
 
+def test_initial_response_evaluates_its_state_once():
+    # one system of u0 serves the averages and the old data: the averages
+    # equal those of the coefficients a fresh CentroidMaterials gives at
+    # u0, and the old data is K u0 of a fresh evaluation, bit for bit
+    cell = hom.CellProblem(masonry_mesh(), cst.default_materials())
+    loading = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0],
+                               dt=3600.0)
+    assembler, evaluated = cell._assembler, []
+
+    def counted(u):
+        evaluated.append(u)
+        return assembler(u)
+
+    cell._assembler = counted
+    state, response = hom.initial_response(cell, loading)
+    cell._assembler = assembler
+    assert len(evaluated) == 1
+    u0 = cell.total_vector(state)
+    assert np.array_equal(evaluated[0], u0)
+    assert np.array_equal(state.old, assembler(u0).conduction(u0))
+    assert not state.old.flags.writeable
+    assert np.all(state.fluct == 0.0) and state.loading is loading
+    n = cell.mesh.n_nodes
+    coeff = fem.CentroidMaterials(cell.mesh, u0[:n], u0[n:],
+                                  cell.materials).coefficients()
+    ref = hom.average_fields(cell, coeff, u0, u0, None)
+    assert np.array_equal(response.q_heat, ref.q_heat)
+    assert np.array_equal(response.q_moist, ref.q_moist)
+    assert response.s_t == ref.s_t == 0.0 and response.s_f == ref.s_f == 0.0
+    assert response.tangent is None
+
+
 def test_homogeneous_tangent_recovers_material():
     cell = homogeneous_cell()
     dt = 600.0
@@ -631,11 +663,18 @@ def test_increments_evaluate_each_cell_state_once(monkeypatch):
         out = hom.solve_rve_increment(cell, state, loading, want_tangents=True)
         return out, len(calls), len(evals)
 
-    # one coefficients call covers both phases of an evaluation; the
-    # first increment from a fresh state computes its old data
-    _, n_calls, n_evals = counted_increment(committed, rounds[0])
-    assert committed.old is not None
+    # one coefficients call covers both phases of an evaluation. The
+    # first increment from a state without old data computes it; one
+    # from initial_response's state, which carries it, evaluates no more
+    bare = cell.initial_state(start)
+    assert bare.old is None
+    first, n_calls, n_evals = counted_increment(bare, rounds[0])
+    assert bare.old is not None
     assert n_calls == n_evals + 1
+    assert committed.old is not None
+    started, n_calls, n_evals = counted_increment(committed, rounds[0])
+    assert n_calls == n_evals
+    assert_same_increment(started, first)
     # the later round reuses it and evaluates the converged state no more
     second, n_calls, n_evals = counted_increment(committed, rounds[1])
     assert n_calls == n_evals
