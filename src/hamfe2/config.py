@@ -349,6 +349,12 @@ def solver_config_from(config: ScenarioConfig, problems) -> SolverConfig:
         max_iterations=reader.get_int("max_iterations",
                                       defaults.max_iterations, minimum=1))
     reader.reject_unknown()
+    # Newton's target max(tol ||r0||, floor) must be below ||r0|| and above 0
+    if cfg.newton_tol >= 1.0:
+        problems.append("solver.newton_tol: must be < 1")
+    if cfg.newton_tol == 0.0 and cfg.newton_floor == 0.0:
+        problems.append("solver.newton_tol / solver.newton_floor: at least "
+                        "one must be positive")
     return cfg
 
 

@@ -325,6 +325,10 @@ class KunzelMaterial:
         return d_theta, d_phi
 
     def __repr__(self):
+        if np.ndim(self.b):
+            # over_elements' material: its phases and element count
+            return (f"KunzelMaterial({self.params.name}, "
+                    f"{self.b.size} elements)")
         return f"KunzelMaterial({self.params.name}, b={self.b:.6g})"
 
 

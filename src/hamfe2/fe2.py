@@ -21,11 +21,13 @@ classical first-order homogenization:
 Cell tangents are refreshed on the first Newton iteration of each step
 and reused within it. Their effective capacities form the storage term
 of the macro residual, so they shape the solution, not only the
-iteration. The macro Jacobian is the chain rule through each point's
-tangent arrays over its cell's loading p = (Theta, Phi, grad_Theta_x,
-grad_Theta_y, grad_Phi_x, grad_Phi_y). Cell states commit when the
-macro step is accepted, so a rejected or retried step never pollutes
-the meso memory.
+iteration. The macro flux Jacobian, one scatter per step attempt, is
+the chain rule through each point's tangent arrays over its cell's
+loading p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x,
+grad_Phi_y); fem.crank_nicolson_matrix adds the weight and the
+capacities to it, as it does for the fine and cell steps. Cell states
+commit when the macro step is accepted, so a rejected or retried step
+never pollutes the meso memory.
 
 The driver's start evaluates each distinct initial cell state once.
 Points bound to the same cell problem object whose initial loadings
@@ -68,31 +70,19 @@ def element_loadings(mesh: Mesh, u, dt):
             for e in range(mesh.n_triangles)}
 
 
-def _tensor_stiffness(ws, g):
-    """SkeletonMatrix of the gradient columns of g, the (M, 2, 2, 6)
-    per-point tangent arrays over p; block (a, b) has entries
-    sum_e A_e grad N_i . (T_e grad N_j) for T_e = g[e, a, :, 2+2b:4+2b]."""
+def _flux_jacobian(ws, kg):
+    """Jacobian of the macro conduction term from the (M, 2, 2, 6) tangent
+    arrays kg over p: block (a, b) holds sum_e A_e grad N_i . (T_e grad
+    N_j + v_e / 3) for the conductivity T_e = kg[e, a, :, 2+2b:4+2b] and
+    the mean-flux sensitivity v_e = kg[e, a, :, b] to the values (1/3 is
+    d mean / d nodal value). Without v the saturation-pressure coupling
+    degrades Newton to a slow linear rate."""
     return ws.scatter(
         [[np.einsum("mid,mde,mje,m->mij", ws.grads,
-                    g[:, a, :, 2 + 2 * b:4 + 2 * b], ws.grads, ws.areas)
+                    kg[:, a, :, 2 + 2 * b:4 + 2 * b], ws.grads, ws.areas)
+          + (np.einsum("mid,md,m->mi", ws.grads, kg[:, a, :, b], ws.areas)
+             / 3.0)[:, :, None]
           for b in (0, 1)] for a in (0, 1)])
-
-
-def _value_coupling(ws, g):
-    """SkeletonMatrix of the value columns of g, the (M, 2, 2, 6)
-    per-point tangent arrays over p; block (a, b) has entries
-    sum_e A_e (grad N_i . v_e) / 3 for v_e = g[e, a, :, b].
-
-    Jacobian of flux terms driven by the element mean value; the column
-    weight 1/3 is the derivative of the mean with respect to each nodal
-    value.
-    """
-    m = len(ws.areas)
-    return ws.scatter(
-        [[np.broadcast_to(
-            (np.einsum("mid,md,m->mi", ws.grads, g[:, a, :, b],
-                       ws.areas) / 3.0)[:, :, None],
-            (m, 3, 3)) for b in (0, 1)] for a in (0, 1)])
 
 
 def _stacked(points, name):
@@ -135,15 +125,8 @@ class _MacroRound:
             tan = {e: r.tangent for e, r in responses.items()}
             kg, c = _stacked(tan, "kg"), _stacked(tan, "c")
             self.C = np.concatenate([ws.lumped(c[:, 0]), ws.lumped(c[:, 1])])
-            # every term lies on the mesh's two-field skeleton, so the
-            # terms add on their .data arrays
-            self.J = _tensor_stiffness(ws, kg)
-            self.J.data *= 0.5
-            self.J.data[ws.diagonal_slots[0]] += self.C / dt
-            # mean-flux sensitivity to the macro values; without it the
-            # saturation-pressure coupling degrades Newton to a slow
-            # linear rate
-            self.J.data += 0.5 * _value_coupling(ws, kg).data
+            self.J = fem.crank_nicolson_matrix(_flux_jacobian(ws, kg),
+                                               self.C, dt)
         self.flux = _conduction(ws, responses)
         return self
 
@@ -288,7 +271,6 @@ class ComparisonReport:
     abs_phi: float       # [-]
     n_cells: int
     n_times: int
-    descriptor: str = "per-cell averages, all steps after the initial"
 
 
 def build_grid_cell_map(fine_mesh: Mesh, coarse_mesh: Mesh, nx, ny):

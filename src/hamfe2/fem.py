@@ -140,24 +140,12 @@ class CoupledSystem:
         """The conduction term K u of the Crank-Nicolson residual at u."""
         return self.conductivity @ u
 
-    def crank_nicolson_matrix(self, dt, terms=None):
-        """K/2 + C/dt on K's skeleton, the Crank-Nicolson Jacobian at
-        frozen coefficients. `terms`, a SkeletonMatrix of further
-        Jacobian terms, takes K/2 and then C/dt in place; without it the
-        sum starts from K/2."""
-        if terms is None:
-            J = 0.5 * self.conductivity
-        else:
-            J = terms
-            J.data += 0.5 * self.conductivity.data
-        J.data[J.workspace.diagonal_slots[0]] += self.storage_diagonal() / dt
-        return J
-
     def newton_matrix(self, dt, rate):
-        """K/2 + C/dt on K's skeleton; the humidity derivatives of C
+        """crank_nicolson_matrix of K and C; the humidity derivatives of C
         times `rate` enter the phi columns, on offset N in the theta
         rows and on the diagonal in the phi rows."""
-        J = self.crank_nicolson_matrix(dt)
+        J = crank_nicolson_matrix(self.conductivity, self.storage_diagonal(),
+                                  dt)
         diag, offset = J.workspace.diagonal_slots
         gtt, gff = capacity_jacobian_diagonals(self)
         n = gtt.size
@@ -483,6 +471,17 @@ def assemble_system(mesh: Mesh, state: FieldState,
                          at)
 
 
+def crank_nicolson_matrix(conduction: SkeletonMatrix, C, dt) -> SkeletonMatrix:
+    """conduction/2 + C/dt, a new matrix: the one place where the scheme's
+    weight 1/2 and storage diagonal C enter a Jacobian. `conduction`,
+    the Jacobian of the conduction term, is K for the fine and cell
+    Newton matrices, K + D (state_jacobian) for the cell tangent and the
+    macro flux Jacobian for FE2; it is left as it is."""
+    J = 0.5 * conduction
+    J.data[J.workspace.diagonal_slots[0]] += C / dt
+    return J
+
+
 def capacity_jacobian_diagonals(sysm: CoupledSystem):
     """Lumped humidity derivatives of the two storage diagonals of sysm.
 
@@ -513,16 +512,17 @@ def coefficient_derivatives(sysm: CoupledSystem):
             np.array(at.storage_derivatives()))
 
 
-def state_jacobian(mesh: Mesh, u, rate, derivatives) -> SkeletonMatrix:
-    """State dependence of the Crank-Nicolson residual at u, on the skeleton.
+def state_jacobian(mesh: Mesh, u, rate, derivatives):
+    """(D, S): the state dependence of the Crank-Nicolson residual at u
+    beyond its frozen coefficients, on the skeleton.
 
-    The part of dR/du beyond K(u)/2 + C(u)/dt: half the derivative of
-    K(u) v at v = u, whose element block is (1/3) sum_b dk_ab/du_c
-    (S_e u_b)_i / 2 with the scalar stiffness S_e, plus the
-    element-consistent dC(u)/du rate, A_e/9 dc_aa/dphi rate_a,i in the
-    phi columns. The coefficients live at the element centroids, so
-    every block is constant along j. `derivatives` is (dk, dc) of
-    coefficient_derivatives of the system at u.
+    D, the derivative of K(u) v at v = u, makes K + D the Jacobian of
+    the conduction term; its element block is (1/3) sum_b dk_ab/du_c
+    (S_e u_b)_i with the scalar stiffness S_e. S, which no weight
+    scales, is the element-consistent dC(u)/du rate, A_e/9 dc_aa/dphi
+    rate_a,i in the phi columns. The coefficients live at the element
+    centroids, so every block is constant along j. `derivatives` is
+    (dk, dc) of coefficient_derivatives of the system at u.
     """
     ws = workspace(mesh)
     tris = mesh.triangles
@@ -530,15 +530,13 @@ def state_jacobian(mesh: Mesh, u, rate, derivatives) -> SkeletonMatrix:
     dk, dc = derivatives
     su = [np.einsum("mij,mj->mi", ws.pattern, u[f * n:(f + 1) * n][tris])
           for f in (0, 1)]
-    data = []
-    for a in (0, 1):
-        blocks = [(dk[a, 0, c][:, None] * su[0]
-                   + dk[a, 1, c][:, None] * su[1]) / 6.0 for c in (0, 1)]
-        blocks[1] += (ws.areas * dc[a] / 9.0)[:, None] \
-            * rate[a * n:(a + 1) * n][tris]
-        data.append([np.broadcast_to(b[:, :, None], b.shape + (3,))
-                     for b in blocks])
-    return ws.scatter(data)
+    D = [[(dk[a, 0, c][:, None] * su[0] + dk[a, 1, c][:, None] * su[1]) / 3.0
+          for c in (0, 1)] for a in (0, 1)]
+    S = [[np.zeros(tris.shape), (ws.areas * dc[a] / 9.0)[:, None]
+          * rate[a * n:(a + 1) * n][tris]] for a in (0, 1)]
+    return tuple(ws.scatter([[np.broadcast_to(b[:, :, None], b.shape + (3,))
+                              for b in row] for row in blocks])
+                 for blocks in (D, S))
 
 
 # ---------------------------------------------------------- constraints
@@ -683,21 +681,19 @@ class ConstraintMap:
             plan = ws.plans[key] = SystemPlan(*_entry_dofs(ws), keep, self)
         return plan
 
-    def reduce_matrix(self, A: SkeletonMatrix, weights=None,
-                      plan=None) -> sp.csc_matrix:
+    def reduce_matrix(self, A: SkeletonMatrix, weights,
+                      plan: SystemPlan) -> sp.csc_matrix:
         """Bordered system matrix of A; `weights` scales the rows of P'AP.
 
-        The result is CSC in the order of `plan`, self.plan(A) unless
-        the caller has it already, gathered from A.data by one bincount;
-        it is the one scipy matrix a Newton system builds. Stored zeros
-        of A are skipped. The two-field skeleton keeps the exact zeros
-        of P1 stiffness on right-triangle grids, and so do the Newton
-        matrices built on it; carried into the bordered matrix, they
-        would only add entries and fill to its LU.
+        The result is CSC in the order of `plan`, self.plan(A), gathered
+        from A.data by one bincount; it is the one scipy matrix a Newton
+        system builds. Stored zeros of A are skipped. The two-field
+        skeleton keeps the exact zeros of P1 stiffness on right-triangle
+        grids, and so do the Newton matrices built on it; carried into
+        the bordered matrix, they would only add entries and fill to its
+        LU.
         """
-        plan = self.plan(A) if plan is None else plan
         m, G = self.row_dofs.size, self.border
-        weights = np.ones(m) if weights is None else weights
         # a constraint row's scale leaves the solution unchanged. Far
         # below every diagonal entry, it never decides a pivot: the
         # factorization (solver.factorize) keeps a diagonal pivot above

@@ -277,9 +277,10 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     whose coefficients, conductivity, storage diagonal and coefficient
     derivatives enter.
     Differentiating once gives T'J (T dz/dp + dg/dp) = 0, where J is the
-    consistent Jacobian fem.state_jacobian + K/2 + C/dt of the
-    Crank-Nicolson residual at u_new (sysm.crank_nicolson_matrix adds
-    the last two), not the frozen Newton matrix. One
+    consistent Jacobian of the Crank-Nicolson residual at u_new, not the
+    frozen Newton matrix: fem.crank_nicolson_matrix of the conduction
+    term's Jacobian K + D and of C, plus the storage terms S, with (D, S)
+    from fem.state_jacobian. One
     factorization of its bordered system serves all six directions,
     du/dp = T dz/dp + dg/dp, and the averages of average_fields are
     differentiated along them in closed form. The workspace's
@@ -297,8 +298,10 @@ def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):
     rate = (u_new - u_old) / dt
     C, coeff = sysm.storage_diagonal(), sysm.coeff
     dk, dc = fem.coefficient_derivatives(sysm)
-    J = sysm.crank_nicolson_matrix(
-        dt, fem.state_jacobian(mesh, u_new, rate, (dk, dc)))
+    D, S = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
+    D.data += sysm.conductivity.data
+    J = fem.crank_nicolson_matrix(D, C, dt)
+    J.data += S.data
     matrix, rows = cmap.newton_system(J, C)
     # dg/dp, columns p; g is linear in p
     dg = np.zeros((2 * n, 6))

@@ -95,7 +95,7 @@ def read_history_csv(outdir) -> History:
     return history
 
 
-def write_history_vtk(history: History, mesh: Mesh, outdir, basename="frame"):
+def write_history_vtk(history: History, mesh: Mesh, outdir):
     """One legacy ASCII VTK file per frame with point data theta, phi."""
     if not history.states:
         raise ValueError("cannot export an empty history")
@@ -119,7 +119,7 @@ def write_history_vtk(history: History, mesh: Mesh, outdir, basename="frame"):
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines.extend(_fmt(v) for v in vals)
-        path = os.path.join(outdir, "%s_%04d.vtk" % (basename, k))
+        path = os.path.join(outdir, "frame_%04d.vtk" % k)
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)

@@ -4,13 +4,16 @@ The step solves
 
     C(u) (u_{n+1} - u_n)/dt + 1/2 (f(u_{n+1}) + f(u_n)) = 0
 
-with the storage diagonal evaluated at the step's current iterate and a
-frozen-coefficient (Picard accelerated) Jacobian C/dt + K/2: one
+with the storage diagonal evaluated at the step's current iterate: one
 residual for the fine solve and the cell increments, whose conduction
 term is f(u) = K(u) u, and for the FE2 macro step, whose f pairs the
-cells' mean fluxes with the gradient test functions. Linear systems use
-a direct sparse factorization; everything is deterministic for a fixed
-input, there is no iterative solver noise.
+cells' mean fluxes with the gradient test functions. The weight 1/2
+and the storage C/dt live in this residual and in
+fem.crank_nicolson_matrix, which adds them to the Jacobian of f in
+every Newton matrix and the cell tangent: K at frozen coefficients
+(Picard accelerated) for the fine and cell steps, the cell tangents'
+flux Jacobian for the macro step. Linear systems use a direct sparse
+factorization; everything is deterministic for a fixed input.
 
 A residual evaluation defers its Newton system. newton_solve takes
 residual_jacobian(z) -> (r, system, w): r is the reduced residual in
@@ -319,8 +322,9 @@ def crank_nicolson_step(assembler, u_n, dt, cmap: ConstraintMap,
     assembler(u) returns the evaluation of the full dof vector u: a
     fem.CoupledSystem, or a round of FE2 cells. The step reads its
     storage_diagonal() and conduction term conduction(u), and only to
-    factor at u its Newton matrix newton_matrix(dt, (u - u_n)/dt). The
-    returned evaluation is the one at the accepted new state. The old
+    factor at u its Newton matrix newton_matrix(dt, (u - u_n)/dt), which
+    takes the residual's weight and storage from fem.crank_nicolson_matrix.
+    The returned evaluation is the one at the accepted new state. The old
     data is the conduction term of a state: `old` carries that of u_n
     when the caller already has it, and the returned old data is that
     of u_{n+1}. `z0` overrides the start iterate in reduced coordinates

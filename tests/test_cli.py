@@ -291,6 +291,20 @@ north = 20
                      "boundary:theta.north"):
             assert frag in err
 
+    @pytest.mark.parametrize("solver", [
+        "newton_tol = 1\n", "newton_tol = 0\nnewton_floor = 0\n"],
+        ids=["tol-one", "zero-target"])
+    def test_newton_target_of_all_or_nothing_exits_one(self, tmp_path, capsys,
+                                                       solver):
+        # newton_tol = 1 would return every step's start iterate with
+        # exit 0, and a zero target would retry and exit 2: both are
+        # configuration errors
+        cfg = fine_scenario(tmp_path, solver="[solver]\n" + solver)
+        assert main(["solve-fine", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "configuration invalid:" in err and "solver.newton_tol" in err
+        assert not (tmp_path / "out" / "theta.csv").exists()
+
     def test_removed_retry_switch_is_an_unknown_key(self, tmp_path, capsys):
         # a failed step is always retried once at dt/2; the old switch
         # is reported, not ignored

@@ -294,6 +294,23 @@ class TestSettings:
         assert sc.newton_tol == 1e-6
         assert sc.max_iterations == 7
 
+    @pytest.mark.parametrize("body, expected", [
+        ("newton_tol = 1\n", ["solver.newton_tol: must be < 1"]),
+        ("newton_tol = 2.5\n", ["solver.newton_tol: must be < 1"]),
+        ("newton_tol = 0\nnewton_floor = 0\n",
+         ["solver.newton_tol / solver.newton_floor: at least one must be "
+          "positive"]),
+        ("newton_tol = 0\n", []), ("newton_floor = 0\n", []),
+        ("newton_tol = 0.999\nnewton_floor = 0\n", [])])
+    def test_newton_target_must_lie_between_zero_and_the_start(self, body,
+                                                               expected):
+        # Newton's target is max(newton_tol ||r0||, newton_floor): a
+        # tolerance of 1 accepts every start iterate, and a target of 0
+        # is never met; one positive part is enough
+        problems = []
+        solver_config_from(parse_scenario("[solver]\n" + body), problems)
+        assert problems == expected
+
     def test_initial_values_are_validated(self):
         problems = []
         theta, phi = initial_from(

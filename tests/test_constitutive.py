@@ -366,6 +366,18 @@ def test_linear_material_has_no_conduction_derivatives():
         assert d.shape == (2,) and np.all(d == 0.0)
 
 
+def test_repr_names_a_phase_and_a_combined_material():
+    brick = con.KunzelMaterial(con.BRICK)
+    mortar = con.KunzelMaterial(con.MORTAR)
+    b = con.derive_approximation_factor(con.BRICK.w_f, con.BRICK.w_80)
+    assert repr(brick) == f"KunzelMaterial(brick, b={b:.6g})"
+    # over_elements holds b per element: the repr names its phases and
+    # its element count instead
+    combined = con.KunzelMaterial.over_elements([brick, mortar],
+                                                np.array([0, 1, 0]))
+    assert repr(combined) == "KunzelMaterial(brick+mortar, 3 elements)"
+
+
 # -------------------------------------------------- property invariants
 
 feasible = st.tuples(

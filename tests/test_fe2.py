@@ -64,32 +64,43 @@ def one_field_scatter(ws, data):
     return sp.csr_matrix((summed, ws.csr_indices, ws.csr_indptr), shape=(n, n))
 
 
-def bmat_macro_jacobian(ws, tangents, C, dt):
-    """Frozen macro Jacobian joined from one-field blocks by sp.bmat and
-    sp.diags, term by term in FE2Driver.step's order. Reference for the
-    two-field construction."""
-
-    kg = np.stack([t.kg for t in tangents])
+def macro_blocks(ws, kg):
+    """The one-field element entries of the macro flux Jacobian, per block
+    (a, b): the conduction entries of the effective conductivities and
+    the value entries of the mean-flux sensitivities
+    b_a = d q_a / d(Theta, Phi) = -kg[a][:, :2], both (M, 3, 3)."""
 
     def conduction(tensors):
-        return one_field_scatter(ws, np.einsum(
-            "mid,mde,mje,m->mij", ws.grads, tensors, ws.grads,
-            ws.areas).ravel())
+        return np.einsum("mid,mde,mje,m->mij", ws.grads, tensors, ws.grads,
+                         ws.areas)
 
     def value_coupling(vecs):
         row_vals = np.einsum("mid,md,m->mi", ws.grads, vecs, ws.areas) / 3.0
-        return one_field_scatter(ws, np.broadcast_to(
-            row_vals[:, :, None], (len(ws.areas), 3, 3)).ravel())
+        return np.broadcast_to(row_vals[:, :, None], (len(ws.areas), 3, 3))
 
-    # conductivity blocks K_ab and mean-flux value sensitivities
-    # b_a = d q_a / d(Theta, Phi) = -kg[a][:, :2]
-    blocks = [[conduction(kg[:, 0, :, 2:4]), conduction(kg[:, 0, :, 4:6])],
-              [conduction(kg[:, 1, :, 2:4]), conduction(kg[:, 1, :, 4:6])]]
-    bt, bf = -kg[:, 0, :, :2], -kg[:, 1, :, :2]
-    vblocks = [[value_coupling(bt[:, :, 0]), value_coupling(bt[:, :, 1])],
-               [value_coupling(bf[:, :, 0]), value_coupling(bf[:, :, 1])]]
-    return (sp.diags(C / dt) + 0.5 * sp.bmat(blocks, format="csr")
-            - 0.5 * sp.bmat(vblocks, format="csr"))
+    return [[(conduction(kg[:, a, :, 2 + 2 * b:4 + 2 * b]),
+              value_coupling(-kg[:, a, :, b])) for b in (0, 1)]
+            for a in (0, 1)]
+
+
+def bmat_macro_jacobian(ws, tangents, C, dt):
+    """Frozen macro Jacobian joined from one-field blocks by sp.bmat and
+    sp.diags, term by term in FE2Driver.step's order: every element's
+    conduction and value entries summed, scattered, halved, and then
+    C/dt. Reference for the two-field construction."""
+    blocks = macro_blocks(ws, np.stack([t.kg for t in tangents]))
+    F = sp.bmat([[one_field_scatter(ws, (cond - value).ravel())
+                  for cond, value in row] for row in blocks], format="csr")
+    return sp.diags(C / dt) + 0.5 * F
+
+
+def two_term_flux_jacobian(ws, tangents):
+    """The two terms of the macro flux Jacobian, each joined by sp.bmat:
+    the conduction blocks and the value blocks, which it subtracts."""
+    blocks = macro_blocks(ws, np.stack([t.kg for t in tangents]))
+    return [sp.bmat([[one_field_scatter(ws, row[b][k].ravel())
+                      for b in (0, 1)] for row in blocks], format="csr")
+            for k in (0, 1)]
 
 
 def on_skeleton(ws, A):
@@ -356,7 +367,13 @@ def test_two_regions_bit_identical_over_worker_counts():
         assert set(macro.phases[list(a)]) == {0, 1}
 
 
-def test_macro_jacobian_matches_bmat_construction(masonry):
+def spied_macro_step(masonry, monkeypatch):
+    """One macro step of a 2 x 2 rectangle whose left face is humid.
+
+    Returns (J, C, tangents, fluxes, dt, newton_system): the step's one
+    Newton matrix and storage diagonal, the tangents of its tangent
+    round by point, a copy of every flux Jacobian the step built, and
+    the map's own newton_system."""
     mesh, mats = masonry
     macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
@@ -364,12 +381,20 @@ def test_macro_jacobian_matches_bmat_construction(masonry):
     dt = 3600.0
     cmap = dirichlet_map(2 * macro.n_nodes, sched.dirichlet_values(macro, dt))
     newton_system = cmap.newton_system
-    systems, tangent_rounds = [], []
+    systems, tangent_rounds, fluxes = [], [], []
 
     def spy_system(J, C):
         systems.append((J, C))
         return newton_system(J, C)
 
+    flux_jacobian = fe2._flux_jacobian
+
+    def spy_flux(ws, kg):
+        F = flux_jacobian(ws, kg)
+        fluxes.append(fem.SkeletonMatrix(ws, F.data.copy()))
+        return F
+
+    monkeypatch.setattr(fe2, "_flux_jacobian", spy_flux)
     cmap.newton_system = spy_system
     with FE2Driver(macro, {"solid": CellProblem(mesh, mats)},
                    initial) as driver:
@@ -385,14 +410,37 @@ def test_macro_jacobian_matches_bmat_construction(masonry):
         driver.step(initial.vector(), dt, cmap)
     (J, C), = systems
     responses, = tangent_rounds
-    ref = bmat_macro_jacobian(
-        fem.workspace(macro),
-        [responses[e].tangent for e in range(macro.n_triangles)], C, dt)
+    tangents = [responses[e].tangent for e in range(macro.n_triangles)]
+    return J, C, tangents, fluxes, dt, newton_system
+
+
+def test_macro_jacobian_matches_bmat_construction(masonry, monkeypatch):
+    J, C, tangents, _, dt, newton_system = spied_macro_step(masonry,
+                                                            monkeypatch)
+    ref = bmat_macro_jacobian(J.workspace, tangents, C, dt)
     bare = skeleton_csr(J)
     bare.eliminate_zeros()
     assert_same_csr(bare, ref)
     assert_same_csr(newton_system(J, C)[0],
                     newton_system(on_skeleton(J.workspace, ref), C)[0])
+
+
+def test_macro_newton_matrix_is_the_crank_nicolson_matrix_of_its_fluxes(
+        masonry, monkeypatch):
+    # the macro step takes the scheme's weight and storage term from
+    # fem.crank_nicolson_matrix, as the fine and cell steps do, over one
+    # flux Jacobian F per step attempt: conduction and value terms
+    J, C, tangents, fluxes, dt, _ = spied_macro_step(masonry, monkeypatch)
+    F, = fluxes
+    assert np.array_equal(J.data, fem.crank_nicolson_matrix(F, C, dt).data)
+    # F is the two-term sum up to the order of its adds; the humid face
+    # moves the macro phi, so the value terms are not zero
+    conduction, values = (A.toarray() for A in
+                          two_term_flux_jacobian(F.workspace, tangents))
+    ref = conduction - values
+    got = skeleton_csr(F).toarray()
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(values).max() > 1e-2 * np.abs(ref).max()
 
 
 def test_each_worker_holds_a_point_of_each_square():

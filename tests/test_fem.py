@@ -173,7 +173,7 @@ def reduce_system(cmap, A):
     rows = plan.order[cmap.z_rows]
     rhs = np.zeros(cmap.size)
     rhs[rows] = cmap.reduce_vector(-(A @ cmap.g))
-    return cmap.reduce_matrix(A), rhs, rows
+    return cmap.reduce_matrix(A, np.ones(cmap.row_dofs.size), plan), rhs, rows
 
 
 def apply_dirichlet(system, values):
@@ -581,11 +581,16 @@ def test_consistent_jacobian_taylor_remainder():
                 + 0.5 * (sysm.conductivity @ x))
 
     sysm = fem.assemble_system(mesh, fem.FieldState.from_vector(u), materials)
-    S = skeleton_csr(fem.state_jacobian(mesh, u, rate,
-                                        fem.coefficient_derivatives(sysm)))
-    J = S.copy()
-    J.data += 0.5 * skeleton_csr(sysm.conductivity).data
-    J.setdiag(J.diagonal() + sysm.storage_diagonal() / dt)
+    D, St = fem.state_jacobian(mesh, u, rate,
+                               fem.coefficient_derivatives(sysm))
+    # the state terms alone: the weighted conduction derivative and the
+    # storage terms
+    S = skeleton_csr(0.5 * D) + skeleton_csr(St)
+    # the consistent Jacobian as effective_tangent builds it
+    D.data += sysm.conductivity.data
+    J = fem.crank_nicolson_matrix(D, sysm.storage_diagonal(), dt)
+    J.data += St.data
+    J = skeleton_csr(J)
     n = cell.mesh.n_nodes
     rng = np.random.default_rng(0)
     v = np.concatenate([rng.standard_normal(n), 0.01 * rng.standard_normal(n)])
@@ -608,7 +613,8 @@ def test_periodic_reduce_matrix_stays_sparse():
     cmap = cell.reduction.map_for(20.0, 0.5, (1.0, 0.0), (0.0, 1.0))
     # the dense congruence of this cell stores (n_free)^2 = 260,100 entries
     assert cmap.n_free ** 2 == 260_100
-    assert cmap.reduce_matrix(K).nnz < 10_000
+    assert cmap.reduce_matrix(K, np.ones(cmap.row_dofs.size),
+                              cmap.plan(K)).nnz < 10_000
 
 
 def dirichlet_wall():
@@ -723,9 +729,9 @@ def test_cn_newton_matrix_matches_diags_and_coo_coupling(case, monkeypatch):
 
 
 def test_crank_nicolson_matrix_adds_half_k_then_storage():
-    # the frozen Crank-Nicolson Jacobian of the Newton matrix (from K/2)
-    # and of the cell tangent (onto the state Jacobian): the adds of the
-    # hand-built sums, in their order, bit for bit; K is left as it was
+    # the Crank-Nicolson Jacobian of the Newton matrix (of K) and of the
+    # cell tangent (of K + D): the adds of the hand-built sums, in their
+    # order, bit for bit, into a new matrix; its input is left as it was
     cell = running_cell(2)
     ws = fem.workspace(cell.mesh)
     state = varied_state(cell.mesh)
@@ -735,18 +741,20 @@ def test_crank_nicolson_matrix_adds_half_k_then_storage():
     C = sysm.storage_diagonal()
     ref = 0.5 * K
     ref[diag] += C / dt
-    J = sysm.crank_nicolson_matrix(dt)
+    J = fem.crank_nicolson_matrix(sysm.conductivity, C, dt)
     assert J.workspace is ws and np.array_equal(J.data, ref)
+    assert np.array_equal(sysm.conductivity.data, K)
     u = state.vector()
     rate = np.linspace(-1e-4, 1e-4, u.size)
-    terms = fem.state_jacobian(cell.mesh, u, rate,
-                               fem.coefficient_derivatives(sysm))
-    ref = terms.data.copy()
-    ref += 0.5 * K
+    D, _ = fem.state_jacobian(cell.mesh, u, rate,
+                              fem.coefficient_derivatives(sysm))
+    D.data += K
+    KD = D.data.copy()
+    ref = 0.5 * KD
     ref[diag] += C / dt
-    assert sysm.crank_nicolson_matrix(dt, terms) is terms
-    assert np.array_equal(terms.data, ref)
-    assert np.array_equal(sysm.conductivity.data, K)
+    J = fem.crank_nicolson_matrix(D, C, dt)
+    assert J is not D and np.array_equal(J.data, ref)
+    assert np.array_equal(D.data, KD)
 
 
 def assert_planned_is_oracle(cmap, A, weights, ref):
@@ -756,7 +764,10 @@ def assert_planned_is_oracle(cmap, A, weights, ref):
     weights scale the sums rather than their terms: there each entry
     may differ by 8 units in the last place of the sum of its terms'
     magnitudes."""
-    got = in_map_order(cmap.reduce_matrix(A, weights), cmap.plan(A))
+    plan = cmap.plan(A)
+    ones = np.ones(cmap.row_dofs.size)
+    got = in_map_order(cmap.reduce_matrix(
+        A, ones if weights is None else weights, plan), plan)
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
     if cmap.border.shape[1] > 0:
@@ -823,10 +834,7 @@ def macro_systems(monkeypatch):
     rng = np.random.default_rng(5)
     kg = rng.normal(size=(mesh.n_triangles, 2, 2, 6))
     C = rng.uniform(1.0, 2.0, 2 * mesh.n_nodes)
-    J = fe2._tensor_stiffness(ws, kg)
-    J.data *= 0.5
-    J.data[ws.diagonal_slots[0]] += C / 3600.0
-    J.data += 0.5 * fe2._value_coupling(ws, kg).data
+    J = fem.crank_nicolson_matrix(fe2._flux_jacobian(ws, kg), C, 3600.0)
     # a cell tangent can vanish in whole blocks (no k_tf, say): a few
     # stored zeros off the diagonal stand for them
     skeleton = skeleton_positions(ws)

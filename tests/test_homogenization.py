@@ -65,7 +65,8 @@ def steady_linear_homogenize(mesh, materials, theta=20.0, phi=0.5):
     # the loading's g: one factorization serves the four loadings
     plan = cmaps[0].plan(K)
     rows = plan.order[cmaps[0].z_rows]
-    lu = solver.factorize(cmaps[0].reduce_matrix(K, plan=plan))
+    lu = solver.factorize(cmaps[0].reduce_matrix(
+        K, np.ones(cmaps[0].row_dofs.size), plan))
     for k, cmap in enumerate(cmaps):
         rhs = np.zeros(cmap.size)
         rhs[rows] = -cmap.reduce_vector(K @ cmap.g)
@@ -368,9 +369,10 @@ def einsum_tangent(cell, cmap, sysm, u_new, u_old, dt):
     K, C, coeff = sysm.conductivity, sysm.storage_diagonal(), sysm.coeff
     dk, dc = fem.coefficient_derivatives(fem.assemble_system(
         mesh, fem.FieldState.from_vector(u_new), cell.materials))
-    J = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
-    J.data += 0.5 * K.data
-    J.data[ws.diagonal_slots[0]] += C / dt
+    D, S = fem.state_jacobian(mesh, u_new, rate, (dk, dc))
+    D.data += K.data
+    J = fem.crank_nicolson_matrix(D, C, dt)
+    J.data += S.data
     matrix, rows = cmap.newton_system(J, C)
     dg = np.zeros((2 * n, 6))
     dg[:n, 0] = dg[n:, 1] = 1.0
