@@ -12,7 +12,7 @@ from .fe2 import (ComparisonReport, FE2Driver, FE2Error, FE2Result,
 from .fem import FieldState
 from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
                              MesoState, TangentBlocks, effective_tangent,
-                             solve_rve_increment)
+                             initial_response, solve_rve_increment)
 from .mesh import (Mesh, MeshError, generate_masonry_cell,
                    generate_masonry_wall, generate_rectangle_mesh, load_mesh,
                    save_mesh, with_phases)
@@ -35,7 +35,8 @@ __all__ = [
     "build_grid_cell_map", "compare_fields", "fe2_solve",
     "FieldState",
     "CellProblem", "EffectiveResponse", "MacroLoading", "MesoState",
-    "TangentBlocks", "effective_tangent", "solve_rve_increment",
+    "TangentBlocks", "effective_tangent", "initial_response",
+    "solve_rve_increment",
     "Mesh", "MeshError", "generate_masonry_cell", "generate_masonry_wall",
     "generate_rectangle_mesh", "load_mesh", "save_mesh", "with_phases",
     "read_history_csv", "write_results", "write_round_log", "write_step_log",

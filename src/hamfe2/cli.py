@@ -31,7 +31,8 @@ from .config import (ConfigError, ScenarioConfig, SectionReader,
                      load_scenario, scenario_settings, solver_config_from)
 from .fe2 import FE2Error, build_grid_cell_map, compare_fields, fe2_solve
 from .fem import FieldState
-from .homogenization import CellProblem, MacroLoading, solve_rve_increment
+from .homogenization import (CellProblem, MacroLoading, initial_response,
+                             solve_rve_increment)
 from .mesh import (MeshError, generate_masonry_cell, generate_masonry_wall,
                    generate_rectangle_mesh, load_mesh, save_mesh)
 from .results import (read_history_csv, write_comparison_report,
@@ -215,7 +216,7 @@ def _cmd_solve_rve(config: ScenarioConfig):
                                      grad["grad_theta_y"]]),
                            np.array([grad["grad_phi_x"], grad["grad_phi_y"]]),
                            settings.dt_hours * 3600.0)
-    state = cell.initial_state(loading)
+    state, _ = initial_response(cell, loading)
     rows = []
     for k in range(steps):
         state, response = solve_rve_increment(cell, state, loading)
@@ -294,8 +295,9 @@ def _cmd_compare(config: ScenarioConfig):
                                      problems)
     for label, outdir in (("compare.fine_results", fine_results),
                           ("compare.coarse_results", coarse_results)):
-        if outdir and not os.path.isfile(os.path.join(outdir, "theta.csv")):
-            problems.append(f"{label}: no theta.csv under '{outdir}'")
+        for table in ("theta.csv", "phi.csv"):
+            if outdir and not os.path.isfile(os.path.join(outdir, table)):
+                problems.append(f"{label}: no {table} under '{outdir}'")
     _finish(problems)
 
     fine = read_history_csv(fine_results)

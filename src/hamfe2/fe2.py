@@ -31,12 +31,12 @@ never pollutes the meso memory.
 
 The driver's start evaluates each distinct initial cell state once.
 Points bound to the same cell problem object whose initial loadings
-carry bitwise equal values and gradients (dt is not read) share one
-homogenization.initial_response: its frozen response and its read-only
-old data K u0. Each point still gets its own MesoState. A uniform
-initial field thus costs one evaluation per region; point ids never
-enter the key. The workers fork with states that carry their old data,
-so no first increment evaluates its start again.
+carry bitwise equal values and gradients share one
+homogenization.initial_response: its response and its MesoState, one
+immutable object with its old data K u0. A uniform initial field thus
+costs one evaluation per region; point ids never enter the key. The
+workers fork with states that carry their old data, so no first
+increment evaluates its start again.
 """
 
 from __future__ import annotations
@@ -155,12 +155,14 @@ class FE2Driver:
     The start shares work: points whose cell problem is the same object
     and whose initial loadings hold bitwise equal Theta, Phi, grad_Theta
     and grad_Phi share one initial_response, its response and its
-    read-only old data, and each gets its own MesoState. solve runs
-    from `initial`, the field the cells start from, and only once.
+    state. The driver builds no MesoState of its own: a state is
+    immutable, so the points hold the one object, and each increment
+    builds a new one. solve runs from `initial`, the field the cells
+    start from, and only once.
 
     init_dt is the dt of the initial loadings, which no increment
     reads; the benchmark passes it, and the benchmark's change of
-    ROADMAP item 9 deletes it.
+    ROADMAP item 12 deletes it.
     """
 
     def __init__(self, mesh: Mesh, cells, initial: FieldState,
@@ -187,9 +189,7 @@ class FE2Driver:
             key = (cell, _loading_vector(loading).tobytes())
             if key not in starts:
                 starts[key] = initial_response(cell, loading)
-            shared, responses[e] = starts[key]
-            state = cell.initial_state(loading)
-            state.old = shared.old
+            state, responses[e] = starts[key]
             registry[e] = (cell, state)
         self.old = _conduction(self.ws, responses)
         self.partition = partition_points(registry, n_workers)
@@ -251,8 +251,7 @@ def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
     history together with the partition and per-round scheduler
     timings.
     """
-    with FE2Driver(mesh, cells, initial, config, n_workers,
-                   init_dt=float(dt_hours) * 3600.0) as driver:
+    with FE2Driver(mesh, cells, initial, config, n_workers) as driver:
         history = driver.solve(schedule, initial, dt_hours, t_end_hours)
         rounds = list(driver.pool.timings)
         return FE2Result(history, driver.partition, rounds)

@@ -123,14 +123,14 @@ class CoupledSystem:
 
     def stiffness(self) -> "SkeletonMatrix":
         """The conductivity, for the benchmark's residual check; the
-        benchmark's change of ROADMAP item 9 deletes it."""
+        benchmark's change of ROADMAP item 12 deletes it."""
         return self.conductivity
 
     @property
     def f(self):
         """A zero external flux vector of length 2N (see the module
         notes), for the benchmark's residual check; the benchmark's
-        change of ROADMAP item 9 deletes it."""
+        change of ROADMAP item 12 deletes it."""
         return np.zeros(2 * self.c_tt.size)
 
     def storage_diagonal(self):

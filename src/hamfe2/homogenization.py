@@ -15,17 +15,19 @@ sensitivities of those averages to the loading
 p = (Theta, Phi, grad_Theta_x, grad_Theta_y, grad_Phi_x, grad_Phi_y):
 the effective conductivity blocks and storage coefficients.
 
-Every cell state is evaluated once, into its fem.CoupledSystem. A
-committed state carries its Crank-Nicolson old data K u once computed,
-so the rounds of a macro step and a retried half step reuse it, and a
-converged increment hands its new state the K u Newton evaluated
-there. The averages and the tangent, its coefficient derivatives too,
-read the system crank_nicolson_step accepted. A fresh affine state is
-evaluated by initial_response: that one system gives its zero-rate
-averages and its old data, so the first increment from it evaluates
-nothing more. Its old data is read-only, so that every macro point
-whose cell and loading values are bitwise those of another can share
-the one evaluation (see fe2.FE2Driver).
+There is one kind of cell state: an immutable MesoState that holds
+the total field u, its loading, its Crank-Nicolson old data K u and the
+sensitivity of the round that reached it, with u and the old data
+read-only. Only two functions build one. initial_response evaluates
+the fresh affine state once, into its fem.CoupledSystem: that system
+gives its zero-rate averages and its old data. solve_rve_increment
+returns the state Newton converged to, with the K u Newton evaluated
+there; the averages and the tangent, its coefficient derivatives too,
+read the system crank_nicolson_step accepted. So no state is evaluated
+twice, the rounds of a macro step and a retried half step reuse the
+old data of the committed state, and macro points whose cell and
+initial loading are bitwise alike can share one state object (see
+fe2.FE2Driver).
 
 An increment always advances from a committed state and its old data.
 Newton starts from that state's fluctuation, or from a prediction off
@@ -79,27 +81,32 @@ class MacroLoading:
             raise ValueError("dt must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MesoState:
-    """Converged cell state: fluctuations plus the loading that made them.
+    """Converged cell state: the total field and the loading that made it.
 
-    old caches K u of the total field, the old data of every increment
-    from this state. initial_response sets it, read-only, and a
-    converged increment sets it on its new state; on a state built
-    otherwise it is None until the first increment computes it. States
-    that start alike may share one read-only old array: no increment
-    writes to it.
+    Immutable and complete: initial_response and solve_rve_increment
+    are its only builders, and every field but sensitivity is always
+    set. old is K u, the Crank-Nicolson old data of every increment
+    from this state, evaluated where the state was. u, old and a
+    sensitivity are made read-only, so that points that start alike
+    may share one state object.
     sensitivity, (n_free, 6), is dz/dp of the reduced fluctuation
-    z = fluct[free_index] over the loading p, from the tangent round of
-    the step attempt that reached this state; None otherwise. It
-    predicts the start of a later round of the same attempt, and means
-    nothing once the state is committed.
+    z = CellProblem.fluctuation(state)[free_index] over the loading p,
+    from the tangent round of the step attempt that reached this state;
+    None otherwise. It predicts the start of a later round of the same
+    attempt, and a commit drops it.
     """
 
-    fluct: np.ndarray        # (2N,) field-major fluctuation vector
+    u: np.ndarray            # (2N,) field-major total field
     loading: MacroLoading
-    old: np.ndarray = field(default=None, repr=False)
+    old: np.ndarray = field(repr=False)
     sensitivity: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self.u, self.old, self.sensitivity):
+            if a is not None:
+                a.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -148,15 +155,11 @@ class CellProblem:
         ws = workspace(mesh)
         self.area = float(ws.areas.sum())
 
-    def affine_vector(self, loading: MacroLoading):
-        return self.reduction.affine(loading.theta, loading.phi,
-                                     loading.grad_theta, loading.grad_phi)
-
-    def total_vector(self, state: MesoState):
-        return self.affine_vector(state.loading) + state.fluct
-
-    def initial_state(self, loading: MacroLoading) -> MesoState:
-        return MesoState(np.zeros(2 * self.mesh.n_nodes), loading)
+    def fluctuation(self, state: MesoState):
+        """state.u less the affine part of the state's loading."""
+        loading = state.loading
+        return state.u - self.reduction.affine(
+            loading.theta, loading.phi, loading.grad_theta, loading.grad_phi)
 
 
 def _mean_conduction(ws, coeff, w, u):
@@ -172,22 +175,16 @@ def _mean_conduction(ws, coeff, w, u):
 
 def average_fields(cell: CellProblem, coeff, u_new, u_old,
                    dt) -> EffectiveResponse:
-    """Volume averages of flux and storage rate.
-
-    coeff holds the coefficients at u_new. dt = None averages a static
-    state: fluxes only, zero rates.
-    """
+    """Volume averages of flux and storage rate; coeff holds the
+    coefficients at u_new."""
     ws = workspace(cell.mesh)
     n = cell.mesh.n_nodes
     w = ws.areas / cell.area
     kg_heat, kg_moist = _mean_conduction(ws, coeff, w, u_new)
-    q_heat, q_moist = -kg_heat, -kg_moist
-    if dt is None:
-        return EffectiveResponse(q_heat, q_moist, 0.0, 0.0)
     rate = (u_new - u_old) / dt
     s_t = float(w @ (coeff.c_tt * ws.element_mean(rate[:n])))
     s_f = float(w @ (coeff.c_ff * ws.element_mean(rate[n:])))
-    return EffectiveResponse(q_heat, q_moist, s_t, s_f)
+    return EffectiveResponse(-kg_heat, -kg_moist, s_t, s_f)
 
 
 def _loading_vector(loading: MacroLoading):
@@ -199,19 +196,20 @@ def _loading_vector(loading: MacroLoading):
 def initial_response(cell: CellProblem, loading: MacroLoading):
     """The fresh affine state and its zero-rate response, no solve involved.
 
-    The state u0 is evaluated once, by cell._assembler: that system's
-    coefficients give the averages, and its K u0, marked read-only,
-    becomes the state's old data, so the first increment from the state
-    evaluates it no more. The response and the old data depend only on
-    the cell and on the loading's values and gradients, not on its dt;
-    fe2.FE2Driver hands them to every point that starts alike.
+    One of MesoState's two builders. The affine field u0 of the loading
+    is evaluated once, by cell._assembler: that system's coefficients
+    give the averages, over loading.dt from u0 to itself, so the rates
+    are exactly zero, and its K u0 becomes the state's old data, so the
+    first increment from the state evaluates it no more. The response
+    and the old data depend only on the cell and on the loading's values
+    and gradients, not on its dt; fe2.FE2Driver hands the one state to
+    every point that starts alike.
     """
-    state = cell.initial_state(loading)
-    u0 = cell.total_vector(state)
+    u0 = cell.reduction.affine(loading.theta, loading.phi,
+                               loading.grad_theta, loading.grad_phi)
     sysm = cell._assembler(u0)
-    state.old = sysm.conduction(u0)
-    state.old.flags.writeable = False
-    return state, average_fields(cell, sysm.coeff, u0, u0, None)
+    return (MesoState(u0, loading, sysm.conduction(u0)),
+            average_fields(cell, sysm.coeff, u0, u0, loading.dt))
 
 
 def solve_rve_increment(cell: CellProblem, state: MesoState,
@@ -219,31 +217,30 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                         start: MesoState = None):
     """Advance the cell by loading.dt and average the converged state.
 
-    Returns (new state, response). The increment runs from `state` and
-    its Crank-Nicolson old data. A `state` that carries no old data has
-    it computed on its first increment and kept on it. Newton starts
-    from the fluctuation of `state` when `start` is None. A later round of a
-    macro step passes as `start` the state the same point converged to
-    one round earlier, from the same `state` and under the same dt;
-    Newton then starts from the prediction z_start + dz/dp (p - p_start)
-    when `start` carries a sensitivity, and from z_start when it does
-    not. `start` changes the iteration count and moves the result
-    within Newton's tolerance. want_tangents solves for the tangent and
-    keeps its dz/dp on the new state; otherwise the new state carries
-    the sensitivity of `start` on. The new state also carries K u of
-    Newton's accepted evaluation, whose system feeds the averages and
-    the tangent: no state is evaluated twice.
+    One of MesoState's two builders: returns (new state, response). The
+    increment runs from `state` and its Crank-Nicolson old data, and
+    changes neither. Newton starts from the fluctuation of `state` when
+    `start` is None. A later round of a macro step passes as `start`
+    the state the same point converged to one round earlier, from the
+    same `state` and under the same dt; Newton then starts from the
+    prediction z_start + dz/dp (p - p_start) when `start` carries a
+    sensitivity, and from z_start when it does not. `start` changes the
+    iteration count and moves the result within Newton's tolerance.
+    want_tangents solves for the tangent and keeps its dz/dp on the new
+    state; otherwise the new state carries the sensitivity of `start`
+    on. The new state holds the converged u_new and the K u Newton
+    evaluated there, whose system also feeds the averages and the
+    tangent: no state is evaluated twice.
     """
-    u_n = cell.total_vector(state)
-    if state.old is None:
-        state.old = cell._assembler(u_n).conduction(u_n)
+    u_n = state.u
     cmap = cell.reduction.map_for(loading.theta, loading.phi,
                                   loading.grad_theta, loading.grad_phi)
     # start from the carried-over fluctuation under the new affine part;
     # projecting the old total field instead would dump the affine mean
     # shift onto the anchor group and can leave the material validity
     # window for large macro steps
-    z0 = (state if start is None else start).fluct[cell.reduction.free_index]
+    z0 = cell.fluctuation(state if start is None
+                          else start)[cell.reduction.free_index]
     # an earlier round's state moves along the sensitivity of its
     # attempt's tangent round; a committed state starts as it is
     sensitivity = None if start is None else start.sensitivity
@@ -252,19 +249,12 @@ def solve_rve_increment(cell: CellProblem, state: MesoState,
                                  - _loading_vector(start.loading))
     u_new, _, old, sysm = crank_nicolson_step(
         cell._assembler, u_n, loading.dt, cmap, cell.config, state.old, z0)
-    # the affine part of the loading, as map_for stored it
-    affine = cmap.g
     response = average_fields(cell, sysm.coeff, u_new, u_n, loading.dt)
     if want_tangents:
         tangent, sensitivity = effective_tangent(cell, cmap, sysm, u_new, u_n,
                                                  loading.dt)
         response = replace(response, tangent=tangent)
-    new_state = MesoState(u_new - affine, loading, sensitivity=sensitivity)
-    # K u was evaluated at u_new; it serves the new state only if that
-    # state's total field reproduces u_new bit for bit
-    if np.array_equal(affine + new_state.fluct, u_new):
-        new_state.old = old
-    return new_state, response
+    return MesoState(u_new, loading, old, sensitivity), response
 
 
 def effective_tangent(cell: CellProblem, cmap, sysm, u_new, u_old, dt):

@@ -20,8 +20,9 @@ Text file format (line oriented, '#' starts a comment):
 
 Sections appear in exactly this order; `boundary` sections may repeat.
 
-Every generator and load_mesh return a mesh that passed validate_mesh,
-which checks, in this order and each in one linear or single-sort pass:
+Every generator, with_phases and load_mesh return a mesh that passed
+validate_mesh, which checks, in this order and each in one linear or
+single-sort pass:
 
 - the nodes are an (N, 2) array (a mesh with no nodes is rejected when
   it is built);
@@ -337,8 +338,8 @@ def with_phases(mesh: Mesh, phase_names, labeler):
     """New mesh with phases reassigned by labeler(xc, yc) -> phase ids."""
     phases = np.asarray(labeler(*_centroids(mesh.nodes, mesh.triangles)),
                         dtype=np.int64)
-    return Mesh(mesh.nodes, mesh.triangles, phases, phase_names,
-                dict(mesh.boundary))
+    return validate_mesh(Mesh(mesh.nodes, mesh.triangles, phases,
+                              phase_names, dict(mesh.boundary)))
 
 
 def detect_periodic_pairs(mesh: Mesh, tol=1e-9):

@@ -8,8 +8,9 @@ owns its registry slice (cell problem and committed meso state per
 point) for the whole run; a round sends only the per-point loadings
 down and returns the averaged responses, and a commit promotes the
 states of the most recently evaluated round to the resident committed
-set. A committed state keeps its Crank-Nicolson old data, computed once
-(see homogenization), through every round and retry of a macro step.
+set. A state is immutable and carries its Crank-Nicolson old data,
+computed once where the state was reached (see homogenization), so a
+committed state serves every round and retry of a macro step as it is.
 Merging sorts by point id, so the merged result is independent of
 worker count and completion order.
 
@@ -42,7 +43,7 @@ import logging
 import time
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,9 +130,8 @@ class _Resident:
         Each increment runs from the point's committed state. Returns
         (results, failures): results are (pid, response) pairs sorted by
         point id; failures are (pid, message) pairs for increments the
-        meso solver refused. An input state changes only by caching its
-        Crank-Nicolson old data on its first increment, so re-running a
-        batch from the same starts reproduces it bitwise.
+        meso solver refused. An input state never changes, so re-running
+        a batch from the same starts reproduces it bitwise.
         """
         starts = {} if want_tangents else self.pending
         results, failures, pending = [], [], {}
@@ -167,8 +167,7 @@ class _Resident:
         if msg[0] == "commit":
             for pid, st in self.pending.items():
                 cell, _ = self.committed[pid]
-                st.sensitivity = None
-                self.committed[pid] = (cell, st)
+                self.committed[pid] = (cell, replace(st, sensitivity=None))
             self.pending = {}
         return ("ok",)
 

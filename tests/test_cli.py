@@ -525,6 +525,26 @@ ny = 2
         assert "compare.fine_results" in err
         assert "compare.coarse_results" in err
 
+    def test_results_without_phi_table_exit_one(self, tmp_path, capsys):
+        fine = fine_scenario(tmp_path)
+        assert main(["solve-fine", "--config", fine]) == 0
+        (tmp_path / "out" / "phi.csv").unlink()
+        cfg = write(tmp_path / "cmp.ini", """\
+[compare]
+fine_mesh = square.msh
+coarse_mesh = square.msh
+fine_results = out
+coarse_results = out
+nx = 2
+ny = 2
+""")
+        assert main(["compare", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "configuration invalid:" in err and "Errno" not in err
+        assert "compare.fine_results: no phi.csv under" in err
+        assert "compare.coarse_results: no phi.csv under" in err
+        assert "theta.csv" not in err
+
 
 class TestPlumbing:
 

@@ -202,7 +202,7 @@ def test_driver_start_evaluates_each_distinct_cell_state_once(masonry):
         assert list(counts.values()) == expected
 
 
-def test_driver_start_shares_old_data_not_states(masonry):
+def test_driver_start_shares_one_state_per_start_key(masonry):
     mesh, mats = masonry
     macro = two_regions()
     cells = {"facing": CellProblem(mesh, mats), "fill": linear_cell()}
@@ -213,25 +213,24 @@ def test_driver_start_shares_old_data_not_states(masonry):
         resident, = driver.pool._residents
         registry = resident.committed
         assert sorted(registry) == list(range(macro.n_triangles))
-        states = [registry[e][1] for e in range(macro.n_triangles)]
-        # every point holds its own state and fluctuation
-        assert len({id(st) for st in states}) == len(states)
-        assert not any(np.shares_memory(a.fluct, b.fluct)
-                       for i, a in enumerate(states) for b in states[i + 1:])
-        olds = {}
-        for e, (state, region) in enumerate(zip(states, regions)):
-            cell = cells[region]
-            assert registry[e][0] is cell
+        # the points of one cell object and one uniform start hold one
+        # read-only state: its affine field and K u of that field
+        shared = {}
+        for e, region in enumerate(regions):
+            cell, state = registry[e]
+            assert cell is cells[region]
+            assert shared.setdefault(region, state) is state
             assert state.loading.theta == loadings[e].theta
             assert np.array_equal(state.loading.grad_theta,
                                   loadings[e].grad_theta)
-            u0 = cell.total_vector(state)
+            assert np.all(cell.fluctuation(state) == 0.0)
             assert np.array_equal(state.old,
-                                  cell._assembler(u0).conduction(u0))
+                                  cell._assembler(state.u).conduction(state.u))
+            assert not state.u.flags.writeable
             assert not state.old.flags.writeable
-            olds.setdefault(region, state.old)
-            assert state.old is olds[region]
-        assert olds["facing"] is not olds["fill"]
+            assert state.sensitivity is None
+        assert len(shared) == 2 and shared["facing"] is not shared["fill"]
+        assert sum(1 for r in regions if r == "facing") > 1
         # the macro old data of one initial_response per point
         responses = {e: initial_response(cells[region], loadings[e])[1]
                      for e, region in enumerate(regions)}

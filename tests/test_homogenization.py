@@ -5,7 +5,7 @@ mean conductivity along the layers and the harmonic mean across them;
 a homogeneous cell must answer like the bulk material exactly.
 """
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -147,7 +147,7 @@ def test_zero_loading_zero_response():
     assert np.all(r0.q_heat == 0.0) and np.all(r0.q_moist == 0.0)
     assert r0.s_t == 0.0 and r0.s_f == 0.0
     state, r = hom.solve_rve_increment(cell, state, l0)
-    assert np.all(state.fluct == 0.0)
+    assert np.all(cell.fluctuation(state) == 0.0)
     assert r.s_t == 0.0 and r.s_f == 0.0
 
 
@@ -160,7 +160,7 @@ def test_uniform_value_step_exact_storage():
         cell, st0, hom.MacroLoading(21.0, 0.55, [0, 0], [0, 0], dt=dt))
     assert r.s_t == pytest.approx(2e6 * 1.0 / dt, rel=1e-12)
     assert r.s_f == pytest.approx(40.0 * 0.05 / dt, rel=1e-12)
-    assert np.linalg.norm(st1.fluct) < 1e-10
+    assert np.linalg.norm(cell.fluctuation(st1)) < 1e-10
 
 
 def test_initial_response_flux_from_affine_gradients():
@@ -189,19 +189,37 @@ def test_initial_response_evaluates_its_state_once():
     state, response = hom.initial_response(cell, loading)
     cell._assembler = assembler
     assert len(evaluated) == 1
-    u0 = cell.total_vector(state)
+    u0 = state.u
     assert np.array_equal(evaluated[0], u0)
     assert np.array_equal(state.old, assembler(u0).conduction(u0))
     assert not state.old.flags.writeable
-    assert np.all(state.fluct == 0.0) and state.loading is loading
+    assert np.all(cell.fluctuation(state) == 0.0) and state.loading is loading
     n = cell.mesh.n_nodes
     coeff = fem.CentroidMaterials(cell.mesh, u0[:n], u0[n:],
                                   cell.materials).coefficients()
-    ref = hom.average_fields(cell, coeff, u0, u0, None)
+    ref = hom.average_fields(cell, coeff, u0, u0, loading.dt)
     assert np.array_equal(response.q_heat, ref.q_heat)
     assert np.array_equal(response.q_moist, ref.q_moist)
     assert response.s_t == ref.s_t == 0.0 and response.s_f == ref.s_f == 0.0
     assert response.tangent is None
+
+
+def test_states_of_both_builders_are_immutable():
+    # a state is one frozen value: no field can be set, and neither its
+    # field nor its old data can be written into
+    cell = homogeneous_cell()
+    loading = hom.MacroLoading(20.0, 0.5, [3.0, -1.0], [0.2, 0.1], dt=600.0)
+    start, _ = hom.initial_response(cell, loading)
+    new, _ = hom.solve_rve_increment(cell, start, replace(loading, theta=21.0),
+                                     want_tangents=True)
+    for state in (start, new):
+        for name in ("u", "loading", "old", "sensitivity"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, None)
+        for array in (state.u, state.old):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert not new.sensitivity.flags.writeable
 
 
 def test_homogeneous_tangent_recovers_material():
@@ -452,7 +470,8 @@ def test_sensitivity_matches_central_differences(resolution, loading):
             q = p.copy()
             q[k] += sign * h
             moved = hom.MacroLoading(q[0], q[1], q[2:4], q[4:6], dt=loading.dt)
-            return hom.solve_rve_increment(cell, state, moved)[0].fluct
+            return cell.fluctuation(
+                hom.solve_rve_increment(cell, state, moved)[0])
         difference = (fluct(1) - fluct(-1)) / (2 * h)
         analytic = cell.reduction.T @ converged.sensitivity[:, k]
         assert (np.abs(difference - analytic).max()
@@ -492,8 +511,9 @@ def test_predicted_start_saves_iterations(monkeypatch):
     assert iterations[0] < iterations[1]
     # the same root: Newton stops at a 1e-8 relative residual drop, and
     # the two fluctuations differ by 4e-9 of their size
-    assert (np.abs(predicted.fluct - plain.fluct).max()
-            <= 1e-7 * np.abs(plain.fluct).max())
+    fluct, fluct_plain = cell.fluctuation(predicted), cell.fluctuation(plain)
+    assert (np.abs(fluct - fluct_plain).max()
+            <= 1e-7 * np.abs(fluct_plain).max())
     # a round without tangents carries the start's sensitivity on
     assert predicted.sensitivity is previous.sensitivity
     assert plain.sensitivity is None
@@ -555,7 +575,8 @@ def test_fluctuation_invariants_property(theta, phi, gtx, gty, gfx, gfy, dt):
     n = cell.mesh.n_nodes
     red = cell.reduction
     w = fem.workspace(cell.mesh).node_areas
-    for part in (state.fluct[:n], state.fluct[n:]):
+    fluct = cell.fluctuation(state)
+    for part in (fluct[:n], fluct[n:]):
         # periodicity: slaves carry the master value
         assert np.allclose(part[cell.pairing.slaves],
                            part[cell.pairing.masters], atol=1e-8)
@@ -563,7 +584,7 @@ def test_fluctuation_invariants_property(theta, phi, gtx, gty, gfx, gfy, dt):
         scale = max(np.abs(part).max(), 1e-30)
         assert abs(w @ part) < 1e-8 * w.sum() * scale
     # the full field jumps across the cell exactly by gradient * period
-    total = cell.total_vector(state)
+    total = state.u
     jump = total[:n][cell.pairing.slaves] - total[:n][cell.pairing.masters]
     expect = cell.pairing.offsets @ np.array([gtx, gty])
     assert np.allclose(jump, expect, atol=1e-8 * max(1.0, abs(gtx) + abs(gty)))
@@ -607,7 +628,9 @@ def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
     # from _saturation_branch
     monkeypatch.setattr(cst, "_saturation_branch", lambda th: (17.08, 234.18))
     n = _PROPERTY_CELL.mesh.n_nodes
-    theta = _PROPERTY_CELL.affine_vector(STALL_LOADING)[:n]
+    theta = _PROPERTY_CELL.reduction.affine(
+        STALL_LOADING.theta, STALL_LOADING.phi, STALL_LOADING.grad_theta,
+        STALL_LOADING.grad_phi)[:n]
     assert theta.min() < 0.0 < theta.max()
     traces = []
     real_newton = solver.newton_solve
@@ -624,7 +647,7 @@ def test_stored_stall_case_converges_without_the_freezing_kink(monkeypatch):
 
 def assert_same_increment(a, b):
     (state_a, resp_a), (state_b, resp_b) = a, b
-    assert np.array_equal(state_a.fluct, state_b.fluct)
+    assert np.array_equal(state_a.u, state_b.u)
     assert np.array_equal(state_a.old, state_b.old)
     for name in ("q_heat", "q_moist"):
         assert np.array_equal(getattr(resp_a, name), getattr(resp_b, name))
@@ -665,31 +688,31 @@ def test_increments_evaluate_each_cell_state_once(monkeypatch):
         out = hom.solve_rve_increment(cell, state, loading, want_tangents=True)
         return out, len(calls), len(evals)
 
-    # one coefficients call covers both phases of an evaluation. The
-    # first increment from a state without old data computes it; one
-    # from initial_response's state, which carries it, evaluates no more
-    bare = cell.initial_state(start)
-    assert bare.old is None
-    first, n_calls, n_evals = counted_increment(bare, rounds[0])
-    assert bare.old is not None
-    assert n_calls == n_evals + 1
-    assert committed.old is not None
+    def refreshed(state):
+        # the state with its old data evaluated afresh
+        u = state.u.copy()
+        return hom.MesoState(u, state.loading,
+                             cell._assembler(u).conduction(u))
+
+    # one coefficients call covers both phases of an evaluation. An
+    # increment from initial_response's state, which carries its old
+    # data, evaluates no more
     started, n_calls, n_evals = counted_increment(committed, rounds[0])
     assert n_calls == n_evals
-    assert_same_increment(started, first)
+    assert_same_increment(
+        started, counted_increment(refreshed(committed), rounds[0])[0])
     # the later round reuses it and evaluates the converged state no more
     second, n_calls, n_evals = counted_increment(committed, rounds[1])
     assert n_calls == n_evals
-    fresh = hom.MesoState(committed.fluct.copy(), committed.loading)
-    assert_same_increment(second, counted_increment(fresh, rounds[1])[0])
-    # a converged state carries the pair Newton evaluated there
+    assert_same_increment(
+        second, counted_increment(refreshed(committed), rounds[1])[0])
+    # a converged state carries the K u Newton evaluated there
     new_state = second[0]
-    assert new_state.old is not None
     step = hom.MacroLoading(16.0, 0.56, [4.0, -2.0], [0.3, 0.2], dt=3600.0)
     carried, n_calls, n_evals = counted_increment(new_state, step)
     assert n_calls == n_evals
-    fresh = hom.MesoState(new_state.fluct.copy(), new_state.loading)
-    assert_same_increment(carried, counted_increment(fresh, step)[0])
+    assert_same_increment(
+        carried, counted_increment(refreshed(new_state), step)[0])
 
 
 def test_an_increment_gathers_the_materials_once_per_state(monkeypatch):
@@ -721,8 +744,9 @@ def test_an_increment_gathers_the_materials_once_per_state(monkeypatch):
     cell._assembler = evaluate
     loading = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0],
                                dt=3600.0)
-    _, response = hom.solve_rve_increment(cell, cell.initial_state(loading),
-                                          loading, want_tangents=True)
+    _, response = hom.solve_rve_increment(
+        cell, hom.initial_response(cell, loading)[0], loading,
+        want_tangents=True)
     assert response.tangent is not None and len(factors) >= 2
     assert len(gathers) == len(states)
     assert gathers == [cell.mesh.n_triangles] * len(states)
@@ -737,8 +761,9 @@ def test_cell_increment_builds_scipy_matrices_only_to_factor_them(monkeypatch):
     cell = running_bond_cell(2)
     loading = hom.MacroLoading(12.0, 0.6, [30.0, -10.0], [0.5, 1.0],
                                dt=3600.0)
-    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
-    state = cell.initial_state(replace(loading, theta=14.0))
+    hom.solve_rve_increment(cell, hom.initial_response(cell, loading)[0],
+                            loading)
+    state = hom.initial_response(cell, replace(loading, theta=14.0))[0]
     events = []
     init, factorize = _cs_matrix.__init__, solver.factorize
 

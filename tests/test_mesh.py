@@ -381,6 +381,21 @@ def test_with_phases_relabels():
     assert phase_fraction(lam, "a") == pytest.approx(0.5, rel=1e-12)
 
 
+def test_with_phases_rejects_a_label_out_of_range():
+    # three labels for two phase names: the third phase has no material
+    m = msh.generate_rectangle_mesh(3.0, 1.0, 3, 1)
+    with pytest.raises(msh.MeshError, match="phase id out of range"):
+        msh.with_phases(m, ("brick", "lin"),
+                        lambda x, y: np.floor(x).astype(int))
+
+
+def test_with_phases_rejects_labels_of_the_wrong_length():
+    m = msh.generate_rectangle_mesh(3.0, 1.0, 3, 1)
+    with pytest.raises(msh.MeshError, match="one phase id per triangle"):
+        msh.with_phases(m, ("brick", "lin"),
+                        lambda x, y: np.zeros(x.size + 1, dtype=int))
+
+
 def test_mesh_file_round_trip(tmp_path):
     cell = msh.generate_masonry_cell(0.42, 0.19, 0.03, bond="running", resolution=2)
     path = tmp_path / "cell.mesh"

@@ -124,7 +124,8 @@ def test_evaluate_batch_empty():
 def test_evaluate_batch_sorts_and_is_pure():
     cell = linear_cell()
     registry = make_registry(cell, [4, 7, 2])
-    fluct_before = {p: registry[p][1].fluct.copy() for p in registry}
+    fluct_before = {p: cell.fluctuation(registry[p][1]).copy()
+                    for p in registry}
     lo = hom.MacroLoading(26.0, 0.55, [10, 0], [0.1, 0], dt=600.0)
     items = [(7, lo), (2, lo), (4, lo)]  # deliberately unsorted
     results, failures = sched._Resident(registry).run(items, True)
@@ -135,7 +136,8 @@ def test_evaluate_batch_sorts_and_is_pure():
     assert_same_response(results[0][1], results[2][1])
     # inputs are untouched
     for p in registry:
-        assert np.array_equal(registry[p][1].fluct, fluct_before[p])
+        assert np.array_equal(cell.fluctuation(registry[p][1]),
+                              fluct_before[p])
 
 
 def test_evaluate_batch_collects_failures_and_continues():

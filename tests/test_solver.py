@@ -265,7 +265,8 @@ def cell_increment():
         constitutive.default_materials())
     loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
                                dt=3600.0)
-    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
+    hom.solve_rve_increment(cell, hom.initial_response(cell, loading)[0],
+                            loading)
 
 
 # entries of the factors of the first Newton matrix: factorize stores
@@ -537,8 +538,8 @@ LOADING = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0), dt=3600.0)
 
 def cell_increment_with_tangent():
     cell = running_cell_r2()
-    hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING,
-                            want_tangents=True)
+    hom.solve_rve_increment(cell, hom.initial_response(cell, LOADING)[0],
+                            LOADING, want_tangents=True)
 
 
 @pytest.mark.parametrize("run, tangents", [(wall_step, 0),
@@ -570,7 +571,8 @@ def test_increment_at_its_root_builds_no_system(monkeypatch):
         return z, trace
 
     monkeypatch.setattr(solver, "newton_solve", traced)
-    hom.solve_rve_increment(cell, cell.initial_state(loading), loading)
+    hom.solve_rve_increment(cell, hom.initial_response(cell, loading)[0],
+                            loading)
     (trace,) = traces
     assert len(trace) == 1
     assert counts == {"reduce": 0, "capacity": 0, "factor": 0}
@@ -593,7 +595,8 @@ def cell_increment_with(wrap):
     """One increment of an r=2 running-bond cell, its assembler wrapped."""
     cell = running_cell_r2()
     cell._assembler = wrap(cell._assembler)
-    hom.solve_rve_increment(cell, cell.initial_state(LOADING), LOADING)
+    hom.solve_rve_increment(cell, hom.initial_response(cell, LOADING)[0],
+                            LOADING)
 
 
 def wall_solve_with(wrap):
@@ -694,7 +697,7 @@ def test_crank_nicolson_step_returns_the_accepted_evaluation():
     # the returned old data, its coefficients, storage and capacity
     # terms are those of a fresh evaluation there, bit for bit
     cell = running_cell_r2()
-    u_n = cell.total_vector(cell.initial_state(LOADING))
+    u_n = hom.initial_response(cell, LOADING)[0].u
     cmap = cell.reduction.map_for(LOADING.theta, LOADING.phi,
                                   LOADING.grad_theta, LOADING.grad_phi)
     u_new, trace, old, sysm = solver.crank_nicolson_step(

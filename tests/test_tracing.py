@@ -52,8 +52,8 @@ def tangent_spans(tmp_path_factory):
         loading = hom.MacroLoading(12.0, 0.6, (30.0, -10.0), (0.5, 1.0),
                                    dt=3600.0)
         tracer.enabled = True
-        hom.solve_rve_increment(cell, cell.initial_state(loading), loading,
-                                want_tangents=True)
+        hom.solve_rve_increment(cell, hom.initial_response(cell, loading)[0],
+                                loading, want_tangents=True)
         tracer.enabled = False
         print(json.dumps(tracer.record()["spans"]))
     """)
