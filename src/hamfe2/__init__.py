@@ -7,8 +7,8 @@ from .config import (BoundaryRule, BoundarySchedule, ConfigError,
                      parse_scenario)
 from .constitutive import (ConstitutiveError, KunzelMaterial, LinearMaterial,
                            MaterialParams, default_materials)
-from .fe2 import (ComparisonReport, FE2Driver, FE2Error, FE2Result,
-                  build_grid_cell_map, compare_fields, fe2_solve)
+from .fe2 import (ComparisonReport, FE2Driver, FE2Error, build_grid_cell_map,
+                  compare_fields)
 from .fem import FieldState
 from .homogenization import (CellProblem, EffectiveResponse, MacroLoading,
                              MesoState, TangentBlocks, effective_tangent,
@@ -18,7 +18,7 @@ from .mesh import (Mesh, MeshError, generate_masonry_cell,
                    save_mesh, with_phases)
 from .results import (read_history_csv, write_results, write_round_log,
                       write_step_log)
-from .scheduler import SchedulerError, WorkerPool, partition_points
+from .scheduler import SchedulerError
 from .solver import (History, SolverConfig, SolverError, newton_solve,
                      transient_solve)
 
@@ -31,8 +31,8 @@ __all__ = [
     "load_materials", "load_scenario", "parse_scenario",
     "ConstitutiveError", "KunzelMaterial", "LinearMaterial", "MaterialParams",
     "default_materials",
-    "ComparisonReport", "FE2Driver", "FE2Error", "FE2Result",
-    "build_grid_cell_map", "compare_fields", "fe2_solve",
+    "ComparisonReport", "FE2Driver", "FE2Error", "build_grid_cell_map",
+    "compare_fields",
     "FieldState",
     "CellProblem", "EffectiveResponse", "MacroLoading", "MesoState",
     "TangentBlocks", "effective_tangent", "initial_response",
@@ -40,7 +40,7 @@ __all__ = [
     "Mesh", "MeshError", "generate_masonry_cell", "generate_masonry_wall",
     "generate_rectangle_mesh", "load_mesh", "save_mesh", "with_phases",
     "read_history_csv", "write_results", "write_round_log", "write_step_log",
-    "SchedulerError", "WorkerPool", "partition_points",
+    "SchedulerError",
     "History", "SolverConfig", "SolverError", "newton_solve",
     "transient_solve",
     "__version__",

@@ -29,7 +29,7 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, SectionReader,
                      boundary_schedule_from, initial_from, load_materials,
                      load_scenario, scenario_settings, solver_config_from)
-from .fe2 import FE2Error, build_grid_cell_map, compare_fields, fe2_solve
+from .fe2 import FE2Driver, FE2Error, build_grid_cell_map, compare_fields
 from .fem import FieldState
 from .homogenization import (CellProblem, MacroLoading, initial_response,
                              solve_rve_increment)
@@ -177,14 +177,14 @@ def _cmd_solve_fe2(config: ScenarioConfig):
     _finish(problems)
 
     initial = FieldState.uniform(mesh.n_nodes, theta0, phi0)
-    result = fe2_solve(mesh, cells, schedule, initial, settings.dt_hours,
-                       settings.t_end_hours, solver_cfg,
-                       n_workers=settings.workers)
+    with FE2Driver(mesh, cells, initial, solver_cfg,
+                   settings.workers) as driver:
+        history = driver.solve(schedule, initial, settings.dt_hours,
+                               settings.t_end_hours)
     outdir = _outdir(settings)
-    write_results(result.history, settings.format, outdir, mesh=mesh)
-    write_step_log(result.history, os.path.join(outdir, "steps.csv"))
-    write_round_log(result.rounds, os.path.join(outdir, "rounds.csv"))
-    history = result.history
+    write_results(history, settings.format, outdir, mesh=mesh)
+    write_step_log(history, os.path.join(outdir, "steps.csv"))
+    write_round_log(driver.pool.timings, os.path.join(outdir, "rounds.csv"))
     print(f"solve-fe2: {len(history.times) - 1} steps, "
           f"{sum(history.newton_iterations)} macro Newton iterations, "
           f"{sum(history.factorizations)} factorizations, "

@@ -24,7 +24,9 @@ The special climate reference ``climate:synthetic`` uses the bundled
 annual generator with the scenario seed. A node in two boundary sets of
 one field, such as the corner of ``bottom`` and ``left``, takes the
 value of the set whose name sorts last (here ``left``), whatever the
-order of the keys in the file.
+order of the keys in the file. A boundary constant must be finite, and
+a phi constant must lie in [0, 1] like [initial] phi; any other value
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -287,15 +289,20 @@ class BoundarySchedule:
 
 
 def _parse_boundary_value(field_name, set_name, raw, config, problems, seed):
-    """A float constant or ``climate:<path>[:<policy>]``."""
+    """A finite constant (phi in [0, 1]) or climate:<path>[:<policy>]."""
     section = f"boundary:{field_name}"
     if not raw.startswith("climate:"):
         try:
-            return BoundaryRule(field_name, constant=float(raw))
+            value = float(raw)
         except ValueError:
             problems.append(f"{section}.{set_name}: '{raw}' is neither a "
                             f"number nor a climate reference")
             return None
+        band = " in [0, 1]" if field_name == "phi" else ""
+        if not (np.isfinite(value) and (not band or 0.0 <= value <= 1.0)):
+            problems.append(f"{section}.{set_name}: must be finite{band}")
+            return None
+        return BoundaryRule(field_name, constant=value)
     parts = raw.split(":")
     policy = "periodic"
     if len(parts) == 3:

@@ -1,4 +1,5 @@
-"""Nested macro-meso driver and the fine-scale comparison harness.
+"""The nested macro-meso driver, the one FE2 entry of the CLI and the
+benchmark alike, and the fine-scale comparison harness.
 
 Every macro element carries one integration point bound to a transient
 periodic cell problem. A macro step is solver.crank_nicolson_step, the
@@ -9,8 +10,8 @@ returns averaged fluxes and storage rates. A cell's Newton starts from
 its committed fluctuation on the first iteration of a step attempt.
 After that it starts from the fluctuation it reached on the previous
 iteration, moved along the change of its loading by the sensitivity its
-cell tangent computed on the first iteration. The points are dealt to
-the workers cyclically by element id. The macro residual is that of
+cell tangent computed on the first iteration. The pool deals the points
+to its workers (scheduler.make_pool). The macro residual is that of
 classical first-order homogenization:
 
   * effective capacities (from the cell tangents) times nodal rates,
@@ -41,7 +42,7 @@ increment evaluates its start again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +51,7 @@ from .constitutive import ConstitutiveError
 from .fem import FieldState
 from .homogenization import MacroLoading, _loading_vector, initial_response
 from .mesh import Mesh
-from .scheduler import (SchedulerError, make_pool, partition_points,
-                        slice_registry)
+from .scheduler import SchedulerError, make_pool
 from .solver import (History, SolverConfig, crank_nicolson_step,
                      step_with_retry)
 
@@ -141,16 +141,11 @@ class _MacroRound:
         return self.J
 
 
-@dataclass
-class FE2Result:
-    history: History
-    partition: object
-    rounds: list = field(default_factory=list)   # scheduler RoundRecords
-
-
 class FE2Driver:
-    """Owns the macro mesh, the conduction term of its last accepted state
-    and the worker pool that holds the cell problems and meso states.
+    """The one FE2 entry, used the same way by the CLI and the benchmark.
+    Owns the macro mesh, the conduction term of its last accepted state
+    and the pool that holds the cell problems and meso states, dealt
+    over n_workers by make_pool (see pool.assignments).
 
     The start shares work: points whose cell problem is the same object
     and whose initial loadings hold bitwise equal Theta, Phi, grad_Theta
@@ -192,8 +187,7 @@ class FE2Driver:
             state, responses[e] = starts[key]
             registry[e] = (cell, state)
         self.old = _conduction(self.ws, responses)
-        self.partition = partition_points(registry, n_workers)
-        self.pool = make_pool(slice_registry(self.partition, registry))
+        self.pool = make_pool(registry, n_workers)
 
     def close(self):
         self.pool.stop()
@@ -239,22 +233,6 @@ class FE2Driver:
                            "was built from")
         return step_with_retry(self.step, self.mesh, schedule, initial,
                                dt_hours, t_end_hours)
-
-
-def fe2_solve(mesh: Mesh, cells, schedule, initial: FieldState, dt_hours,
-              t_end_hours, config: SolverConfig = None,
-              n_workers=1) -> FE2Result:
-    """Nested two-scale transient solution.
-
-    cells maps macro region names to CellProblem instances; schedule
-    supplies Dirichlet data as in transient_solve. Returns the macro
-    history together with the partition and per-round scheduler
-    timings.
-    """
-    with FE2Driver(mesh, cells, initial, config, n_workers) as driver:
-        history = driver.solve(schedule, initial, dt_hours, t_end_hours)
-        rounds = list(driver.pool.timings)
-        return FE2Result(history, driver.partition, rounds)
 
 
 # ------------------------------------------------------------- comparison

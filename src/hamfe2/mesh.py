@@ -18,7 +18,8 @@ Text file format (line oriented, '#' starts a comment):
     boundary <name> <K>  repeatable section
     <a> <b>              one edge per line, node ids
 
-Sections appear in exactly this order; `boundary` sections may repeat.
+Sections appear in exactly this order; `boundary` sections may repeat,
+each under a name of its own.
 
 Every generator, with_phases and load_mesh return a mesh that passed
 validate_mesh, which checks, in this order and each in one linear or
@@ -477,7 +478,10 @@ def load_mesh(path) -> Mesh:
         phase_ids[k] = names.index(nm)
     boundary = {}
     while pos < len(lines):
+        lineno = lines[pos][0]
         parts, cnt = section("boundary", 2)
+        if parts[1] in boundary:
+            raise MeshError(f"{path}:{lineno}: repeated boundary '{parts[1]}'")
         boundary[parts[1]] = rows(cnt, 2, int, "boundary")
     mesh = Mesh(nodes, tris, phase_ids, tuple(names), boundary)
     return validate_mesh(mesh)

@@ -1,18 +1,18 @@
 """Master-worker evaluation of batched meso increments.
 
 Within one macro Newton iteration every integration point needs an
-independent transient cell increment, so the point set is dealt over a
-pool of workers once per run, cyclically by sorted id: neighbouring
+independent transient cell increment. make_pool deals the registry
+(cell problem and committed meso state per point id) over a pool of
+workers itself, once per run, cyclically by sorted id: neighbouring
 points, whose cells cost alike, land on different workers. Each worker
-owns its registry slice (cell problem and committed meso state per
-point) for the whole run; a round sends only the per-point loadings
-down and returns the averaged responses, and a commit promotes the
-states of the most recently evaluated round to the resident committed
-set. A state is immutable and carries its Crank-Nicolson old data,
-computed once where the state was reached (see homogenization), so a
-committed state serves every round and retry of a macro step as it is.
-Merging sorts by point id, so the merged result is independent of
-worker count and completion order.
+owns its slice (pool.assignments) for the whole run; a round sends only
+the per-point loadings down and returns the averaged responses, and a
+commit promotes the states of the most recently evaluated round to the
+resident committed set. A state is immutable and carries its
+Crank-Nicolson old data, computed once where the state was reached (see
+homogenization), so a committed state serves every round and retry of a
+macro step as it is. Merging sorts by point id, so the merged result is
+independent of worker count and completion order.
 
 Every round advances each cell from its committed state. A round that
 asks for tangents starts each cell's Newton from the committed
@@ -59,15 +59,8 @@ class SchedulerError(RuntimeError):
         self.failures = list(failures) if failures is not None else []
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of macro point ids to workers (exact cover)."""
-
-    assignments: tuple
-
-
 def partition_points(point_ids, n_workers=1):
-    """Split macro point ids over n_workers.
+    """Split macro point ids over n_workers: one tuple of ids per worker.
 
     The one rule: the sorted ids are dealt round-robin, worker w takes
     ids[w::n_workers], so the counts differ by at most one. Nearby
@@ -85,21 +78,9 @@ def partition_points(point_ids, n_workers=1):
     if n_workers > len(pids):
         warnings.warn(
             f"{n_workers - len(pids)} of {n_workers} workers receive "
-            "no points", RuntimeWarning, stacklevel=2)
+            "no points", RuntimeWarning, stacklevel=3)
     ids = sorted(pids)
-    return Partition(tuple(tuple(ids[w::n_workers])
-                           for w in range(n_workers)))
-
-
-def slice_registry(partition: Partition, registry):
-    """Per-worker dicts point id -> (cell problem, meso state)."""
-    slices = []
-    for assignment in partition.assignments:
-        missing = [pid for pid in assignment if pid not in registry]
-        if missing:
-            raise SchedulerError(f"registry lacks points {missing}")
-        slices.append({pid: registry[pid] for pid in assignment})
-    return slices
+    return tuple(tuple(ids[w::n_workers]) for w in range(n_workers))
 
 
 @dataclass(frozen=True)
@@ -136,8 +117,6 @@ class _Resident:
         starts = {} if want_tangents else self.pending
         results, failures, pending = [], [], {}
         for pid, loading in sorted(batch, key=lambda it: it[0]):
-            if pid not in self.committed:
-                raise SchedulerError(f"registry slice lacks point {pid}")
             cell, state = self.committed[pid]
             try:
                 pending[pid], response = solve_rve_increment(
@@ -178,9 +157,9 @@ class _PoolBase:
 
     def __init__(self, slices):
         self._round = 0
-        self._assignments = [tuple(s) for s in slices]
+        self.assignments = tuple(tuple(s) for s in slices)
         self.timings = []
-        self.n_workers = len(self._assignments)
+        self.n_workers = len(self.assignments)
 
     def run_round(self, loadings, want_tangents=True):
         """Merged responses by point id of one increment per point."""
@@ -214,20 +193,14 @@ class _PoolBase:
         self._exchange([("commit",)] * self.n_workers)
 
     def _batches(self, loadings):
-        """Per worker, its (point id, loading) pairs sorted by id."""
-        batches = []
-        for assignment in self._assignments:
-            missing = [pid for pid in assignment if pid not in loadings]
-            if missing:
-                raise SchedulerError(
-                    f"round loadings lack points {missing}")
-            batches.append([(pid, loadings[pid])
-                            for pid in sorted(assignment)])
-        extra = set(loadings) - {p for a in self._assignments for p in a}
-        if extra:
-            raise SchedulerError(
-                f"round loadings name unknown points {sorted(extra)}")
-        return batches
+        """Per worker, its (point id, loading) pairs in the order of its
+        ids; the loadings must name exactly the pool's points."""
+        missing = [p for a in self.assignments for p in a if p not in loadings]
+        extra = sorted(set(loadings).difference(*self.assignments))
+        if missing or extra:
+            raise SchedulerError(f"round loadings lack points {missing} "
+                                 f"and name unknown points {extra}")
+        return [[(pid, loadings[pid]) for pid in a] for a in self.assignments]
 
     def __enter__(self):
         return self
@@ -324,10 +297,13 @@ class WorkerPool(_PoolBase):
         self._conns, self._procs = [], []
 
 
-def make_pool(slices):
-    """SerialPool for a single non-empty slice, forked WorkerPool
-    otherwise; an empty slice gets no process."""
-    slices = [s for s in slices if s]
+def make_pool(registry, n_workers=1):
+    """The pool over registry, point id -> (cell problem, meso state),
+    which it deals itself: partition_points splits the ids, and a worker
+    dealt none gets no process. A single worker answers in this process
+    (SerialPool); more fork a WorkerPool."""
+    slices = [{pid: registry[pid] for pid in ids}
+              for ids in partition_points(registry, n_workers) if ids]
     if len(slices) <= 1:
         return SerialPool(slices)
     return WorkerPool(slices)

@@ -186,6 +186,22 @@ max_iterations = 1
         assert main(["solve-fine", "--config", cfg]) == 2
         assert "did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, old, new", [
+        ("boundary:theta", "left = 30", "left = nan"),
+        ("boundary:theta", "left = 30", "left = inf"),
+        ("boundary:phi", "left = 0.7", "left = 1.5")])
+    def test_bad_boundary_constant_exits_one(self, tmp_path, capsys,
+                                             section, old, new):
+        cfg = fine_scenario(tmp_path)
+        text = (tmp_path / "fine.ini").read_text()
+        assert text.count(old) == 1
+        write(tmp_path / "fine.ini", text.replace(old, new))
+        assert main(["solve-fine", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "configuration invalid:" in err
+        assert f"{section}.left:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_mesh_header_without_count_exits_one(self, tmp_path, capsys):
         cfg = fine_scenario(tmp_path)
         mesh_file = tmp_path / "square.msh"

@@ -245,6 +245,29 @@ class TestBoundarySchedule:
         assert any("boundary:theta.right" in p for p in problems)
         assert any("mirror" in p for p in problems)
 
+    @pytest.mark.parametrize("field_name, raw, message", [
+        ("theta", "nan", "must be finite"),
+        ("theta", "inf", "must be finite"),
+        ("theta", "-inf", "must be finite"),
+        ("phi", "nan", "must be finite in [0, 1]"),
+        ("phi", "1.5", "must be finite in [0, 1]"),
+        ("phi", "-0.5", "must be finite in [0, 1]")])
+    def test_bad_constants_become_problems(self, field_name, raw, message):
+        cfg = parse_scenario(f"[boundary:{field_name}]\n"
+                             f"left = {raw}\n"
+                             "right = 0.5\n")
+        problems = []
+        schedule = boundary_schedule_from(cfg, problems)
+        assert problems == [f"boundary:{field_name}.left: {message}"]
+        assert set(schedule.rules[field_name]) == {"right"}
+
+    def test_phi_constants_at_the_band_edges_pass(self):
+        cfg = parse_scenario("[boundary:phi]\nleft = 0\nright = 1\n")
+        problems = []
+        schedule = boundary_schedule_from(cfg, problems)
+        assert not problems
+        assert schedule.rules["phi"]["right"].constant == 1.0
+
     def test_no_boundary_at_all_is_a_problem(self):
         problems = []
         boundary_schedule_from(parse_scenario("[scenario]\n"), problems)

@@ -16,7 +16,7 @@ from hamfe2.climate import synthetic_annual_climate
 from hamfe2.config import BoundaryRule, BoundarySchedule
 from hamfe2.constitutive import LinearMaterial, default_materials
 from hamfe2.fe2 import (FE2Driver, FE2Error, build_grid_cell_map,
-                        compare_fields, element_loadings, fe2_solve)
+                        compare_fields, element_loadings)
 from hamfe2.fem import FieldState, dirichlet_map
 from hamfe2.homogenization import CellProblem, initial_response
 from hamfe2.mesh import (generate_masonry_cell, generate_masonry_wall,
@@ -261,11 +261,13 @@ def test_constant_boundary_keeps_fields_constant(masonry):
     macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
     sched = WallSchedule({"left": (20.0, 0.5), "right": (20.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
-    res = fe2_solve(macro, {"solid": CellProblem(mesh, mats)}, sched,
-                    initial, dt_hours=1.0, t_end_hours=2.0)
-    for state in res.history.states:
+    with FE2Driver(macro, {"solid": CellProblem(mesh, mats)},
+                   initial) as driver:
+        history = driver.solve(sched, initial, dt_hours=1.0,
+                               t_end_hours=2.0)
+    for state in history.states:
         assert np.array_equal(state.vector(), initial.vector())
-    assert res.history.newton_iterations == [0, 0, 0]
+    assert history.newton_iterations == [0, 0, 0]
 
 
 def test_homogeneous_linear_fe2_matches_single_scale():
@@ -274,14 +276,15 @@ def test_homogeneous_linear_fe2_matches_single_scale():
     macro = generate_rectangle_mesh(1.0, 0.25, 4, 2)
     sched = WallSchedule({"left": (30.0, 0.7), "right": (20.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
-    res = fe2_solve(macro, {"solid": linear_cell()}, sched, initial,
-                    dt_hours=0.5, t_end_hours=4.0)
+    with FE2Driver(macro, {"solid": linear_cell()}, initial) as driver:
+        history = driver.solve(sched, initial, dt_hours=0.5,
+                               t_end_hours=4.0)
     ref = transient_solve(macro, {"solid": LIN}, sched, initial,
                           dt_hours=0.5, t_end_hours=4.0)
     dth = max(np.abs(a.theta - b.theta).max()
-              for a, b in zip(res.history.states, ref.states))
+              for a, b in zip(history.states, ref.states))
     dph = max(np.abs(a.phi - b.phi).max()
-              for a, b in zip(res.history.states, ref.states))
+              for a, b in zip(history.states, ref.states))
     assert dth <= 1e-8 * 10.0    # theta range 20..30
     assert dph <= 1e-8 * 0.2     # phi range 0.5..0.7
 
@@ -291,10 +294,13 @@ def test_cell_size_drops_out_without_moment_term():
     macro = generate_rectangle_mesh(1.0, 0.25, 4, 2)
     sched = WallSchedule({"left": (30.0, 0.7), "right": (20.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
-    runs = [fe2_solve(macro, {"solid": linear_cell(size)}, sched, initial,
-                      dt_hours=0.5, t_end_hours=4.0)
-            for size in (0.1, 0.025)]
-    assert max_state_diff(runs[0].history, runs[1].history) <= 1e-8
+    runs = []
+    for size in (0.1, 0.025):
+        with FE2Driver(macro, {"solid": linear_cell(size)},
+                       initial) as driver:
+            runs.append(driver.solve(sched, initial, dt_hours=0.5,
+                                     t_end_hours=4.0))
+    assert max_state_diff(runs[0], runs[1]) <= 1e-8
 
 
 def test_worker_counts_bit_identical(masonry):
@@ -302,16 +308,21 @@ def test_worker_counts_bit_identical(masonry):
     macro = generate_rectangle_mesh(1.2, 0.3, 2, 2)
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
-    runs = [fe2_solve(macro, {"solid": CellProblem(mesh, mats)}, sched,
-                      initial, dt_hours=1.0, t_end_hours=3.0, n_workers=w)
-            for w in (1, 2)]
-    for a, b in zip(runs[0].history.states, runs[1].history.states):
+    runs, pools = [], []
+    for w in (1, 2):
+        with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
+                       n_workers=w) as driver:
+            runs.append(driver.solve(sched, initial, dt_hours=1.0,
+                                     t_end_hours=3.0))
+        pools.append(driver.pool)
+    for a, b in zip(runs[0].states, runs[1].states):
         assert np.array_equal(a.vector(), b.vector())
-    assert runs[0].history.newton_iterations == runs[1].history.newton_iterations
+    assert runs[0].newton_iterations == runs[1].newton_iterations
     # the macro Newton holds no factors: one factorization per iteration
-    assert runs[1].history.factorizations == runs[1].history.newton_iterations
-    assert sorted(len(a) for a in runs[1].partition.assignments) == [4, 4]
-    assert runs[1].rounds and all(r.points in (4, 8) for r in runs[1].rounds)
+    assert runs[1].factorizations == runs[1].newton_iterations
+    assert sorted(len(a) for a in pools[1].assignments) == [4, 4]
+    assert pools[1].timings and all(r.points in (4, 8)
+                                    for r in pools[1].timings)
 
 
 def test_macro_factorizations_are_counted(masonry, monkeypatch):
@@ -333,9 +344,10 @@ def test_macro_factorizations_are_counted(masonry, monkeypatch):
         return factorize(matrix)
 
     monkeypatch.setattr(solver, "factorize", spy)
-    history = fe2_solve(macro, {"solid": CellProblem(mesh, mats)}, sched,
-                        initial, dt_hours=1.0, t_end_hours=3.0,
-                        config=SolverConfig(newton_floor=0.0)).history
+    with FE2Driver(macro, {"solid": CellProblem(mesh, mats)}, initial,
+                   config=SolverConfig(newton_floor=0.0)) as driver:
+        history = driver.solve(sched, initial, dt_hours=1.0,
+                               t_end_hours=3.0)
     macro_calls = sizes.count(macro_size)
     assert len(sizes) > macro_calls and max(history.newton_iterations) > 1
     assert sum(history.factorizations) == macro_calls
@@ -355,14 +367,17 @@ def test_two_regions_bit_identical_over_worker_counts():
                  0.27, 0.27, 0.03, "stack", resolution=2), mats)}
     sched = WallSchedule({"left": (32.0, 0.85), "right": (24.0, 0.5)})
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
-    runs = [fe2_solve(macro, cells, sched, initial, dt_hours=1.0,
-                      t_end_hours=2.0, n_workers=w) for w in (1, 2, 3)]
+    runs, pools = [], []
+    for w in (1, 2, 3):
+        with FE2Driver(macro, cells, initial, n_workers=w) as driver:
+            runs.append(driver.solve(sched, initial, dt_hours=1.0,
+                                     t_end_hours=2.0))
+        pools.append(driver.pool)
     for run in runs[1:]:
-        for a, b in zip(runs[0].history.states, run.history.states):
+        for a, b in zip(runs[0].states, run.states):
             assert np.array_equal(a.vector(), b.vector())
-        assert (run.history.newton_iterations
-                == runs[0].history.newton_iterations)
-    for a in runs[1].partition.assignments:
+        assert run.newton_iterations == runs[0].newton_iterations
+    for a in pools[1].assignments:
         assert set(macro.phases[list(a)]) == {0, 1}
 
 
@@ -449,7 +464,7 @@ def test_each_worker_holds_a_point_of_each_square():
     initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
     with FE2Driver(macro, {"solid": linear_cell()}, initial,
                    n_workers=2) as driver:
-        assignments = driver.partition.assignments
+        assignments = driver.pool.assignments
     centroids = macro.nodes[macro.triangles].mean(axis=1)
     for a in assignments:
         assert sorted(centroids[list(a), 0] > 0.3) == [False, True]
@@ -463,7 +478,7 @@ def test_workers_without_points_get_no_process():
         driver = FE2Driver(macro, {"solid": linear_cell()}, initial,
                            n_workers=3)
     with driver:
-        assert [len(a) for a in driver.partition.assignments] == [1, 1, 0]
+        assert driver.pool.assignments == ((0,), (1,))
         assert driver.pool.n_workers == 2
 
 
@@ -509,8 +524,8 @@ def test_unsolvable_meso_aborts_after_retry(masonry, caplog):
     strangled = CellProblem(mesh, mats, SolverConfig(max_iterations=1))
     caplog.set_level("WARNING", logger="hamfe2.solver")
     with pytest.raises(SolverError, match="refused the macro iterate"):
-        fe2_solve(macro, {"solid": strangled}, sched, initial,
-                  dt_hours=1.0, t_end_hours=2.0)
+        with FE2Driver(macro, {"solid": strangled}, initial) as driver:
+            driver.solve(sched, initial, dt_hours=1.0, t_end_hours=2.0)
     assert any("retrying with dt/2" in rec.message for rec in caplog.records)
 
 
@@ -601,11 +616,12 @@ def test_fe2_error_against_the_fine_wall_falls_under_refinement():
     for squares in (2, 4):
         macro = generate_rectangle_mesh(lx, ly, squares, squares,
                                         phase="wall")
-        res = fe2_solve(macro, {"wall": cell}, sched,
-                        FieldState.uniform(macro.n_nodes, 20.0, 0.5),
-                        dt_hours=1.0, t_end_hours=12.0)
+        initial = FieldState.uniform(macro.n_nodes, 20.0, 0.5)
+        with FE2Driver(macro, {"wall": cell}, initial) as driver:
+            history = driver.solve(sched, initial, dt_hours=1.0,
+                                   t_end_hours=12.0)
         errors.append(compare_fields(
-            ref, res.history, build_grid_cell_map(fine, macro, 4, 4)).abs_theta)
+            ref, history, build_grid_cell_map(fine, macro, 4, 4)).abs_theta)
     assert errors[1] < 0.4 * errors[0]
     assert errors[1] < 1.3
 

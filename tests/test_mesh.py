@@ -456,6 +456,23 @@ def test_malformed_row_names_the_file_and_line(tmp_path, section, row):
     assert f"'{row}'" in str(err.value)
 
 
+def test_repeated_boundary_section_names_the_file_and_line(tmp_path):
+    # a second 'boundary left' section would silently replace the first
+    path = tmp_path / "bad.mesh"
+    msh.save_mesh(path, msh.generate_rectangle_mesh(1.0, 1.0, 1, 1))
+    lines = path.read_text().splitlines()
+    first = next(k for k, ln in enumerate(lines)
+                 if ln.startswith("boundary left "))
+    count = int(lines[first].split()[2])
+    lines += lines[first:first + 1 + count]
+    lineno = len(lines) - count
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(msh.MeshError) as err:
+        msh.load_mesh(path)
+    assert f"{path}:{lineno}:" in str(err.value)
+    assert "'left'" in str(err.value)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8),
        st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.1, max_value=10.0))

@@ -49,7 +49,14 @@ def make_registry(cell, pids):
 
 def covered_ids(part):
     """Sorted union of the point ids over all workers."""
-    return tuple(sorted(p for a in part.assignments for p in a))
+    return tuple(sorted(p for a in part for p in a))
+
+
+def dealt(registry, n_workers):
+    """Per-worker registry slices as make_pool deals them, for the tests
+    that build one pool class directly."""
+    return [{p: registry[p] for p in ids}
+            for ids in sched.partition_points(registry, n_workers)]
 
 
 def assert_same_response(a, b):
@@ -67,22 +74,22 @@ def assert_same_response(a, b):
 
 def test_partition_deals_ids_cyclically():
     part = sched.partition_points(range(10), n_workers=3)
-    assert part.assignments == ((0, 3, 6, 9), (1, 4, 7), (2, 5, 8))
+    assert part == ((0, 3, 6, 9), (1, 4, 7), (2, 5, 8))
     # unsorted ids are dealt in sorted order
     part = sched.partition_points([7, 2, 5, 0], n_workers=2)
-    assert part.assignments == ((0, 5), (2, 7))
+    assert part == ((0, 5), (2, 7))
 
 
 def test_partition_single_worker_takes_all():
     part = sched.partition_points([3, 1, 2], n_workers=1)
-    assert part.assignments == ((1, 2, 3),)
+    assert part == ((1, 2, 3),)
 
 
 def test_partition_more_workers_than_points_warns():
     with pytest.warns(RuntimeWarning):
         part = sched.partition_points([1, 2, 3], n_workers=5)
     assert covered_ids(part) == (1, 2, 3)
-    assert [len(a) for a in part.assignments].count(0) == 2
+    assert [len(a) for a in part].count(0) == 2
 
 
 def test_partition_rejects_bad_input():
@@ -103,16 +110,16 @@ def test_partition_exact_cover_property(data, n_workers):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         part = sched.partition_points(pids, n_workers)
-    assert len(part.assignments) == n_workers
+    assert len(part) == n_workers
     assert covered_ids(part) == tuple(pids)
-    seen = [p for a in part.assignments for p in a]
+    seen = [p for a in part for p in a]
     assert len(seen) == len(set(seen))
     # dealt round-robin: loads differ by at most one, the earlier
     # workers take the extra points, and each worker's ids ascend
-    loads = [len(a) for a in part.assignments]
+    loads = [len(a) for a in part]
     assert loads == sorted(loads, reverse=True)
     assert loads[0] - loads[-1] <= 1
-    assert all(list(a) == sorted(a) for a in part.assignments)
+    assert all(list(a) == sorted(a) for a in part)
 
 
 # ---------------------------------------------------------- batch evaluation
@@ -155,11 +162,6 @@ def test_evaluate_batch_collects_failures_and_continues():
     assert len(failures) == 1 and failures[0][0] == 2
 
 
-def test_evaluate_batch_requires_registry_entry():
-    with pytest.raises(sched.SchedulerError):
-        sched._Resident({}).run([(9, rest_loading())], True)
-
-
 # ------------------------------------------------------------------- pools
 
 def two_round_loadings(pids):
@@ -182,15 +184,14 @@ def test_worker_pool_matches_serial_bitwise():
     registry = make_registry(cell, pids)
     round1, round2 = two_round_loadings(pids)
 
-    part1 = sched.partition_points(pids, n_workers=1)
-    ref1, ref2 = run_two_rounds(
-        sched.SerialPool(sched.slice_registry(part1, registry)),
-        round1, round2)
+    serial = sched.make_pool(registry, 1)
+    assert isinstance(serial, sched.SerialPool)
+    ref1, ref2 = run_two_rounds(serial, round1, round2)
     assert list(ref1) == pids  # merged map is ordered by point id
 
     for n in (2, 4):
-        part = sched.partition_points(pids, n_workers=n)
-        with sched.WorkerPool(sched.slice_registry(part, registry)) as pool:
+        with sched.make_pool(registry, n) as pool:
+            assert isinstance(pool, sched.WorkerPool)
             got1, got2 = run_two_rounds(pool, round1, round2)
         for pid in pids:
             assert_same_response(ref1[pid], got1[pid])
@@ -225,8 +226,7 @@ def test_rounds_without_tangents_start_from_the_previous_round():
     assert any(not np.array_equal(warm[p].q_heat, cold[p].q_heat)
                for p in pids)
     for n in (1, 2, 4):
-        part = sched.partition_points(pids, n_workers=n)
-        with sched.make_pool(sched.slice_registry(part, registry)) as pool:
+        with sched.make_pool(registry, n) as pool:
             pool.run_round(round1, want_tangents=True)
             got_warm = pool.run_round(round2, want_tangents=False)
             got_cold = pool.run_round(round2, want_tangents=True)
@@ -249,8 +249,7 @@ def test_round_after_a_commit_starts_cold(pool_class):
         committed, _ = hom.solve_rve_increment(cell, registry[p][1],
                                                round1[p], want_tangents=True)
         _, cold[p] = hom.solve_rve_increment(cell, committed, round2[p])
-    part = sched.partition_points(pids, n_workers=2)
-    with pool_class(sched.slice_registry(part, registry)) as pool:
+    with pool_class(dealt(registry, 2)) as pool:
         pool.run_round(round1, want_tangents=True)
         pool.commit()
         got = pool.run_round(round2, want_tangents=False)
@@ -278,8 +277,7 @@ def test_crashed_worker_leaves_the_pool_in_step(monkeypatch, pool_class):
                for lo in (*round1.values(), *round2.values())
                if lo is not round1[0])
     monkeypatch.setattr(sched, "solve_rve_increment", increment)
-    part = sched.partition_points(pids, n_workers=2)
-    slices = sched.slice_registry(part, registry)
+    slices = dealt(registry, 2)
     with pool_class(slices) as pool:
         with pytest.raises(sched.SchedulerError, match="worker 0 crashed"):
             pool.run_round(round1)
@@ -293,8 +291,7 @@ def test_rounds_only_advance_state_after_commit():
     cell = linear_cell()
     pids = [0, 1]
     registry = make_registry(cell, pids)
-    part = sched.partition_points(pids, n_workers=1)
-    pool = sched.SerialPool(sched.slice_registry(part, registry))
+    pool = sched.make_pool(registry, 1)
     lo = {p: varied_loading(3) for p in pids}
     first = pool.run_round(lo)
     again = pool.run_round(lo)
@@ -315,9 +312,8 @@ def test_round_failure_names_the_point(pool_class):
     state_s, _ = hom.initial_response(strangled, rest_loading())
     registry = {0: (good, state), 1: (good, state),
                 7: (strangled, state_s), 8: (good, state)}
-    part = sched.partition_points(registry, n_workers=2)
     lo = {p: varied_loading(2) for p in registry}
-    with pool_class(sched.slice_registry(part, registry)) as pool:
+    with pool_class(dealt(registry, 2)) as pool:
         with pytest.raises(sched.SchedulerError, match="7"):
             pool.run_round(lo)
         # pool survives a failed round; resident states are untouched
@@ -329,8 +325,7 @@ def test_round_failure_names_the_point(pool_class):
 def test_round_rejects_loading_mismatch():
     cell = linear_cell()
     registry = make_registry(cell, [0, 1])
-    part = sched.partition_points(registry, n_workers=1)
-    pool = sched.SerialPool(sched.slice_registry(part, registry))
+    pool = sched.make_pool(registry, 1)
     with pytest.raises(sched.SchedulerError):
         pool.run_round({0: rest_loading()})
     with pytest.raises(sched.SchedulerError):
@@ -342,8 +337,7 @@ def test_timing_records_cover_every_worker_and_round():
     cell = linear_cell()
     pids = list(range(6))
     registry = make_registry(cell, pids)
-    part = sched.partition_points(pids, n_workers=2)
-    with sched.WorkerPool(sched.slice_registry(part, registry)) as pool:
+    with sched.make_pool(registry, 2) as pool:
         lo = {p: rest_loading() for p in pids}
         pool.run_round(lo)
         pool.run_round(lo)
@@ -356,6 +350,41 @@ def test_timing_records_cover_every_worker_and_round():
 def test_make_pool_picks_serial_for_one_slice():
     cell = linear_cell()
     registry = make_registry(cell, [0])
-    part = sched.partition_points(registry, n_workers=1)
-    pool = sched.make_pool(sched.slice_registry(part, registry))
+    pool = sched.make_pool(registry, 1)
     assert isinstance(pool, sched.SerialPool)
+    assert pool.assignments == ((0,),)
+
+
+def test_make_pool_deals_the_registry_without_empty_workers():
+    cell = linear_cell()
+    registry = make_registry(cell, [9, 2, 5])
+    for n in (1, 2, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dealt_ids = sched.partition_points(registry, n)
+            with sched.make_pool(registry, n) as pool:
+                assigned = pool.assignments
+        assert assigned == tuple(a for a in dealt_ids if a)
+        assert pool.n_workers == len(assigned)
+
+
+def test_make_pool_with_one_non_empty_slice_is_serial():
+    # three workers, one point: the two empty slices get no process
+    cell = linear_cell()
+    registry = make_registry(cell, [4])
+    with pytest.warns(RuntimeWarning, match="receive no points"):
+        pool = sched.make_pool(registry, 3)
+    assert isinstance(pool, sched.SerialPool)
+    assert pool.assignments == ((4,),)
+
+
+def test_make_pool_residents_hold_the_registry_objects():
+    # the pool holds the registry's own cell problems and states, so
+    # points that share a start share one state object
+    cell = linear_cell()
+    registry = make_registry(cell, [0, 1, 2])
+    pool = sched.make_pool(registry, 1)
+    held = pool._residents[0].committed
+    assert sorted(held) == [0, 1, 2]
+    for pid, (c, state) in registry.items():
+        assert held[pid][0] is c and held[pid][1] is state
