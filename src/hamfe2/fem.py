@@ -24,7 +24,11 @@ over its precomputed geometry: K's node blocks are one product of the
 stiffness operator (one-field slots x elements) with the (M, 4)
 conductivities, element means and lumped storage are one product each
 with a 0/1 operator, and the cell tangent takes the element means and
-gradients of its sensitivities from the element operator.
+gradients of its sensitivities from the element operator. A workspace
+holds only what every solve reads; the per-element geometry that only
+cells and the FE2 macro step read (shape-function gradients, element
+stiffness, the entry-to-slot map, the lumped node areas) is built on
+first use, so a fine solve never holds it (see Workspace).
 
 The index arrays of a skeleton, its diagonal slots and the plans of its
 bordered systems live with the mesh's workspace, and the values of a
@@ -160,114 +164,151 @@ _WORKSPACES: "weakref.WeakKeyDictionary[Mesh, Workspace]" = weakref.WeakKeyDicti
 
 
 class Workspace:
-    """Geometry factors and the one-field pattern, precomputed once per mesh.
+    """Geometry factors and the one-field pattern of one mesh.
 
-    csr_pos maps every element entry to its slot in the one-field csr
-    pattern (csr_indices, csr_indptr, csr_nnz slots). The same pattern
-    holds every two-field matrix on the mesh as 2 x 2 node blocks (see
-    SkeletonMatrix): entry 4 s + 2 a + b couples field a of slot s's row
-    node to field b of its column node. diagonal_slots holds the entries
-    of the main diagonal, for every field-major row in order, and of
-    offset N, the (i, N + i) entry of every theta row: the storage and
-    capacity terms of a Newton matrix are added there. plans holds the
-    SystemPlan of every bordered-system pattern met on that skeleton
-    (see ConstraintMap.plan).
+    Every solve reads what the constructor builds, and nothing more:
+    the element areas, the skeleton (csr_indices, csr_indptr, csr_nnz
+    slots, diagonal_slots), stiffness_operator, the element-sum operator
+    of element_mean and lumped, and phase_elements. They are built in
+    linear passes: two stable counting sorts order the element entries.
+    The rest is built on first use and then kept: grads and pattern,
+    the shape-function gradients and the scalar element stiffness, which
+    the cell tangent (state_jacobian, element_operator), cell averages
+    and the FE2 macro step read; csr_pos, which scatter reads for the
+    cell tangent and the macro step; node_areas, which the periodic cell
+    constraints read. A fine solve builds none of them.
+
+    The one-field csr pattern holds every two-field matrix on the mesh
+    as 2 x 2 node blocks (see SkeletonMatrix): entry 4 s + 2 a + b
+    couples field a of slot s's row node to field b of its column node.
+    csr_pos maps every element entry 9 m + 3 i + j to its slot.
+    diagonal_slots holds the entries of the main diagonal, for every
+    field-major row in order, and of offset N, the (i, N + i) entry of
+    every theta row: the storage and capacity terms of a Newton matrix
+    are added there. plans holds the SystemPlan of every bordered-system
+    pattern met on that skeleton (see ConstraintMap.plan).
 
     Element operators act on the geometry. stiffness_operator is the csr
     matrix (one-field slots x elements) whose row s holds, in element
     order, the scalar stiffness of every element on slot s. Times the
     (M, 4) conductivities it sums the four entries of every node block
     of K in scatter's order, and its (csr_nnz, 4) result is K's data as
-    it stands. Two 0/1 operators sum a nodal field over each element's
-    nodes (element_mean) and per-element values over each node's
-    elements (lumped). element_operator (3M x N, built on first use, as
-    only cell tangents need it) maps a nodal field to its element means
-    and x and y gradients.
+    it stands. A 0/1 operator sums a nodal field over each element's
+    nodes (element_mean); its transpose, a view of the same arrays, sums
+    per-element values over each node's elements (lumped).
+    element_operator (3M x N, built on first use, as only cell tangents
+    need it) maps a nodal field to its element means and x and y
+    gradients.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        tris = mesh.triangles
-        p = mesh.nodes[tris]                       # (M, 3, 2)
         self.areas = triangle_areas(mesh)          # (M,)
         if np.any(self.areas <= 0.0):
             raise FemError("mesh contains degenerate or inverted triangles")
-        # gradients of the three shape functions, grads[m, i, :] = grad N_i
-        inv2a = 1.0 / (2.0 * self.areas)
-        gx = np.stack([p[:, 1, 1] - p[:, 2, 1],
-                       p[:, 2, 1] - p[:, 0, 1],
-                       p[:, 0, 1] - p[:, 1, 1]], axis=1) * inv2a[:, None]
-        gy = np.stack([p[:, 2, 0] - p[:, 1, 0],
-                       p[:, 0, 0] - p[:, 2, 0],
-                       p[:, 1, 0] - p[:, 0, 0]], axis=1) * inv2a[:, None]
-        self.grads = np.stack([gx, gy], axis=2)    # (M, 3, 2)
-        # scalar stiffness pattern S_mij = area * grad N_i . grad N_j
-        self.pattern = (gx[:, :, None] * gx[:, None, :]
-                        + gy[:, :, None] * gy[:, None, :]) \
-            * self.areas[:, None, None]
-        del p, gx, gy
-        # 0/1 csr operators of the sums over each element's nodes (M x N,
-        # in the triangles' node order) and over each node's elements
-        # (N x M, in element order)
-        m = mesh.n_triangles
+        m, n = mesh.n_triangles, mesh.n_nodes
+        # 0/1 csr operator of the sums over each element's nodes (M x N,
+        # in the triangles' node order); its transpose, a csc view of the
+        # same arrays, sums over each node's elements in element order
         self._element_sums = sp.csr_matrix(
-            (np.ones(3 * m), tris.ravel().astype(np.int32),
+            (np.ones(3 * m), mesh.triangles.ravel().astype(np.int32),
              np.arange(0, 3 * m + 1, 3, dtype=np.int32)),
-            shape=(m, mesh.n_nodes))
-        self._node_sums = self._element_sums.T.tocsr()
-        # lumped nodal areas (row-sum mass with unit density)
-        self.node_areas = self.lumped(np.ones(m))
+            shape=(m, n))
+        self._node_sums = self._element_sums.T
         # per-phase element index lists, fixed order
         self.phase_elements = [np.nonzero(mesh.phases == k)[0]
                                for k in range(len(mesh.phase_names))]
         # fixed csr pattern of the stiffness: every assembly reuses it,
-        # turning the coo sort/dedup into one product. order sorts the
-        # entries by row, then column, as one key row N + col; the sort
-        # is stable, so it lists each slot's element entries in element
-        # order
-        tris32 = tris.astype(np.int32)
-        rows = np.repeat(tris32, 3, axis=1).ravel()
-        cols = np.tile(tris32, (1, 3)).ravel()
-        order = np.argsort(rows.astype(np.int64) * mesh.n_nodes + cols,
-                           kind="stable")
-        rows, cols = rows[order], cols[order]
+        # turning the coo sort/dedup into one product. A slot starts at
+        # each new row or column of the sorted entries
+        order, cols, row_starts = self._entry_order()
+        if np.any(np.diff(row_starts) == 0):
+            raise FemError("mesh has nodes that belong to no triangle")
         fresh = np.empty(order.size, dtype=bool)
         fresh[0] = True
-        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        slot_rows, self.csr_indices = rows[fresh], cols[fresh]
-        del rows, cols
-        self.csr_nnz = nnz = slot_rows.size
-        # int32, as the pattern's other index arrays
-        pos = np.empty(order.size, dtype=np.int32)
-        pos[order] = np.cumsum(fresh, dtype=np.int32) - 1
-        self.csr_pos = pos
+        np.not_equal(cols[1:], cols[:-1], out=fresh[1:])
+        fresh[row_starts[:-1]] = True
+        starts = np.flatnonzero(fresh)
+        del fresh
+        self.csr_indices = cols[starts]
+        del cols
+        self.csr_nnz = nnz = starts.size
+        # each row's first entry starts a slot: the slot numbers of the
+        # row starts
+        self.csr_indptr = np.searchsorted(starts, row_starts).astype(np.int32)
         self.stiffness_operator = sp.csr_matrix(
-            (self.pattern.reshape(-1)[order], (order // 9).astype(np.int32),
-             np.append(np.flatnonzero(fresh), order.size).astype(np.int32)),
+            (_stiffness_pattern(*_shape_gradients(mesh, self.areas),
+                                self.areas).reshape(-1)[order],
+             order // 9, np.append(starts, order.size).astype(np.int32)),
             shape=(nnz, m))
-        del order, fresh
-        self.csr_indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(slot_rows, minlength=mesh.n_nodes))]
-        ).astype(np.int32)
-        # each node's own slot, whose tt, tf and ff entries are 4 own,
-        # 4 own + 1 and 4 own + 3
-        own = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        on_diagonal = np.flatnonzero(slot_rows == self.csr_indices)
-        own[slot_rows[on_diagonal]] = on_diagonal
-        del slot_rows, on_diagonal
-        if np.any(own < 0):
-            raise FemError("mesh has nodes that belong to no triangle")
+        del order, starts
+        # each node's own slot, one a row, whose tt, tf and ff entries are
+        # 4 own, 4 own + 1 and 4 own + 3
+        own = np.flatnonzero(
+            np.repeat(np.arange(n, dtype=np.int32), np.diff(self.csr_indptr))
+            == self.csr_indices)
         self.diagonal_slots = (np.concatenate([4 * own, 4 * own + 3]),
                                4 * own + 1)
         self.plans = {}
         # the bsr matrix that multiplies every SkeletonMatrix of this
         # mesh, in node-interleaved order; it holds values only during a
         # product and is never handed out
-        n = 2 * mesh.n_nodes
         self._product = sp.bsr_matrix(
             (np.zeros((nnz, 2, 2)), self.csr_indices, self.csr_indptr),
-            shape=(n, n))
+            shape=(2 * n, 2 * n))
         self._product.data = None
+
+    def _entry_order(self):
+        """(order, cols, row_starts): the element entries 9 m + 3 i + j
+        (row node triangles[m, i], column node triangles[m, j]) sorted
+        by row, then column, then element, the column node of each, and
+        where each row's entries start in that order, N + 1 of them.
+
+        Two stable counting sorts, each one scipy csr-to-csc pass: the
+        first lists the corners of every node in element order, which
+        orders the entries by column; the second, the csc form of the
+        transposed pattern with its duplicates, sorts those by row.
+        """
+        m, n = self.mesh.n_triangles, self.mesh.n_nodes
+        corners = self._element_sums.indices
+        # entry 9 m + j of every corner (m, j), listed by its node
+        by_col = sp.csr_matrix(
+            ((np.arange(0, 9 * m, 9, dtype=np.int32)[:, None]
+              + np.arange(3, dtype=np.int32)).ravel(), corners,
+             self._element_sums.indptr), shape=(m, n)).tocsc()
+        by_row = sp.csr_matrix(
+            ((by_col.data[:, None]
+              + np.arange(0, 9, 3, dtype=np.int32)).ravel(),
+             corners.reshape(m, 3)[by_col.indices].ravel(),
+             3 * by_col.indptr), shape=(n, n)).tocsc()
+        return by_row.data, by_row.indices, by_row.indptr
+
+    @cached_property
+    def grads(self):
+        """(M, 3, 2): grads[m, i, :] is the gradient of the i-th shape
+        function on element m."""
+        return np.stack(_shape_gradients(self.mesh, self.areas), axis=2)
+
+    @cached_property
+    def pattern(self):
+        """(M, 3, 3) scalar stiffness, S_mij = area * grad N_i . grad N_j."""
+        return _stiffness_pattern(*_shape_gradients(self.mesh, self.areas),
+                                  self.areas)
+
+    @cached_property
+    def csr_pos(self):
+        """(9M,) int32: the one-field slot of every element entry
+        9 m + 3 i + j."""
+        order = self._entry_order()[0]
+        pos = np.empty(order.size, dtype=np.int32)
+        pos[order] = np.repeat(np.arange(self.csr_nnz, dtype=np.int32),
+                               np.diff(self.stiffness_operator.indptr))
+        return pos
+
+    @cached_property
+    def node_areas(self):
+        """Lumped nodal areas (row-sum mass with unit density), (N,)."""
+        return self.lumped(np.ones(self.mesh.n_triangles))
 
     def scatter(self, data):
         """SkeletonMatrix of (2, 2, M, 3, 3) element entries.
@@ -366,6 +407,23 @@ class SkeletonMatrix:
 
     def diagonal(self):
         return self.data[self.workspace.diagonal_slots[0]]
+
+
+def _shape_gradients(mesh: Mesh, areas):
+    """(gx, gy), (M, 3) each: the x and y gradients of the three shape
+    functions of every element, from per-corner coordinate gathers."""
+    x, y = (mesh.nodes[:, d][mesh.triangles].T for d in (0, 1))
+    inv2a = 1.0 / (2.0 * areas)
+    return (np.stack([y[1] - y[2], y[2] - y[0], y[0] - y[1]], axis=1)
+            * inv2a[:, None],
+            np.stack([x[2] - x[1], x[0] - x[2], x[1] - x[0]], axis=1)
+            * inv2a[:, None])
+
+
+def _stiffness_pattern(gx, gy, areas):
+    """(M, 3, 3) scalar stiffness, area * grad N_i . grad N_j."""
+    return (gx[:, :, None] * gx[:, None, :]
+            + gy[:, :, None] * gy[:, None, :]) * areas[:, None, None]
 
 
 def _entry_dofs(ws: Workspace):
@@ -564,7 +622,10 @@ class SystemPlan:
     The system is stored as CSC in that order (indptr, indices). slots
     gives the data slot of every entry of A, or nnz for an entry the
     system drops; border_cols and border_rows are the slots of the
-    border's entries in the constraint columns and rows.
+    border's entries in the constraint columns and rows. Every array of
+    a plan owns its data: the border arrays are copies, not views that
+    would keep the per-entry slot array of the plan's construction alive
+    (empty for a Dirichlet map, which has no border).
     """
 
     def __init__(self, rows, cols, keep, cmap: "ConstraintMap"):
@@ -611,8 +672,9 @@ class SystemPlan:
         kept = np.count_nonzero(keep)
         self.slots = np.full(keep.size, self.nnz, dtype=np.int32)
         self.slots[keep] = slot[:kept]
-        self.border_cols = slot[kept:kept + G.nnz]
-        self.border_rows = slot[kept + G.nnz:]
+        # copies, so that slot is freed (see the class notes)
+        self.border_cols = slot[kept:kept + G.nnz].copy()
+        self.border_rows = slot[kept + G.nnz:].copy()
 
 
 class ConstraintMap:

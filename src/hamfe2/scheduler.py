@@ -34,7 +34,10 @@ one round and commit body. Both fail alike:
   whose `failures` lists (point id, message) pairs;
 - a round that raises anything else in a worker raises SchedulerError
   naming the worker ("worker <w> crashed"), once every reply is read;
-- a worker process that is gone raises SchedulerError("worker <w> died").
+- a worker process that is gone raises SchedulerError("worker <w> died");
+- a WorkerPool whose worker w cannot start stops the workers it
+  started, closes their pipes and raises SchedulerError("worker <w>
+  failed to start"), chained to the cause.
 """
 
 from __future__ import annotations
@@ -258,13 +261,20 @@ class WorkerPool(_PoolBase):
 
         ctx = mp.get_context("fork")
         self._conns, self._procs = [], []
-        for s in slices:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(child, s),
-                               daemon=True)
-            proc.start()
-            child.close()
-            self._conns.append(parent)
+        for w, s in enumerate(slices):
+            try:
+                parent, child = ctx.Pipe()
+                self._conns.append(parent)
+                try:
+                    proc = ctx.Process(target=_worker_main, args=(child, s),
+                                       daemon=True)
+                    proc.start()
+                finally:
+                    child.close()
+            except Exception as exc:
+                self.stop()
+                raise SchedulerError(f"worker {w} failed to start: {exc}") \
+                    from exc
             self._procs.append(proc)
 
     def _exchange(self, msgs):
@@ -291,6 +301,8 @@ class WorkerPool(_PoolBase):
                     conn.recv()
                 except (OSError, EOFError):
                     pass
+        # a pool whose start failed holds one pipe more than processes
+        for conn in self._conns:
             conn.close()
         for proc in self._procs:
             proc.join(timeout=10.0)

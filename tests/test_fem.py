@@ -9,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from hamfe2 import fe2, fem, homogenization as hom, mesh as msh, solver
+from hamfe2 import (BoundaryRule, BoundarySchedule, fe2, fem,
+                    homogenization as hom, mesh as msh, solver)
 from hamfe2.constitutive import (BRICK, CoefficientSet, KunzelMaterial,
                                  LinearMaterial, default_materials)
 from skeleton_csr import skeleton_csr
@@ -1043,6 +1044,115 @@ def test_stiffness_pattern_sorts_its_entries_as_lexsort(mesh):
     assert np.array_equal(ws.stiffness_operator.indices, order // 9)
     assert np.array_equal(ws.stiffness_operator.data,
                           ws.pattern.reshape(-1)[order])
+
+
+def eager_cell_geometry(mesh):
+    """(grads, pattern, csr_pos) as the workspace once built them on
+    construction: the (M, 3, 2) corner gather, the broadcast pattern
+    and the stable argsort of the row-major entry keys."""
+    tris = mesh.triangles
+    p = mesh.nodes[tris]
+    areas = msh.triangle_areas(mesh)
+    inv2a = 1.0 / (2.0 * areas)
+    gx = np.stack([p[:, 1, 1] - p[:, 2, 1],
+                   p[:, 2, 1] - p[:, 0, 1],
+                   p[:, 0, 1] - p[:, 1, 1]], axis=1) * inv2a[:, None]
+    gy = np.stack([p[:, 2, 0] - p[:, 1, 0],
+                   p[:, 0, 0] - p[:, 2, 0],
+                   p[:, 1, 0] - p[:, 0, 0]], axis=1) * inv2a[:, None]
+    pattern = (gx[:, :, None] * gx[:, None, :]
+               + gy[:, :, None] * gy[:, None, :]) * areas[:, None, None]
+    tris32 = tris.astype(np.int32)
+    rows = np.repeat(tris32, 3, axis=1).ravel()
+    cols = np.tile(tris32, (1, 3)).ravel()
+    order = np.argsort(rows.astype(np.int64) * mesh.n_nodes + cols,
+                       kind="stable")
+    rows, cols = rows[order], cols[order]
+    fresh = np.empty(order.size, dtype=bool)
+    fresh[0] = True
+    fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    pos = np.empty(order.size, dtype=np.int32)
+    pos[order] = np.cumsum(fresh, dtype=np.int32) - 1
+    return np.stack([gx, gy], axis=2), pattern, pos
+
+
+CELL_GEOMETRY = ("grads", "pattern", "csr_pos", "node_areas")
+
+
+def small_fine_solve(wall):
+    """Two one-hour steps of a fine solve on wall, cold on the left."""
+    schedule = BoundarySchedule(
+        {"left": BoundaryRule("theta", constant=5.0),
+         "right": BoundaryRule("theta", constant=20.0)},
+        {"left": BoundaryRule("phi", constant=0.5),
+         "right": BoundaryRule("phi", constant=0.5)})
+    return solver.transient_solve(
+        wall, default_materials(), schedule,
+        fem.FieldState.uniform(wall.n_nodes, 20.0, 0.5), 1.0, 2.0)
+
+
+def test_fine_solve_builds_no_cell_geometry():
+    # only scatter, the cell tangent, the cell constraints and the FE2
+    # macro step read these; a fine solve leaves them unbuilt
+    wall = msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 2)
+    small_fine_solve(wall)
+    assert not set(CELL_GEOMETRY) & set(vars(fem.workspace(wall)))
+
+
+@pytest.mark.parametrize("resolution", [2, 4])
+def test_cell_geometry_is_built_on_first_use_as_it_was_eagerly(resolution):
+    mesh = running_cell(resolution).mesh
+    ws = fem.Workspace(mesh)
+    assert not set(CELL_GEOMETRY) & set(vars(ws))
+    node_areas = np.zeros(mesh.n_nodes)
+    np.add.at(node_areas, mesh.triangles.ravel(), np.repeat(ws.areas / 3.0, 3))
+    for name, ref in zip(CELL_GEOMETRY,
+                         eager_cell_geometry(mesh) + (node_areas,)):
+        # the layout too: einsum's sums over them follow it
+        got = getattr(ws, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert got.strides == ref.strides, name
+        assert getattr(ws, name) is got, name
+
+
+def held_bytes(obj, seen):
+    """Bytes of the arrays that obj holds, each buffer counted once: an
+    array counts its base's whole buffer, which a view keeps alive."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        return sum(held_bytes(o, seen) for o in obj)
+    if isinstance(obj, dict):
+        return sum(held_bytes(o, seen) for o in obj.values())
+    if sp.issparse(obj) or isinstance(obj, fem.SystemPlan):
+        return held_bytes(vars(obj), seen)
+    return 0
+
+
+def test_fine_workspace_footprint_per_element():
+    # what the workspace and its plans hold after a fine solve; an eager
+    # per-element array (the 48 bytes an element of grads, the 36 of
+    # csr_pos) or a view that pins a per-entry temporary exceeds it.
+    # At these 2048 elements the workspace holds 312 bytes an element;
+    # with the cell geometry built eagerly it would hold 549
+    wall = msh.generate_masonry_wall(0.29, 0.14, 0.01, 2, 2, "running", 4)
+    small_fine_solve(wall)
+    ws = fem.workspace(wall)
+    assert ws.plans
+    for plan in ws.plans.values():
+        assert plan.border_cols.base is None
+        assert plan.border_rows.base is None
+    held = held_bytes({k: v for k, v in vars(ws).items() if k != "mesh"},
+                      set())
+    assert held <= 330 * wall.n_triangles
 
 
 def test_shared_periodic_map_equals_a_fresh_map_bit_for_bit():

@@ -347,6 +347,40 @@ def test_timing_records_cover_every_worker_and_round():
     assert all(r.seconds >= 0.0 for r in pool.timings)
 
 
+def test_failed_worker_start_stops_the_started_workers(monkeypatch):
+    # the second of three workers fails to fork: the first is stopped
+    # by its stop message and joined, every pipe end the pool opened is
+    # closed, and the error names the worker, chained to the cause
+    import multiprocessing as mp
+    import multiprocessing.connection as mpc
+
+    registry = make_registry(linear_cell(), range(3))
+    real_start, real_pipe = mp.context.ForkProcess.start, mpc.Pipe
+    started, ends = [], []
+
+    def start(proc):
+        if started:
+            raise OSError("injected fork failure")
+        real_start(proc)
+        started.append(proc)
+
+    def pipe(duplex=True):
+        pair = real_pipe(duplex)
+        ends.extend(pair)
+        return pair
+
+    monkeypatch.setattr(mp.context.ForkProcess, "start", start)
+    monkeypatch.setattr(mpc, "Pipe", pipe)
+    with pytest.raises(sched.SchedulerError,
+                       match="worker 1 failed to start") as info:
+        sched.WorkerPool(dealt(registry, 3))
+    assert isinstance(info.value.__cause__, OSError)
+    assert len(started) == 1 and len(ends) == 4
+    assert started[0].exitcode == 0
+    assert started[0] not in mp.active_children()
+    assert all(end.closed for end in ends)
+
+
 def test_make_pool_picks_serial_for_one_slice():
     cell = linear_cell()
     registry = make_registry(cell, [0])
